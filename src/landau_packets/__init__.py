@@ -5,8 +5,6 @@ and an independent quadrature oracle."""
 from .classical import (
     ClassicalState,
     bmt_integrate,
-    bmt_step,
-    classical_momentum,
     classical_state_from_kinematics,
 )
 from .errors import (
@@ -27,7 +25,6 @@ from .evolution import (
     compute_invariants,
     evolve_packet,
     expectation_series,
-    generic_expectation,
     invariant_report,
     polarization_series,
     polarization_tensor,
@@ -60,9 +57,6 @@ from .laguerre import (
 from .operators import (
     OperatorBand,
     build_operator_band,
-    scalar_momentum_element,
-    spin_element,
-    spinor_momentum_element,
 )
 from .packets import (
     PacketSpec,

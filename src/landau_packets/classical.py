@@ -1,6 +1,7 @@
-"""Classical reference dynamics: closed-form relativistic cyclotron motion
-and a fixed-step RK4 integrator for covariant spin precession in a constant
-magnetic field along z.
+"""Classical reference dynamics: the lab-time cyclotron and anomalous
+frequencies and a fixed-step RK4 integrator for covariant spin precession
+in a constant magnetic field along z.  The closed-form classical motion is
+the unit-contrast limit of the closed forms in ``evolution``.
 
 The integrator advances the pair (u, S) of four-vectors in lab time,
 u = (gamma, b_vec) the dimensionless four-momentum and S the four-spin,
@@ -42,14 +43,6 @@ class ClassicalState:
     s: tuple[float, float, float, float]
     g_factor: float
 
-    def orthogonality_residual(self) -> float:
-        u, s = self.u, self.s
-        return abs(s[0] * u[0] - s[1] * u[1] - s[2] * u[2] - s[3] * u[3])
-
-    def norm_residual(self) -> float:
-        s = self.s
-        return abs(s[1] ** 2 + s[2] ** 2 + s[3] ** 2 - s[0] ** 2 - 1.0)
-
 
 def classical_state_from_kinematics(kin: SpinKinematics, g_factor: float) -> ClassicalState:
     """Initial conditions matching the full-contrast packet at t = 0."""
@@ -57,16 +50,6 @@ def classical_state_from_kinematics(kin: SpinKinematics, g_factor: float) -> Cla
     s = closed_form_spin(kin, None, 1.0, 1.0, 0.0)
     u = (kin.energy, float(p[0]), float(p[1]), float(p[2]))
     return ClassicalState(u=u, s=(float(s[0]), float(s[1]), float(s[2]), float(s[3])), g_factor=g_factor)
-
-
-def classical_momentum(t, b_perp: float, b_z: float, omega: float) -> np.ndarray:
-    """Closed-form cyclotron momentum (-b_perp sin wt, b_perp cos wt, b_z)."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty((t_arr.size, 3))
-    out[:, 0] = -b_perp * np.sin(omega * t_arr)
-    out[:, 1] = b_perp * np.cos(omega * t_arr)
-    out[:, 2] = b_z
-    return out if np.ndim(t) else out[0]
 
 
 def cyclotron_omega(h_field: float, gamma: float) -> float:
@@ -96,13 +79,6 @@ def _rhs(y: tuple, k: float, g: float) -> tuple:
         (half_g * k * s1 + a * u2 * q) * inv,
         a * u3 * q * inv,
     )
-
-
-def bmt_step(state: ClassicalState, h_field: float, dt: float) -> ClassicalState:
-    """One classic fourth-order Runge-Kutta step in lab time."""
-    y = state.u + state.s
-    y = _rk4(y, 2.0 * h_field, state.g_factor, dt)
-    return ClassicalState(u=y[:4], s=y[4:], g_factor=state.g_factor)
 
 
 def _rk4(y: tuple, k: float, g: float, dt: float) -> tuple:

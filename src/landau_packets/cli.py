@@ -79,28 +79,34 @@ class RunConfig:
         return FieldConfig(h=self.h, anomaly=self.anomaly, b_z=self.b_z)
 
 
-_INT_KEYS = {"n", "levels", "epsilon", "samples", "seed"}
-_FLOAT_KEYS = {"h", "anomaly", "b_z", "t_max"}
+#: value type of every key a configuration file may set
+_KEY_TYPES = {
+    **dict.fromkeys(("n", "levels", "epsilon", "samples", "seed"), int),
+    **dict.fromkeys(("h", "anomaly", "b_z", "t_max"), float),
+    **dict.fromkeys(("mode", "output_dir"), str),
+}
 
 
 def _parse_config_file(path: str) -> dict:
+    try:
+        with open(path) as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise DomainError(f"config: cannot read {path}: {exc.strerror}") from exc
     values: dict = {}
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in ("mode", "output_dir"):
-                values[key] = value
-            else:
-                raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _KEY_TYPES:
+            raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = _KEY_TYPES[key](value)
+        except ValueError as exc:
+            raise DomainError(f"{path}:{lineno}: {key}: expected {_KEY_TYPES[key].__name__}, got {value!r}") from exc
     return values
 
 
@@ -214,7 +220,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
         times = evolution.sample_times(omega, samples=cfg.samples, t_max=cfg.t_max)
         traj = evolution.evolve_packet(packet, field, times, mode=cfg.mode)
         factor = float(np.max(np.abs(traj.p[:, 0]))) / kin.b_perp
-        reference = classical.classical_momentum(times, kin.b_perp, kin.b_z, omega)
+        reference = evolution.closed_form_momentum(kin, None, omega, times)
         gap = float(np.max(np.abs(traj.p[:, :2] - reference[:, :2])))
         rows.append((levels, factor, abs(factor - packets.contrast_factor(levels)), gap))
 

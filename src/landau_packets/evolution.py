@@ -1,14 +1,16 @@
-"""Time evolution of expectation values: the generic matrix-element sum
-engine, the closed-form trajectories it reproduces, the polarization tensor
-and the four-vector invariant residuals.
+"""Time evolution of expectation values: the packet state psi(t) contracted
+with the block tables of the observables, the closed-form trajectories it
+reproduces, the polarization tensor and the four-vector invariant
+residuals.
 
-The engine contracts packet amplitudes against a band table with the phase
-factor exp(i*(B_bra - B_ket)*t) per entry.  In uniform-gap mode the phase
-frequencies are assembled directly from the level offset and the spin
-splitting of the reference level, so they are exactly the frequencies the
-closed forms use and the phases are exactly periodic; in exact mode each
-basis state keeps its own level energy and the packet slowly dephases, the
-effect the semiclassical freezing discards.
+The engine evolves every basis state with its own phase,
+psi(t) = a * exp(-i*dE*t), and evaluates <psi(t)|V|psi(t)> over the level
+offsets of the band.  The energies dE are measured from the reference
+state.  In uniform-gap mode they are exactly (m - n)*omega +
+(zeta - zeta_ref)*omega_a/2, the frequencies the closed forms use, so the
+phases are exactly periodic; in exact mode each basis state keeps its own
+level energy and the packet slowly dephases, the effect the semiclassical
+freezing discards.
 
 Metric convention: signature (+,-,-,-), Levi-Civita eps^{0123} = +1.  The
 four-spin of these packets is spacelike, so the unit-norm residual is
@@ -39,8 +41,9 @@ from .operators import (
     OBSERVABLES,
     OperatorBand,
     build_operator_band,
+    spin_labels,
 )
-from .packets import PacketSpec
+from .packets import PacketSpec, amplitude_table, contrast_factor, pair_sums
 from .trajectory import Trajectory
 
 UNIFORM_GAP = "uniform-gap"
@@ -49,6 +52,9 @@ EXACT = "exact"
 #: tolerance on the imaginary residue of a Hermitian expectation value
 HERMITIAN_IMAG_TOL = 1e-12
 
+#: time samples evolved at once; bounds the memory held by psi(t)
+TIME_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class EnergyModel:
@@ -56,9 +62,8 @@ class EnergyModel:
 
     In uniform-gap mode every adjacent-level gap equals the reference
     cyclotron frequency and every spin splitting equals the reference
-    anomalous frequency; pair frequencies are formed from those two numbers
-    directly, which keeps the phases exactly periodic.  In exact mode each
-    state carries its true level energy.
+    anomalous frequency, which keeps the phases exactly periodic.  In exact
+    mode each state carries its true level energy.
     """
 
     mode: str
@@ -85,64 +90,55 @@ class EnergyModel:
             return 0.0
         return anomalous_frequency(self.cfg, self.reference_n)[0]
 
-    def level_energy(self, m: int, zeta: int) -> float:
+    def _energy(self, m: int, zeta: int) -> float:
         if self.kind == SCALAR:
-            if self.mode == EXACT:
-                return energy_scalar(self.cfg, m)
-            return energy_scalar(self.cfg, self.reference_n) + (m - self.reference_n) * self.omega
+            return energy_scalar(self.cfg, m)
+        return energy_spinor(self.cfg, m, zeta)
+
+    @property
+    def reference_energy(self) -> float:
+        """Level energy of the reference state (n, zeta_ref)."""
+        return self._energy(self.reference_n, self.zeta_ref)
+
+    def relative_energies(self, levels) -> np.ndarray:
+        """Energies of the states (level, spin) less the reference energy,
+        shape (len(levels), S) with the spins ordered as in the block
+        tables."""
+        zetas = spin_labels(self.kind)
         if self.mode == EXACT:
-            return energy_spinor(self.cfg, m, zeta)
-        base = energy_spinor(self.cfg, self.reference_n, self.zeta_ref)
-        return base + (m - self.reference_n) * self.omega + 0.5 * (zeta - self.zeta_ref) * self.omega_a
-
-    def phase_frequency(self, m_bra: int, zeta_bra: int, m_ket: int, zeta_ket: int) -> float:
-        """Frequency of the phase factor attached to one band entry."""
-        if self.mode == UNIFORM_GAP:
-            freq = (m_bra - m_ket) * self.omega
-            if self.kind == SPINOR:
-                freq += 0.5 * (zeta_bra - zeta_ket) * self.omega_a
-            return freq
-        return self.level_energy(m_bra, zeta_bra) - self.level_energy(m_ket, zeta_ket)
-
-
-def _series_terms(packet: PacketSpec, band: OperatorBand, em: EnergyModel):
-    if band.levels != packet.levels:
-        raise DomainError(
-            f"levels: packet window {packet.levels} does not match band window {band.levels}"
-        )
-    weights = []
-    freqs = []
-    for (mb, zb, mk, zk), value in band.entries.items():
-        w = packet.amplitude(zb, mb).conjugate() * packet.amplitude(zk, mk) * value
-        if w == 0j:
-            continue
-        weights.append(w)
-        freqs.append(em.phase_frequency(mb, zb, mk, zk))
-    return np.asarray(weights, dtype=complex), np.asarray(freqs, dtype=float)
-
-
-def generic_expectation(packet: PacketSpec, band: OperatorBand, em: EnergyModel, t: float) -> complex:
-    """Expectation value of one observable at time t, as the double sum
-    over basis states."""
-    weights, freqs = _series_terms(packet, band, em)
-    if weights.size == 0:
-        return 0j
-    return complex(np.sum(weights * np.exp(1j * freqs * t)))
+            base = self.reference_energy
+            return np.array([[self._energy(m, z) - base for z in zetas] for m in levels])
+        energies = (np.asarray(levels)[:, None] - self.reference_n) * self.omega
+        if self.kind == SPINOR:
+            energies = energies + 0.5 * (np.array(zetas) - self.zeta_ref) * self.omega_a
+        return energies
 
 
 def expectation_series(
     packet: PacketSpec, band: OperatorBand, em: EnergyModel, times: np.ndarray
 ) -> np.ndarray:
-    """Real expectation values on a time grid.
+    """Real expectation values <psi(t)|V|psi(t)> on a time grid.
 
     The imaginary residue of the Hermitian sum is checked against
     HERMITIAN_IMAG_TOL and discarded.
     """
+    if band.levels != packet.levels:
+        raise DomainError(
+            f"levels: packet window {packet.levels} does not match band window {band.levels}"
+        )
+    if not packet.kind == band.kind == em.kind:
+        raise DomainError(
+            f"kind: packet {packet.kind!r}, band {band.kind!r} and energy model {em.kind!r} differ"
+        )
     times = np.asarray(times, dtype=float)
-    weights, freqs = _series_terms(packet, band, em)
-    if weights.size == 0:
-        return np.zeros(times.size)
-    values = np.exp(1j * np.outer(times, freqs)) @ weights
+    amplitudes = amplitude_table(packet)
+    energies = em.relative_energies(packet.levels)
+    coefficients = band.blocks.reshape(-1)
+    values = np.empty(times.size, dtype=complex)
+    for start in range(0, times.size, TIME_BLOCK):
+        t = times[start : start + TIME_BLOCK, None, None]
+        psi = amplitudes * np.exp(-1j * energies * t)
+        values[start : start + TIME_BLOCK] = pair_sums(psi).reshape(t.size, -1) @ coefficients
     residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
     if residue > HERMITIAN_IMAG_TOL:
         raise AccuracyError(
@@ -169,22 +165,13 @@ def sample_times(omega: float, samples: int = 256, t_max: float | None = None) -
     return t_max * np.arange(samples) / samples
 
 
-def _contrast(levels: int | None) -> float:
-    # None selects the infinite-window limit, i.e. the classical curve
-    if levels is None:
-        return 1.0
-    if levels < 1:
-        raise DomainError(f"levels: must be >= 1, got {levels}")
-    return (levels - 1.0) / levels
-
-
 def closed_form_momentum(kin: SpinKinematics, levels: int | None, omega: float, times) -> np.ndarray:
     """Momentum expectation of an N-level packet: a circle of radius
     (N-1)/N * b_perp traversed at the cyclotron frequency, plus the
     constant longitudinal component.  ``levels=None`` gives the classical
     limit of unit contrast."""
     t = np.atleast_1d(np.asarray(times, dtype=float))
-    f = _contrast(levels)
+    f = contrast_factor(levels)
     out = np.empty((t.size, 3))
     out[:, 0] = -f * kin.b_perp * np.sin(omega * t)
     out[:, 1] = f * kin.b_perp * np.cos(omega * t)
@@ -203,7 +190,7 @@ def closed_form_spin(
     classical limit of unit contrast.
     """
     t = np.atleast_1d(np.asarray(times, dtype=float))
-    f = _contrast(levels)
+    f = contrast_factor(levels)
     cw, sw = np.cos(omega * t), np.sin(omega * t)
     ca, sa = np.cos(omega_a * t), np.sin(omega_a * t)
     out = np.empty((t.size, 4))
@@ -294,14 +281,14 @@ def invariant_report(traj: Trajectory) -> InvariantReport:
 
 
 def build_packet_bands(
-    packet: PacketSpec, cfg: FieldConfig, zeta_ref: int | None = None, per_level: bool = False
+    packet: PacketSpec, cfg: FieldConfig, zeta_ref: int | None = None
 ) -> dict[str, OperatorBand]:
     """All observable bands over the packet's level window."""
     zr = packet.epsilon if zeta_ref is None else zeta_ref
     names = MOMENTUM_OBSERVABLES if packet.kind == SCALAR else OBSERVABLES
     return {
         name: build_operator_band(
-            packet.levels, name, cfg, packet.n, kind=packet.kind, zeta_ref=zr, per_level=per_level
+            packet.levels, name, cfg, packet.n, kind=packet.kind, zeta_ref=zr
         )
         for name in names
     }
@@ -313,7 +300,6 @@ def evolve_packet(
     times: np.ndarray,
     mode: str = UNIFORM_GAP,
     zeta_ref: int | None = None,
-    per_level: bool = False,
 ) -> Trajectory:
     """Run the generic engine over a time grid and collect a trajectory.
 
@@ -323,12 +309,11 @@ def evolve_packet(
     times = np.asarray(times, dtype=float)
     zr = packet.epsilon if zeta_ref is None else zeta_ref
     em = EnergyModel(mode=mode, kind=packet.kind, cfg=cfg, reference_n=packet.n, zeta_ref=zr)
-    bands = build_packet_bands(packet, cfg, zeta_ref=zr, per_level=per_level)
+    bands = build_packet_bands(packet, cfg, zeta_ref=zr)
 
     p = np.column_stack([expectation_series(packet, bands[name], em, times) for name in MOMENTUM_OBSERVABLES])
-    mean_energy = sum(
-        abs(a) ** 2 * em.level_energy(m, zeta) for (zeta, m), a in packet.amplitudes.items()
-    )
+    weights = np.abs(amplitude_table(packet)) ** 2
+    mean_energy = em.reference_energy + float(np.sum(weights * em.relative_energies(packet.levels)))
     p0 = np.full(times.size, mean_energy)
 
     if packet.kind == SCALAR:

@@ -49,6 +49,12 @@ class FieldConfig:
     b_z: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("h", "anomaly", "b_z"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name}: must be finite, got {value}")
+        if not math.isfinite(self.b_z * self.b_z):
+            raise DomainError(f"b_z: too large, b_z**2 overflows, got {self.b_z}")
         if self.h < 0:
             raise DomainError(f"h: field strength must be >= 0, got {self.h}")
         if self.anomaly < 0:

@@ -1,15 +1,16 @@
 """Closed-form matrix elements of the momentum and spin observables between
-neighboring Landau levels, assembled into band-sparse Hermitian tables.
+neighboring Landau levels, held as one block table per observable.
 
 The transverse momentum components connect adjacent levels only and are
 diagonal in the spin quantum number; the transverse spin components flip
 the spin quantum number and also connect adjacent levels; the longitudinal
 spin components are diagonal in the level index with both spin-diagonal and
-spin-flip parts.  In the default frozen mode every entry of a table uses
-the kinematic factors (b_perp, b, B) of the packet's reference level, which
-is the regime in which the closed-form trajectories are exact.  The
-optional per-level mode re-evaluates the factors at each entry's own level
-to quantify the dispersion neglected by the freezing.
+spin-flip parts.  Every element uses the kinematic factors (b_perp, b, b_z,
+B) of the packet's reference level, the frozen regime in which the
+closed-form trajectories are exact, so a band is its level window plus one
+complex table of shape (3, S, S): level offset d = m_bra - m_ket in
+{-1, 0, +1}, spin of the bra, spin of the ket; S = 1 for spin-0 and S = 2
+for spin-1/2.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 from .kinematics import (
@@ -34,87 +37,14 @@ OBSERVABLES = MOMENTUM_OBSERVABLES + SPIN_OBSERVABLES
 #: spin label used for spin-0 states, where zeta is not a quantum number
 NO_SPIN = 0
 
-
-def scalar_momentum_element(
-    m_prime: int, m: int, component: str, b_perp: float, b_z: float
-) -> complex:
-    """Momentum matrix element between spin-0 levels m' (bra) and m (ket)."""
-    dm = m_prime - m
-    if component == "x":
-        if dm == 1:
-            return 0.5j * b_perp
-        if dm == -1:
-            return -0.5j * b_perp
-        return 0j
-    if component == "y":
-        return 0.5 * b_perp if dm in (1, -1) else 0j
-    if component == "z":
-        return complex(b_z) if dm == 0 else 0j
-    raise DomainError(f"component: must be 'x', 'y' or 'z', got {component!r}")
+#: level offsets d = m_bra - m_ket along the first axis of a block table
+OFFSETS = (-1, 0, 1)
+DOWN, SAME, UP = range(3)
 
 
-def spinor_momentum_element(
-    m_prime: int,
-    zeta_prime: int,
-    m: int,
-    zeta: int,
-    component: str,
-    b_perp: float,
-    b_z: float,
-) -> complex:
-    """Momentum matrix element between spin-1/2 states; diagonal in zeta."""
-    if zeta_prime != zeta:
-        return 0j
-    return scalar_momentum_element(m_prime, m, component, b_perp, b_z)
-
-
-def spin_element(
-    m_prime: int,
-    zeta_prime: int,
-    m: int,
-    zeta: int,
-    component: str,
-    b: float,
-    b_z: float,
-    b_perp: float,
-    energy: float,
-) -> complex:
-    """Spin four-vector matrix element between spin-1/2 states.
-
-    The x and y components flip zeta and connect adjacent levels, with the
-    raising branch weighted by (b - zeta) and the lowering branch by
-    (b + zeta).  The z and time components are diagonal in the level index.
-    """
-    dm = m_prime - m
-    if component == "x":
-        if zeta_prime != -zeta:
-            return 0j
-        if dm == 1:
-            return 0.5j * (b - zeta)
-        if dm == -1:
-            return -0.5j * (b + zeta)
-        return 0j
-    if component == "y":
-        if zeta_prime != -zeta:
-            return 0j
-        if dm == 1:
-            return 0.5 * (b - zeta)
-        if dm == -1:
-            return 0.5 * (b + zeta)
-        return 0j
-    if component == "z":
-        if dm != 0:
-            return 0j
-        if zeta_prime == zeta:
-            return complex(zeta * energy / b)
-        return complex(b_perp * b_z / b)
-    if component == "0":
-        if dm != 0:
-            return 0j
-        if zeta_prime == zeta:
-            return complex(zeta * b_z / b)
-        return complex(energy * b_perp / b)
-    raise DomainError(f"component: must be 'x', 'y', 'z' or '0', got {component!r}")
+def spin_labels(kind: str) -> tuple[int, ...]:
+    """Spin labels along the spin axes of a block table."""
+    return (NO_SPIN,) if kind == SCALAR else (-1, 1)
 
 
 @dataclass(frozen=True)
@@ -127,35 +57,81 @@ class BandParams:
     energy: float
 
 
+def block_table(observable: str, kind: str, params: BandParams) -> np.ndarray:
+    """Elements of one observable between level m + d (bra) and level m
+    (ket), shape (3, S, S): offset d, spin of the bra, spin of the ket.
+
+    The x and y spin components flip zeta, with the raising branch weighted
+    by (b - zeta) and the lowering branch by (b + zeta), zeta the spin of
+    the ket.
+    """
+    zeta = np.array(spin_labels(kind), dtype=float)  # spin of the ket, last axis
+    diag = np.eye(zeta.size, dtype=bool)
+    b_perp, b, b_z, energy = params.b_perp, params.b, params.b_z, params.energy
+    table = np.zeros((3, zeta.size, zeta.size), dtype=complex)
+    if observable == "Px":
+        table[UP] = np.where(diag, 0.5j * b_perp, 0)
+        table[DOWN] = np.where(diag, -0.5j * b_perp, 0)
+    elif observable == "Py":
+        table[UP] = table[DOWN] = np.where(diag, 0.5 * b_perp, 0)
+    elif observable == "Pz":
+        table[SAME] = np.where(diag, b_z, 0)
+    elif observable == "Sx":
+        table[UP] = np.where(diag, 0, 0.5j * (b - zeta))
+        table[DOWN] = np.where(diag, 0, -0.5j * (b + zeta))
+    elif observable == "Sy":
+        table[UP] = np.where(diag, 0, 0.5 * (b - zeta))
+        table[DOWN] = np.where(diag, 0, 0.5 * (b + zeta))
+    elif observable == "Sz":
+        table[SAME] = np.where(diag, zeta * energy / b, b_perp * b_z / b)
+    elif observable == "S0":
+        table[SAME] = np.where(diag, zeta * b_z / b, energy * b_perp / b)
+    else:
+        raise DomainError(f"observable: must be one of {OBSERVABLES}, got {observable!r}")
+    return table
+
+
 @dataclass(frozen=True)
 class OperatorBand:
-    """Band-sparse table of matrix elements of one observable.
+    """Band-sparse matrix of one observable over a contiguous level window.
 
-    ``entries`` maps (m_bra, zeta_bra, m_ket, zeta_ket) to the complex
-    element; only nonzero elements are stored, and the band never reaches
-    beyond adjacent levels.
+    ``blocks`` is the read-only table of ``block_table``: the element between
+    two states of the window is blocks[m_bra - m_ket + 1, spin_bra, spin_ket].
     """
 
     observable: str
     kind: str
     levels: tuple[int, ...]
-    entries: dict[tuple[int, int, int, int], complex]
+    blocks: np.ndarray
     params: BandParams
 
+    @property
+    def entries(self) -> dict[tuple[int, int, int, int], complex]:
+        """Nonzero elements keyed by (m_bra, zeta_bra, m_ket, zeta_ket)."""
+        zetas = spin_labels(self.kind)
+        out: dict[tuple[int, int, int, int], complex] = {}
+        for m_ket in self.levels:
+            for i, d in enumerate(OFFSETS):
+                m_bra = m_ket + d
+                if not self.levels[0] <= m_bra <= self.levels[-1]:
+                    continue
+                for k, zeta_ket in enumerate(zetas):
+                    for j, zeta_bra in enumerate(zetas):
+                        value = complex(self.blocks[i, j, k])
+                        if value != 0j:
+                            out[(m_bra, zeta_bra, m_ket, zeta_ket)] = value
+        return out
+
     def hermiticity_defect(self) -> float:
-        """Largest deviation of any entry from the conjugate of its mirror."""
-        worst = 0.0
-        for (mb, zb, mk, zk), value in self.entries.items():
-            mirror = self.entries.get((mk, zk, mb, zb), 0j)
-            worst = max(worst, abs(value - mirror.conjugate()))
-        return worst
+        """Largest deviation of a block element from the conjugate of its
+        mirror, the element at the opposite offset with the spins swapped."""
+        mirror = self.blocks[::-1].conj().transpose(0, 2, 1)
+        return float(np.max(np.abs(self.blocks - mirror)))
 
     def band_width_defect(self) -> int:
-        """Largest |m_bra - m_ket| beyond one; zero for a valid band."""
-        worst = 0
-        for (mb, _, mk, _) in self.entries:
-            worst = max(worst, abs(mb - mk) - 1)
-        return max(worst, 0)
+        """Largest |m_bra - m_ket| the table holds beyond one; zero for a
+        valid band."""
+        return max((self.blocks.shape[0] - 1) // 2 - 1, 0)
 
     def to_debug_json(self) -> str:
         """Dump indices and values for inspection; not a stable format."""
@@ -184,29 +160,6 @@ class OperatorBand:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _component_of(observable: str) -> str:
-    return observable[-1].lower() if observable != "S0" else "0"
-
-
-def _entry_params(
-    cfg: FieldConfig,
-    kind: str,
-    zeta_ref: int,
-    m_bra: int,
-    m_ket: int,
-    frozen_params: BandParams,
-    per_level: bool,
-) -> BandParams:
-    if not per_level:
-        return frozen_params
-    # off-diagonal entries take the upper level, matching the exact ladder value
-    level = max(m_bra, m_ket)
-    b_perp = transverse_momentum(cfg.h, level, kind)
-    b = math.sqrt(1.0 + b_perp**2)
-    energy = energy_spinor(cfg, level, zeta_ref) if kind == SPINOR else 0.0
-    return BandParams(b_perp=b_perp, b=b, b_z=cfg.b_z, energy=energy)
-
-
 def build_operator_band(
     levels,
     observable: str,
@@ -214,13 +167,9 @@ def build_operator_band(
     reference_n: int,
     kind: str = SPINOR,
     zeta_ref: int = 1,
-    per_level: bool = False,
 ) -> OperatorBand:
-    """Populate the band table of one observable over a contiguous level set.
-
-    ``reference_n`` fixes the frozen kinematic factors; ``per_level=True``
-    switches to exact per-entry factors instead.
-    """
+    """Band of one observable over a contiguous level set, with the
+    kinematic factors frozen at ``reference_n``."""
     levels = tuple(sorted(levels))
     if not levels:
         raise DomainError("levels: must be nonempty")
@@ -236,31 +185,7 @@ def build_operator_band(
     b_perp = transverse_momentum(cfg.h, reference_n, kind)
     b = math.sqrt(1.0 + b_perp**2)
     energy = energy_spinor(cfg, reference_n, zeta_ref) if kind == SPINOR else 0.0
-    frozen = BandParams(b_perp=b_perp, b=b, b_z=cfg.b_z, energy=energy)
-
-    component = _component_of(observable)
-    zetas = (NO_SPIN,) if kind == SCALAR else (-1, 1)
-    level_set = set(levels)
-    entries: dict[tuple[int, int, int, int], complex] = {}
-    for m_ket in levels:
-        for m_bra in (m_ket - 1, m_ket, m_ket + 1):
-            if m_bra not in level_set:
-                continue
-            for zeta_ket in zetas:
-                for zeta_bra in zetas:
-                    p = _entry_params(cfg, kind, zeta_ref, m_bra, m_ket, frozen, per_level)
-                    if kind == SCALAR:
-                        value = scalar_momentum_element(m_bra, m_ket, component, p.b_perp, p.b_z)
-                    elif observable in MOMENTUM_OBSERVABLES:
-                        value = spinor_momentum_element(
-                            m_bra, zeta_bra, m_ket, zeta_ket, component, p.b_perp, p.b_z
-                        )
-                    else:
-                        value = spin_element(
-                            m_bra, zeta_bra, m_ket, zeta_ket, component, p.b, p.b_z, p.b_perp, p.energy
-                        )
-                    if value != 0j:
-                        entries[(m_bra, zeta_bra, m_ket, zeta_ket)] = value
-    return OperatorBand(
-        observable=observable, kind=kind, levels=levels, entries=entries, params=frozen
-    )
+    params = BandParams(b_perp=b_perp, b=b, b_z=cfg.b_z, energy=energy)
+    blocks = block_table(observable, kind, params)
+    blocks.setflags(write=False)
+    return OperatorBand(observable=observable, kind=kind, levels=levels, blocks=blocks, params=params)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kinematics import SCALAR, SPINOR, FieldConfig, spin_mixing_ratio
-from .operators import NO_SPIN
+from .operators import DOWN, NO_SPIN, SAME, spin_labels
 
 
 @dataclass(frozen=True)
@@ -153,39 +153,52 @@ def normalization_defect(packet: PacketSpec) -> float:
     return abs(total - 1.0)
 
 
-def structure_sums(packet: PacketSpec) -> StructureSums:
-    """Bilinear amplitude sums of a packet.
+def amplitude_table(packet: PacketSpec) -> np.ndarray:
+    """Amplitudes as an array of shape (levels, S), the spins ordered as in
+    the block tables of the bands."""
+    zetas = spin_labels(packet.kind)
+    return np.array([[packet.amplitude(z, m) for z in zetas] for m in packet.levels], dtype=complex)
 
-    The adjacent sums run over every pair (m, m+1) inside the window; the
-    diagonal sums run over the window itself.  Spin-0 packets only populate
-    the same-spin adjacent sum.
+
+def pair_sums(psi: np.ndarray) -> np.ndarray:
+    """Sums over m of conj(psi[t, m + d, b]) * psi[t, m, k] for the level
+    offsets d = -1, 0, +1.
+
+    ``psi`` has shape (T, levels, S); the result has shape (T, 3, S, S), the
+    layout of a band's block table.  The d = -1 sums are the conjugate
+    transposes of the d = +1 sums.
     """
-    amp = packet.amplitude
-    zetas = (-1, 1) if packet.is_spinor else (NO_SPIN,)
+    bra = psi.conj().transpose(0, 2, 1)
+    same = bra @ psi
+    up = bra[:, :, 1:] @ psi[:, :-1]
+    down = up.conj().transpose(0, 2, 1)
+    return np.stack([down, same, up], axis=1)
 
-    same_adjacent = 0j
-    flip_adjacent = 0j
-    for m in packet.levels[:-1]:
-        for zeta in zetas:
-            same_adjacent += amp(zeta, m).conjugate() * amp(zeta, m + 1)
-        flip_adjacent += amp(+1, m).conjugate() * amp(-1, m + 1)
 
-    flip_diagonal = 0j
-    imbalance = 0j
-    for m in packet.levels:
-        flip_diagonal += amp(+1, m).conjugate() * amp(-1, m)
-        imbalance += abs(amp(+1, m)) ** 2 - abs(amp(-1, m)) ** 2
+def structure_sums(packet: PacketSpec) -> StructureSums:
+    """Bilinear amplitude sums of a packet: its pair sums at t = 0.
 
+    The adjacent sums run over every pair (m, m+1) inside the window, with
+    the bra at m; the diagonal sums run over the window itself.  Spin-0
+    packets only populate the same-spin adjacent sum.
+    """
+    sums = pair_sums(amplitude_table(packet)[None])[0]
+    if not packet.is_spinor:
+        return StructureSums(complex(sums[DOWN, 0, 0]), 0j, 0j, 0j)
+    minus, plus = 0, 1  # spin indices of zeta = -1 and zeta = +1
     return StructureSums(
-        adjacent_same_spin=same_adjacent,
-        adjacent_spin_flip=flip_adjacent,
-        diagonal_spin_flip=flip_diagonal,
-        population_imbalance=imbalance,
+        adjacent_same_spin=complex(np.trace(sums[DOWN])),
+        adjacent_spin_flip=complex(sums[DOWN, plus, minus]),
+        diagonal_spin_flip=complex(sums[SAME, plus, minus]),
+        population_imbalance=complex(sums[SAME, plus, plus] - sums[SAME, minus, minus]),
     )
 
 
-def contrast_factor(levels: int) -> float:
-    """Semiclassical contrast (N-1)/N of an N-level uniform packet."""
+def contrast_factor(levels: int | None) -> float:
+    """Semiclassical contrast (N-1)/N of an N-level uniform packet;
+    ``None`` selects the infinite-window limit 1.0, the classical curve."""
+    if levels is None:
+        return 1.0
     if levels < 1:
         raise DomainError(f"levels: must be >= 1, got {levels}")
     return (levels - 1.0) / levels

@@ -59,13 +59,9 @@ class VerificationReport:
         return {"passed": bool(self.passed), "checks": [c.as_dict() for c in self.checks]}
 
 
-def _engine_setup(cfg: FieldConfig, n: int, levels: int, epsilon: int, mode: str):
+def _engine_setup(cfg: FieldConfig, n: int, levels: int, epsilon: int):
     packet = packets.build_spinor_packet(n, levels, cfg, epsilon)
-    em = evolution.EnergyModel(
-        mode=mode, kind=packet.kind, cfg=cfg, reference_n=n, zeta_ref=epsilon
-    )
-    times = evolution.sample_times(em.omega)
-    return packet, em, times
+    return packet, evolution.sample_times(cyclotron_frequency(cfg, n, epsilon)[0])
 
 
 def check_packet_normalization(
@@ -142,7 +138,7 @@ def check_engine_closed_form(cfg: FieldConfig, n: int, epsilon: int) -> CheckRes
     omega = cyclotron_frequency(cfg, n, epsilon)[0]
     omega_a = anomalous_frequency(cfg, n)[0]
     for levels in ENGINE_LEVELS:
-        packet, em, times = _engine_setup(cfg, n, levels, epsilon, evolution.UNIFORM_GAP)
+        packet, times = _engine_setup(cfg, n, levels, epsilon)
         traj = evolution.evolve_packet(packet, cfg, times, mode=evolution.UNIFORM_GAP)
         p_ref = evolution.closed_form_momentum(kin, levels, omega, times)
         s_ref = evolution.closed_form_spin(kin, levels, omega, omega_a, times)
@@ -155,7 +151,7 @@ def check_factor_law(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
     worst = 0.0
     rows = {}
     for levels in FACTOR_LAW_LEVELS:
-        packet, em, times = _engine_setup(cfg, n, levels, epsilon, evolution.UNIFORM_GAP)
+        packet, times = _engine_setup(cfg, n, levels, epsilon)
         traj = evolution.evolve_packet(packet, cfg, times, mode=evolution.UNIFORM_GAP)
         kin = SpinKinematics.from_field(cfg, n, epsilon)
         factor = float(np.max(np.abs(traj.p[:, 0]))) / kin.b_perp
@@ -203,15 +199,12 @@ def check_polarization_tensor(cfg: FieldConfig, n: int, epsilon: int) -> CheckRe
     omega_a = classical.anomalous_omega(cfg.h, kin.energy, kin.b, 2.0 * (1.0 + cfg.anomaly))
     times = evolution.sample_times(omega, samples=32)
     traj = evolution.closed_form_trajectory(kin, None, omega, omega_a, times)
-    p4 = traj.four_momentum()
-    worst = 0.0
-    for i in range(times.size):
-        pi = evolution.polarization_tensor(traj.s[i], p4[i])
-        worst = max(
-            worst,
-            float(np.max(np.abs(pi + pi.T))),
-            float(np.max(np.abs(pi @ evolution.lower_index(p4[i])))),
-        )
+    tensors = evolution.polarization_series(traj)
+    p_low = evolution.lower_index(traj.four_momentum().T).T
+    worst = max(
+        float(np.max(np.abs(tensors + tensors.transpose(0, 2, 1)))),
+        float(np.max(np.abs(np.einsum("tmn,tn->tm", tensors, p_low)))),
+    )
     tol = 1e-12 * max(1.0, kin.energy**2)
     return CheckResult("polarization-tensor", worst <= tol, worst, tol)
 
@@ -287,7 +280,7 @@ def check_oracle_convergence(cfg: FieldConfig, n: int, epsilon: int) -> CheckRes
 
 
 def check_determinism(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
-    packet, em, times = _engine_setup(cfg, n, 3, epsilon, evolution.UNIFORM_GAP)
+    packet, times = _engine_setup(cfg, n, 3, epsilon)
 
     def render() -> bytes:
         traj = evolution.evolve_packet(packet, cfg, times, mode=evolution.UNIFORM_GAP)

@@ -9,7 +9,6 @@ import numpy as np
 from landau_packets.classical import (
     anomalous_omega,
     bmt_integrate,
-    classical_momentum,
     classical_state_from_kinematics,
     cyclotron_omega,
 )
@@ -116,7 +115,7 @@ def test_criterion_3_classical_limit():
     grid = sample_times(omega_q)
     packet = build_spinor_packet(n_ref, levels, CFG, +1)
     traj = evolve_packet(packet, CFG, grid, mode=UNIFORM_GAP)
-    circle = classical_momentum(grid, kin_q.b_perp, kin_q.b_z, omega_q)
+    circle = closed_form_momentum(kin_q, None, omega_q, grid)
     gap = float(np.max(np.abs(traj.p[:, :2] - circle[:, :2])))
     expected = kin_q.b_perp / levels
     gap_ok = abs(gap - expected) <= 1e-10 * expected

@@ -6,14 +6,17 @@ import pytest
 from landau_packets.classical import (
     anomalous_omega,
     bmt_integrate,
-    bmt_step,
-    classical_momentum,
     classical_state_from_kinematics,
     cyclotron_omega,
-    default_step,
 )
 from landau_packets.errors import DomainError, IntegrationAccuracyError
-from landau_packets.evolution import closed_form_trajectory, evolve_packet, sample_times
+from landau_packets.evolution import (
+    closed_form_momentum,
+    closed_form_trajectory,
+    compute_invariants,
+    evolve_packet,
+    sample_times,
+)
 from landau_packets.kinematics import FieldConfig, SpinKinematics
 from landau_packets.packets import build_spinor_packet
 from landau_packets.trajectory import Trajectory, compare_trajectories
@@ -32,25 +35,32 @@ def reference_setup(cfg=CFG, n=N_REF, epsilon=1):
 
 
 class TestClassicalMomentum:
+    # the classical circle is the unit-contrast closed form
+    KIN = SpinKinematics(
+        b_perp=2.0, b=math.sqrt(5.0), b_z=0.5, energy=math.sqrt(5.25),
+        kappa=1.0, zeta_perp=1.0, zeta_z=0.0, epsilon=1,
+    )
+
     def test_at_zero(self):
-        np.testing.assert_allclose(classical_momentum(0.0, 2.0, 0.5, 0.1), [0.0, 2.0, 0.5])
+        np.testing.assert_allclose(closed_form_momentum(self.KIN, None, 0.1, 0.0), [0.0, 2.0, 0.5])
 
     def test_half_period(self):
         omega = 0.25
-        p = classical_momentum(math.pi / omega, 2.0, 0.5, omega)
+        p = closed_form_momentum(self.KIN, None, omega, math.pi / omega)
         np.testing.assert_allclose(p, [0.0, -2.0, 0.5], atol=1e-14)
 
     def test_circular(self):
         t = np.linspace(0, 80, 101)
-        p = classical_momentum(t, 2.0, 0.5, 0.1)
+        p = closed_form_momentum(self.KIN, None, 0.1, t)
         np.testing.assert_allclose(np.hypot(p[:, 0], p[:, 1]), 2.0, rtol=1e-14)
 
 
 class TestInitialConditions:
     def test_invariants_at_start(self):
         _, _, _, _, init = reference_setup()
-        assert init.orthogonality_residual() < 1e-13
-        assert init.norm_residual() < 1e-13
+        report = compute_invariants(np.array([init.u[1:]]), np.array([init.s]), np.array([init.u[0]]))
+        assert report.res_sp[0] < 1e-13
+        assert report.res_ss[0] < 1e-13
 
     def test_matches_full_contrast_forms(self):
         kin, g, omega, omega_a, init = reference_setup()
@@ -108,14 +118,6 @@ class TestBmtIntegration:
         with pytest.raises(IntegrationAccuracyError):
             bmt_integrate(init, CFG.h, t_max=20 * 2 * math.pi / omega, dt=2 * math.pi / omega / 4)
 
-    def test_single_step_matches_integrator(self):
-        kin, g, omega, _, init = reference_setup()
-        dt = default_step(CFG.h, kin.energy)
-        stepped = bmt_step(init, CFG.h, dt)
-        traj = bmt_integrate(init, CFG.h, t_max=dt, dt=dt, check_drift=False)
-        np.testing.assert_allclose(stepped.u, np.concatenate([[traj.p0[-1]], traj.p[-1]]), rtol=1e-15)
-        np.testing.assert_allclose(stepped.s, traj.s[-1], rtol=1e-15)
-
 
 class TestQuantumClassicalGap:
     @pytest.mark.parametrize("levels", [3, 10, 100])
@@ -130,7 +132,7 @@ class TestQuantumClassicalGap:
         times = sample_times(omega)
         traj = evolve_packet(packet, cfg, times)
         kin = SpinKinematics.from_field(cfg, 1200, +1)
-        classical = classical_momentum(times, kin.b_perp, kin.b_z, omega)
+        classical = closed_form_momentum(kin, None, omega, times)
         gap = np.max(np.abs(traj.p[:, :2] - classical[:, :2]))
         assert gap == pytest.approx(kin.b_perp / levels, rel=1e-10)
 
@@ -145,7 +147,7 @@ class TestQuantumClassicalGap:
         em = EnergyModel(mode=UNIFORM_GAP, kind="spinor", cfg=cfg, reference_n=n_ref, zeta_ref=1)
         times = sample_times(em.omega)
         kin = SpinKinematics.from_field(cfg, n_ref, +1)
-        circle = classical_momentum(times, kin.b_perp, kin.b_z, em.omega)
+        circle = closed_form_momentum(kin, None, em.omega, times)
         gap = 0.0
         for j, name in enumerate(("Px", "Py")):
             band = build_operator_band(packet.levels, name, cfg, n_ref, zeta_ref=1)

@@ -183,6 +183,34 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert "mystery" in capsys.readouterr().err
 
+    def test_non_integer_value_rejected(self, tmp_path, capsys):
+        config = tmp_path / "float_n.cfg"
+        config.write_text("n = 3.0\n")
+        code = main(["trajectory", "--config", str(config), "--output-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert "n: expected int, got '3.0'" in err
+
+    def test_missing_file_rejected(self, tmp_path, capsys):
+        code = main(["trajectory", "--config", str(tmp_path / "absent.cfg"),
+                     "--output-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert "absent.cfg" in err
+
+    def test_overflowing_b_z_rejected(self, tmp_path, capsys):
+        code = main(["trajectory", *FAST, "--b-z", "1e200", "--output-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: b_z:") and err.count("\n") == 1
+
+    def test_nan_field_names_field(self, tmp_path, capsys):
+        code = main(["trajectory", *FAST, "--h", "nan", "--output-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: h: must be finite")
+
     def test_env_var_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEMICLASSICAL_OUTPUT_DIR", str(tmp_path / "env_out"))
         code = main(["trajectory", *FAST, "--levels", "3"])

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from landau_packets import evolution
 from landau_packets.errors import DomainError
 from landau_packets.evolution import (
     EXACT,
@@ -15,7 +17,6 @@ from landau_packets.evolution import (
     compute_invariants,
     evolve_packet,
     expectation_series,
-    generic_expectation,
     invariant_report,
     lower_index,
     polarization_tensor,
@@ -28,6 +29,7 @@ from landau_packets.kinematics import (
     SpinKinematics,
     anomalous_frequency,
     cyclotron_frequency,
+    energy_spinor,
     transverse_momentum,
 )
 from landau_packets.packets import build_scalar_packet, build_spinor_packet, contrast_factor
@@ -57,15 +59,19 @@ class TestEnergyModel:
     def test_uniform_gap_phases_are_pure_multiples(self):
         em = EnergyModel(mode=UNIFORM_GAP, kind=SPINOR, cfg=CFG, reference_n=N_REF, zeta_ref=1)
         omega, omega_a = em.omega, em.omega_a
-        assert em.phase_frequency(101, 1, 100, 1) == omega
-        assert em.phase_frequency(99, 1, 100, 1) == -omega
-        assert em.phase_frequency(100, -1, 100, 1) == -omega_a
-        assert em.phase_frequency(101, -1, 100, 1) == omega - omega_a
+        energies = em.relative_energies([99, 100, 101])  # spins ordered (-1, +1)
+        assert energies[1, 1] == 0.0
+        assert energies[2, 1] == omega
+        assert energies[0, 1] == -omega
+        assert energies[1, 0] == -omega_a
+        assert energies[2, 0] == omega - omega_a
 
     def test_exact_mode_gaps_vary(self):
         em = EnergyModel(mode=EXACT, kind=SPINOR, cfg=CFG, reference_n=N_REF, zeta_ref=1)
-        gap_low = em.phase_frequency(100, 1, 99, 1)
-        gap_high = em.phase_frequency(102, 1, 101, 1)
+        energies = em.relative_energies([99, 100, 101, 102])
+        assert energies[1, 1] == 0.0
+        gap_low = energies[1, 1] - energies[0, 1]
+        gap_high = energies[3, 1] - energies[2, 1]
         assert gap_low != gap_high
 
     def test_uniform_gap_exactly_periodic(self):
@@ -88,43 +94,59 @@ class TestEnergyModel:
 
 
 class TestGenericExpectation:
-    def test_pz_at_zero(self):
+    def test_pz_at_zero(self, monkeypatch):
         packet, em, _ = engine_setup(CFG, N_REF, 3, +1)
         bands = build_packet_bands(packet, CFG)
-        value = generic_expectation(packet, bands["Pz"], em, 0.0)
-        assert value.real == pytest.approx(CFG.b_z, rel=1e-14)
-        assert abs(value.imag) < 1e-15
+        # the imaginary residue must stay below 1e-15, not just the default gate
+        monkeypatch.setattr(evolution, "HERMITIAN_IMAG_TOL", 1e-15)
+        value = expectation_series(packet, bands["Pz"], em, [0.0])[0]
+        assert value == pytest.approx(CFG.b_z, rel=1e-14)
 
     def test_px_at_zero(self):
         packet, em, _ = engine_setup(CFG, N_REF, 3, +1)
         bands = build_packet_bands(packet, CFG)
-        assert abs(generic_expectation(packet, bands["Px"], em, 0.0)) < 1e-14
+        assert abs(expectation_series(packet, bands["Px"], em, [0.0])[0]) < 1e-14
 
     def test_scalar_py_half_period(self):
         packet = build_scalar_packet(10, 3)
         em = EnergyModel(mode=UNIFORM_GAP, kind=SCALAR, cfg=CFG, reference_n=10)
         bands = build_packet_bands(packet, CFG)
-        value = generic_expectation(packet, bands["Py"], em, math.pi / em.omega)
+        value = expectation_series(packet, bands["Py"], em, [math.pi / em.omega])[0]
         expected = -(2.0 / 3.0) * transverse_momentum(CFG.h, 10, SCALAR)
-        assert value.real == pytest.approx(expected, rel=1e-12)
+        assert value == pytest.approx(expected, rel=1e-12)
 
     def test_mismatched_windows_rejected(self):
         packet, em, _ = engine_setup(CFG, N_REF, 3, +1)
         other = build_spinor_packet(N_REF, 5, CFG, +1)
         bands = build_packet_bands(other, CFG)
         with pytest.raises(DomainError):
-            generic_expectation(packet, bands["Px"], em, 0.0)
+            expectation_series(packet, bands["Px"], em, [0.0])
+
+    def test_mismatched_kinds_rejected(self):
+        packet = build_scalar_packet(N_REF, 3)
+        em = EnergyModel(mode=UNIFORM_GAP, kind=SCALAR, cfg=CFG, reference_n=N_REF)
+        spinor_band = build_packet_bands(build_spinor_packet(N_REF, 3, CFG, +1), CFG)["Px"]
+        assert spinor_band.levels == packet.levels
+        with pytest.raises(DomainError):
+            expectation_series(packet, spinor_band, em, [0.0])
 
     def test_hermitian_residue_gate(self):
         from landau_packets.errors import AccuracyError
 
         packet, em, times = engine_setup(CFG, N_REF, 3, +1)
         bands = build_packet_bands(packet, CFG)
-        broken = bands["Px"]
-        key = next(iter(broken.entries))
-        broken.entries[key] = broken.entries[key] + 0.5  # breaks Hermiticity
+        blocks = bands["Px"].blocks.copy()
+        blocks[2, 0, 0] += 0.5  # breaks Hermiticity
+        broken = replace(bands["Px"], blocks=blocks)
         with pytest.raises(AccuracyError):
             expectation_series(packet, broken, em, times)
+
+    def test_time_blocks_do_not_change_values(self, monkeypatch):
+        packet, em, times = engine_setup(CFG, N_REF, 5, +1)
+        band = build_packet_bands(packet, CFG)["Sx"]
+        whole = expectation_series(packet, band, em, times)
+        monkeypatch.setattr(evolution, "TIME_BLOCK", 7)
+        np.testing.assert_allclose(expectation_series(packet, band, em, times), whole, rtol=0, atol=1e-15)
 
 
 class TestEngineMatchesClosedForms:
@@ -279,6 +301,22 @@ class TestInvariantReport:
 
 
 class TestExactMode:
+    def test_matches_entry_by_entry_sum(self):
+        # reference: the double sum over basis states, one term per band
+        # entry with the phase exp(i*(E_bra - E_ket)*t) of absolute energies
+        rng = np.random.default_rng(7)
+        packet = build_spinor_packet(N_REF, 5, CFG, +1, phases=rng.uniform(0, 2 * math.pi, size=5))
+        em = EnergyModel(mode=EXACT, kind=SPINOR, cfg=CFG, reference_n=N_REF, zeta_ref=1)
+        times = sample_times(em.omega, samples=16)
+        for name, band in build_packet_bands(packet, CFG).items():
+            expected = np.zeros(times.size, dtype=complex)
+            for (mb, zb, mk, zk), value in band.entries.items():
+                weight = packet.amplitude(zb, mb).conjugate() * packet.amplitude(zk, mk) * value
+                gap = energy_spinor(CFG, mb, zb) - energy_spinor(CFG, mk, zk)
+                expected += weight * np.exp(1j * gap * times)
+            actual = expectation_series(packet, band, em, times)
+            np.testing.assert_allclose(actual, expected.real, rtol=0, atol=1e-12, err_msg=name)
+
     def test_dephasing_shrinks_with_level(self):
         devs = {}
         for n in (100, 1000, 10000):

@@ -253,3 +253,14 @@ class TestFieldConfig:
             FieldConfig(h=-0.1)
         with pytest.raises(DomainError):
             FieldConfig(h=0.1, anomaly=-1e-3)
+
+    @pytest.mark.parametrize("field", ["h", "anomaly", "b_z"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        values = {"h": 0.1, "anomaly": 1e-3, "b_z": 0.5, field: value}
+        with pytest.raises(DomainError, match=f"^{field}: must be finite"):
+            FieldConfig(**values)
+
+    def test_rejects_b_z_whose_square_overflows(self):
+        with pytest.raises(DomainError, match="^b_z:"):
+            FieldConfig(h=0.1, b_z=-1e200)

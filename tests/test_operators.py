@@ -1,50 +1,73 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from landau_packets.errors import DomainError
-from landau_packets.kinematics import SCALAR, FieldConfig, energy_spinor
+from landau_packets.kinematics import SCALAR, SPINOR, FieldConfig, energy_spinor
 from landau_packets.operators import (
+    NO_SPIN,
     OBSERVABLES,
+    BandParams,
+    block_table,
     build_operator_band,
-    scalar_momentum_element,
-    spin_element,
-    spinor_momentum_element,
+    spin_labels,
 )
 
 CFG = FieldConfig(h=0.25, anomaly=0.01, b_z=0.7)
 B_PERP = 1.0  # spinor value at h = 0.25, n = 1
 
 
+def element(observable, kind, m_bra, zeta_bra, m_ket, zeta_ket, b_perp, b_z, b=1.0, energy=1.0):
+    """One matrix element read off the block table built from the given
+    kinematic factors."""
+    table = block_table(observable, kind, BandParams(b_perp=b_perp, b=b, b_z=b_z, energy=energy))
+    zetas = spin_labels(kind)
+    return table[m_bra - m_ket + 1, zetas.index(zeta_bra), zetas.index(zeta_ket)]
+
+
+def scalar_momentum(m_bra, m_ket, component, b_perp, b_z):
+    return element(f"P{component}", SCALAR, m_bra, NO_SPIN, m_ket, NO_SPIN, b_perp, b_z)
+
+
+def spinor_momentum(m_bra, zeta_bra, m_ket, zeta_ket, component, b_perp, b_z):
+    return element(f"P{component}", SPINOR, m_bra, zeta_bra, m_ket, zeta_ket, b_perp, b_z)
+
+
+def spin(m_bra, zeta_bra, m_ket, zeta_ket, component, b, b_z, b_perp, energy):
+    name = "S0" if component == "0" else f"S{component}"
+    return element(name, SPINOR, m_bra, zeta_bra, m_ket, zeta_ket, b_perp, b_z, b, energy)
+
+
 class TestScalarMomentumElements:
     def test_diagonal_x_vanishes(self):
-        assert scalar_momentum_element(4, 4, "x", 1.0, 0.0) == 0j
+        assert scalar_momentum(4, 4, "x", 1.0, 0.0) == 0j
 
     def test_raising_y(self):
-        assert scalar_momentum_element(5, 4, "y", 1.0, 0.0) == 0.5
+        assert scalar_momentum(5, 4, "y", 1.0, 0.0) == 0.5
 
     def test_raising_x(self):
-        assert scalar_momentum_element(5, 4, "x", 1.0, 0.0) == 0.5j
+        assert scalar_momentum(5, 4, "x", 1.0, 0.0) == 0.5j
 
     def test_lowering_x(self):
-        assert scalar_momentum_element(3, 4, "x", 2.0, 0.0) == -1j
+        assert scalar_momentum(3, 4, "x", 2.0, 0.0) == -1j
 
     def test_z_diagonal(self):
-        assert scalar_momentum_element(4, 4, "z", 1.0, 0.7) == 0.7
-        assert scalar_momentum_element(5, 4, "z", 1.0, 0.7) == 0j
+        assert scalar_momentum(4, 4, "z", 1.0, 0.7) == 0.7
+        assert scalar_momentum(5, 4, "z", 1.0, 0.7) == 0j
 
 
 class TestSpinorMomentumElements:
     def test_spin_flip_vanishes(self):
         for component in ("x", "y", "z"):
-            assert spinor_momentum_element(5, -1, 4, +1, component, 2.0, 0.7) == 0j
+            assert spinor_momentum(5, -1, 4, +1, component, 2.0, 0.7) == 0j
 
     def test_z_diagonal(self):
-        assert spinor_momentum_element(4, +1, 4, +1, "z", 2.0, 0.7) == 0.7
+        assert spinor_momentum(4, +1, 4, +1, "z", 2.0, 0.7) == 0.7
 
     def test_lowering_x(self):
-        assert spinor_momentum_element(3, -1, 4, -1, "x", 2.0, 0.7) == -1j
+        assert spinor_momentum(3, -1, 4, -1, "x", 2.0, 0.7) == -1j
 
 
 class TestSpinElements:
@@ -52,34 +75,34 @@ class TestSpinElements:
     ENERGY = 2.0
 
     def test_sz_diagonal(self):
-        value = spin_element(4, +1, 4, +1, "z", self.B, 0.7, 1.0, self.ENERGY)
+        value = spin(4, +1, 4, +1, "z", self.B, 0.7, 1.0, self.ENERGY)
         assert value == pytest.approx(self.ENERGY / self.B)
-        value = spin_element(4, -1, 4, -1, "z", self.B, 0.7, 1.0, self.ENERGY)
+        value = spin(4, -1, 4, -1, "z", self.B, 0.7, 1.0, self.ENERGY)
         assert value == pytest.approx(-self.ENERGY / self.B)
 
     def test_s0_flip(self):
-        value = spin_element(4, -1, 4, +1, "0", self.B, 0.7, 1.0, self.ENERGY)
+        value = spin(4, -1, 4, +1, "0", self.B, 0.7, 1.0, self.ENERGY)
         assert value == pytest.approx(self.ENERGY * 1.0 / self.B)
 
     def test_sx_diagonal_vanishes(self):
         for zeta_prime in (-1, +1):
-            assert spin_element(4, zeta_prime, 4, +1, "x", self.B, 0.7, 1.0, self.ENERGY) == 0j
+            assert spin(4, zeta_prime, 4, +1, "x", self.B, 0.7, 1.0, self.ENERGY) == 0j
 
     def test_sx_branches(self):
-        up = spin_element(5, -1, 4, +1, "x", self.B, 0.7, 1.0, self.ENERGY)
+        up = spin(5, -1, 4, +1, "x", self.B, 0.7, 1.0, self.ENERGY)
         assert up == pytest.approx(0.5j * (self.B - 1))
-        down = spin_element(3, -1, 4, +1, "x", self.B, 0.7, 1.0, self.ENERGY)
+        down = spin(3, -1, 4, +1, "x", self.B, 0.7, 1.0, self.ENERGY)
         assert down == pytest.approx(-0.5j * (self.B + 1))
 
     def test_sy_branches(self):
-        up = spin_element(5, -1, 4, +1, "y", self.B, 0.7, 1.0, self.ENERGY)
+        up = spin(5, -1, 4, +1, "y", self.B, 0.7, 1.0, self.ENERGY)
         assert up == pytest.approx(0.5 * (self.B - 1))
-        down = spin_element(3, -1, 4, +1, "y", self.B, 0.7, 1.0, self.ENERGY)
+        down = spin(3, -1, 4, +1, "y", self.B, 0.7, 1.0, self.ENERGY)
         assert down == pytest.approx(0.5 * (self.B + 1))
 
     def test_spin_conserving_transverse_vanishes(self):
-        assert spin_element(5, +1, 4, +1, "x", self.B, 0.7, 1.0, self.ENERGY) == 0j
-        assert spin_element(5, -1, 4, -1, "y", self.B, 0.7, 1.0, self.ENERGY) == 0j
+        assert spin(5, +1, 4, +1, "x", self.B, 0.7, 1.0, self.ENERGY) == 0j
+        assert spin(5, -1, 4, -1, "y", self.B, 0.7, 1.0, self.ENERGY) == 0j
 
 
 class TestOperatorBands:
@@ -122,12 +145,6 @@ class TestOperatorBands:
         with pytest.raises(DomainError):
             build_operator_band([], "Px", CFG, 6)
 
-    def test_per_level_mode_uses_upper_level(self):
-        band = build_operator_band([6, 7], "Py", CFG, 7, per_level=True)
-        value = band.entries[(7, +1, 6, +1)]
-        expected = 0.5 * 2.0 * math.sqrt(CFG.h * 7)
-        assert value == pytest.approx(expected, rel=1e-14)
-
     def test_frozen_mode_uses_reference_level(self):
         band = build_operator_band([6, 7], "Py", CFG, 7)
         value = band.entries[(7, +1, 6, +1)]
@@ -149,6 +166,20 @@ class TestOperatorBands:
         }
         assert rebuilt == band.entries
 
+    def test_one_read_only_table_per_band(self):
+        spinor = build_operator_band(range(5, 10), "Sx", CFG, 7)
+        scalar = build_operator_band(range(5, 10), "Px", CFG, 7, kind=SCALAR)
+        assert spinor.blocks.shape == (3, 2, 2)
+        assert scalar.blocks.shape == (3, 1, 1)
+        with pytest.raises(ValueError):
+            spinor.blocks[0, 0, 0] = 1.0
+
+    def test_non_hermitian_table_detected(self):
+        band = build_operator_band(range(5, 10), "Px", CFG, 7)
+        blocks = band.blocks.copy()
+        blocks[2, 0, 0] += 0.5
+        assert replace(band, blocks=blocks).hermiticity_defect() == 0.5
+
     def test_band_params_snapshot(self):
         band = build_operator_band([6, 7, 8], "Sz", CFG, 7)
         assert band.params.energy == pytest.approx(energy_spinor(CFG, 7, +1), rel=1e-15)
@@ -159,15 +190,15 @@ class TestQuadratureOracleAgreement:
     """Frozen closed-form elements against the exact quadrature values."""
 
     def test_phases_match_and_deviation_shrinks(self):
-        from landau_packets.kinematics import QuantumNumbers, transverse_momentum
+        from landau_packets.kinematics import QuantumNumbers
         from landau_packets.laguerre import momentum_element_quadrature
 
         cfg = FieldConfig(h=0.05, anomaly=0.0, b_z=0.3)
         deviations = []
         for n in (20, 80):
-            b_perp = transverse_momentum(cfg.h, n, SCALAR)
             for component in ("x", "y"):
-                closed = scalar_momentum_element(n + 1, n, component, b_perp, cfg.b_z)
+                band = build_operator_band([n, n + 1], f"P{component}", cfg, n, kind=SCALAR)
+                closed = band.entries[(n + 1, NO_SPIN, n, NO_SPIN)]
                 exact = momentum_element_quadrature(
                     QuantumNumbers(n + 1, 0), QuantumNumbers(n, 0), component, cfg
                 )

@@ -119,6 +119,35 @@ class TestStructureSums:
         )
         assert forward == pytest.approx(backward, rel=1e-14)
 
+    def test_matches_explicit_loops(self):
+        # reference: the sums written out term by term over the window
+        rng = np.random.default_rng(5)
+        packet = build_spinor_packet(100, 7, CFG, -1, phases=rng.uniform(0, 2 * math.pi, size=7))
+        amp = packet.amplitude
+        adjacent = packet.levels[:-1]
+        expected = (
+            sum(amp(z, m).conjugate() * amp(z, m + 1) for m in adjacent for z in (-1, 1)),
+            sum(amp(+1, m).conjugate() * amp(-1, m + 1) for m in adjacent),
+            sum(amp(+1, m).conjugate() * amp(-1, m) for m in packet.levels),
+            sum(abs(amp(+1, m)) ** 2 - abs(amp(-1, m)) ** 2 for m in packet.levels),
+        )
+        sums = structure_sums(packet)
+        actual = (
+            sums.adjacent_same_spin,
+            sums.adjacent_spin_flip,
+            sums.diagonal_spin_flip,
+            sums.population_imbalance,
+        )
+        np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-15)
+        scalar = build_scalar_packet(10, 4, phases=rng.uniform(0, 2 * math.pi, size=4))
+        expected_scalar = sum(
+            scalar.amplitude(0, m).conjugate() * scalar.amplitude(0, m + 1) for m in scalar.levels[:-1]
+        )
+        scalar_sums = structure_sums(scalar)
+        assert abs(scalar_sums.adjacent_same_spin - expected_scalar) <= 1e-15
+        flips = (scalar_sums.adjacent_spin_flip, scalar_sums.diagonal_spin_flip, scalar_sums.population_imbalance)
+        assert flips == (0j, 0j, 0j)
+
     def test_random_phases_degrade_contrast(self):
         rng = np.random.default_rng(11)
         phases = rng.uniform(0, 2 * math.pi, size=9)
