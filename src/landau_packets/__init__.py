@@ -3,9 +3,10 @@ reconstructed from quantum expectation values, with classical references
 and an independent quadrature oracle."""
 
 from .classical import (
+    ClassicalReference,
     ClassicalState,
     bmt_integrate,
-    classical_state_from_kinematics,
+    classical_reference,
 )
 from .errors import (
     AccuracyError,
@@ -27,7 +28,6 @@ from .evolution import (
     expectation_series,
     invariant_report,
     polarization_series,
-    polarization_tensor,
     sample_times,
 )
 from .kinematics import (

@@ -1,7 +1,8 @@
-"""Classical reference dynamics: the lab-time cyclotron and anomalous
-frequencies and a fixed-step RK4 integrator for covariant spin precession
-in a constant magnetic field along z.  The closed-form classical motion is
-the unit-contrast limit of the closed forms in ``evolution``.
+"""Classical reference dynamics: the classical reference of a packet (its
+anomaly-free kinematics, lab-time cyclotron and anomalous frequencies and
+initial state) and a fixed-step RK4 integrator for covariant spin
+precession in a constant magnetic field along z.  The closed-form classical
+motion is the unit-contrast limit of the closed forms in ``evolution``.
 
 The integrator advances the pair (u, S) of four-vectors in lab time,
 u = (gamma, b_vec) the dimensionless four-momentum and S the four-spin,
@@ -24,11 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IntegrationAccuracyError
-from .evolution import closed_form_momentum, closed_form_spin, compute_invariants
-from .kinematics import SpinKinematics
+from .evolution import (
+    closed_form_momentum,
+    closed_form_spin,
+    closed_form_trajectory,
+    compute_invariants,
+)
+from .kinematics import FieldConfig, SpinKinematics
 from .trajectory import Trajectory
 
-#: default resolution of one cyclotron period
+#: default resolution of one period of the faster rotation
 STEPS_PER_PERIOD = 1024
 
 #: invariant drift beyond this aborts the run
@@ -44,14 +50,6 @@ class ClassicalState:
     g_factor: float
 
 
-def classical_state_from_kinematics(kin: SpinKinematics, g_factor: float) -> ClassicalState:
-    """Initial conditions matching the full-contrast packet at t = 0."""
-    p = closed_form_momentum(kin, None, 1.0, 0.0)
-    s = closed_form_spin(kin, None, 1.0, 1.0, 0.0)
-    u = (kin.energy, float(p[0]), float(p[1]), float(p[2]))
-    return ClassicalState(u=u, s=(float(s[0]), float(s[1]), float(s[2]), float(s[3])), g_factor=g_factor)
-
-
 def cyclotron_omega(h_field: float, gamma: float) -> float:
     """Lab-time cyclotron frequency 2h/gamma of the classical motion."""
     return 2.0 * h_field / gamma
@@ -60,6 +58,41 @@ def cyclotron_omega(h_field: float, gamma: float) -> float:
 def anomalous_omega(h_field: float, gamma: float, b: float, g_factor: float) -> float:
     """Lab-time anomalous precession frequency (g/2 - 1) * 2h * b / gamma."""
     return (0.5 * g_factor - 1.0) * 2.0 * h_field * b / gamma
+
+
+@dataclass(frozen=True)
+class ClassicalReference:
+    """Classical motion matching the full-contrast packet at one level: the
+    anomaly-free kinematics, the lab-time cyclotron and anomalous
+    frequencies and the initial state, whose g-factor is 2(1 + anomaly)."""
+
+    kin: SpinKinematics
+    omega: float
+    omega_a: float
+    init: ClassicalState
+
+    def closed_form(self, times: np.ndarray) -> Trajectory:
+        """The unit-contrast closed-form trajectory on a time grid."""
+        return closed_form_trajectory(self.kin, None, self.omega, self.omega_a, times)
+
+
+def classical_reference(cfg: FieldConfig, n: int, epsilon: int = 1) -> ClassicalReference:
+    """The classical reference of the packet centered on level n."""
+    kin = SpinKinematics.from_field(cfg, n, epsilon, anomaly_free=True)
+    g = 2.0 * (1.0 + cfg.anomaly)
+    p = closed_form_momentum(kin, None, 1.0, 0.0)
+    s = closed_form_spin(kin, None, 1.0, 1.0, 0.0)
+    init = ClassicalState(
+        u=(kin.energy, float(p[0]), float(p[1]), float(p[2])),
+        s=(float(s[0]), float(s[1]), float(s[2]), float(s[3])),
+        g_factor=g,
+    )
+    return ClassicalReference(
+        kin=kin,
+        omega=cyclotron_omega(cfg.h, kin.energy),
+        omega_a=anomalous_omega(cfg.h, kin.energy, kin.b, g),
+        init=init,
+    )
 
 
 def _rhs(y: tuple, k: float, g: float) -> tuple:
@@ -92,12 +125,13 @@ def _rk4(y: tuple, k: float, g: float, dt: float) -> tuple:
     )
 
 
-def default_step(h_field: float, gamma: float) -> float:
-    """Step resolving one cyclotron period with STEPS_PER_PERIOD points."""
+def default_step(h_field: float, gamma: float, omega_a: float = 0.0) -> float:
+    """Step resolving one period of the faster of the cyclotron rotation
+    and the anomalous precession ``omega_a`` with STEPS_PER_PERIOD points."""
     omega = cyclotron_omega(h_field, gamma)
     if omega <= 0:
         raise DomainError("h_field: need a positive field for a default step")
-    return 2.0 * math.pi / (omega * STEPS_PER_PERIOD)
+    return 2.0 * math.pi / (max(omega, abs(omega_a)) * STEPS_PER_PERIOD)
 
 
 def bmt_integrate(
@@ -113,12 +147,14 @@ def bmt_integrate(
     Either ``record_times`` gives the sample grid (starting at 0) and the
     integrator lands on each sample exactly with substeps no longer than
     ``dt``, or ``t_max`` is split into uniform steps of at most ``dt`` and
-    every step is recorded.  Invariant drift beyond DRIFT_LIMIT raises
-    IntegrationAccuracyError.
+    every step is recorded.  The default ``dt`` is ``default_step`` at the
+    anomalous frequency of ``init``.  Invariant drift beyond DRIFT_LIMIT
+    raises IntegrationAccuracyError unless ``check_drift`` is false.
     """
     gamma = init.u[0]
     if dt is None:
-        dt = default_step(h_field, gamma)
+        b = math.sqrt(1.0 + init.u[1] ** 2 + init.u[2] ** 2)  # sqrt(1 + b_perp^2)
+        dt = default_step(h_field, gamma, anomalous_omega(h_field, gamma, b, init.g_factor))
     if record_times is None:
         if t_max is None or t_max <= 0:
             raise DomainError(f"t_max: must be > 0, got {t_max}")

@@ -73,6 +73,10 @@ class RunConfig:
             raise DomainError(f"samples: must be >= 2, got {self.samples}")
         if self.t_max is not None and self.t_max <= 0:
             raise DomainError(f"t_max: must be > 0, got {self.t_max}")
+        if self.h > 0 and cyclotron_frequency(self.field, self.n, self.epsilon)[0] <= 0:
+            raise DomainError(
+                f"b_z: the gap between levels n={self.n} and n+1 rounds to zero at b_z={self.b_z}"
+            )
 
     @property
     def field(self) -> FieldConfig:
@@ -183,9 +187,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     kin = SpinKinematics.from_field(field, cfg.n, cfg.epsilon)
     closed = evolution.closed_form_trajectory(kin, cfg.levels, omega, omega_a, times)
 
-    kin_free = SpinKinematics.from_field(field, cfg.n, cfg.epsilon, anomaly_free=True)
-    g_factor = 2.0 * (1.0 + cfg.anomaly)
-    init = classical.classical_state_from_kinematics(kin_free, g_factor)
+    init = classical.classical_reference(field, cfg.n, cfg.epsilon).init
     rk4 = classical.bmt_integrate(init, cfg.h, record_times=times)
 
     engine.to_csv(os.path.join(cfg.output_dir, "trajectory.csv"))

@@ -220,25 +220,16 @@ def lower_index(v: np.ndarray) -> np.ndarray:
     return _METRIC @ np.asarray(v, dtype=float)
 
 
-def polarization_tensor(s: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Antisymmetric tensor eps^{mu nu alpha beta} S_alpha P_beta built from
-    the four-spin and four-momentum.
+def polarization_series(s: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Antisymmetric tensors eps^{mu nu alpha beta} S_alpha P_beta built from
+    four-spins and four-momenta of shape (..., 4); the result has shape
+    (..., 4, 4).
 
     Contracting either index with the four-momentum gives zero identically.
     """
-    s_low = lower_index(s)
-    p_low = lower_index(p)
-    return np.einsum("mnab,a,b->mn", _EPS, s_low, p_low)
-
-
-def polarization_series(traj: Trajectory) -> np.ndarray:
-    """Per-sample polarization tensors of a trajectory, shape (T, 4, 4)."""
-    if traj.s is None:
-        raise DomainError("trajectory: polarization tensor needs spin components")
-    p4 = traj.four_momentum()
-    s_low = traj.s @ _METRIC
-    p_low = p4 @ _METRIC
-    return np.einsum("mnab,ta,tb->tmn", _EPS, s_low, p_low)
+    s_low = np.asarray(s, dtype=float) @ _METRIC
+    p_low = np.asarray(p, dtype=float) @ _METRIC
+    return np.einsum("mnab,...a,...b->...mn", _EPS, s_low, p_low)
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from landau_packets.classical import (
-    anomalous_omega,
-    bmt_integrate,
-    classical_state_from_kinematics,
-    cyclotron_omega,
-)
+from landau_packets.classical import bmt_integrate, classical_reference
 from landau_packets.errors import DomainError, IntegrationAccuracyError
 from landau_packets.evolution import (
     closed_form_momentum,
-    closed_form_trajectory,
     compute_invariants,
     evolve_packet,
     sample_times,
@@ -24,14 +18,7 @@ from landau_packets.trajectory import Trajectory, compare_trajectories
 CFG = FieldConfig(h=0.1, anomaly=0.02, b_z=0.5)
 N_REF = 100
 
-
-def reference_setup(cfg=CFG, n=N_REF, epsilon=1):
-    kin = SpinKinematics.from_field(cfg, n, epsilon, anomaly_free=True)
-    g = 2.0 * (1.0 + cfg.anomaly)
-    omega = cyclotron_omega(cfg.h, kin.energy)
-    omega_a = anomalous_omega(cfg.h, kin.energy, kin.b, g)
-    init = classical_state_from_kinematics(kin, g)
-    return kin, g, omega, omega_a, init
+REF = classical_reference(CFG, N_REF)
 
 
 class TestClassicalMomentum:
@@ -57,66 +44,46 @@ class TestClassicalMomentum:
 
 class TestInitialConditions:
     def test_invariants_at_start(self):
-        _, _, _, _, init = reference_setup()
+        init = REF.init
         report = compute_invariants(np.array([init.u[1:]]), np.array([init.s]), np.array([init.u[0]]))
         assert report.res_sp[0] < 1e-13
         assert report.res_ss[0] < 1e-13
 
     def test_matches_full_contrast_forms(self):
-        kin, g, omega, omega_a, init = reference_setup()
+        kin, init = REF.kin, REF.init
+        assert init.g_factor == 2.0 * (1.0 + CFG.anomaly)
         assert init.u[0] == pytest.approx(kin.energy)
         np.testing.assert_allclose(init.u[1:], [0.0, kin.b_perp, kin.b_z], atol=1e-14)
         assert init.s[2] == pytest.approx(kin.zeta_perp * kin.b, rel=1e-14)
 
 
 class TestBmtIntegration:
-    def test_matches_closed_form_over_anomalous_period(self):
-        kin, g, omega, omega_a, init = reference_setup()
-        times = sample_times(omega, samples=128, t_max=2 * math.pi / omega_a)
-        rk4 = bmt_integrate(init, CFG.h, record_times=times)
-        ref = closed_form_trajectory(kin, None, omega, omega_a, times)
-        assert compare_trajectories(rk4, ref).max_linf < 1e-6
-
     def test_helicity_conserved_at_g2(self):
         cfg = FieldConfig(h=0.1, anomaly=0.0, b_z=0.0)
-        kin, g, omega, _, init = reference_setup(cfg)
-        assert g == 2.0
-        traj = bmt_integrate(init, cfg.h, t_max=10 * 2 * math.pi / omega)
+        ref = classical_reference(cfg, N_REF)
+        assert ref.init.g_factor == 2.0
+        traj = bmt_integrate(ref.init, cfg.h, t_max=10 * 2 * math.pi / ref.omega)
         longitudinal = np.sum(traj.p * traj.s[:, 1:], axis=1) / np.linalg.norm(traj.p, axis=1)
         assert np.max(np.abs(longitudinal - longitudinal[0])) < 1e-8
 
     def test_free_motion_keeps_spin(self):
-        kin, g, _, _, init = reference_setup()
-        traj = bmt_integrate(init, 0.0, t_max=50.0, dt=0.1, check_drift=False)
+        traj = bmt_integrate(REF.init, 0.0, t_max=50.0, dt=0.1, check_drift=False)
         assert np.max(np.abs(traj.s - traj.s[0])) < 1e-14
         assert np.max(np.abs(traj.p - traj.p[0])) < 1e-14
 
-    def test_invariant_drift_bounded(self):
-        kin, g, omega, _, init = reference_setup()
-        traj = bmt_integrate(init, CFG.h, t_max=10 * 2 * math.pi / omega)
-        assert max(np.max(traj.res_sp), np.max(traj.res_ss)) < 1e-8
-
-    def test_energy_exactly_conserved(self):
-        kin, g, omega, _, init = reference_setup()
-        traj = bmt_integrate(init, CFG.h, t_max=2 * math.pi / omega)
-        assert np.max(np.abs(traj.p0 - traj.p0[0])) < 1e-10
-
-    def test_rk4_order(self):
-        kin, g, omega, omega_a, init = reference_setup()
-        period = 2 * math.pi / omega
-        times = sample_times(omega, samples=64, t_max=2 * period)
-        ref = closed_form_trajectory(kin, None, omega, omega_a, times)
-        deviations = []
-        for dt in (period / 32, period / 64):
-            rk4 = bmt_integrate(init, CFG.h, record_times=times, dt=dt, check_drift=False)
-            deviations.append(compare_trajectories(rk4, ref).max_linf)
-        ratio = deviations[0] / deviations[1]
-        assert 8.0 <= ratio <= 32.0
+    def test_default_step_resolves_fast_precession(self):
+        # at anomaly 5 the spin precesses 32 times faster than the orbit turns
+        cfg = FieldConfig(h=0.1, anomaly=5.0, b_z=0.5)
+        ref = classical_reference(cfg, N_REF)
+        assert ref.omega_a > 30 * ref.omega
+        times = sample_times(ref.omega_a, samples=64, t_max=4 * 2 * math.pi / ref.omega_a)
+        traj = bmt_integrate(ref.init, cfg.h, record_times=times)
+        assert compare_trajectories(traj, ref.closed_form(times)).max_linf < 1e-6
 
     def test_drift_error_raised_for_coarse_step(self):
-        kin, g, omega, _, init = reference_setup()
+        period = 2 * math.pi / REF.omega
         with pytest.raises(IntegrationAccuracyError):
-            bmt_integrate(init, CFG.h, t_max=20 * 2 * math.pi / omega, dt=2 * math.pi / omega / 4)
+            bmt_integrate(REF.init, CFG.h, t_max=20 * period, dt=period / 4)
 
 
 class TestQuantumClassicalGap:
@@ -158,17 +125,14 @@ class TestQuantumClassicalGap:
 
 class TestCompareTrajectories:
     def test_identical_is_zero(self):
-        kin, g, omega, omega_a, init = reference_setup()
-        times = sample_times(omega, samples=16)
-        traj = closed_form_trajectory(kin, None, omega, omega_a, times)
+        traj = REF.closed_form(sample_times(REF.omega, samples=16))
         result = compare_trajectories(traj, traj)
         assert result.max_linf == 0.0
         assert all(v == 0.0 for v in result.l2.values())
 
     def test_grid_mismatch_rejected(self):
-        kin, g, omega, omega_a, init = reference_setup()
-        a = closed_form_trajectory(kin, None, omega, omega_a, sample_times(omega, samples=16))
-        b = closed_form_trajectory(kin, None, omega, omega_a, sample_times(omega, samples=32))
+        a = REF.closed_form(sample_times(REF.omega, samples=16))
+        b = REF.closed_form(sample_times(REF.omega, samples=32))
         with pytest.raises(DomainError):
             compare_trajectories(a, b)
 

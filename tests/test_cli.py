@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from landau_packets import classical
 from landau_packets.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
 
 FAST = ["--h", "0.1", "--anomaly", "0.02", "--b-z", "0.5", "--n", "100"]
@@ -137,6 +138,17 @@ class TestVerifyCommand:
         assert report["passed"] is False
         assert "FAIL packet-normalization" in capsys.readouterr().out
 
+    def test_integrator_failure_still_writes_report(self, tmp_path, monkeypatch, capsys):
+        # a step far too coarse for the RK4 checks fails them without
+        # aborting the suite
+        monkeypatch.setattr(classical, "STEPS_PER_PERIOD", 4)
+        code = main(["verify", *FAST, "--output-dir", str(tmp_path)])
+        assert code == EXIT_VERIFY
+        report = json.loads((tmp_path / "verify.json").read_text())
+        failed = {check["name"] for check in report["checks"] if not check["passed"]}
+        assert failed == {"bmt-closed-form-match", "bmt-invariant-drift"}
+        assert "FAIL bmt-invariant-drift" in capsys.readouterr().out
+
 
 class TestOracleCommand:
     def test_exponent_and_table(self, tmp_path, capsys):
@@ -205,6 +217,14 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error: b_z:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("b_z", ["1e8", "1e12", "1e150"])
+    def test_vanishing_level_gap_names_b_z(self, tmp_path, capsys, b_z):
+        code = main(["trajectory", *FAST, "--b-z", b_z, "--output-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: b_z:") and err.count("\n") == 1
+        assert "n=100" in err
 
     def test_nan_field_names_field(self, tmp_path, capsys):
         code = main(["trajectory", *FAST, "--h", "nan", "--output-dir", str(tmp_path)])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from landau_packets import evolution
+from landau_packets.classical import classical_reference
 from landau_packets.errors import DomainError
 from landau_packets.evolution import (
     EXACT,
@@ -19,7 +20,7 @@ from landau_packets.evolution import (
     expectation_series,
     invariant_report,
     lower_index,
-    polarization_tensor,
+    polarization_series,
     sample_times,
 )
 from landau_packets.kinematics import (
@@ -27,8 +28,6 @@ from landau_packets.kinematics import (
     SPINOR,
     FieldConfig,
     SpinKinematics,
-    anomalous_frequency,
-    cyclotron_frequency,
     energy_spinor,
     transverse_momentum,
 )
@@ -36,16 +35,6 @@ from landau_packets.packets import build_scalar_packet, build_spinor_packet, con
 
 CFG = FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=0.5)
 N_REF = 100
-
-# parameter sets spanning the longitudinal momentum, field strength and
-# helicity ranges the engine is expected to cover
-PARAM_SETS = [
-    (FieldConfig(h=1e-3, anomaly=1.16141e-3, b_z=0.0), 1000, +1),
-    (FieldConfig(h=1e-3, anomaly=1.16141e-3, b_z=0.5), 1000, -1),
-    (FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=0.5), 100, +1),
-    (FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=2.0), 100, -1),
-    (FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=2.0), 50, +1),
-]
 
 
 def engine_setup(cfg, n, levels, epsilon, mode=UNIFORM_GAP):
@@ -150,19 +139,6 @@ class TestGenericExpectation:
 
 
 class TestEngineMatchesClosedForms:
-    @pytest.mark.parametrize("cfg,n,epsilon", PARAM_SETS)
-    @pytest.mark.parametrize("levels", [1, 2, 3, 5, 9])
-    def test_uniform_gap_equivalence(self, cfg, n, epsilon, levels):
-        packet, em, times = engine_setup(cfg, n, levels, epsilon)
-        traj = evolve_packet(packet, cfg, times)
-        kin = SpinKinematics.from_field(cfg, n, epsilon)
-        omega = cyclotron_frequency(cfg, n, epsilon)[0]
-        omega_a = anomalous_frequency(cfg, n)[0]
-        p_ref = closed_form_momentum(kin, levels, omega, times)
-        s_ref = closed_form_spin(kin, levels, omega, omega_a, times)
-        assert np.max(np.abs(traj.p - p_ref)) < 1e-10
-        assert np.max(np.abs(traj.s - s_ref)) < 1e-10
-
     def test_factor_law(self):
         kin = SpinKinematics.from_field(CFG, N_REF, +1)
         for levels in (1, 2, 3, 5, 9):
@@ -222,7 +198,7 @@ class TestClosedForms:
 
 class TestPolarizationTensor:
     def test_single_component(self):
-        pi = polarization_tensor(np.array([0.0, 0, 0, 1]), np.array([1.0, 0, 0, 0]))
+        pi = polarization_series(np.array([0.0, 0, 0, 1]), np.array([1.0, 0, 0, 0]))
         assert pi[1, 2] == 1.0
         assert pi[2, 1] == -1.0
         assert np.count_nonzero(pi) == 2
@@ -231,73 +207,44 @@ class TestPolarizationTensor:
         rng = np.random.default_rng(3)
         for _ in range(20):
             s, p = rng.normal(size=4), rng.normal(size=4)
-            pi = polarization_tensor(s, p)
+            pi = polarization_series(s, p)
             assert np.max(np.abs(pi + pi.T)) == 0.0
 
     def test_transversality(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             s, p = rng.normal(size=4), rng.normal(size=4)
-            pi = polarization_tensor(s, p)
+            pi = polarization_series(s, p)
             assert np.max(np.abs(pi @ lower_index(p))) < 1e-12
 
     def test_series_along_trajectory(self):
-        from landau_packets.evolution import polarization_series
-
-        cfg = FieldConfig(h=0.1, anomaly=0.0, b_z=0.5)
-        kin = SpinKinematics.from_field(cfg, N_REF, +1, anomaly_free=True)
-        omega = 2 * cfg.h / kin.energy
-        times = sample_times(omega, samples=16)
-        traj = closed_form_trajectory(kin, None, omega, 0.0, times)
-        tensors = polarization_series(traj)
+        ref = classical_reference(FieldConfig(h=0.1, anomaly=0.0, b_z=0.5), N_REF)
+        traj = ref.closed_form(sample_times(ref.omega, samples=16))
+        p4 = traj.four_momentum()
+        tensors = polarization_series(traj.s, p4)
         assert tensors.shape == (16, 4, 4)
-        p_low = traj.four_momentum() @ np.diag([1.0, -1, -1, -1])
+        p_low = p4 @ np.diag([1.0, -1, -1, -1])
         contraction = np.einsum("tmn,tn->tm", tensors, p_low)
         assert np.max(np.abs(contraction)) < 1e-12
         for i in (0, 7):
-            np.testing.assert_allclose(
-                tensors[i], polarization_tensor(traj.s[i], traj.four_momentum()[i]), atol=1e-14
-            )
+            np.testing.assert_allclose(tensors[i], polarization_series(traj.s[i], p4[i]), atol=1e-14)
 
 
 class TestInvariantReport:
-    def anomaly_free_trajectory(self, anomaly=0.05):
-        cfg = FieldConfig(h=0.1, anomaly=anomaly, b_z=0.5)
-        kin = SpinKinematics.from_field(cfg, N_REF, +1, anomaly_free=True)
-        omega = 2 * cfg.h / kin.energy
-        omega_a = anomaly * 2 * cfg.h * kin.b / kin.energy
-        times = sample_times(omega)
-        return closed_form_trajectory(kin, None, omega, omega_a, times)
-
     def test_full_contrast_residuals_vanish(self):
-        traj = self.anomaly_free_trajectory()
+        ref = classical_reference(FieldConfig(h=0.1, anomaly=0.05, b_z=0.5), N_REF)
+        traj = ref.closed_form(sample_times(ref.omega))
         assert np.max(traj.res_sp) < 1e-10
         assert np.max(traj.res_ss) < 1e-10
 
     def test_finite_window_norm_residual_positive(self):
-        cfg = FieldConfig(h=0.1, anomaly=0.0, b_z=0.5)
-        kin = SpinKinematics.from_field(cfg, N_REF, +1, anomaly_free=True)
-        omega = 2 * cfg.h / kin.energy
-        times = sample_times(omega)
-        traj = closed_form_trajectory(kin, 3, omega, 0.0, times)
+        ref = classical_reference(FieldConfig(h=0.1, anomaly=0.0, b_z=0.5), N_REF)
+        traj = closed_form_trajectory(ref.kin, 3, ref.omega, ref.omega_a, sample_times(ref.omega))
         assert np.min(traj.res_ss) > 0.0
 
     def test_zero_spin_unit_residual(self):
-        times = np.arange(1.0, 5.0)
         report = compute_invariants(np.zeros((4, 3)), np.zeros((4, 4)), np.ones(4))
         np.testing.assert_allclose(report.res_ss, 1.0)
-
-    def test_orthogonality_residual_linear_in_anomaly(self):
-        def worst(anomaly):
-            cfg = FieldConfig(h=0.1, anomaly=anomaly, b_z=0.5)
-            kin = SpinKinematics.from_field(cfg, N_REF, +1)
-            omega = cyclotron_frequency(cfg, N_REF, +1)[0]
-            omega_a = anomalous_frequency(cfg, N_REF)[0]
-            traj = closed_form_trajectory(kin, None, omega, omega_a, sample_times(omega))
-            return np.max(traj.res_sp)
-
-        ratio = worst(2e-3) / worst(1e-3)
-        assert abs(ratio - 2.0) < 0.2
 
 
 class TestExactMode:

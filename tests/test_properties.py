@@ -2,7 +2,7 @@
 
 The draws cover field strength, longitudinal momentum, anomaly, helicity,
 reference level and level count inside the ranges spanned by
-``tests/test_evolution.py::PARAM_SETS``.  ``derandomize=True`` fixes the
+``tests/test_acceptance.py::PARAM_SETS``.  ``derandomize=True`` fixes the
 examples, so every run checks the same configurations.
 """
 
