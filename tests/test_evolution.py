@@ -28,6 +28,8 @@ from landau_packets.kinematics import (
     SPINOR,
     FieldConfig,
     SpinKinematics,
+    anomalous_frequency,
+    cyclotron_frequency,
     energy_spinor,
     transverse_momentum,
 )
@@ -35,6 +37,17 @@ from landau_packets.packets import build_scalar_packet, build_spinor_packet, con
 
 CFG = FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=0.5)
 N_REF = 100
+
+# parameter sets spanning the longitudinal momentum, field strength and
+# helicity ranges the engine is expected to cover (the same sets as
+# acceptance criterion 2, which checks them all at once)
+PARAM_SETS = [
+    (FieldConfig(h=1e-3, anomaly=1.16141e-3, b_z=0.0), 1000, +1),
+    (FieldConfig(h=1e-3, anomaly=1.16141e-3, b_z=0.5), 1000, -1),
+    (FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=0.5), 100, +1),
+    (FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=2.0), 100, -1),
+    (FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=2.0), 50, +1),
+]
 
 
 def engine_setup(cfg, n, levels, epsilon, mode=UNIFORM_GAP):
@@ -139,6 +152,19 @@ class TestGenericExpectation:
 
 
 class TestEngineMatchesClosedForms:
+    @pytest.mark.parametrize("cfg,n,epsilon", PARAM_SETS)
+    @pytest.mark.parametrize("levels", [1, 2, 3, 5, 9])
+    def test_uniform_gap_equivalence(self, cfg, n, epsilon, levels):
+        packet, em, times = engine_setup(cfg, n, levels, epsilon)
+        traj = evolve_packet(packet, cfg, times)
+        kin = SpinKinematics.from_field(cfg, n, epsilon)
+        omega = cyclotron_frequency(cfg, n, epsilon)[0]
+        omega_a = anomalous_frequency(cfg, n)[0]
+        p_ref = closed_form_momentum(kin, levels, omega, times)
+        s_ref = closed_form_spin(kin, levels, omega, omega_a, times)
+        assert np.max(np.abs(traj.p - p_ref)) < 1e-10
+        assert np.max(np.abs(traj.s - s_ref)) < 1e-10
+
     def test_factor_law(self):
         kin = SpinKinematics.from_field(CFG, N_REF, +1)
         for levels in (1, 2, 3, 5, 9):
