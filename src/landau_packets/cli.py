@@ -115,18 +115,14 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    file_values = _parse_config_file(args.config) if args.config else {}
-    for key, value in file_values.items():
-        setattr(cfg, key, value)
-    for key in ("h", "anomaly", "b_z", "n", "levels", "epsilon", "mode", "t_max", "samples", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "output_dir", None) is not None:
-        cfg.output_dir = args.output_dir
-    elif "output_dir" not in file_values:
-        cfg.output_dir = os.environ.get("SEMICLASSICAL_OUTPUT_DIR", cfg.output_dir)
+    """Flags over the configuration file over the defaults; the output
+    directory defaults to SEMICLASSICAL_OUTPUT_DIR when that is set."""
+    values = _parse_config_file(args.config) if args.config else {}
+    values.setdefault("output_dir", os.environ.get("SEMICLASSICAL_OUTPUT_DIR", RunConfig.output_dir))
+    for key in _KEY_TYPES:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 

@@ -3,11 +3,13 @@ with the block tables of the observables, the closed-form trajectories it
 reproduces, the polarization tensor and the four-vector invariant
 residuals.
 
-The engine evolves every basis state with its own phase,
-psi(t) = a * exp(-i*dE*t), and evaluates <psi(t)|V|psi(t)> over the level
-offsets of the band.  The energies dE are measured from the reference
-state.  In uniform-gap mode they are exactly (m - n)*omega +
-(zeta - zeta_ref)*omega_a/2, the frequencies the closed forms use, so the
+The engine evolves every basis state of the packet's amplitude array with
+its own phase, psi(t) = a * exp(-i*dE*t), once per block of time samples,
+and contracts the pair sums of that one psi(t) with the block tables of
+every observable at once: <psi(t)|V|psi(t)> for all bands together.  The
+energies dE are measured from the reference state (n, epsilon).  In
+uniform-gap mode they are exactly (m - n)*omega +
+(zeta - epsilon)*omega_a/2, the frequencies the closed forms use, so the
 phases are exactly periodic; in exact mode each basis state keeps its own
 level energy and the packet slowly dephases, the effect the semiclassical
 freezing discards.
@@ -20,6 +22,7 @@ evaluated against |S_vec|^2 - (S^0)^2 = 1.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -43,7 +46,7 @@ from .operators import (
     build_operator_band,
     spin_labels,
 )
-from .packets import PacketSpec, amplitude_table, contrast_factor, pair_sums
+from .packets import PacketSpec, contrast_factor, pair_sums
 from .trajectory import Trajectory
 
 UNIFORM_GAP = "uniform-gap"
@@ -115,29 +118,33 @@ class EnergyModel:
 
 
 def expectation_series(
-    packet: PacketSpec, band: OperatorBand, em: EnergyModel, times: np.ndarray
+    packet: PacketSpec, bands: Iterable[OperatorBand], em: EnergyModel, times: np.ndarray
 ) -> np.ndarray:
-    """Real expectation values <psi(t)|V|psi(t)> on a time grid.
+    """Real expectation values <psi(t)|V|psi(t)> of a sequence of bands on a
+    time grid, shape (T, len(bands)).
 
-    The imaginary residue of the Hermitian sum is checked against
+    psi(t) is evaluated once per block of TIME_BLOCK samples and its pair
+    sums are contracted with every block table in one product.  The
+    imaginary residue of the Hermitian sums is checked against
     HERMITIAN_IMAG_TOL and discarded.
     """
-    if band.levels != packet.levels:
-        raise DomainError(
-            f"levels: packet window {packet.levels} does not match band window {band.levels}"
-        )
-    if not packet.kind == band.kind == em.kind:
-        raise DomainError(
-            f"kind: packet {packet.kind!r}, band {band.kind!r} and energy model {em.kind!r} differ"
-        )
+    bands = tuple(bands)
+    for band in bands:
+        if band.levels != packet.levels:
+            raise DomainError(
+                f"levels: packet window {packet.levels} does not match band window {band.levels}"
+            )
+        if not packet.kind == band.kind == em.kind:
+            raise DomainError(
+                f"kind: packet {packet.kind!r}, band {band.kind!r} and energy model {em.kind!r} differ"
+            )
     times = np.asarray(times, dtype=float)
-    amplitudes = amplitude_table(packet)
     energies = em.relative_energies(packet.levels)
-    coefficients = band.blocks.reshape(-1)
-    values = np.empty(times.size, dtype=complex)
+    coefficients = np.stack([band.blocks.reshape(-1) for band in bands], axis=1)
+    values = np.empty((times.size, len(bands)), dtype=complex)
     for start in range(0, times.size, TIME_BLOCK):
         t = times[start : start + TIME_BLOCK, None, None]
-        psi = amplitudes * np.exp(-1j * energies * t)
+        psi = packet.amplitudes * np.exp(-1j * energies * t)
         values[start : start + TIME_BLOCK] = pair_sums(psi).reshape(t.size, -1) @ coefficients
     residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
     if residue > HERMITIAN_IMAG_TOL:
@@ -271,26 +278,20 @@ def invariant_report(traj: Trajectory) -> InvariantReport:
     return compute_invariants(traj.p, traj.s, traj.p0)
 
 
-def build_packet_bands(
-    packet: PacketSpec, cfg: FieldConfig, zeta_ref: int | None = None
-) -> dict[str, OperatorBand]:
-    """All observable bands over the packet's level window."""
-    zr = packet.epsilon if zeta_ref is None else zeta_ref
+def build_packet_bands(packet: PacketSpec, cfg: FieldConfig) -> dict[str, OperatorBand]:
+    """All observable bands over the packet's level window, in the order of
+    OBSERVABLES."""
     names = MOMENTUM_OBSERVABLES if packet.kind == SCALAR else OBSERVABLES
     return {
         name: build_operator_band(
-            packet.levels, name, cfg, packet.n, kind=packet.kind, zeta_ref=zr
+            packet.levels, name, cfg, packet.n, kind=packet.kind, zeta_ref=packet.epsilon
         )
         for name in names
     }
 
 
 def evolve_packet(
-    packet: PacketSpec,
-    cfg: FieldConfig,
-    times: np.ndarray,
-    mode: str = UNIFORM_GAP,
-    zeta_ref: int | None = None,
+    packet: PacketSpec, cfg: FieldConfig, times: np.ndarray, mode: str = UNIFORM_GAP
 ) -> Trajectory:
     """Run the generic engine over a time grid and collect a trajectory.
 
@@ -298,19 +299,19 @@ def evolve_packet(
     energy, which is time independent.
     """
     times = np.asarray(times, dtype=float)
-    zr = packet.epsilon if zeta_ref is None else zeta_ref
-    em = EnergyModel(mode=mode, kind=packet.kind, cfg=cfg, reference_n=packet.n, zeta_ref=zr)
-    bands = build_packet_bands(packet, cfg, zeta_ref=zr)
-
-    p = np.column_stack([expectation_series(packet, bands[name], em, times) for name in MOMENTUM_OBSERVABLES])
-    weights = np.abs(amplitude_table(packet)) ** 2
+    em = EnergyModel(
+        mode=mode, kind=packet.kind, cfg=cfg, reference_n=packet.n, zeta_ref=packet.epsilon
+    )
+    values = expectation_series(packet, build_packet_bands(packet, cfg).values(), em, times)
+    p = values[:, : len(MOMENTUM_OBSERVABLES)]
+    weights = np.abs(packet.amplitudes) ** 2
     mean_energy = em.reference_energy + float(np.sum(weights * em.relative_energies(packet.levels)))
     p0 = np.full(times.size, mean_energy)
 
     if packet.kind == SCALAR:
         return Trajectory(times=times, p=p, p0=p0)
 
-    s = np.column_stack([expectation_series(packet, bands[name], em, times) for name in ("S0", "Sx", "Sy", "Sz")])
+    s = values[:, len(MOMENTUM_OBSERVABLES) :]
     report = compute_invariants(p, s, p0)
     return Trajectory(times=times, p=p, s=s, p0=p0, res_sp=report.res_sp, res_ss=report.res_ss)
 

@@ -129,16 +129,13 @@ def helicity_eigenvalue(b_perp: float, b_z: float, epsilon: int) -> float:
     return epsilon * math.hypot(b_perp, b_z)
 
 
-def spin_mixing_ratio(
-    cfg: FieldConfig, n: int, epsilon: int, zeta_ref: int | None = None
-) -> float:
+def spin_mixing_ratio(cfg: FieldConfig, n: int, epsilon: int) -> float:
     """Ratio kappa = A(+1)/A(-1) of the two spin amplitudes of a
     longitudinally polarized level.
 
-    ``zeta_ref`` selects which zeta branch provides the level energy in the
-    denominator; it defaults to the helicity sign epsilon.  Raises
-    SingularConfigurationError for purely longitudinal motion (b_perp = 0),
-    where the ratio is undefined.
+    The level energy in the denominator is that of the zeta = epsilon
+    branch.  Raises SingularConfigurationError for purely longitudinal
+    motion (b_perp = 0), where the ratio is undefined.
     """
     if epsilon not in (-1, 1):
         raise DomainError(f"epsilon: must be +1 or -1, got {epsilon}")
@@ -147,9 +144,8 @@ def spin_mixing_ratio(
         raise SingularConfigurationError(
             "b_perp = 0 (h = 0 or n = 0): spin mixing ratio is undefined"
         )
-    zeta = epsilon if zeta_ref is None else zeta_ref
     b = math.sqrt(1.0 + b_perp**2)
-    big_b = energy_spinor(cfg, n, zeta)
+    big_b = energy_spinor(cfg, n, epsilon)
     return (cfg.b_z + epsilon * b * math.hypot(b_perp, cfg.b_z)) / (big_b * b_perp)
 
 
@@ -241,7 +237,6 @@ class SpinKinematics:
         cfg: FieldConfig,
         n: int,
         epsilon: int = 1,
-        zeta_ref: int | None = None,
         anomaly_free: bool = False,
     ) -> "SpinKinematics":
         """Build the snapshot at level n.
@@ -258,14 +253,13 @@ class SpinKinematics:
                 "b_perp = 0 (h = 0 or n = 0): spin kinematics undefined"
             )
         b = math.sqrt(1.0 + b_perp**2)
-        zeta = epsilon if zeta_ref is None else zeta_ref
-        kappa = spin_mixing_ratio(eff, n, epsilon, zeta)
+        kappa = spin_mixing_ratio(eff, n, epsilon)
         zeta_perp, zeta_z = polarization_constants(kappa)
         return cls(
             b_perp=b_perp,
             b=b,
             b_z=eff.b_z,
-            energy=energy_spinor(eff, n, zeta),
+            energy=energy_spinor(eff, n, epsilon),
             kappa=kappa,
             zeta_perp=zeta_perp,
             zeta_z=zeta_z,

@@ -31,7 +31,8 @@ from .kinematics import (
 )
 
 MOMENTUM_OBSERVABLES = ("Px", "Py", "Pz")
-SPIN_OBSERVABLES = ("Sx", "Sy", "Sz", "S0")
+SPIN_OBSERVABLES = ("S0", "Sx", "Sy", "Sz")
+#: every observable, in the column order of trajectories and their CSV form
 OBSERVABLES = MOMENTUM_OBSERVABLES + SPIN_OBSERVABLES
 
 #: spin label used for spin-0 states, where zeta is not a quantum number

@@ -2,14 +2,15 @@
 amplitude sums.
 
 A packet spreads unit probability uniformly over a contiguous window of
-levels centered on a reference level n.  Spin-1/2 packets additionally fix
-the ratio of the two spin amplitudes at every level to the mixing ratio
-kappa of the reference level, which is what ties the packet to a definite
-longitudinal polarization.  The bilinear sums of the amplitudes are what
-the time-dependent expectation values contract against; for the uniform
-equal-phase construction the adjacent-level sums carry the semiclassical
-contrast factor (N-1)/N and the same-level sums reproduce the polarization
-constants.
+levels centered on a reference level n, and holds its amplitudes as one
+array of shape (levels, S), the spins ordered as in the block tables of the
+bands.  Spin-1/2 packets additionally fix the ratio of the two spin
+amplitudes at every level to the mixing ratio kappa of the reference level,
+which is what ties the packet to a definite longitudinal polarization.  The
+bilinear sums of the amplitudes are what the time-dependent expectation
+values contract against; for the uniform equal-phase construction the
+adjacent-level sums carry the semiclassical contrast factor (N-1)/N and the
+same-level sums reproduce the polarization constants.
 """
 
 from __future__ import annotations
@@ -21,23 +22,33 @@ import numpy as np
 
 from .errors import DomainError
 from .kinematics import SCALAR, SPINOR, FieldConfig, spin_mixing_ratio
-from .operators import DOWN, NO_SPIN, SAME, spin_labels
+from .operators import DOWN, SAME, spin_labels
 
 
 @dataclass(frozen=True)
 class PacketSpec:
     """A normalized superposition over a contiguous window of levels.
 
-    ``amplitudes`` maps (zeta, m) to the complex coefficient; spin-0
-    packets use zeta = 0.  ``n`` is the reference level the window is
-    centered on and at which frozen kinematics are evaluated.
+    ``amplitudes`` is a read-only complex array of shape (levels, S): row i
+    holds level ``levels[i]``, the columns the spins of ``spin_labels``.
+    ``n`` is the reference level the window is centered on and at which
+    frozen kinematics are evaluated; the helicity sign ``epsilon`` is also
+    the spin of the reference state.
     """
 
     kind: str
     n: int
     levels: tuple[int, ...]
     epsilon: int
-    amplitudes: dict[tuple[int, int], complex]
+    amplitudes: np.ndarray
+
+    def __post_init__(self) -> None:
+        amplitudes = np.array(self.amplitudes, dtype=complex)
+        shape = (len(self.levels), len(spin_labels(self.kind)))
+        if amplitudes.shape != shape:
+            raise DomainError(f"amplitudes: expected shape {shape}, got {amplitudes.shape}")
+        amplitudes.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amplitudes)
 
     @property
     def level_count(self) -> int:
@@ -47,19 +58,18 @@ class PacketSpec:
     def is_spinor(self) -> bool:
         return self.kind == SPINOR
 
-    def amplitude(self, zeta: int, m: int) -> complex:
-        return self.amplitudes.get((zeta, m), 0j)
-
     def as_json_dict(self) -> dict:
-        """Serializable form for run manifests."""
+        """Serializable form for run manifests, amplitudes sorted by
+        (zeta, m)."""
         return {
             "kind": self.kind,
             "reference_level": self.n,
             "levels": list(self.levels),
             "epsilon": self.epsilon,
             "amplitudes": [
-                {"zeta": zeta, "m": m, "re": value.real, "im": value.imag}
-                for (zeta, m), value in sorted(self.amplitudes.items())
+                {"zeta": zeta, "m": m, "re": float(value.real), "im": float(value.imag)}
+                for zeta, column in zip(spin_labels(self.kind), self.amplitudes.T)
+                for m, value in zip(self.levels, column)
             ],
         }
 
@@ -112,9 +122,7 @@ def build_scalar_packet(n: int, levels: int, phases=None) -> PacketSpec:
         raise DomainError(
             f"levels: window {window[0]}..{window[-1]} reaches below the ground level"
         )
-    factors = _phase_factors(levels, phases)
-    weight = 1.0 / math.sqrt(levels)
-    amplitudes = {(NO_SPIN, m): weight * factors[i] for i, m in enumerate(window)}
+    amplitudes = _phase_factors(levels, phases)[:, None] * (1.0 / math.sqrt(levels))
     return PacketSpec(kind=SCALAR, n=n, levels=window, epsilon=1, amplitudes=amplitudes)
 
 
@@ -123,7 +131,6 @@ def build_spinor_packet(
     levels: int,
     cfg: FieldConfig,
     epsilon: int = 1,
-    zeta_ref: int | None = None,
     phases=None,
 ) -> PacketSpec:
     """Uniform equal-phase packet of spin-1/2 states with helicity sign
@@ -137,27 +144,15 @@ def build_spinor_packet(
         raise DomainError(
             f"levels: window {window[0]}..{window[-1]} reaches below the first spin-1/2 level"
         )
-    kappa = spin_mixing_ratio(cfg, n, epsilon, zeta_ref)
-    factors = _phase_factors(levels, phases)
+    kappa = spin_mixing_ratio(cfg, n, epsilon)
     down = 1.0 / math.sqrt(levels * (kappa * kappa + 1.0))
-    amplitudes: dict[tuple[int, int], complex] = {}
-    for i, m in enumerate(window):
-        amplitudes[(-1, m)] = down * factors[i]
-        amplitudes[(+1, m)] = kappa * down * factors[i]
+    amplitudes = _phase_factors(levels, phases)[:, None] * np.array([down, kappa * down])
     return PacketSpec(kind=SPINOR, n=n, levels=window, epsilon=epsilon, amplitudes=amplitudes)
 
 
 def normalization_defect(packet: PacketSpec) -> float:
     """|sum of squared amplitude magnitudes - 1|."""
-    total = sum(abs(a) ** 2 for a in packet.amplitudes.values())
-    return abs(total - 1.0)
-
-
-def amplitude_table(packet: PacketSpec) -> np.ndarray:
-    """Amplitudes as an array of shape (levels, S), the spins ordered as in
-    the block tables of the bands."""
-    zetas = spin_labels(packet.kind)
-    return np.array([[packet.amplitude(z, m) for z in zetas] for m in packet.levels], dtype=complex)
+    return abs(float(np.sum(np.abs(packet.amplitudes) ** 2)) - 1.0)
 
 
 def pair_sums(psi: np.ndarray) -> np.ndarray:
@@ -182,7 +177,7 @@ def structure_sums(packet: PacketSpec) -> StructureSums:
     the bra at m; the diagonal sums run over the window itself.  Spin-0
     packets only populate the same-spin adjacent sum.
     """
-    sums = pair_sums(amplitude_table(packet)[None])[0]
+    sums = pair_sums(packet.amplitudes[None])[0]
     if not packet.is_spinor:
         return StructureSums(complex(sums[DOWN, 0, 0]), 0j, 0j, 0j)
     minus, plus = 0, 1  # spin indices of zeta = -1 and zeta = +1

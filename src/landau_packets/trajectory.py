@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .operators import MOMENTUM_OBSERVABLES, OBSERVABLES, SPIN_OBSERVABLES
 
-CSV_HEADER = "t,Px,Py,Pz,S0,Sx,Sy,Sz,resSP,resSS"
+CSV_HEADER = ",".join(("t", *OBSERVABLES, "resSP", "resSS"))
 
 
 @dataclass(frozen=True)
@@ -57,21 +58,8 @@ class Trajectory:
     def to_csv(self, path) -> None:
         if self.s is None or self.res_sp is None or self.res_ss is None:
             raise DomainError("trajectory: CSV schema needs spin components and residuals")
-        rows = [CSV_HEADER]
-        for i, t in enumerate(self.times):
-            values = [
-                t,
-                self.p[i, 0],
-                self.p[i, 1],
-                self.p[i, 2],
-                self.s[i, 0],
-                self.s[i, 1],
-                self.s[i, 2],
-                self.s[i, 3],
-                self.res_sp[i],
-                self.res_ss[i],
-            ]
-            rows.append(",".join(f"{v:.17g}" for v in values))
+        table = np.column_stack([self.times, self.p, self.s, self.res_sp, self.res_ss])
+        rows = [CSV_HEADER] + [",".join(f"{v:.17g}" for v in row) for row in table.tolist()]
         with open(path, "w", newline="\n") as handle:
             handle.write("\n".join(rows) + "\n")
 
@@ -85,10 +73,6 @@ class TrajectoryComparison:
     max_linf: float
 
 
-_COMPONENTS_P = ("Px", "Py", "Pz")
-_COMPONENTS_S = ("S0", "Sx", "Sy", "Sz")
-
-
 def compare_trajectories(a: Trajectory, b: Trajectory) -> TrajectoryComparison:
     """L-infinity and L2 deviations, component by component.
 
@@ -100,12 +84,12 @@ def compare_trajectories(a: Trajectory, b: Trajectory) -> TrajectoryComparison:
     linf: dict[str, float] = {}
     l2: dict[str, float] = {}
     scale = 1.0 / math.sqrt(a.times.size)
-    for j, name in enumerate(_COMPONENTS_P):
+    for j, name in enumerate(MOMENTUM_OBSERVABLES):
         diff = a.p[:, j] - b.p[:, j]
         linf[name] = float(np.max(np.abs(diff)))
         l2[name] = float(np.linalg.norm(diff) * scale)
     if a.s is not None and b.s is not None:
-        for j, name in enumerate(_COMPONENTS_S):
+        for j, name in enumerate(SPIN_OBSERVABLES):
             diff = a.s[:, j] - b.s[:, j]
             linf[name] = float(np.max(np.abs(diff)))
             l2[name] = float(np.linalg.norm(diff) * scale)

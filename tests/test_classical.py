@@ -115,11 +115,9 @@ class TestQuantumClassicalGap:
         times = sample_times(em.omega)
         kin = SpinKinematics.from_field(cfg, n_ref, +1)
         circle = closed_form_momentum(kin, None, em.omega, times)
-        gap = 0.0
-        for j, name in enumerate(("Px", "Py")):
-            band = build_operator_band(packet.levels, name, cfg, n_ref, zeta_ref=1)
-            series = expectation_series(packet, band, em, times)
-            gap = max(gap, float(np.max(np.abs(series - circle[:, j]))))
+        bands = [build_operator_band(packet.levels, name, cfg, n_ref, zeta_ref=1) for name in ("Px", "Py")]
+        series = expectation_series(packet, bands, em, times)
+        gap = float(np.max(np.abs(series - circle[:, :2])))
         assert gap / kin.b_perp == pytest.approx(1e-4, rel=1e-9)
 
 

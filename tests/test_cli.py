@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from landau_packets import classical
+from landau_packets import FieldConfig, classical, verify
 from landau_packets.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
 
 FAST = ["--h", "0.1", "--anomaly", "0.02", "--b-z", "0.5", "--n", "100"]
@@ -119,6 +119,29 @@ class TestVerifyCommand:
         assert out.count("PASS") == len(report["checks"])
         names = {check["name"] for check in report["checks"]}
         assert "structure-sums" in names and "bmt-closed-form-match" in names
+
+    def test_dirac_case_passes(self, tmp_path):
+        # without an anomaly the spin does not precess relative to the orbit
+        code = main(["verify", *FAST, "--anomaly", "0", "--output-dir", str(tmp_path)])
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert code == EXIT_OK
+        assert len(report["checks"]) == len(verify.ALL_CHECKS) == 13
+        assert all(check["passed"] for check in report["checks"])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_low_reference_levels(self, n):
+        # the fixed level counts keep only the windows at or above level 1
+        cfg = FieldConfig(h=0.1, anomaly=0.02, b_z=0.5)
+        results = [
+            verify.check_packet_normalization(cfg, n, +1, perturb=False),
+            verify.check_band_hermiticity(cfg, n, +1),
+            verify.check_structure_sums(cfg, n, +1),
+            verify.check_engine_closed_form(cfg, n, +1),
+            verify.check_determinism(cfg, n, +1),
+        ]
+        assert all(result.passed for result in results), [r.name for r in results if not r.passed]
+        details = results[2].details
+        assert ("adjacent_spin_flip_constructed_3_levels" in details) == (n > 1)
 
     def test_flip_sum_discrepancy_reported(self, tmp_path):
         main(["verify", *FAST, "--output-dir", str(tmp_path)])

@@ -30,10 +30,12 @@ from landau_packets.kinematics import (
     SpinKinematics,
     anomalous_frequency,
     cyclotron_frequency,
+    energy_scalar,
     energy_spinor,
     transverse_momentum,
 )
-from landau_packets.packets import build_scalar_packet, build_spinor_packet, contrast_factor
+from landau_packets.operators import spin_labels
+from landau_packets.packets import build_scalar_packet, build_spinor_packet, contrast_factor, pair_sums
 
 CFG = FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=0.5)
 N_REF = 100
@@ -86,8 +88,8 @@ class TestEnergyModel:
         period = 2 * math.pi / em.omega
         probes = np.array([0.0, 0.3 * period, 0.8 * period])
         for name in ("Px", "Py", "Sx", "Sz"):
-            first = expectation_series(packet, bands[name], em, probes)
-            second = expectation_series(packet, bands[name], em, probes + period)
+            first = expectation_series(packet, [bands[name]], em, probes)[:, 0]
+            second = expectation_series(packet, [bands[name]], em, probes + period)[:, 0]
             np.testing.assert_allclose(second, first, atol=1e-12)
 
     def test_rejects_unknown_mode(self):
@@ -101,19 +103,19 @@ class TestGenericExpectation:
         bands = build_packet_bands(packet, CFG)
         # the imaginary residue must stay below 1e-15, not just the default gate
         monkeypatch.setattr(evolution, "HERMITIAN_IMAG_TOL", 1e-15)
-        value = expectation_series(packet, bands["Pz"], em, [0.0])[0]
+        value = expectation_series(packet, [bands["Pz"]], em, [0.0])[0, 0]
         assert value == pytest.approx(CFG.b_z, rel=1e-14)
 
     def test_px_at_zero(self):
         packet, em, _ = engine_setup(CFG, N_REF, 3, +1)
         bands = build_packet_bands(packet, CFG)
-        assert abs(expectation_series(packet, bands["Px"], em, [0.0])[0]) < 1e-14
+        assert abs(expectation_series(packet, [bands["Px"]], em, [0.0])[0, 0]) < 1e-14
 
     def test_scalar_py_half_period(self):
         packet = build_scalar_packet(10, 3)
         em = EnergyModel(mode=UNIFORM_GAP, kind=SCALAR, cfg=CFG, reference_n=10)
         bands = build_packet_bands(packet, CFG)
-        value = expectation_series(packet, bands["Py"], em, [math.pi / em.omega])[0]
+        value = expectation_series(packet, [bands["Py"]], em, [math.pi / em.omega])[0, 0]
         expected = -(2.0 / 3.0) * transverse_momentum(CFG.h, 10, SCALAR)
         assert value == pytest.approx(expected, rel=1e-12)
 
@@ -122,7 +124,7 @@ class TestGenericExpectation:
         other = build_spinor_packet(N_REF, 5, CFG, +1)
         bands = build_packet_bands(other, CFG)
         with pytest.raises(DomainError):
-            expectation_series(packet, bands["Px"], em, [0.0])
+            expectation_series(packet, [bands["Px"]], em, [0.0])
 
     def test_mismatched_kinds_rejected(self):
         packet = build_scalar_packet(N_REF, 3)
@@ -130,7 +132,7 @@ class TestGenericExpectation:
         spinor_band = build_packet_bands(build_spinor_packet(N_REF, 3, CFG, +1), CFG)["Px"]
         assert spinor_band.levels == packet.levels
         with pytest.raises(DomainError):
-            expectation_series(packet, spinor_band, em, [0.0])
+            expectation_series(packet, [spinor_band], em, [0.0])
 
     def test_hermitian_residue_gate(self):
         from landau_packets.errors import AccuracyError
@@ -141,14 +143,29 @@ class TestGenericExpectation:
         blocks[2, 0, 0] += 0.5  # breaks Hermiticity
         broken = replace(bands["Px"], blocks=blocks)
         with pytest.raises(AccuracyError):
-            expectation_series(packet, broken, em, times)
+            expectation_series(packet, [broken], em, times)
+
+    def test_one_state_evaluation_per_time_block(self, monkeypatch):
+        # every observable is contracted with the same psi(t): one pair-sum
+        # pass per block of TIME_BLOCK samples, not one per observable
+        calls = []
+
+        def counted(psi):
+            calls.append(psi.shape)
+            return pair_sums(psi)
+
+        monkeypatch.setattr(evolution, "pair_sums", counted)
+        packet, em, _ = engine_setup(CFG, N_REF, 5, +1)
+        times = sample_times(em.omega, samples=256)
+        evolve_packet(packet, CFG, times)
+        assert len(calls) == math.ceil(256 / evolution.TIME_BLOCK) == 4
 
     def test_time_blocks_do_not_change_values(self, monkeypatch):
         packet, em, times = engine_setup(CFG, N_REF, 5, +1)
         band = build_packet_bands(packet, CFG)["Sx"]
-        whole = expectation_series(packet, band, em, times)
+        whole = expectation_series(packet, [band], em, times)[:, 0]
         monkeypatch.setattr(evolution, "TIME_BLOCK", 7)
-        np.testing.assert_allclose(expectation_series(packet, band, em, times), whole, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(expectation_series(packet, [band], em, times)[:, 0], whole, rtol=0, atol=1e-15)
 
 
 class TestEngineMatchesClosedForms:
@@ -281,14 +298,50 @@ class TestExactMode:
         packet = build_spinor_packet(N_REF, 5, CFG, +1, phases=rng.uniform(0, 2 * math.pi, size=5))
         em = EnergyModel(mode=EXACT, kind=SPINOR, cfg=CFG, reference_n=N_REF, zeta_ref=1)
         times = sample_times(em.omega, samples=16)
+        amplitude = {
+            (zeta, m): packet.amplitudes[i, j]
+            for i, m in enumerate(packet.levels)
+            for j, zeta in enumerate(spin_labels(SPINOR))
+        }
         for name, band in build_packet_bands(packet, CFG).items():
             expected = np.zeros(times.size, dtype=complex)
             for (mb, zb, mk, zk), value in band.entries.items():
-                weight = packet.amplitude(zb, mb).conjugate() * packet.amplitude(zk, mk) * value
+                weight = amplitude[(zb, mb)].conjugate() * amplitude[(zk, mk)] * value
                 gap = energy_spinor(CFG, mb, zb) - energy_spinor(CFG, mk, zk)
                 expected += weight * np.exp(1j * gap * times)
-            actual = expectation_series(packet, band, em, times)
+            actual = expectation_series(packet, [band], em, times)[:, 0]
             np.testing.assert_allclose(actual, expected.real, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("n", [1000, 10000])
+    def test_contrast_follows_dirichlet_kernel(self, n):
+        # with the level energies expanded to second order about n, the
+        # contrast |P_perp|/b_perp of an odd N-level packet is the Dirichlet
+        # kernel (1/N)|sin((N-1) e2 t/2) / sin(e2 t/2)|, e2 the second
+        # difference of the energy: it dephases and revives with period
+        # 4 pi/|e2|.  The third-order phase, at most |e3| ((N-1)/2)^2 t/2 on
+        # each of the N-1 adjacent pairs, e3 the third difference, bounds
+        # the deviation analytically.
+        levels = 11
+        energy = [energy_scalar(CFG, n + j) for j in (-2, -1, 0, 1, 2)]
+        e2 = energy[3] - 2 * energy[2] + energy[1]
+        e3 = energy[4] - 3 * energy[3] + 3 * energy[2] - energy[1]
+        times = 4 * math.pi / abs(e2) * np.arange(2001) / 2000
+        traj = evolve_packet(build_scalar_packet(n, levels), CFG, times, mode=EXACT)
+        contrast = np.hypot(traj.p[:, 0], traj.p[:, 1]) / transverse_momentum(CFG.h, n, SCALAR)
+
+        half_phase = 0.5 * e2 * times
+        denominator = np.sin(half_phase)
+        vanishes = np.abs(denominator) < 1e-12  # the kernel's limit is (N-1)/N
+        kernel = np.where(
+            vanishes,
+            (levels - 1) / levels,
+            np.abs(np.sin((levels - 1) * half_phase) / np.where(vanishes, 1.0, denominator)) / levels,
+        )
+        bound = (levels - 1) / levels * abs(e3) * ((levels - 1) / 2) ** 2 * times / 2
+        assert vanishes[[0, 1000, 2000]].all()
+        assert contrast[0] == pytest.approx((levels - 1) / levels, abs=1e-12)
+        assert np.all(np.abs(contrast[1:] - kernel[1:]) <= bound[1:])
+        assert contrast.min() < 0.1  # dephased between the revivals
 
     def test_dephasing_shrinks_with_level(self):
         devs = {}

@@ -5,6 +5,7 @@ import pytest
 
 from landau_packets.errors import DomainError, SingularConfigurationError
 from landau_packets.kinematics import FieldConfig, spin_mixing_ratio
+from landau_packets.operators import spin_labels
 from landau_packets.packets import (
     PacketSpec,
     build_scalar_packet,
@@ -15,6 +16,12 @@ from landau_packets.packets import (
 )
 
 CFG = FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=0.5)
+
+
+def amplitude_of(packet):
+    """Look up the amplitude of the state (zeta, m) element by element."""
+    zetas = spin_labels(packet.kind)
+    return lambda zeta, m: packet.amplitudes[m - packet.levels[0], zetas.index(zeta)]
 
 
 class TestScalarPackets:
@@ -50,16 +57,14 @@ class TestSpinorPackets:
     def test_equal_split_at_unit_kappa(self):
         cfg = FieldConfig(h=0.1, anomaly=0.0, b_z=0.0)  # kappa = 1
         packet = build_spinor_packet(10, 3, cfg, +1)
-        for amplitude in packet.amplitudes.values():
+        for amplitude in packet.amplitudes.flat:
             assert abs(amplitude) == pytest.approx(1 / math.sqrt(6), rel=1e-14)
 
     def test_mixing_ratio_between_components(self):
         packet = build_spinor_packet(50, 5, CFG, +1)
         kappa = spin_mixing_ratio(CFG, 50, +1)
-        for m in packet.levels:
-            assert packet.amplitude(+1, m) == pytest.approx(
-                kappa * packet.amplitude(-1, m), rel=1e-14
-            )
+        for minus, plus in packet.amplitudes:
+            assert plus == pytest.approx(kappa * minus, rel=1e-14)
 
     def test_normalized(self):
         for levels in (1, 2, 3, 10, 101):
@@ -68,8 +73,8 @@ class TestSpinorPackets:
 
     def test_per_level_probability_uniform(self):
         packet = build_spinor_packet(50, 5, CFG, +1)
-        for m in packet.levels:
-            prob = abs(packet.amplitude(+1, m)) ** 2 + abs(packet.amplitude(-1, m)) ** 2
+        for minus, plus in packet.amplitudes:
+            prob = abs(plus) ** 2 + abs(minus) ** 2
             assert prob == pytest.approx(0.2, rel=1e-14)
 
     def test_window_below_first_level_rejected(self):
@@ -109,21 +114,16 @@ class TestStructureSums:
     def test_spin_flip_sum_symmetric(self):
         # the two orderings of the adjacent spin-flip sum agree
         packet = build_spinor_packet(100, 4, CFG, -1)
-        forward = sum(
-            packet.amplitude(+1, m).conjugate() * packet.amplitude(-1, m + 1)
-            for m in packet.levels[:-1]
-        )
-        backward = sum(
-            packet.amplitude(-1, m).conjugate() * packet.amplitude(+1, m + 1)
-            for m in packet.levels[:-1]
-        )
+        amp = amplitude_of(packet)
+        forward = sum(amp(+1, m).conjugate() * amp(-1, m + 1) for m in packet.levels[:-1])
+        backward = sum(amp(-1, m).conjugate() * amp(+1, m + 1) for m in packet.levels[:-1])
         assert forward == pytest.approx(backward, rel=1e-14)
 
     def test_matches_explicit_loops(self):
         # reference: the sums written out term by term over the window
         rng = np.random.default_rng(5)
         packet = build_spinor_packet(100, 7, CFG, -1, phases=rng.uniform(0, 2 * math.pi, size=7))
-        amp = packet.amplitude
+        amp = amplitude_of(packet)
         adjacent = packet.levels[:-1]
         expected = (
             sum(amp(z, m).conjugate() * amp(z, m + 1) for m in adjacent for z in (-1, 1)),
@@ -140,8 +140,9 @@ class TestStructureSums:
         )
         np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-15)
         scalar = build_scalar_packet(10, 4, phases=rng.uniform(0, 2 * math.pi, size=4))
+        scalar_amp = amplitude_of(scalar)
         expected_scalar = sum(
-            scalar.amplitude(0, m).conjugate() * scalar.amplitude(0, m + 1) for m in scalar.levels[:-1]
+            scalar_amp(0, m).conjugate() * scalar_amp(0, m + 1) for m in scalar.levels[:-1]
         )
         scalar_sums = structure_sums(scalar)
         assert abs(scalar_sums.adjacent_same_spin - expected_scalar) <= 1e-15
@@ -170,10 +171,34 @@ class TestNormalizationDefect:
             n=packet.n,
             levels=packet.levels,
             epsilon=packet.epsilon,
-            amplitudes={k: 2.0 * v for k, v in packet.amplitudes.items()},
+            amplitudes=2.0 * packet.amplitudes,
         )
         assert normalization_defect(scaled) == pytest.approx(3.0, abs=1e-14)
 
     def test_empty(self):
-        empty = PacketSpec(kind="scalar", n=10, levels=(10,), epsilon=1, amplitudes={})
+        empty = PacketSpec(kind="scalar", n=10, levels=(10,), epsilon=1, amplitudes=np.zeros((1, 1)))
         assert normalization_defect(empty) == 1.0
+
+
+class TestAmplitudeArray:
+    def test_read_only_copy(self):
+        source = np.full((3, 2), 1 / math.sqrt(6), dtype=complex)
+        packet = PacketSpec(kind="spinor", n=10, levels=(9, 10, 11), epsilon=1, amplitudes=source)
+        source[0, 0] = 0.0
+        assert packet.amplitudes[0, 0] == 1 / math.sqrt(6)
+        with pytest.raises(ValueError):
+            packet.amplitudes[0, 0] = 0.0
+
+    def test_shape_must_match_levels_and_spins(self):
+        with pytest.raises(DomainError):
+            PacketSpec(kind="spinor", n=10, levels=(9, 10, 11), epsilon=1, amplitudes=np.ones((3, 1)))
+
+    def test_json_amplitudes_sorted_by_spin_then_level(self):
+        packet = build_spinor_packet(10, 3, CFG, -1)
+        entries = packet.as_json_dict()["amplitudes"]
+        assert [(e["zeta"], e["m"]) for e in entries] == sorted(
+            (zeta, m) for zeta in (-1, 1) for m in (9, 10, 11)
+        )
+        amp = amplitude_of(packet)
+        assert all(complex(e["re"], e["im"]) == amp(e["zeta"], e["m"]) for e in entries)
+        assert all(type(e["re"]) is float and type(e["im"]) is float for e in entries)
