@@ -11,14 +11,20 @@ normalized so that the profiles with a common azimuthal index l = n - s are
 orthonormal on [0, inf) in d(rho).  Evaluation runs the normalized upward
 three-term recurrence in s, never forming factorials; the seed carries the
 exponential and the power in log space, so the profiles stay finite and
-accurate up to n of order 1e4.
+accurate up to n of order 1e4.  The seed I(l, 0; rho) itself must stay above
+the double-precision underflow limit, exp(-745): where it does not, the
+profile comes back as 0.0 even when the recurrence would have lifted it to
+a representable value.  At n = 1e4, s = 500 this happens at rho = l/2, where
+the seed is exp(-922) and the profile 3.2e-127.
 
 The quadrature oracle integrates products of profiles against weight-adapted
 Gauss nodes on [0, inf).  Nodes come from the Jacobi matrix of the Laguerre
 weight; the weights are pre-multiplied by exp(+x) (computed stably through
-exponentially scaled orthonormal polynomials), so integrands are evaluated
-as the decaying functions they are.  Every oracle value is recomputed at
-twice the order and rejected if the two disagree.
+exponentially scaled orthonormal polynomials, streamed in O(order) memory),
+so integrands are evaluated as the decaying functions they are.  Weights at
+nodes beyond x ~ 1490 underflow and are dropped, which bounds the levels the
+oracle can resolve (profiles of level n peak near rho ~ n).  Every oracle
+value is recomputed at twice the order and rejected if the two disagree.
 """
 
 from __future__ import annotations
@@ -54,31 +60,6 @@ def default_order(n: int, n_prime: int) -> int:
     return 2 * (n + n_prime) + 8
 
 
-def _scaled_polynomial_frame(nodes: np.ndarray, count: int, alpha: float) -> np.ndarray:
-    """Evaluate the first ``count`` orthonormal polynomials of the weight
-    x^alpha * exp(-x), each multiplied by sqrt of the weight, at ``nodes``.
-
-    Returns an array of shape (count, len(nodes)).  The scaling keeps every
-    value O(1) regardless of order.
-    """
-    x = np.asarray(nodes, dtype=float)
-    out = np.empty((count, x.size))
-    log_seed = -0.5 * x - 0.5 * math.lgamma(alpha + 1.0)
-    if alpha != 0.0:
-        with np.errstate(divide="ignore"):
-            log_seed = log_seed + 0.5 * alpha * np.log(x)
-    out[0] = np.exp(log_seed)
-    if count == 1:
-        return out
-    out[1] = (alpha + 1.0 - x) * out[0] / math.sqrt(alpha + 1.0)
-    for k in range(1, count - 1):
-        a_k = 2.0 * k + alpha + 1.0
-        b_k = math.sqrt(k * (k + alpha))
-        b_k1 = math.sqrt((k + 1.0) * (k + 1.0 + alpha))
-        out[k + 1] = ((a_k - x) * out[k] - b_k * out[k - 1]) / b_k1
-    return out
-
-
 @lru_cache(maxsize=64)
 def radial_rule(order: int, alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and exp-modified weights for integrals of decaying functions.
@@ -94,8 +75,24 @@ def radial_rule(order: int, alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray]
     diag = 2.0 * k + alpha + 1.0
     off = np.sqrt(np.arange(1.0, order) * (np.arange(1.0, order) + alpha))
     nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
-    frame = _scaled_polynomial_frame(nodes, order, alpha)
-    sumsq = np.sum(frame * frame, axis=0)
+    # 1/w_i is the sum over k < order of p_k(x_i)^2 for the orthonormal
+    # polynomials p_k; each p_k is scaled by sqrt(x^alpha exp(-x)), which
+    # keeps it O(1), and the recurrence keeps only two rows
+    log_seed = -0.5 * nodes - 0.5 * math.lgamma(alpha + 1.0)
+    if alpha != 0.0:
+        with np.errstate(divide="ignore"):
+            log_seed = log_seed + 0.5 * alpha * np.log(nodes)
+    prev = np.exp(log_seed)
+    sumsq = prev * prev
+    if order > 1:
+        cur = (alpha + 1.0 - nodes) * prev / math.sqrt(alpha + 1.0)
+        sumsq += cur * cur
+        for j in range(1, order - 1):
+            a_j = 2.0 * j + alpha + 1.0
+            b_j = math.sqrt(j * (j + alpha))
+            b_j1 = math.sqrt((j + 1.0) * (j + 1.0 + alpha))
+            prev, cur = cur, ((a_j - nodes) * cur - b_j * prev) / b_j1
+            sumsq += cur * cur
     # beyond x ~ 1490 the scaled seed underflows and the column dies; any
     # integrand this rule is meant for has decayed below double-precision
     # tininess there, so those nodes are dropped rather than left infinite

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from landau_packets.classical import bmt_integrate, classical_reference
+from landau_packets.classical import bmt_integrate, classical_reference, default_step
 from landau_packets.errors import DomainError, IntegrationAccuracyError
 from landau_packets.evolution import (
     closed_form_momentum,
@@ -84,6 +84,86 @@ class TestBmtIntegration:
         period = 2 * math.pi / REF.omega
         with pytest.raises(IntegrationAccuracyError):
             bmt_integrate(REF.init, CFG.h, t_max=20 * period, dt=period / 4)
+
+
+def _reference_rhs(y: tuple, k: float, g: float) -> tuple:
+    # the componentwise right-hand side the unrolled kernel must reproduce
+    u0, u1, u2, u3, s0, s1, s2, s3 = y
+    inv = 1.0 / u0
+    half_g = 0.5 * g
+    a = half_g - 1.0
+    q = k * (s1 * u2 - s2 * u1)
+    return (
+        0.0,
+        -k * u2 * inv,
+        k * u1 * inv,
+        0.0,
+        a * q,
+        (-half_g * k * s2 + a * u1 * q) * inv,
+        (half_g * k * s1 + a * u2 * q) * inv,
+        a * u3 * q * inv,
+    )
+
+
+def _reference_rk4(y: tuple, k: float, g: float, dt: float) -> tuple:
+    k1 = _reference_rhs(y, k, g)
+    k2 = _reference_rhs(tuple(a + 0.5 * dt * b for a, b in zip(y, k1)), k, g)
+    k3 = _reference_rhs(tuple(a + 0.5 * dt * b for a, b in zip(y, k2)), k, g)
+    k4 = _reference_rhs(tuple(a + dt * b for a, b in zip(y, k3)), k, g)
+    return tuple(
+        a + dt / 6.0 * (b1 + 2.0 * (b2 + b3) + b4)
+        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    )
+
+
+def _reference_samples(init, h_field: float, record_times: np.ndarray, dt: float) -> np.ndarray:
+    # substeps on numpy scalars straight from the grid, one tuple per stage
+    k = 2.0 * h_field
+    y = init.u + init.s
+    samples = [y]
+    for t_prev, t_next in zip(record_times[:-1], record_times[1:]):
+        span = t_next - t_prev
+        substeps = max(1, math.ceil(span / dt - 1e-12))
+        for _ in range(substeps):
+            y = _reference_rk4(y, k, init.g_factor, span / substeps)
+        samples.append(y)
+    return np.asarray(samples)
+
+
+class TestKernelBitIdentity:
+    """The unrolled kernel performs the componentwise RK4 operations in the
+    same order, so every sample agrees bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(traj: Trajectory, reference: np.ndarray) -> None:
+        ours = np.column_stack([traj.p0, traj.p, traj.s])
+        np.testing.assert_array_equal(ours, reference)
+        # == does not see the sign of zero
+        np.testing.assert_array_equal(np.signbit(ours), np.signbit(reference))
+
+    @pytest.mark.parametrize("anomaly", [0.0, 1.16141e-3, 5.0])
+    @pytest.mark.parametrize("b_z", [0.5, -0.0])
+    def test_record_times_path(self, anomaly, b_z):
+        cfg = FieldConfig(h=0.1, anomaly=anomaly, b_z=b_z)
+        ref = classical_reference(cfg, N_REF)
+        dt = default_step(cfg.h, ref.init.u[0], ref.omega_a)
+        # 41 unevenly spaced samples, about 4000 substeps in all
+        times = np.cumsum(np.r_[0.0, np.linspace(0.5, 1.5, 40)]) * 100 * dt
+        traj = bmt_integrate(ref.init, cfg.h, dt=dt, record_times=times, check_drift=False)
+        self.assert_same_bits(traj, _reference_samples(ref.init, cfg.h, times, dt))
+
+    @pytest.mark.parametrize("anomaly", [0.0, 1.16141e-3, 5.0])
+    @pytest.mark.parametrize("b_z", [0.5, -0.0])
+    def test_t_max_path(self, anomaly, b_z):
+        cfg = FieldConfig(h=0.1, anomaly=anomaly, b_z=b_z)
+        ref = classical_reference(cfg, N_REF)
+        dt = default_step(cfg.h, ref.init.u[0], ref.omega_a)
+        t_max = 3000.5 * dt
+        traj = bmt_integrate(ref.init, cfg.h, t_max=t_max, dt=dt, check_drift=False)
+        steps = math.ceil(t_max / dt)
+        times = t_max * np.arange(steps + 1) / steps
+        np.testing.assert_array_equal(traj.times, times)
+        self.assert_same_bits(traj, _reference_samples(ref.init, cfg.h, times, dt))
 
 
 class TestQuantumClassicalGap:

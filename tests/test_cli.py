@@ -85,6 +85,14 @@ class TestTrajectoryCommand:
         assert code == EXIT_CONFIG
         assert "levels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t_max", ["nan", "inf"])
+    def test_non_finite_t_max_rejected(self, tmp_path, capsys, t_max):
+        out = tmp_path / "out"
+        code = main(["trajectory", *FAST, "--t-max", t_max, "--output-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: t_max:")
+        assert not out.exists()
+
 
 class TestConvergeCommand:
     def test_factor_table(self, tmp_path):
@@ -107,6 +115,13 @@ class TestConvergeCommand:
         # the classical gap at 100 levels is b_perp/100
         b_perp = 2 * math.sqrt(0.1 * 1200)
         assert gaps[-1] == pytest.approx(b_perp / 100, rel=1e-10)
+
+    def test_empty_level_list_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["converge", *FAST, "--n-list", ",", "--output-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: n_list:")
+        assert not out.exists()
 
 
 class TestVerifyCommand:
@@ -191,9 +206,24 @@ class TestOracleCommand:
         assert abs(exponent + 1.0) < 0.1
 
     def test_level_bound(self, tmp_path, capsys):
-        code = main(["oracle", "--n-list", "10,500", "--output-dir", str(tmp_path)])
+        code = main(["oracle", "--n-list", "10,1500", "--output-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "n_list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_list", [",", "10", "10,10"])
+    def test_fit_needs_two_levels(self, tmp_path, capsys, n_list):
+        out = tmp_path / "out"
+        code = main(["oracle", "--n-list", n_list, "--output-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: n_list:")
+        assert not out.exists()
+
+    def test_exponent_past_former_cap(self, tmp_path, capsys):
+        code = main(["oracle", "--h", "0.1", "--n-list", "250,500", "--output-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        exponent = float(out.split("decay exponent x:")[1].split()[0])
+        assert abs(exponent + 1.0) < 0.1
 
 
 class TestConfigHandling:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
@@ -78,6 +79,37 @@ class TestLargeLevelStability:
         np.testing.assert_allclose(ours, direct, rtol=1e-9, atol=1e-12)
 
 
+def _mp_profile(n: int, s: int, rho: float):
+    """I(n, s; rho) at 50 digits, the prefactor taken through loggamma."""
+    with mpmath.workdps(50):
+        l = n - s
+        x = mpmath.mpf(rho)
+        log_pref = (
+            0.5 * (mpmath.loggamma(s + 1) - mpmath.loggamma(n + 1)) - x / 2 + l * mpmath.log(x) / 2
+        )
+        return mpmath.exp(log_pref) * mpmath.laguerre(s, l, x)
+
+
+def _spot_points():
+    for n, s in [(10**4, 0), (10**4, 1), (10**4, 50), (10**4, 500), (5000, 100), (1000, 10)]:
+        l = n - s
+        for rho in (float(l), l + 2.0 * math.sqrt(l), 1.5 * l):
+            yield n, s, rho
+    # the log-space seed is exp(-922) here and underflows: 0.0 for 3.2e-127
+    yield pytest.param(
+        10**4, 500, 4750.0, marks=pytest.mark.xfail(strict=True, reason="seed underflows")
+    )
+
+
+class TestHighPrecisionReference:
+    """Large-level profiles against a 50-digit evaluation."""
+
+    @pytest.mark.parametrize("n, s, rho", list(_spot_points()))
+    def test_spot_values(self, n, s, rho):
+        exact = _mp_profile(n, s, rho)
+        assert float(abs(laguerre_I(n, s, rho) - exact) / abs(exact)) < 1e-10
+
+
 class TestOrthonormality:
     @pytest.mark.parametrize("n,s", [(0, 0), (1, 0), (5, 2)])
     def test_unit_norm(self, n, s):
@@ -114,6 +146,28 @@ class TestRadialRule:
         nodes, weights = radial_rule(12, alpha=0.5)
         value = np.dot(weights, np.sqrt(nodes) * np.exp(-nodes))
         assert value == pytest.approx(math.gamma(1.5), rel=1e-13)
+
+    @pytest.mark.parametrize("order", [1, 2, 12, 810])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_streamed_weights_match_dense_frame(self, order, alpha):
+        # the full (order, order) frame of scaled orthonormal polynomials,
+        # whose column sums of squares are the reciprocal weights
+        nodes, weights = radial_rule(order, alpha)
+        frame = np.empty((order, order))
+        log_seed = -0.5 * nodes - 0.5 * math.lgamma(alpha + 1.0)
+        if alpha != 0.0:
+            log_seed = log_seed + 0.5 * alpha * np.log(nodes)
+        frame[0] = np.exp(log_seed)
+        if order > 1:
+            frame[1] = (alpha + 1.0 - nodes) * frame[0] / math.sqrt(alpha + 1.0)
+        for k in range(1, order - 1):
+            a_k = 2.0 * k + alpha + 1.0
+            b_k = math.sqrt(k * (k + alpha))
+            b_k1 = math.sqrt((k + 1.0) * (k + 1.0 + alpha))
+            frame[k + 1] = ((a_k - nodes) * frame[k] - b_k * frame[k - 1]) / b_k1
+        sumsq = np.sum(frame * frame, axis=0)
+        dense = np.divide(1.0, sumsq, out=np.zeros_like(sumsq), where=sumsq > 0.0)
+        assert np.array_equal(weights, dense)
 
 
 class TestMomentumOracle:
