@@ -45,9 +45,12 @@ EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_ACCURACY = 4
 
-#: largest level the quadrature oracle accepts; the order-doubling check
-#: fails from n ~ 1300, where the profiles reach the nodes whose weights underflow
-ORACLE_MAX_N = 1000
+#: largest level and radial number the quadrature oracle accepts: its
+#: window, order and doubling check are validated over 0 <= s <= 100 and
+#: n <= 1e4, and from s ~ 150 a Legendre order of 200 + 2s no longer
+#: resolves the profiles at n = 1000
+ORACLE_MAX_N = 10_000
+ORACLE_MAX_S = 100
 
 
 @dataclass
@@ -270,11 +273,19 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if max(n_list) > ORACLE_MAX_N:
         raise DomainError(
             f"n_list: quadrature oracle is limited to n <= {ORACLE_MAX_N}, got {max(n_list)}: "
-            "its Gauss weights underflow at nodes beyond x ~ 1490, "
-            "and the profiles peak near rho ~ n"
+            "its windowed rules are validated up to there"
+        )
+    s = args.radial_s
+    if not 0 <= s <= ORACLE_MAX_S:
+        raise DomainError(
+            f"radial_s: quadrature oracle needs 0 <= s <= {ORACLE_MAX_S}, got {s}: "
+            "past that an order of 200 + 2s no longer resolves the profiles"
+        )
+    if min(n_list) < max(s, 1):
+        raise DomainError(
+            f"n_list: levels must be >= max(1, radial_s) = {max(s, 1)}, got {min(n_list)}"
         )
     os.makedirs(cfg.output_dir, exist_ok=True)
-    s = args.radial_s
     rows = laguerre.semiclassical_convergence(s, cfg.h, n_list, b_z=cfg.b_z)
     exponent_x = laguerre.fit_decay_exponent(n_list, [r[1] for r in rows])
     exponent_y = laguerre.fit_decay_exponent(n_list, [r[2] for r in rows])

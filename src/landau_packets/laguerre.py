@@ -9,22 +9,34 @@ rho = (e0*H / 2*hbar*c) * r^2,
 
 normalized so that the profiles with a common azimuthal index l = n - s are
 orthonormal on [0, inf) in d(rho).  Evaluation runs the normalized upward
-three-term recurrence in s, never forming factorials; the seed carries the
-exponential and the power in log space, so the profiles stay finite and
-accurate up to n of order 1e4.  The seed I(l, 0; rho) itself must stay above
-the double-precision underflow limit, exp(-745): where it does not, the
-profile comes back as 0.0 even when the recurrence would have lifted it to
-a representable value.  At n = 1e4, s = 500 this happens at rho = l/2, where
-the seed is exp(-922) and the profile 3.2e-127.
+three-term recurrence in s, never forming factorials.  The seed I(l, 0; rho)
+is taken in log space (from l = 100 on, about its peak rho ~ l, with
+Stirling's series for log(l!), so the large terms never cancel), and the
+recurrence runs on a mantissa that starts at 1 while the seed's logarithm and
+every rescaling are carried apart: a seed below the underflow limit exp(-745)
+still lifts to a representable profile (at n = 1e4, s = 500, rho = 4750 the
+seed is exp(-922) and the profile 3.2e-127).
 
-The quadrature oracle integrates products of profiles against weight-adapted
-Gauss nodes on [0, inf).  Nodes come from the Jacobi matrix of the Laguerre
-weight; the weights are pre-multiplied by exp(+x) (computed stably through
-exponentially scaled orthonormal polynomials, streamed in O(order) memory),
-so integrands are evaluated as the decaying functions they are.  Weights at
-nodes beyond x ~ 1490 underflow and are dropped, which bounds the levels the
-oracle can resolve (profiles of level n peak near rho ~ n).  Every oracle
-value is recomputed at twice the order and rejected if the two disagree.
+The quadrature oracle integrates each product of two profiles (n, s) and
+(n', s') with a Gauss-Legendre rule on a finite window: the union of their
+classical supports [(sqrt(n) - sqrt(s))^2, (sqrt(n) + sqrt(s))^2], padded
+on both sides by 9*sqrt(n_max + 1) + 40 and clipped at 0.  The order is
+200 + 2s, so every level at a given s shares one cached rule; the products
+oscillate about 2s times across the window.  Every oracle value is
+recomputed at twice the order and rejected if the two disagree by more
+than CONVERGENCE_TOL.
+
+Order doubling cannot see what lies outside the window.  For s = 0,
+I(n, 0; rho)^2 is the Gamma(n + 1) density (mean n + 1, standard deviation
+sqrt(n + 1)), and the oracle integrands are Gamma(k) densities with
+k = n, n + 1 or n + 2 up to constant factors.  By the Chernoff bound the
+mass of a Gamma(k) density beyond t is at most
+exp(-[(t - k) - k log(t/k)]), on either side of k; at the window's edges
+that exponent is at least 40.5 for every n (its infimum 9^2/2 is
+approached as n grows), so truncation costs at most 2 exp(-40.5) ~ 5e-18
+of the integral's scale.  For s > 0 the profiles fall off faster past
+their turning points: the mass outside the window is below 2e-21 at every
+(n, s) sampled with 1 <= s <= 100 and n <= 1e4.
 """
 
 from __future__ import annotations
@@ -34,18 +46,28 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError, QuadratureAccuracyError
 from .kinematics import SCALAR, FieldConfig, QuantumNumbers, transverse_momentum
 
 #: order-doubling tolerance for oracle integrals
 CONVERGENCE_TOL = 1e-8
+#: the window reaches PAD_SCALE * sqrt(n + 1) + PAD_OFFSET past the classical
+#: supports of its profiles
+PAD_SCALE = 9.0
+PAD_OFFSET = 40.0
+#: Legendre order at s = 0; each unit of the radial number adds two nodes
+BASE_ORDER = 200
+#: the profile recurrence moves a mantissa past this into the exponent
+_RESCALE_ABOVE = 1e150
+_LN2 = math.log(2.0)
+#: levels from which the profile seed expands log(l!) by Stirling's series
+_STIRLING_FROM = 100
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Number of nodes of the weight-adapted Gauss rule on [0, inf)."""
+    """Order of the Gauss-Legendre rule on the integration window."""
 
     order: int
 
@@ -54,52 +76,53 @@ class QuadratureSpec:
             raise DomainError(f"order: must be >= 1, got {self.order}")
 
 
-def default_order(n: int, n_prime: int) -> int:
-    """Node count covering the polynomial content of a product of two
-    profiles, with headroom."""
-    return 2 * (n + n_prime) + 8
+def default_order(s: int) -> int:
+    """Legendre order for profiles of radial number up to ``s``; every
+    level at a given s shares one rule."""
+    return BASE_ORDER + 2 * s
 
 
 @lru_cache(maxsize=64)
-def radial_rule(order: int, alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and exp-modified weights for integrals of decaying functions.
-
-    The rule satisfies  sum_i w_i f(x_i) = integral_0^inf f(x) dx  exactly
-    whenever f(x) = x^alpha * exp(-x) * p(x) with p a polynomial of degree
-    <= 2*order - 1.  ``f`` is evaluated directly, including its decay, so
-    far-tail nodes underflow harmlessly instead of overflowing.
-    """
+def radial_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], exact for
+    polynomials of degree <= 2*order - 1."""
     if order < 1:
         raise DomainError(f"order: must be >= 1, got {order}")
-    k = np.arange(order, dtype=float)
-    diag = 2.0 * k + alpha + 1.0
-    off = np.sqrt(np.arange(1.0, order) * (np.arange(1.0, order) + alpha))
-    nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
-    # 1/w_i is the sum over k < order of p_k(x_i)^2 for the orthonormal
-    # polynomials p_k; each p_k is scaled by sqrt(x^alpha exp(-x)), which
-    # keeps it O(1), and the recurrence keeps only two rows
-    log_seed = -0.5 * nodes - 0.5 * math.lgamma(alpha + 1.0)
-    if alpha != 0.0:
-        with np.errstate(divide="ignore"):
-            log_seed = log_seed + 0.5 * alpha * np.log(nodes)
-    prev = np.exp(log_seed)
-    sumsq = prev * prev
-    if order > 1:
-        cur = (alpha + 1.0 - nodes) * prev / math.sqrt(alpha + 1.0)
-        sumsq += cur * cur
-        for j in range(1, order - 1):
-            a_j = 2.0 * j + alpha + 1.0
-            b_j = math.sqrt(j * (j + alpha))
-            b_j1 = math.sqrt((j + 1.0) * (j + 1.0 + alpha))
-            prev, cur = cur, ((a_j - nodes) * cur - b_j * prev) / b_j1
-            sumsq += cur * cur
-    # beyond x ~ 1490 the scaled seed underflows and the column dies; any
-    # integrand this rule is meant for has decayed below double-precision
-    # tininess there, so those nodes are dropped rather than left infinite
-    weights = np.divide(1.0, sumsq, out=np.zeros_like(sumsq), where=sumsq > 0.0)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
+
+
+def radial_window(*states: tuple[int, int]) -> tuple[float, float]:
+    """Union of the classical supports [(sqrt(n) - sqrt(s))^2,
+    (sqrt(n) + sqrt(s))^2] of the profiles (n, s), padded by
+    PAD_SCALE * sqrt(n_max + 1) + PAD_OFFSET and clipped at 0."""
+    pad = PAD_SCALE * math.sqrt(max(n for n, _ in states) + 1.0) + PAD_OFFSET
+    lo = min((math.sqrt(n) - math.sqrt(s)) ** 2 for n, s in states) - pad
+    hi = max((math.sqrt(n) + math.sqrt(s)) ** 2 for n, s in states) + pad
+    return max(lo, 0.0), hi
+
+
+def window_rule(order: int, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """``radial_rule(order)`` mapped affinely onto ``window``."""
+    nodes, weights = radial_rule(order)
+    lo, hi = window
+    half = 0.5 * (hi - lo)
+    return lo + half * (nodes + 1.0), half * weights
+
+
+def _log_seed(l: int, x: np.ndarray) -> np.ndarray:
+    """log I(l, 0; x) = -x/2 + (l/2) log(x) - log(l!)/2."""
+    if l < _STIRLING_FROM:
+        with np.errstate(divide="ignore"):
+            return -0.5 * x - 0.5 * math.lgamma(l + 1.0) + (0.5 * l * np.log(x) if l else 0.0)
+    # the three terms are each ~l/2 and cancel to O(1) near the peak x ~ l;
+    # with d = x - l and Stirling's series for log(l!) they never form
+    d = x - l
+    stirling = 1.0 / (12.0 * l) - 1.0 / (360.0 * l**3) + 1.0 / (1260.0 * l**5)
+    with np.errstate(divide="ignore"):
+        return 0.5 * (l * np.log1p(d / l) - d) - 0.25 * math.log(2.0 * math.pi * l) - 0.5 * stirling
 
 
 def laguerre_I(n: int, s: int, rho) -> np.ndarray | float:
@@ -129,24 +152,32 @@ def laguerre_I(n: int, s: int, rho) -> np.ndarray | float:
     x = np.atleast_1d(x)
     l = n - s
 
-    # seed I(l, 0) = exp(-rho/2) rho^(l/2) / sqrt(l!), in log space
-    log_seed = -0.5 * x - 0.5 * math.lgamma(l + 1.0)
-    if l > 0:
-        positive = x > 0
-        log_seed = np.where(positive, log_seed + 0.5 * l * np.log(np.where(positive, x, 1.0)), -np.inf)
-    prev = np.exp(log_seed)
+    log_seed = _log_seed(l, x)
     if s == 0:
+        prev = np.exp(log_seed)
         return float(prev[0]) if scalar_input else prev
 
     # normalized upward recurrence in the radial number at fixed l:
     # I(l+k+1, k+1) = [(l + 2k + 1 - rho) I(l+k, k) - sqrt(k (l+k)) I(l+k-1, k-1)]
     #                 / sqrt((k+1)(l+k+1))
-    cur = (l + 1.0 - x) * prev / math.sqrt(l + 1.0)
+    # run on mantissas that start at 1; the seed's logarithm, and every power
+    # of two taken out of a mantissa that grows past _RESCALE_ABOVE, go to
+    # ``log_scale``, so a seed below the underflow limit still lifts to a
+    # representable profile
+    log_scale = log_seed
+    prev = np.ones_like(x)
+    cur = (l + 1.0 - x) / math.sqrt(l + 1.0)
     for k in range(1, s):
         nxt = ((l + 2.0 * k + 1.0 - x) * cur - math.sqrt(k * (l + k)) * prev) / math.sqrt(
             (k + 1.0) * (l + k + 1.0)
         )
         prev, cur = cur, nxt
+        if np.max(np.abs(cur)) > _RESCALE_ABOVE:
+            exponent = np.where(np.abs(cur) > _RESCALE_ABOVE, np.frexp(cur)[1], 0)
+            prev, cur = np.ldexp(prev, -exponent), np.ldexp(cur, -exponent)
+            log_scale = log_scale + exponent * _LN2
+    mantissa, exponent = np.frexp(cur)
+    cur = mantissa * np.exp(log_scale + exponent * _LN2)
     return float(cur[0]) if scalar_input else cur
 
 
@@ -162,8 +193,8 @@ def orthonormality_defect(
         raise DomainError(
             f"azimuthal index mismatch: n-s={n - s} vs n'-s'={n_prime - s_prime}"
         )
-    order = spec.order if spec is not None else default_order(n, n_prime)
-    nodes, weights = radial_rule(order)
+    order = spec.order if spec is not None else default_order(max(s, s_prime))
+    nodes, weights = window_rule(order, radial_window((n, s), (n_prime, s_prime)))
     overlap = float(np.dot(weights, laguerre_I(n, s, nodes) * laguerre_I(n_prime, s_prime, nodes)))
     return abs(overlap - (1.0 if n == n_prime else 0.0))
 
@@ -186,11 +217,11 @@ def _ladder_down_image(n: int, s: int, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _radial_integral(func, order: int) -> float:
-    """Evaluate an oracle integral at ``order`` and ``2*order`` nodes and
-    insist the two agree."""
-    coarse = func(*radial_rule(order))
-    fine = func(*radial_rule(2 * order))
+def _radial_integral(func, window: tuple[float, float], order: int) -> float:
+    """Evaluate an oracle integral over ``window`` at ``order`` and
+    ``2*order`` nodes and insist the two agree."""
+    coarse = func(*window_rule(order, window))
+    fine = func(*window_rule(2 * order, window))
     if abs(fine - coarse) > CONVERGENCE_TOL:
         raise QuadratureAccuracyError(
             f"order-doubling check failed: |{fine} - {coarse}| > {CONVERGENCE_TOL}"
@@ -219,15 +250,16 @@ def momentum_element_quadrature(
         raise DomainError(f"s: bra and ket radial numbers must match, got {bra.s} != {ket.s}")
     if cfg.h <= 0:
         raise DomainError(f"h: momentum oracle needs h > 0, got {cfg.h}")
-    order = spec.order if spec is not None else default_order(bra.n, ket.n)
     dn = bra.n - ket.n
     s = ket.s
+    order = spec.order if spec is not None else default_order(s)
+    window = radial_window((bra.n, s), (ket.n, s))
 
     if component == "z":
         if dn != 0:
             return 0j
         overlap = _radial_integral(
-            lambda x, w: float(np.dot(w, laguerre_I(ket.n, s, x) ** 2)), order
+            lambda x, w: float(np.dot(w, laguerre_I(ket.n, s, x) ** 2)), window, order
         )
         return complex(cfg.b_z * overlap)
 
@@ -236,6 +268,7 @@ def momentum_element_quadrature(
             lambda x, w: float(
                 np.dot(w, laguerre_I(bra.n, s, x) * _ladder_up_image(ket.n, s, x) / np.sqrt(x))
             ),
+            window,
             order,
         )
     elif dn == -1:
@@ -243,6 +276,7 @@ def momentum_element_quadrature(
             lambda x, w: float(
                 np.dot(w, laguerre_I(bra.n, s, x) * _ladder_down_image(ket.n, s, x) / np.sqrt(x))
             ),
+            window,
             order,
         )
     else:

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import landau_packets
 from landau_packets import FieldConfig, classical, verify
 from landau_packets.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
 
@@ -206,7 +211,7 @@ class TestOracleCommand:
         assert abs(exponent + 1.0) < 0.1
 
     def test_level_bound(self, tmp_path, capsys):
-        code = main(["oracle", "--n-list", "10,1500", "--output-dir", str(tmp_path)])
+        code = main(["oracle", "--n-list", "10,20000", "--output-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "n_list" in capsys.readouterr().err
 
@@ -224,6 +229,48 @@ class TestOracleCommand:
         out = capsys.readouterr().out
         exponent = float(out.split("decay exponent x:")[1].split()[0])
         assert abs(exponent + 1.0) < 0.1
+
+    def test_exponent_to_ten_thousand_levels(self, tmp_path, capsys):
+        code = main(["oracle", "--h", "0.1", "--n-list", "1000,10000", "--output-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        exponent = float(out.split("decay exponent x:")[1].split()[0])
+        assert abs(exponent + 1.0) < 0.1
+
+    def test_radial_number_at_cap(self, tmp_path):
+        code = main(
+            ["oracle", "--radial-s", "100", "--n-list", "100,1000", "--output-dir", str(tmp_path)]
+        )
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("radial_s", ["101", "-1"])
+    def test_radial_number_bound(self, tmp_path, capsys, radial_s):
+        out = tmp_path / "out"
+        code = main(["oracle", "--radial-s", radial_s, "--output-dir", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: radial_s:")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_levels_below_radial_number(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["oracle", "--radial-s", "20", "--n-list", "10,40", "--output-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: n_list:")
+        assert not out.exists()
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy(self):
+        # the package needs numpy only; scipy would add to every call's start-up
+        src = str(Path(landau_packets.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        probe = "import sys, landau_packets.cli; print('scipy' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestConfigHandling:

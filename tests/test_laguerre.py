@@ -3,8 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import eval_genlaguerre
 
+from landau_packets import laguerre
 from landau_packets.errors import DomainError, QuadratureAccuracyError
 from landau_packets.kinematics import SCALAR, FieldConfig, QuantumNumbers, transverse_momentum
 from landau_packets.laguerre import (
@@ -14,7 +14,9 @@ from landau_packets.laguerre import (
     momentum_element_quadrature,
     orthonormality_defect,
     radial_rule,
+    radial_window,
     semiclassical_convergence,
+    window_rule,
 )
 
 RHO = np.linspace(0.0, 14.0, 29)
@@ -74,7 +76,9 @@ class TestLargeLevelStability:
         width = 4.0 * math.sqrt(max(s, 1) * n)
         rho = np.linspace(max(center - width, 1.0), center + width, 9)
         log_pref = -rho / 2 + 0.5 * l * np.log(rho) + 0.5 * (math.lgamma(s + 1) - math.lgamma(n + 1))
-        direct = np.exp(log_pref) * eval_genlaguerre(s, l, rho)
+        # rho = n is an exact zero of L_1^(n-1); zeroprec lets mpmath return it
+        poly = [float(mpmath.laguerre(s, l, r, zeroprec=200)) for r in rho]
+        direct = np.exp(log_pref) * np.array(poly)
         ours = laguerre_I(n, s, rho)
         np.testing.assert_allclose(ours, direct, rtol=1e-9, atol=1e-12)
 
@@ -95,10 +99,8 @@ def _spot_points():
         l = n - s
         for rho in (float(l), l + 2.0 * math.sqrt(l), 1.5 * l):
             yield n, s, rho
-    # the log-space seed is exp(-922) here and underflows: 0.0 for 3.2e-127
-    yield pytest.param(
-        10**4, 500, 4750.0, marks=pytest.mark.xfail(strict=True, reason="seed underflows")
-    )
+    # the log-space seed is exp(-922) here, below the underflow limit
+    yield 10**4, 500, 4750.0
 
 
 class TestHighPrecisionReference:
@@ -121,7 +123,7 @@ class TestOrthonormality:
         assert orthonormality_defect(4, 6, 1, 3) < 1e-10
 
     def test_spec_cases(self):
-        assert orthonormality_defect(0, 0, 0, 0, QuadratureSpec(order=8)) < 1e-12
+        assert orthonormality_defect(0, 0, 0, 0, QuadratureSpec(order=32)) < 1e-12
         assert orthonormality_defect(4, 4, 1, 1) < 1e-10
 
     def test_defects_up_to_fifty(self):
@@ -135,39 +137,76 @@ class TestOrthonormality:
 
 class TestRadialRule:
     def test_plain_exponential_moments(self):
-        nodes, weights = radial_rule(12)
+        # the oracle's n = 10 window, [0, 79.8], holds x^k exp(-x) for k <= 10
+        nodes, weights = window_rule(64, radial_window((10, 0)))
         assert np.dot(weights, np.exp(-nodes)) == pytest.approx(1.0, rel=1e-13)
         assert np.dot(weights, nodes**3 * np.exp(-nodes)) == pytest.approx(6.0, rel=1e-13)
         assert np.dot(weights, nodes**10 * np.exp(-nodes)) == pytest.approx(
             math.factorial(10), rel=1e-12
         )
 
-    def test_half_integer_weight(self):
-        nodes, weights = radial_rule(12, alpha=0.5)
-        value = np.dot(weights, np.sqrt(nodes) * np.exp(-nodes))
-        assert value == pytest.approx(math.gamma(1.5), rel=1e-13)
+    @pytest.mark.parametrize("order", [1, 2, 12, 200, 400])
+    def test_polynomial_exactness_on_window(self, order):
+        # the Legendre polynomials of the mapped variable up to degree
+        # 2*order - 1 span every polynomial the rule must integrate exactly
+        lo, hi = 3.25, 1.0e4 + 17.5
+        nodes, weights = window_rule(order, (lo, hi))
+        t = (2.0 * nodes - lo - hi) / (hi - lo)
+        moments = weights @ np.polynomial.legendre.legvander(t, 2 * order - 1) / (hi - lo)
+        expected = np.zeros(2 * order)
+        expected[0] = 1.0
+        assert np.max(np.abs(moments - expected)) < 1e-13
+        # and no further: P_order vanishes at every node, so P_order^2 sums to 0
+        p_order = np.polynomial.legendre.legval(t, [0.0] * order + [1.0])
+        assert np.dot(weights, p_order**2) / (hi - lo) < 1e-13 < 1.0 / (2 * order + 1)
 
-    @pytest.mark.parametrize("order", [1, 2, 12, 810])
-    @pytest.mark.parametrize("alpha", [0.0, 0.5])
-    def test_streamed_weights_match_dense_frame(self, order, alpha):
-        # the full (order, order) frame of scaled orthonormal polynomials,
-        # whose column sums of squares are the reciprocal weights
-        nodes, weights = radial_rule(order, alpha)
-        frame = np.empty((order, order))
-        log_seed = -0.5 * nodes - 0.5 * math.lgamma(alpha + 1.0)
-        if alpha != 0.0:
-            log_seed = log_seed + 0.5 * alpha * np.log(nodes)
-        frame[0] = np.exp(log_seed)
-        if order > 1:
-            frame[1] = (alpha + 1.0 - nodes) * frame[0] / math.sqrt(alpha + 1.0)
-        for k in range(1, order - 1):
-            a_k = 2.0 * k + alpha + 1.0
-            b_k = math.sqrt(k * (k + alpha))
-            b_k1 = math.sqrt((k + 1.0) * (k + 1.0 + alpha))
-            frame[k + 1] = ((a_k - nodes) * frame[k] - b_k * frame[k - 1]) / b_k1
-        sumsq = np.sum(frame * frame, axis=0)
-        dense = np.divide(1.0, sumsq, out=np.zeros_like(sumsq), where=sumsq > 0.0)
-        assert np.array_equal(weights, dense)
+    def test_cached_rule_read_only(self):
+        nodes, weights = radial_rule(200)
+        assert radial_rule(200)[0] is nodes
+        for array in (nodes, weights):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_order_must_be_positive(self):
+        with pytest.raises(DomainError):
+            radial_rule(0)
+
+    def test_window_covers_classical_supports(self):
+        pad = 9.0 * math.sqrt(10**4 + 2) + 40.0
+        lo, hi = radial_window((10**4, 100), (10**4 + 1, 100))
+        assert lo == pytest.approx(90.0**2 - pad)
+        assert hi == pytest.approx((math.sqrt(10**4 + 1) + 10.0) ** 2 + pad)
+        assert radial_window((5, 2))[0] == 0.0
+
+
+class TestWindowTruncation:
+    """Order doubling cannot see what lies outside the window; doubling the
+    pad shows nothing of the integrals was left there."""
+
+    CFG = FieldConfig(h=0.1, anomaly=0.0, b_z=0.5)
+
+    def _oracle_values(self, n):
+        ket = QuantumNumbers(n, 0)
+        values = [
+            momentum_element_quadrature(QuantumNumbers(n + 1, 0), ket, c, self.CFG) for c in "xy"
+        ]
+        values.append(momentum_element_quadrature(ket, ket, "z", self.CFG))
+        if n > 0:
+            values += [
+                momentum_element_quadrature(QuantumNumbers(n - 1, 0), ket, c, self.CFG)
+                for c in "xy"
+            ]
+        values.append(orthonormality_defect(n, n, 0, 0))
+        return np.array(values)
+
+    @pytest.mark.parametrize("n", [0, 20, 200, 10**4])
+    def test_doubled_pad_moves_nothing(self, n, monkeypatch):
+        values = self._oracle_values(n)
+        monkeypatch.setattr(laguerre, "PAD_SCALE", 2 * laguerre.PAD_SCALE)
+        monkeypatch.setattr(laguerre, "PAD_OFFSET", 2 * laguerre.PAD_OFFSET)
+        wide = self._oracle_values(n)
+        assert np.all(np.abs(wide - values) < 1e-12 * np.maximum(np.abs(wide), 1.0))
 
 
 class TestMomentumOracle:
@@ -182,10 +221,10 @@ class TestMomentumOracle:
 
     def test_z_independent_of_order(self):
         lo = momentum_element_quadrature(
-            QuantumNumbers(5, 2), QuantumNumbers(5, 2), "z", self.CFG, QuadratureSpec(16)
+            QuantumNumbers(5, 2), QuantumNumbers(5, 2), "z", self.CFG, QuadratureSpec(32)
         )
         hi = momentum_element_quadrature(
-            QuantumNumbers(5, 2), QuantumNumbers(5, 2), "z", self.CFG, QuadratureSpec(64)
+            QuantumNumbers(5, 2), QuantumNumbers(5, 2), "z", self.CFG, QuadratureSpec(128)
         )
         assert abs(lo - hi) < 1e-13
 
@@ -261,6 +300,18 @@ class TestMomentumOracle:
 
 
 class TestSemiclassicalConvergence:
+    def test_matches_laguerre_weight_rule(self):
+        # rel_err_x = rel_err_y at h = 0.1, s = 0, as the earlier Gauss rule
+        # for the Laguerre weight on [0, inf) computed them
+        frozen = {
+            20: 0.012121654694946443,
+            100: 0.0024844758788770626,
+            200: 0.0012461064024756059,
+        }
+        for n, err_x, err_y, _ in semiclassical_convergence(0, 0.1, list(frozen)):
+            assert err_x == pytest.approx(frozen[n], rel=1e-10)
+            assert err_y == pytest.approx(frozen[n], rel=1e-10)
+
     def test_error_decreases(self):
         rows = semiclassical_convergence(0, 0.1, [10, 40])
         assert rows[1][1] < rows[0][1]
