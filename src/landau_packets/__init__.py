@@ -18,16 +18,13 @@ from .errors import (
 from .evolution import (
     EXACT,
     UNIFORM_GAP,
-    EnergyModel,
-    InvariantReport,
     closed_form_momentum,
     closed_form_spin,
     closed_form_trajectory,
-    compute_invariants,
     evolve_packet,
     expectation_series,
-    invariant_report,
     polarization_series,
+    relative_energies,
     sample_times,
 )
 from .kinematics import (
@@ -47,7 +44,6 @@ from .kinematics import (
     transverse_momentum,
 )
 from .laguerre import (
-    QuadratureSpec,
     fit_decay_exponent,
     laguerre_I,
     momentum_element_quadrature,
@@ -67,6 +63,6 @@ from .packets import (
     normalization_defect,
     structure_sums,
 )
-from .trajectory import Trajectory, TrajectoryComparison, compare_trajectories
+from .trajectory import Trajectory, compare_trajectories
 
 __version__ = "0.1.0"

@@ -34,12 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IntegrationAccuracyError
-from .evolution import (
-    closed_form_momentum,
-    closed_form_spin,
-    closed_form_trajectory,
-    compute_invariants,
-)
+from .evolution import closed_form_momentum, closed_form_spin, closed_form_trajectory
 from .kinematics import FieldConfig, SpinKinematics
 from .trajectory import Trajectory
 
@@ -230,15 +225,9 @@ def bmt_integrate(
         samples.append(y)
 
     arr = np.asarray(samples)
-    p = arr[:, 1:4]
-    s = arr[:, 4:8]
-    p0 = arr[:, 0]
-    report = compute_invariants(p, s, p0)
-    traj = Trajectory(
-        times=record_times, p=p, s=s, p0=p0, res_sp=report.res_sp, res_ss=report.res_ss
-    )
+    traj = Trajectory(times=record_times, p=arr[:, 1:4], s=arr[:, 4:8], p0=arr[:, 0])
     if check_drift:
-        worst = max(float(np.max(report.res_sp)), float(np.max(report.res_ss)))
+        worst = max(float(np.max(traj.res_sp)), float(np.max(traj.res_ss)))
         if worst > DRIFT_LIMIT:
             raise IntegrationAccuracyError(
                 f"invariant drift {worst:.3e} exceeds {DRIFT_LIMIT}; reduce the step"

@@ -37,6 +37,7 @@ from .kinematics import (
     SpinKinematics,
     anomalous_frequency,
     cyclotron_frequency,
+    energy_spinor,
 )
 from .trajectory import compare_trajectories
 
@@ -81,6 +82,15 @@ class RunConfig:
             raise DomainError(f"samples: must be >= 2, got {self.samples}")
         if self.t_max is not None and not (math.isfinite(self.t_max) and self.t_max > 0):
             raise DomainError(f"t_max: must be finite and > 0, got {self.t_max}")
+        try:
+            energies = [energy_spinor(self.field, m, z) for m in (self.n, self.n + 1) for z in (-1, 1)]
+        except OverflowError:
+            energies = [math.inf]
+        if not all(map(math.isfinite, energies)):
+            raise DomainError(
+                f"h, anomaly, n: the level energies at n={self.n} and n+1 overflow "
+                f"at h={self.h}, anomaly={self.anomaly}"
+            )
         if self.h > 0 and cyclotron_frequency(self.field, self.n, self.epsilon)[0] <= 0:
             raise DomainError(
                 f"b_z: the gap between levels n={self.n} and n+1 rounds to zero at b_z={self.b_z}"
@@ -141,12 +151,10 @@ def _json_dump(payload: dict, path: str) -> None:
         handle.write("\n")
 
 
-def _manifest(cfg: RunConfig) -> dict:
+def _manifest(cfg: RunConfig, packet: packets.PacketSpec, kin: SpinKinematics) -> dict:
     field = cfg.field
-    kin = SpinKinematics.from_field(field, cfg.n, cfg.epsilon)
     omega_exact, omega_asym = cyclotron_frequency(field, cfg.n, cfg.epsilon)
     omega_a_exact, omega_a_closed = anomalous_frequency(field, cfg.n)
-    packet = packets.build_spinor_packet(cfg.n, cfg.levels, field, cfg.epsilon)
     sums = packets.structure_sums(packet)
     return {
         "tool": "landau-packets",
@@ -197,14 +205,14 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     engine.to_csv(os.path.join(cfg.output_dir, "trajectory.csv"))
     closed.to_csv(os.path.join(cfg.output_dir, "closed_form.csv"))
     rk4.to_csv(os.path.join(cfg.output_dir, "classical.csv"))
-    _json_dump(_manifest(cfg), os.path.join(cfg.output_dir, "manifest.json"))
+    _json_dump(_manifest(cfg, packet, kin), os.path.join(cfg.output_dir, "manifest.json"))
 
     factor = float(np.max(np.abs(engine.p[:, 0]))) / kin.b_perp
     comparison = {
         "momentum_amplitude_factor": factor,
-        "engine_vs_closed_form": compare_trajectories(engine, closed).linf,
-        "engine_vs_classical": compare_trajectories(engine, rk4).linf,
-        "closed_form_vs_classical": compare_trajectories(closed, rk4).linf,
+        "engine_vs_closed_form": compare_trajectories(engine, closed),
+        "engine_vs_classical": compare_trajectories(engine, rk4),
+        "closed_form_vs_classical": compare_trajectories(closed, rk4),
     }
     _json_dump(comparison, os.path.join(cfg.output_dir, "comparison.json"))
     print(f"levels={cfg.levels} momentum amplitude factor {factor:.12f}")
@@ -222,13 +230,13 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
     omega = cyclotron_frequency(field, cfg.n, cfg.epsilon)[0]
     kin = SpinKinematics.from_field(field, cfg.n, cfg.epsilon)
+    times = evolution.sample_times(omega, samples=cfg.samples, t_max=cfg.t_max)
+    reference = evolution.closed_form_momentum(kin, None, omega, times)
     rows = []
     for levels in n_list:
         packet = packets.build_spinor_packet(cfg.n, levels, field, cfg.epsilon)
-        times = evolution.sample_times(omega, samples=cfg.samples, t_max=cfg.t_max)
         traj = evolution.evolve_packet(packet, field, times, mode=cfg.mode)
         factor = float(np.max(np.abs(traj.p[:, 0]))) / kin.b_perp
-        reference = evolution.closed_form_momentum(kin, None, omega, times)
         gap = float(np.max(np.abs(traj.p[:, :2] - reference[:, :2])))
         rows.append((levels, factor, abs(factor - packets.contrast_factor(levels)), gap))
 

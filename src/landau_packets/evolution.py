@@ -1,29 +1,28 @@
 """Time evolution of expectation values: the packet state psi(t) contracted
 with the block tables of the observables, the closed-form trajectories it
-reproduces, the polarization tensor and the four-vector invariant
-residuals.
+reproduces and the polarization tensor.
 
-The engine evolves every basis state of the packet's amplitude array with
-its own phase, psi(t) = a * exp(-i*dE*t), once per block of time samples,
-and contracts the pair sums of that one psi(t) with the block tables of
-every observable at once: <psi(t)|V|psi(t)> for all bands together.  The
-energies dE are measured from the reference state (n, epsilon).  In
+Everything here derives from the packet: its reference state (n, epsilon)
+fixes the phase energies of ``relative_energies`` and its level window the
+bands, and a ``Trajectory`` derives its invariant residuals from its own
+samples.  The engine evolves every basis state of the packet's amplitude
+array with its own phase, psi(t) = a * exp(-i*dE*t), once per block of time
+samples, and contracts the pair sums of that one psi(t) with the block
+tables of every observable at once: <psi(t)|V|psi(t)> for all bands
+together.  The energies dE are measured from the reference state.  In
 uniform-gap mode they are exactly (m - n)*omega +
 (zeta - epsilon)*omega_a/2, the frequencies the closed forms use, so the
 phases are exactly periodic; in exact mode each basis state keeps its own
 level energy and the packet slowly dephases, the effect the semiclassical
 freezing discards.
 
-Metric convention: signature (+,-,-,-), Levi-Civita eps^{0123} = +1.  The
-four-spin of these packets is spacelike, so the unit-norm residual is
-evaluated against |S_vec|^2 - (S^0)^2 = 1.
+Metric convention: signature (+,-,-,-), Levi-Civita eps^{0123} = +1.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -59,69 +58,40 @@ HERMITIAN_IMAG_TOL = 1e-12
 TIME_BLOCK = 64
 
 
-@dataclass(frozen=True)
-class EnergyModel:
-    """Phase energies of the packet's basis states.
+def _level_energy(cfg: FieldConfig, kind: str, m: int, zeta: int) -> float:
+    return energy_scalar(cfg, m) if kind == SCALAR else energy_spinor(cfg, m, zeta)
 
-    In uniform-gap mode every adjacent-level gap equals the reference
-    cyclotron frequency and every spin splitting equals the reference
-    anomalous frequency, which keeps the phases exactly periodic.  In exact
-    mode each state carries its true level energy.
+
+def relative_energies(packet: PacketSpec, cfg: FieldConfig, mode: str = UNIFORM_GAP) -> np.ndarray:
+    """Phase energies of the packet's basis states less the energy of its
+    reference state (n, epsilon), shape (levels, S) like the amplitudes.
+
+    In uniform-gap mode every adjacent-level gap equals the cyclotron
+    frequency of the reference level and every spin splitting its anomalous
+    frequency (zero for spin-0), which keeps the phases exactly periodic.
+    In exact mode each state carries its true level energy.
     """
-
-    mode: str
-    kind: str
-    cfg: FieldConfig
-    reference_n: int
-    zeta_ref: int = 1
-
-    def __post_init__(self) -> None:
-        if self.mode not in (UNIFORM_GAP, EXACT):
-            raise DomainError(f"mode: must be '{UNIFORM_GAP}' or '{EXACT}', got {self.mode!r}")
-        if self.kind not in (SCALAR, SPINOR):
-            raise DomainError(f"kind: must be 'scalar' or 'spinor', got {self.kind!r}")
-
-    @property
-    def omega(self) -> float:
-        """Adjacent-level gap at the reference level."""
-        return cyclotron_frequency(self.cfg, self.reference_n, self.zeta_ref, self.kind)[0]
-
-    @property
-    def omega_a(self) -> float:
-        """Spin splitting at the reference level (zero for spin-0)."""
-        if self.kind == SCALAR:
-            return 0.0
-        return anomalous_frequency(self.cfg, self.reference_n)[0]
-
-    def _energy(self, m: int, zeta: int) -> float:
-        if self.kind == SCALAR:
-            return energy_scalar(self.cfg, m)
-        return energy_spinor(self.cfg, m, zeta)
-
-    @property
-    def reference_energy(self) -> float:
-        """Level energy of the reference state (n, zeta_ref)."""
-        return self._energy(self.reference_n, self.zeta_ref)
-
-    def relative_energies(self, levels) -> np.ndarray:
-        """Energies of the states (level, spin) less the reference energy,
-        shape (len(levels), S) with the spins ordered as in the block
-        tables."""
-        zetas = spin_labels(self.kind)
-        if self.mode == EXACT:
-            base = self.reference_energy
-            return np.array([[self._energy(m, z) - base for z in zetas] for m in levels])
-        energies = (np.asarray(levels)[:, None] - self.reference_n) * self.omega
-        if self.kind == SPINOR:
-            energies = energies + 0.5 * (np.array(zetas) - self.zeta_ref) * self.omega_a
-        return energies
+    if mode not in (UNIFORM_GAP, EXACT):
+        raise DomainError(f"mode: must be '{UNIFORM_GAP}' or '{EXACT}', got {mode!r}")
+    kind, n, zeta_ref = packet.kind, packet.n, packet.epsilon
+    zetas = spin_labels(kind)
+    if mode == EXACT:
+        base = _level_energy(cfg, kind, n, zeta_ref)
+        return np.array([[_level_energy(cfg, kind, m, z) - base for z in zetas] for m in packet.levels])
+    omega = cyclotron_frequency(cfg, n, zeta_ref, kind)[0]
+    energies = (np.asarray(packet.levels)[:, None] - n) * omega
+    if kind == SPINOR:
+        omega_a = anomalous_frequency(cfg, n)[0]
+        energies = energies + 0.5 * (np.array(zetas) - zeta_ref) * omega_a
+    return energies
 
 
 def expectation_series(
-    packet: PacketSpec, bands: Iterable[OperatorBand], em: EnergyModel, times: np.ndarray
+    packet: PacketSpec, bands: Iterable[OperatorBand], energies: np.ndarray, times: np.ndarray
 ) -> np.ndarray:
     """Real expectation values <psi(t)|V|psi(t)> of a sequence of bands on a
-    time grid, shape (T, len(bands)).
+    time grid, shape (T, len(bands)), with ``energies`` the phase energies
+    of ``relative_energies``.
 
     psi(t) is evaluated once per block of TIME_BLOCK samples and its pair
     sums are contracted with every block table in one product.  The
@@ -130,16 +100,16 @@ def expectation_series(
     """
     bands = tuple(bands)
     for band in bands:
-        if band.levels != packet.levels:
+        if (band.levels, band.kind) != (packet.levels, packet.kind):
             raise DomainError(
-                f"levels: packet window {packet.levels} does not match band window {band.levels}"
+                f"levels, kind: band window {band.levels} of kind {band.kind!r} does not match "
+                f"the packet's {packet.levels} of kind {packet.kind!r}"
             )
-        if not packet.kind == band.kind == em.kind:
-            raise DomainError(
-                f"kind: packet {packet.kind!r}, band {band.kind!r} and energy model {em.kind!r} differ"
-            )
+    if np.shape(energies) != packet.amplitudes.shape:
+        raise DomainError(
+            f"energies: expected shape {packet.amplitudes.shape}, got {np.shape(energies)}"
+        )
     times = np.asarray(times, dtype=float)
-    energies = em.relative_energies(packet.levels)
     coefficients = np.stack([band.blocks.reshape(-1) for band in bands], axis=1)
     values = np.empty((times.size, len(bands)), dtype=complex)
     for start in range(0, times.size, TIME_BLOCK):
@@ -239,45 +209,6 @@ def polarization_series(s: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.einsum("mnab,...a,...b->...mn", _EPS, s_low, p_low)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    """Per-sample residuals of the classical spin-vector relations.
-
-    res_sp        |S.P| with the (+,-,-,-) four-dot.
-    res_ss        ||S_vec|^2 - (S^0)^2 - 1| (spacelike unit norm).
-    p_perp_defect spread of the transverse momentum magnitude.
-    p_z_drift     spread of the longitudinal momentum.
-    """
-
-    res_sp: np.ndarray
-    res_ss: np.ndarray
-    p_perp_defect: float
-    p_z_drift: float
-
-
-def compute_invariants(p: np.ndarray, s: np.ndarray, p0: np.ndarray) -> InvariantReport:
-    """Evaluate the four-vector invariants on sampled component arrays."""
-    p = np.asarray(p, dtype=float)
-    s = np.asarray(s, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
-    sp = s[:, 0] * p0 - np.sum(s[:, 1:] * p, axis=1)
-    ss = np.sum(s[:, 1:] ** 2, axis=1) - s[:, 0] ** 2
-    p_perp = np.hypot(p[:, 0], p[:, 1])
-    return InvariantReport(
-        res_sp=np.abs(sp),
-        res_ss=np.abs(ss - 1.0),
-        p_perp_defect=float(np.max(p_perp) - np.min(p_perp)),
-        p_z_drift=float(np.max(p[:, 2]) - np.min(p[:, 2])),
-    )
-
-
-def invariant_report(traj: Trajectory) -> InvariantReport:
-    """Evaluate the four-vector invariants along a trajectory."""
-    if traj.s is None or traj.p0 is None:
-        raise DomainError("trajectory: invariants need spin components and the energy")
-    return compute_invariants(traj.p, traj.s, traj.p0)
-
-
 def build_packet_bands(packet: PacketSpec, cfg: FieldConfig) -> dict[str, OperatorBand]:
     """All observable bands over the packet's level window, in the order of
     OBSERVABLES."""
@@ -299,21 +230,14 @@ def evolve_packet(
     energy, which is time independent.
     """
     times = np.asarray(times, dtype=float)
-    em = EnergyModel(
-        mode=mode, kind=packet.kind, cfg=cfg, reference_n=packet.n, zeta_ref=packet.epsilon
-    )
-    values = expectation_series(packet, build_packet_bands(packet, cfg).values(), em, times)
+    energies = relative_energies(packet, cfg, mode)
+    values = expectation_series(packet, build_packet_bands(packet, cfg).values(), energies, times)
     p = values[:, : len(MOMENTUM_OBSERVABLES)]
     weights = np.abs(packet.amplitudes) ** 2
-    mean_energy = em.reference_energy + float(np.sum(weights * em.relative_energies(packet.levels)))
-    p0 = np.full(times.size, mean_energy)
-
-    if packet.kind == SCALAR:
-        return Trajectory(times=times, p=p, p0=p0)
-
-    s = values[:, len(MOMENTUM_OBSERVABLES) :]
-    report = compute_invariants(p, s, p0)
-    return Trajectory(times=times, p=p, s=s, p0=p0, res_sp=report.res_sp, res_ss=report.res_ss)
+    reference = _level_energy(cfg, packet.kind, packet.n, packet.epsilon)
+    p0 = np.full(times.size, reference + float(np.sum(weights * energies)))
+    s = None if packet.kind == SCALAR else values[:, len(MOMENTUM_OBSERVABLES) :]
+    return Trajectory(times=times, p=p, s=s, p0=p0)
 
 
 def closed_form_trajectory(
@@ -324,6 +248,4 @@ def closed_form_trajectory(
     times = np.asarray(times, dtype=float)
     p = closed_form_momentum(kin, levels, omega, times)
     s = closed_form_spin(kin, levels, omega, omega_a, times)
-    p0 = np.full(times.size, kin.energy)
-    report = compute_invariants(p, s, p0)
-    return Trajectory(times=times, p=p, s=s, p0=p0, res_sp=report.res_sp, res_ss=report.res_ss)
+    return Trajectory(times=times, p=p, s=s, p0=np.full(times.size, kin.energy))

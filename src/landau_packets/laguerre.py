@@ -42,7 +42,6 @@ their turning points: the mass outside the window is below 2e-21 at every
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -63,17 +62,6 @@ _RESCALE_ABOVE = 1e150
 _LN2 = math.log(2.0)
 #: levels from which the profile seed expands log(l!) by Stirling's series
 _STIRLING_FROM = 100
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Order of the Gauss-Legendre rule on the integration window."""
-
-    order: int
-
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise DomainError(f"order: must be >= 1, got {self.order}")
 
 
 def default_order(s: int) -> int:
@@ -182,9 +170,10 @@ def laguerre_I(n: int, s: int, rho) -> np.ndarray | float:
 
 
 def orthonormality_defect(
-    n: int, n_prime: int, s: int, s_prime: int, spec: QuadratureSpec | None = None
+    n: int, n_prime: int, s: int, s_prime: int, order: int | None = None
 ) -> float:
-    """Deviation of the profile overlap from the Kronecker delta.
+    """Deviation of the profile overlap from the Kronecker delta, with a
+    Legendre rule of ``order`` nodes (default ``default_order``).
 
     Only states with equal azimuthal index l = n - s share an angular
     sector; requesting any other pair is a domain error.
@@ -193,7 +182,8 @@ def orthonormality_defect(
         raise DomainError(
             f"azimuthal index mismatch: n-s={n - s} vs n'-s'={n_prime - s_prime}"
         )
-    order = spec.order if spec is not None else default_order(max(s, s_prime))
+    if order is None:
+        order = default_order(max(s, s_prime))
     nodes, weights = window_rule(order, radial_window((n, s), (n_prime, s_prime)))
     overlap = float(np.dot(weights, laguerre_I(n, s, nodes) * laguerre_I(n_prime, s_prime, nodes)))
     return abs(overlap - (1.0 if n == n_prime else 0.0))
@@ -234,7 +224,7 @@ def momentum_element_quadrature(
     ket: QuantumNumbers,
     component: str,
     cfg: FieldConfig,
-    spec: QuadratureSpec | None = None,
+    order: int | None = None,
 ) -> complex:
     """Exact kinetic-momentum matrix element between two spin-0 Landau
     states, by analytic angular reduction and radial quadrature.
@@ -252,7 +242,8 @@ def momentum_element_quadrature(
         raise DomainError(f"h: momentum oracle needs h > 0, got {cfg.h}")
     dn = bra.n - ket.n
     s = ket.s
-    order = spec.order if spec is not None else default_order(s)
+    if order is None:
+        order = default_order(s)
     window = radial_window((bra.n, s), (ket.n, s))
 
     if component == "z":

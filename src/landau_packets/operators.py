@@ -15,7 +15,6 @@ for spin-1/2.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -133,32 +132,6 @@ class OperatorBand:
         """Largest |m_bra - m_ket| the table holds beyond one; zero for a
         valid band."""
         return max((self.blocks.shape[0] - 1) // 2 - 1, 0)
-
-    def to_debug_json(self) -> str:
-        """Dump indices and values for inspection; not a stable format."""
-        payload = {
-            "observable": self.observable,
-            "kind": self.kind,
-            "levels": list(self.levels),
-            "params": {
-                "b_perp": self.params.b_perp,
-                "b": self.params.b,
-                "b_z": self.params.b_z,
-                "energy": self.params.energy,
-            },
-            "entries": [
-                {
-                    "m_bra": mb,
-                    "zeta_bra": zb,
-                    "m_ket": mk,
-                    "zeta_ket": zk,
-                    "re": value.real,
-                    "im": value.imag,
-                }
-                for (mb, zb, mk, zk), value in sorted(self.entries.items())
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def build_operator_band(

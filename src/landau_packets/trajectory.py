@@ -1,5 +1,11 @@
-"""Time-sampled expectation-value trajectories, their CSV form and
-pairwise comparison metrics.
+"""Time-sampled expectation-value trajectories, their four-spin invariant
+residuals, their CSV form and a component-wise comparison.
+
+A trajectory with spin components and the energy component derives the
+residuals of the classical spin-vector relations from its own arrays:
+
+    resSP = |S.P|                        (+,-,-,-) four-dot
+    resSS = ||S_vec|^2 - (S^0)^2 - 1|    spacelike unit norm
 
 The CSV schema is fixed:
 
@@ -11,13 +17,12 @@ doubles round-trip exactly.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .operators import MOMENTUM_OBSERVABLES, OBSERVABLES, SPIN_OBSERVABLES
+from .operators import OBSERVABLES
 
 CSV_HEADER = ",".join(("t", *OBSERVABLES, "resSP", "resSS"))
 
@@ -28,16 +33,17 @@ class Trajectory:
 
     ``p`` has shape (T, 3); ``s`` has shape (T, 4) ordered (S0, Sx, Sy, Sz);
     ``p0`` is the energy component completing the momentum four-vector.
-    ``res_sp`` and ``res_ss`` are the per-sample residuals of the
-    orthogonality and unit-norm invariants of the four-spin.
+    When ``s`` and ``p0`` are given, ``res_sp`` and ``res_ss`` are the
+    per-sample residuals of the orthogonality and unit-norm invariants of
+    the four-spin; otherwise they are None.
     """
 
     times: np.ndarray
     p: np.ndarray
     s: np.ndarray | None = None
     p0: np.ndarray | None = None
-    res_sp: np.ndarray | None = None
-    res_ss: np.ndarray | None = None
+    res_sp: np.ndarray | None = field(init=False, default=None)
+    res_ss: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if self.times.ndim != 1:
@@ -48,6 +54,13 @@ class Trajectory:
             raise DomainError(f"p: expected shape {(self.times.size, 3)}, got {self.p.shape}")
         if self.s is not None and self.s.shape != (self.times.size, 4):
             raise DomainError(f"s: expected shape {(self.times.size, 4)}, got {self.s.shape}")
+        if self.s is None or self.p0 is None:
+            return
+        s = self.s
+        sp = s[:, 0] * self.p0 - np.sum(s[:, 1:] * self.p, axis=1)
+        ss = np.sum(s[:, 1:] ** 2, axis=1) - s[:, 0] ** 2
+        object.__setattr__(self, "res_sp", np.abs(sp))
+        object.__setattr__(self, "res_ss", np.abs(ss - 1.0))
 
     def four_momentum(self) -> np.ndarray:
         """Stack (p0, p) into shape (T, 4)."""
@@ -56,41 +69,23 @@ class Trajectory:
         return np.column_stack([self.p0, self.p])
 
     def to_csv(self, path) -> None:
-        if self.s is None or self.res_sp is None or self.res_ss is None:
-            raise DomainError("trajectory: CSV schema needs spin components and residuals")
+        if self.res_sp is None:
+            raise DomainError("trajectory: CSV schema needs spin components and the energy")
         table = np.column_stack([self.times, self.p, self.s, self.res_sp, self.res_ss])
         rows = [CSV_HEADER] + [",".join(f"{v:.17g}" for v in row) for row in table.tolist()]
         with open(path, "w", newline="\n") as handle:
             handle.write("\n".join(rows) + "\n")
 
 
-@dataclass(frozen=True)
-class TrajectoryComparison:
-    """Per-component deviations between two trajectories on one time grid."""
-
-    linf: dict[str, float]
-    l2: dict[str, float]
-    max_linf: float
-
-
-def compare_trajectories(a: Trajectory, b: Trajectory) -> TrajectoryComparison:
-    """L-infinity and L2 deviations, component by component.
+def compare_trajectories(a: Trajectory, b: Trajectory) -> dict[str, float]:
+    """L-infinity deviation of each component, keyed by observable name.
 
     Both trajectories must be sampled on the same grid; spin components are
     compared only when both carry them.
     """
     if a.times.shape != b.times.shape or not np.array_equal(a.times, b.times):
         raise DomainError("times: comparison needs identical time grids")
-    linf: dict[str, float] = {}
-    l2: dict[str, float] = {}
-    scale = 1.0 / math.sqrt(a.times.size)
-    for j, name in enumerate(MOMENTUM_OBSERVABLES):
-        diff = a.p[:, j] - b.p[:, j]
-        linf[name] = float(np.max(np.abs(diff)))
-        l2[name] = float(np.linalg.norm(diff) * scale)
+    x, y = a.p, b.p
     if a.s is not None and b.s is not None:
-        for j, name in enumerate(SPIN_OBSERVABLES):
-            diff = a.s[:, j] - b.s[:, j]
-            linf[name] = float(np.max(np.abs(diff)))
-            l2[name] = float(np.linalg.norm(diff) * scale)
-    return TrajectoryComparison(linf=linf, l2=l2, max_linf=max(linf.values()))
+        x, y = np.hstack([x, a.s]), np.hstack([y, b.s])
+    return {name: float(d) for name, d in zip(OBSERVABLES, np.max(np.abs(x - y), axis=0))}

@@ -7,7 +7,6 @@ from landau_packets.classical import bmt_integrate, classical_reference, default
 from landau_packets.errors import DomainError, IntegrationAccuracyError
 from landau_packets.evolution import (
     closed_form_momentum,
-    compute_invariants,
     evolve_packet,
     sample_times,
 )
@@ -45,9 +44,11 @@ class TestClassicalMomentum:
 class TestInitialConditions:
     def test_invariants_at_start(self):
         init = REF.init
-        report = compute_invariants(np.array([init.u[1:]]), np.array([init.s]), np.array([init.u[0]]))
-        assert report.res_sp[0] < 1e-13
-        assert report.res_ss[0] < 1e-13
+        start = Trajectory(
+            times=np.zeros(1), p=np.array([init.u[1:]]), s=np.array([init.s]), p0=np.array([init.u[0]])
+        )
+        assert start.res_sp[0] < 1e-13
+        assert start.res_ss[0] < 1e-13
 
     def test_matches_full_contrast_forms(self):
         kin, init = REF.kin, REF.init
@@ -78,7 +79,7 @@ class TestBmtIntegration:
         assert ref.omega_a > 30 * ref.omega
         times = sample_times(ref.omega_a, samples=64, t_max=4 * 2 * math.pi / ref.omega_a)
         traj = bmt_integrate(ref.init, cfg.h, record_times=times)
-        assert compare_trajectories(traj, ref.closed_form(times)).max_linf < 1e-6
+        assert max(compare_trajectories(traj, ref.closed_form(times)).values()) < 1e-6
 
     def test_drift_error_raised_for_coarse_step(self):
         period = 2 * math.pi / REF.omega
@@ -185,18 +186,19 @@ class TestQuantumClassicalGap:
 
     def test_ten_thousand_levels_relative_gap(self):
         # at N = 1e4 the relative transverse gap is 1e-4
-        from landau_packets.evolution import EnergyModel, UNIFORM_GAP, expectation_series
+        from landau_packets.evolution import expectation_series, relative_energies
+        from landau_packets.kinematics import cyclotron_frequency
         from landau_packets.operators import build_operator_band
 
         cfg = FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=0.5)
         n_ref, levels = 12000, 10000
         packet = build_spinor_packet(n_ref, levels, cfg, +1)
-        em = EnergyModel(mode=UNIFORM_GAP, kind="spinor", cfg=cfg, reference_n=n_ref, zeta_ref=1)
-        times = sample_times(em.omega)
+        omega = cyclotron_frequency(cfg, n_ref, 1)[0]
+        times = sample_times(omega)
         kin = SpinKinematics.from_field(cfg, n_ref, +1)
-        circle = closed_form_momentum(kin, None, em.omega, times)
+        circle = closed_form_momentum(kin, None, omega, times)
         bands = [build_operator_band(packet.levels, name, cfg, n_ref, zeta_ref=1) for name in ("Px", "Py")]
-        series = expectation_series(packet, bands, em, times)
+        series = expectation_series(packet, bands, relative_energies(packet, cfg), times)
         gap = float(np.max(np.abs(series - circle[:, :2])))
         assert gap / kin.b_perp == pytest.approx(1e-4, rel=1e-9)
 
@@ -205,8 +207,15 @@ class TestCompareTrajectories:
     def test_identical_is_zero(self):
         traj = REF.closed_form(sample_times(REF.omega, samples=16))
         result = compare_trajectories(traj, traj)
-        assert result.max_linf == 0.0
-        assert all(v == 0.0 for v in result.l2.values())
+        assert list(result) == ["Px", "Py", "Pz", "S0", "Sx", "Sy", "Sz"]
+        assert all(v == 0.0 for v in result.values())
+
+    def test_spin_compared_only_when_both_carry_it(self):
+        traj = REF.closed_form(sample_times(REF.omega, samples=16))
+        momentum_only = Trajectory(times=traj.times, p=traj.p + 0.25)
+        assert compare_trajectories(traj, momentum_only) == pytest.approx(
+            {"Px": 0.25, "Py": 0.25, "Pz": 0.25}, rel=1e-12
+        )
 
     def test_grid_mismatch_rejected(self):
         a = REF.closed_form(sample_times(REF.omega, samples=16))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import landau_packets
-from landau_packets import FieldConfig, classical, verify
+from landau_packets import FieldConfig, classical, evolution, verify
 from landau_packets.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
 
 FAST = ["--h", "0.1", "--anomaly", "0.02", "--b-z", "0.5", "--n", "100"]
@@ -192,6 +192,20 @@ class TestVerifyCommand:
         assert failed == {"bmt-closed-form-match", "bmt-invariant-drift"}
         assert "FAIL bmt-invariant-drift" in capsys.readouterr().out
 
+    def test_engine_accuracy_failure_still_writes_report(self, tmp_path, monkeypatch, capsys):
+        # a Hermitian-residue gate no residue can pass fails the three checks
+        # that evolve packets, with the engine's message, and the rest run
+        monkeypatch.setattr(evolution, "HERMITIAN_IMAG_TOL", -1.0)
+        code = main(["verify", *FAST, "--output-dir", str(tmp_path)])
+        assert code == EXIT_VERIFY
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert len(report["checks"]) == 13
+        failed = {check["name"]: check for check in report["checks"] if not check["passed"]}
+        assert set(failed) == {"engine-closed-form", "factor-law", "determinism"}
+        for check in failed.values():
+            assert "imaginary residue" in check["details"]["error"]
+        assert "verification FAILED" in capsys.readouterr().out
+
 
 class TestOracleCommand:
     def test_exponent_and_table(self, tmp_path, capsys):
@@ -261,6 +275,41 @@ class TestOracleCommand:
         assert not out.exists()
 
 
+class TestTracedRun:
+    def test_benchmark_tracer_finds_every_name(self, tmp_path):
+        # the benchmark's tracer patches package names from outside and only
+        # warns when one is gone; a tiny call of every command must leave
+        # nothing untraced
+        root = Path(__file__).resolve().parents[1]
+        probe = (
+            "import sys\n"
+            "from layers import Tracer\n"
+            "from landau_packets import cli\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "common = ['--h', '0.1', '--anomaly', '0.02', '--b-z', '0.5', '--n', '100']\n"
+            "calls = [\n"
+            "    ['trajectory', *common, '--levels', '3', '--samples', '16', '--mode', 'exact'],\n"
+            "    ['converge', *common, '--n-list', '3,10', '--samples', '16'],\n"
+            "    ['verify', *common],\n"
+            "    ['oracle', '--h', '0.1', '--n-list', '10,20'],\n"
+            "]\n"
+            "codes = [cli.main([*call, '--output-dir', call[0]]) for call in calls]\n"
+            "print(codes, tracer.missing)\n"
+            "sys.exit(int(any(codes) or bool(tracer.missing)))\n"
+        )
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "benchmarks")]),
+        }
+        env.pop("SEMICLASSICAL_OUTPUT_DIR", None)
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, cwd=tmp_path, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0] []"
+
+
 class TestStartup:
     def test_cli_import_loads_no_scipy(self):
         # the package needs numpy only; scipy would add to every call's start-up
@@ -326,6 +375,24 @@ class TestConfigHandling:
         assert err.startswith("configuration error: b_z:") and err.count("\n") == 1
         assert "n=100" in err
 
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            *[(command, flags) for command in ("trajectory", "converge", "verify", "oracle")
+              for flags in (["--h", "1e300"], ["--anomaly", "1e300"], ["--n", str(10**400)])],
+            ("trajectory", ["--h", "1e307", "--anomaly", "0"]),
+            ("oracle", ["--h", "1e307"]),
+        ],
+    )
+    def test_overflowing_kinematics_rejected(self, tmp_path, capsys, command, flags):
+        # level energies that overflow, or a level too large for a float
+        out = tmp_path / "out"
+        code = main([command, *flags, "--output-dir", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: h, anomaly, n:") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_nan_field_names_field(self, tmp_path, capsys):
         code = main(["trajectory", *FAST, "--h", "nan", "--output-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
@@ -339,14 +406,13 @@ class TestConfigHandling:
 
     def test_csv_round_trip_precision(self, tmp_path):
         # 17 significant digits reproduce the in-memory doubles exactly
-        from landau_packets.evolution import sample_times, evolve_packet, EnergyModel, UNIFORM_GAP
-        from landau_packets.kinematics import FieldConfig, SPINOR
+        from landau_packets.evolution import sample_times, evolve_packet
+        from landau_packets.kinematics import FieldConfig, cyclotron_frequency
         from landau_packets.packets import build_spinor_packet
 
         cfg = FieldConfig(h=0.1, anomaly=0.02, b_z=0.5)
         packet = build_spinor_packet(100, 3, cfg, +1)
-        em = EnergyModel(mode=UNIFORM_GAP, kind=SPINOR, cfg=cfg, reference_n=100, zeta_ref=1)
-        times = sample_times(em.omega, samples=32)
+        times = sample_times(cyclotron_frequency(cfg, 100, 1)[0], samples=32)
         traj = evolve_packet(packet, cfg, times)
         path = tmp_path / "round_trip.csv"
         traj.to_csv(path)

@@ -10,17 +10,15 @@ from landau_packets.errors import DomainError
 from landau_packets.evolution import (
     EXACT,
     UNIFORM_GAP,
-    EnergyModel,
     build_packet_bands,
     closed_form_momentum,
     closed_form_spin,
     closed_form_trajectory,
-    compute_invariants,
     evolve_packet,
     expectation_series,
-    invariant_report,
     lower_index,
     polarization_series,
+    relative_energies,
     sample_times,
 )
 from landau_packets.kinematics import (
@@ -36,6 +34,7 @@ from landau_packets.kinematics import (
 )
 from landau_packets.operators import spin_labels
 from landau_packets.packets import build_scalar_packet, build_spinor_packet, contrast_factor, pair_sums
+from landau_packets.trajectory import Trajectory
 
 CFG = FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=0.5)
 N_REF = 100
@@ -54,16 +53,17 @@ PARAM_SETS = [
 
 def engine_setup(cfg, n, levels, epsilon, mode=UNIFORM_GAP):
     packet = build_spinor_packet(n, levels, cfg, epsilon)
-    em = EnergyModel(mode=mode, kind=SPINOR, cfg=cfg, reference_n=n, zeta_ref=epsilon)
-    times = sample_times(em.omega)
-    return packet, em, times
+    energies = relative_energies(packet, cfg, mode)
+    times = sample_times(cyclotron_frequency(cfg, n, epsilon)[0])
+    return packet, energies, times
 
 
 class TestEnergyModel:
     def test_uniform_gap_phases_are_pure_multiples(self):
-        em = EnergyModel(mode=UNIFORM_GAP, kind=SPINOR, cfg=CFG, reference_n=N_REF, zeta_ref=1)
-        omega, omega_a = em.omega, em.omega_a
-        energies = em.relative_energies([99, 100, 101])  # spins ordered (-1, +1)
+        omega = cyclotron_frequency(CFG, N_REF, 1)[0]
+        omega_a = anomalous_frequency(CFG, N_REF)[0]
+        packet = build_spinor_packet(N_REF, 3, CFG, +1)  # levels 99, 100, 101
+        energies = relative_energies(packet, CFG, UNIFORM_GAP)  # spins ordered (-1, +1)
         assert energies[1, 1] == 0.0
         assert energies[2, 1] == omega
         assert energies[0, 1] == -omega
@@ -71,8 +71,8 @@ class TestEnergyModel:
         assert energies[2, 0] == omega - omega_a
 
     def test_exact_mode_gaps_vary(self):
-        em = EnergyModel(mode=EXACT, kind=SPINOR, cfg=CFG, reference_n=N_REF, zeta_ref=1)
-        energies = em.relative_energies([99, 100, 101, 102])
+        packet = build_spinor_packet(N_REF, 4, CFG, +1)  # levels 99 to 102
+        energies = relative_energies(packet, CFG, EXACT)
         assert energies[1, 1] == 0.0
         gap_low = energies[1, 1] - energies[0, 1]
         gap_high = energies[3, 1] - energies[2, 1]
@@ -82,68 +82,90 @@ class TestEnergyModel:
         # without the spin splitting the engine output repeats after one
         # cyclotron period, to rounding
         cfg = FieldConfig(h=0.1, anomaly=0.0, b_z=0.5)
-        packet = build_spinor_packet(N_REF, 5, cfg, +1)
-        em = EnergyModel(mode=UNIFORM_GAP, kind=SPINOR, cfg=cfg, reference_n=N_REF, zeta_ref=1)
+        packet, energies, _ = engine_setup(cfg, N_REF, 5, +1)
         bands = build_packet_bands(packet, cfg)
-        period = 2 * math.pi / em.omega
+        period = 2 * math.pi / cyclotron_frequency(cfg, N_REF, 1)[0]
         probes = np.array([0.0, 0.3 * period, 0.8 * period])
         for name in ("Px", "Py", "Sx", "Sz"):
-            first = expectation_series(packet, [bands[name]], em, probes)[:, 0]
-            second = expectation_series(packet, [bands[name]], em, probes + period)[:, 0]
+            first = expectation_series(packet, [bands[name]], energies, probes)[:, 0]
+            second = expectation_series(packet, [bands[name]], energies, probes + period)[:, 0]
             np.testing.assert_allclose(second, first, atol=1e-12)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(DomainError):
-            EnergyModel(mode="frozen", kind=SPINOR, cfg=CFG, reference_n=N_REF)
+            relative_energies(build_spinor_packet(N_REF, 3, CFG, +1), CFG, "frozen")
 
 
 class TestGenericExpectation:
     def test_pz_at_zero(self, monkeypatch):
-        packet, em, _ = engine_setup(CFG, N_REF, 3, +1)
+        packet, energies, _ = engine_setup(CFG, N_REF, 3, +1)
         bands = build_packet_bands(packet, CFG)
         # the imaginary residue must stay below 1e-15, not just the default gate
         monkeypatch.setattr(evolution, "HERMITIAN_IMAG_TOL", 1e-15)
-        value = expectation_series(packet, [bands["Pz"]], em, [0.0])[0, 0]
+        value = expectation_series(packet, [bands["Pz"]], energies, [0.0])[0, 0]
         assert value == pytest.approx(CFG.b_z, rel=1e-14)
 
     def test_px_at_zero(self):
-        packet, em, _ = engine_setup(CFG, N_REF, 3, +1)
+        packet, energies, _ = engine_setup(CFG, N_REF, 3, +1)
         bands = build_packet_bands(packet, CFG)
-        assert abs(expectation_series(packet, [bands["Px"]], em, [0.0])[0, 0]) < 1e-14
+        assert abs(expectation_series(packet, [bands["Px"]], energies, [0.0])[0, 0]) < 1e-14
 
     def test_scalar_py_half_period(self):
         packet = build_scalar_packet(10, 3)
-        em = EnergyModel(mode=UNIFORM_GAP, kind=SCALAR, cfg=CFG, reference_n=10)
+        energies = relative_energies(packet, CFG)
         bands = build_packet_bands(packet, CFG)
-        value = expectation_series(packet, [bands["Py"]], em, [math.pi / em.omega])[0, 0]
+        half_period = math.pi / cyclotron_frequency(CFG, 10, kind=SCALAR)[0]
+        value = expectation_series(packet, [bands["Py"]], energies, [half_period])[0, 0]
         expected = -(2.0 / 3.0) * transverse_momentum(CFG.h, 10, SCALAR)
         assert value == pytest.approx(expected, rel=1e-12)
 
     def test_mismatched_windows_rejected(self):
-        packet, em, _ = engine_setup(CFG, N_REF, 3, +1)
+        packet, energies, _ = engine_setup(CFG, N_REF, 3, +1)
         other = build_spinor_packet(N_REF, 5, CFG, +1)
         bands = build_packet_bands(other, CFG)
         with pytest.raises(DomainError):
-            expectation_series(packet, [bands["Px"]], em, [0.0])
+            expectation_series(packet, [bands["Px"]], energies, [0.0])
 
     def test_mismatched_kinds_rejected(self):
         packet = build_scalar_packet(N_REF, 3)
-        em = EnergyModel(mode=UNIFORM_GAP, kind=SCALAR, cfg=CFG, reference_n=N_REF)
         spinor_band = build_packet_bands(build_spinor_packet(N_REF, 3, CFG, +1), CFG)["Px"]
         assert spinor_band.levels == packet.levels
         with pytest.raises(DomainError):
-            expectation_series(packet, [spinor_band], em, [0.0])
+            expectation_series(packet, [spinor_band], relative_energies(packet, CFG), [0.0])
+
+    def test_mismatched_energies_rejected(self):
+        # energies of another packet's window do not fit this packet's states
+        packet, _, _ = engine_setup(CFG, N_REF, 3, +1)
+        _, other, _ = engine_setup(CFG, N_REF, 5, +1)
+        bands = build_packet_bands(packet, CFG)
+        with pytest.raises(DomainError, match="energies"):
+            expectation_series(packet, [bands["Px"]], other, [0.0])
+        scalar = build_scalar_packet(N_REF, 3)
+        with pytest.raises(DomainError, match="energies"):
+            expectation_series(packet, [bands["Px"]], relative_energies(scalar, CFG), [0.0])
+
+    def test_evolve_packet_computes_energies_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return relative_energies(*args)
+
+        monkeypatch.setattr(evolution, "relative_energies", counted)
+        packet, _, times = engine_setup(CFG, N_REF, 3, +1)
+        evolve_packet(packet, CFG, times, mode=EXACT)
+        assert len(calls) == 1
 
     def test_hermitian_residue_gate(self):
         from landau_packets.errors import AccuracyError
 
-        packet, em, times = engine_setup(CFG, N_REF, 3, +1)
+        packet, energies, times = engine_setup(CFG, N_REF, 3, +1)
         bands = build_packet_bands(packet, CFG)
         blocks = bands["Px"].blocks.copy()
         blocks[2, 0, 0] += 0.5  # breaks Hermiticity
         broken = replace(bands["Px"], blocks=blocks)
         with pytest.raises(AccuracyError):
-            expectation_series(packet, [broken], em, times)
+            expectation_series(packet, [broken], energies, times)
 
     def test_one_state_evaluation_per_time_block(self, monkeypatch):
         # every observable is contracted with the same psi(t): one pair-sum
@@ -155,24 +177,24 @@ class TestGenericExpectation:
             return pair_sums(psi)
 
         monkeypatch.setattr(evolution, "pair_sums", counted)
-        packet, em, _ = engine_setup(CFG, N_REF, 5, +1)
-        times = sample_times(em.omega, samples=256)
+        packet, energies, _ = engine_setup(CFG, N_REF, 5, +1)
+        times = sample_times(cyclotron_frequency(CFG, N_REF, 1)[0], samples=256)
         evolve_packet(packet, CFG, times)
         assert len(calls) == math.ceil(256 / evolution.TIME_BLOCK) == 4
 
     def test_time_blocks_do_not_change_values(self, monkeypatch):
-        packet, em, times = engine_setup(CFG, N_REF, 5, +1)
+        packet, energies, times = engine_setup(CFG, N_REF, 5, +1)
         band = build_packet_bands(packet, CFG)["Sx"]
-        whole = expectation_series(packet, [band], em, times)[:, 0]
+        whole = expectation_series(packet, [band], energies, times)[:, 0]
         monkeypatch.setattr(evolution, "TIME_BLOCK", 7)
-        np.testing.assert_allclose(expectation_series(packet, [band], em, times)[:, 0], whole, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(expectation_series(packet, [band], energies, times)[:, 0], whole, rtol=0, atol=1e-15)
 
 
 class TestEngineMatchesClosedForms:
     @pytest.mark.parametrize("cfg,n,epsilon", PARAM_SETS)
     @pytest.mark.parametrize("levels", [1, 2, 3, 5, 9])
     def test_uniform_gap_equivalence(self, cfg, n, epsilon, levels):
-        packet, em, times = engine_setup(cfg, n, levels, epsilon)
+        packet, energies, times = engine_setup(cfg, n, levels, epsilon)
         traj = evolve_packet(packet, cfg, times)
         kin = SpinKinematics.from_field(cfg, n, epsilon)
         omega = cyclotron_frequency(cfg, n, epsilon)[0]
@@ -185,17 +207,17 @@ class TestEngineMatchesClosedForms:
     def test_factor_law(self):
         kin = SpinKinematics.from_field(CFG, N_REF, +1)
         for levels in (1, 2, 3, 5, 9):
-            packet, em, times = engine_setup(CFG, N_REF, levels, +1)
+            packet, energies, times = engine_setup(CFG, N_REF, levels, +1)
             traj = evolve_packet(packet, CFG, times)
             factor = np.max(np.abs(traj.p[:, 0])) / kin.b_perp
             assert abs(factor - contrast_factor(levels)) < 1e-10
 
     def test_transverse_magnitude_constant(self):
-        packet, em, times = engine_setup(CFG, N_REF, 5, +1)
+        packet, energies, times = engine_setup(CFG, N_REF, 5, +1)
         traj = evolve_packet(packet, CFG, times)
-        report = invariant_report(traj)
-        assert report.p_perp_defect < 1e-12
-        assert report.p_z_drift < 1e-14
+        p_perp = np.hypot(traj.p[:, 0], traj.p[:, 1])
+        assert np.max(p_perp) - np.min(p_perp) < 1e-12
+        assert np.max(traj.p[:, 2]) - np.min(traj.p[:, 2]) < 1e-14
 
 
 class TestClosedForms:
@@ -286,8 +308,26 @@ class TestInvariantReport:
         assert np.min(traj.res_ss) > 0.0
 
     def test_zero_spin_unit_residual(self):
-        report = compute_invariants(np.zeros((4, 3)), np.zeros((4, 4)), np.ones(4))
-        np.testing.assert_allclose(report.res_ss, 1.0)
+        traj = Trajectory(times=np.arange(4.0), p=np.zeros((4, 3)), s=np.zeros((4, 4)), p0=np.ones(4))
+        np.testing.assert_allclose(traj.res_ss, 1.0)
+
+    def test_residuals_derived_from_samples(self):
+        # S.P = S0*P0 - S_vec.P_vec and |S_vec|^2 - S0^2 - 1, sample by sample
+        s = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3.0, 1.0]])
+        p = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]])
+        traj = Trajectory(times=np.array([0.0, 1.0]), p=p, s=s, p0=np.array([5.0, 4.0]))
+        np.testing.assert_array_equal(traj.res_sp, [3.0, 5.0])
+        np.testing.assert_array_equal(traj.res_ss, [2.0, 9.0])
+
+    def test_no_residuals_without_spin_or_energy(self):
+        times, p = np.arange(3.0), np.zeros((3, 3))
+        for traj in (
+            Trajectory(times=times, p=p, p0=np.ones(3)),
+            Trajectory(times=times, p=p, s=np.zeros((3, 4))),
+        ):
+            assert traj.res_sp is None and traj.res_ss is None
+        with pytest.raises(TypeError):
+            Trajectory(times=times, p=p, res_sp=np.zeros(3))
 
 
 class TestExactMode:
@@ -296,8 +336,8 @@ class TestExactMode:
         # entry with the phase exp(i*(E_bra - E_ket)*t) of absolute energies
         rng = np.random.default_rng(7)
         packet = build_spinor_packet(N_REF, 5, CFG, +1, phases=rng.uniform(0, 2 * math.pi, size=5))
-        em = EnergyModel(mode=EXACT, kind=SPINOR, cfg=CFG, reference_n=N_REF, zeta_ref=1)
-        times = sample_times(em.omega, samples=16)
+        energies = relative_energies(packet, CFG, EXACT)
+        times = sample_times(cyclotron_frequency(CFG, N_REF, 1)[0], samples=16)
         amplitude = {
             (zeta, m): packet.amplitudes[i, j]
             for i, m in enumerate(packet.levels)
@@ -309,7 +349,7 @@ class TestExactMode:
                 weight = amplitude[(zb, mb)].conjugate() * amplitude[(zk, mk)] * value
                 gap = energy_spinor(CFG, mb, zb) - energy_spinor(CFG, mk, zk)
                 expected += weight * np.exp(1j * gap * times)
-            actual = expectation_series(packet, [band], em, times)[:, 0]
+            actual = expectation_series(packet, [band], energies, times)[:, 0]
             np.testing.assert_allclose(actual, expected.real, rtol=0, atol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize("n", [1000, 10000])
@@ -346,14 +386,14 @@ class TestExactMode:
     def test_dephasing_shrinks_with_level(self):
         devs = {}
         for n in (100, 1000, 10000):
-            packet, em, times = engine_setup(CFG, n, 5, +1)
+            packet, energies, times = engine_setup(CFG, n, 5, +1)
             uniform = evolve_packet(packet, CFG, times, mode=UNIFORM_GAP)
             exact = evolve_packet(packet, CFG, times, mode=EXACT)
             devs[n] = np.max(np.abs(uniform.p - exact.p))
         assert devs[100] > devs[1000] > devs[10000]
 
     def test_dephasing_grows_with_time(self):
-        packet, em, times = engine_setup(CFG, 100, 5, +1)
+        packet, energies, times = engine_setup(CFG, 100, 5, +1)
         uniform = evolve_packet(packet, CFG, times, mode=UNIFORM_GAP)
         exact = evolve_packet(packet, CFG, times, mode=EXACT)
         half = times.size // 2

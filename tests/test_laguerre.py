@@ -8,7 +8,6 @@ from landau_packets import laguerre
 from landau_packets.errors import DomainError, QuadratureAccuracyError
 from landau_packets.kinematics import SCALAR, FieldConfig, QuantumNumbers, transverse_momentum
 from landau_packets.laguerre import (
-    QuadratureSpec,
     fit_decay_exponent,
     laguerre_I,
     momentum_element_quadrature,
@@ -123,7 +122,7 @@ class TestOrthonormality:
         assert orthonormality_defect(4, 6, 1, 3) < 1e-10
 
     def test_spec_cases(self):
-        assert orthonormality_defect(0, 0, 0, 0, QuadratureSpec(order=32)) < 1e-12
+        assert orthonormality_defect(0, 0, 0, 0, order=32) < 1e-12
         assert orthonormality_defect(4, 4, 1, 1) < 1e-10
 
     def test_defects_up_to_fifty(self):
@@ -171,6 +170,12 @@ class TestRadialRule:
     def test_order_must_be_positive(self):
         with pytest.raises(DomainError):
             radial_rule(0)
+        with pytest.raises(DomainError):
+            orthonormality_defect(0, 0, 0, 0, order=0)
+        with pytest.raises(DomainError):
+            momentum_element_quadrature(
+                QuantumNumbers(5, 0), QuantumNumbers(5, 0), "z", FieldConfig(h=0.1), order=-1
+            )
 
     def test_window_covers_classical_supports(self):
         pad = 9.0 * math.sqrt(10**4 + 2) + 40.0
@@ -221,10 +226,10 @@ class TestMomentumOracle:
 
     def test_z_independent_of_order(self):
         lo = momentum_element_quadrature(
-            QuantumNumbers(5, 2), QuantumNumbers(5, 2), "z", self.CFG, QuadratureSpec(32)
+            QuantumNumbers(5, 2), QuantumNumbers(5, 2), "z", self.CFG, order=32
         )
         hi = momentum_element_quadrature(
-            QuantumNumbers(5, 2), QuantumNumbers(5, 2), "z", self.CFG, QuadratureSpec(128)
+            QuantumNumbers(5, 2), QuantumNumbers(5, 2), "z", self.CFG, order=128
         )
         assert abs(lo - hi) < 1e-13
 
@@ -295,7 +300,7 @@ class TestMomentumOracle:
     def test_underresolved_quadrature_detected(self):
         with pytest.raises(QuadratureAccuracyError):
             momentum_element_quadrature(
-                QuantumNumbers(41, 0), QuantumNumbers(40, 0), "y", self.CFG, QuadratureSpec(6)
+                QuantumNumbers(41, 0), QuantumNumbers(40, 0), "y", self.CFG, order=6
             )
 
 

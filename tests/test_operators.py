@@ -1,4 +1,3 @@
-import json
 import math
 from dataclasses import replace
 
@@ -154,17 +153,6 @@ class TestOperatorBands:
         assert band_low_ref.entries[(7, +1, 6, +1)] == pytest.approx(
             0.5 * 2.0 * math.sqrt(CFG.h * 6), rel=1e-14
         )
-
-    def test_debug_dump_round_trips(self):
-        band = build_operator_band([6, 7, 8], "Sx", CFG, 7)
-        payload = json.loads(band.to_debug_json())
-        assert payload["observable"] == "Sx"
-        assert payload["levels"] == [6, 7, 8]
-        rebuilt = {
-            (e["m_bra"], e["zeta_bra"], e["m_ket"], e["zeta_ket"]): complex(e["re"], e["im"])
-            for e in payload["entries"]
-        }
-        assert rebuilt == band.entries
 
     def test_one_read_only_table_per_band(self):
         spinor = build_operator_band(range(5, 10), "Sx", CFG, 7)

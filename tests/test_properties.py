@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 
 from landau_packets.evolution import (
     UNIFORM_GAP,
-    EnergyModel,
     build_packet_bands,
     closed_form_momentum,
     closed_form_spin,
     evolve_packet,
     sample_times,
 )
-from landau_packets.kinematics import FieldConfig, SpinKinematics
+from landau_packets.kinematics import FieldConfig, SpinKinematics, anomalous_frequency, cyclotron_frequency
 from landau_packets.packets import build_spinor_packet, normalization_defect
 
 configurations = st.tuples(
@@ -44,11 +43,12 @@ def test_bands_packet_and_engine(config):
         assert band.hermiticity_defect() == 0.0
         assert band.band_width_defect() == 0
 
-    em = EnergyModel(mode=UNIFORM_GAP, kind=packet.kind, cfg=cfg, reference_n=n, zeta_ref=epsilon)
-    times = sample_times(em.omega, samples=64)
+    omega = cyclotron_frequency(cfg, n, epsilon)[0]
+    omega_a = anomalous_frequency(cfg, n)[0]
+    times = sample_times(omega, samples=64)
     traj = evolve_packet(packet, cfg, times, mode=UNIFORM_GAP)
     kin = SpinKinematics.from_field(cfg, n, epsilon)
-    p_ref = closed_form_momentum(kin, levels, em.omega, times)
-    s_ref = closed_form_spin(kin, levels, em.omega, em.omega_a, times)
+    p_ref = closed_form_momentum(kin, levels, omega, times)
+    s_ref = closed_form_spin(kin, levels, omega, omega_a, times)
     assert np.max(np.abs(traj.p - p_ref)) < 1e-10
     assert np.max(np.abs(traj.s - s_ref)) < 1e-10
