@@ -53,6 +53,10 @@ EXIT_ACCURACY = 4
 ORACLE_MAX_N = 10_000
 ORACLE_MAX_S = 100
 
+#: a converge.csv or oracle.csv row: an integer, then three doubles printed
+#: with 17 significant digits
+_TABLE_ROW = "%d,%.17g,%.17g,%.17g\n"
+
 
 @dataclass
 class RunConfig:
@@ -92,8 +96,11 @@ class RunConfig:
                 f"at h={self.h}, anomaly={self.anomaly}"
             )
         if self.h > 0 and cyclotron_frequency(self.field, self.n, self.epsilon)[0] <= 0:
+            # n alone is the cause when the gap rounds to zero without any b_z
+            at_rest = FieldConfig(h=self.h, anomaly=self.anomaly)
+            cause = "n" if cyclotron_frequency(at_rest, self.n, self.epsilon)[0] <= 0 else "b_z"
             raise DomainError(
-                f"b_z: the gap between levels n={self.n} and n+1 rounds to zero at b_z={self.b_z}"
+                f"{cause}: the gap between levels n={self.n} and n+1 rounds to zero at b_z={self.b_z}"
             )
 
     @property
@@ -200,19 +207,19 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     closed = evolution.closed_form_trajectory(kin, cfg.levels, omega, omega_a, times)
 
     init = classical.classical_reference(field, cfg.n, cfg.epsilon).init
-    rk4 = classical.bmt_integrate(init, cfg.h, record_times=times)
+    bmt = classical.bmt_integrate(init, cfg.h, record_times=times)
 
     engine.to_csv(os.path.join(cfg.output_dir, "trajectory.csv"))
     closed.to_csv(os.path.join(cfg.output_dir, "closed_form.csv"))
-    rk4.to_csv(os.path.join(cfg.output_dir, "classical.csv"))
+    bmt.to_csv(os.path.join(cfg.output_dir, "classical.csv"))
     _json_dump(_manifest(cfg, packet, kin), os.path.join(cfg.output_dir, "manifest.json"))
 
     factor = float(np.max(np.abs(engine.p[:, 0]))) / kin.b_perp
     comparison = {
         "momentum_amplitude_factor": factor,
         "engine_vs_closed_form": compare_trajectories(engine, closed),
-        "engine_vs_classical": compare_trajectories(engine, rk4),
-        "closed_form_vs_classical": compare_trajectories(closed, rk4),
+        "engine_vs_classical": compare_trajectories(engine, bmt),
+        "closed_form_vs_classical": compare_trajectories(closed, bmt),
     }
     _json_dump(comparison, os.path.join(cfg.output_dir, "comparison.json"))
     print(f"levels={cfg.levels} momentum amplitude factor {factor:.12f}")
@@ -243,8 +250,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     path = os.path.join(cfg.output_dir, "converge.csv")
     with open(path, "w", newline="\n") as handle:
         handle.write("levels,factor,factor_defect,classical_gap\n")
-        for row in rows:
-            handle.write(f"{row[0]},{row[1]:.17g},{row[2]:.17g},{row[3]:.17g}\n")
+        handle.writelines(_TABLE_ROW % row for row in rows)
     for levels, factor, defect, gap in rows:
         print(f"levels={levels:6d} factor={factor:.12f} defect={defect:.3e} gap={gap:.6e}")
     print(f"wrote {path}")
@@ -301,8 +307,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     path = os.path.join(cfg.output_dir, "oracle.csv")
     with open(path, "w", newline="\n") as handle:
         handle.write("n,rel_err_x,rel_err_y,err_z\n")
-        for n, ex, ey, ez in rows:
-            handle.write(f"{n},{ex:.17g},{ey:.17g},{ez:.17g}\n")
+        handle.writelines(_TABLE_ROW % row for row in rows)
     for n, ex, ey, ez in rows:
         print(f"n={n:4d} rel_err_x={ex:.6e} rel_err_y={ey:.6e} err_z={ez:.3e}")
     print(f"decay exponent x: {exponent_x:.4f}  y: {exponent_y:.4f}")

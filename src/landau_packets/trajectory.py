@@ -24,7 +24,10 @@ import numpy as np
 from .errors import DomainError
 from .operators import OBSERVABLES
 
-CSV_HEADER = ",".join(("t", *OBSERVABLES, "resSP", "resSS"))
+CSV_COLUMNS = ("t", *OBSERVABLES, "resSP", "resSS")
+CSV_HEADER = ",".join(CSV_COLUMNS)
+#: one CSV row; %.17g prints each value as format(v, ".17g") does
+CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ class Trajectory:
         if self.res_sp is None:
             raise DomainError("trajectory: CSV schema needs spin components and the energy")
         table = np.column_stack([self.times, self.p, self.s, self.res_sp, self.res_ss])
-        rows = [CSV_HEADER] + [",".join(f"{v:.17g}" for v in row) for row in table.tolist()]
+        rows = [CSV_HEADER] + [CSV_ROW % tuple(row) for row in table.tolist()]
         with open(path, "w", newline="\n") as handle:
             handle.write("\n".join(rows) + "\n")
 

@@ -239,8 +239,8 @@ def check_bmt_match(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
     # relative to the orbit, and the drift check's horizon stands in
     t_max = 2.0 * math.pi / ref.omega_a if ref.omega_a else _drift_horizon(ref)
     times = evolution.sample_times(ref.omega, samples=128, t_max=t_max)
-    rk4 = classical.bmt_integrate(ref.init, cfg.h, record_times=times, check_drift=False)
-    worst = max(compare_trajectories(rk4, ref.closed_form(times)).values())
+    bmt = classical.bmt_integrate(ref.init, cfg.h, record_times=times, check_drift=False)
+    worst = max(compare_trajectories(bmt, ref.closed_form(times)).values())
     tol = 1e-6
     return CheckResult("bmt-closed-form-match", worst <= tol, worst, tol)
 
@@ -254,7 +254,9 @@ def check_rk4_order(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
     coarse = 2.0 * math.pi / max(ref.omega, abs(ref.omega_a)) / 32.0
     dev = []
     for dt in (coarse, 0.5 * coarse):
-        rk4 = classical.bmt_integrate(ref.init, cfg.h, record_times=times, dt=dt, check_drift=False)
+        rk4 = classical.bmt_integrate(
+            ref.init, cfg.h, record_times=times, dt=dt, check_drift=False, order=4
+        )
         dev.append(max(compare_trajectories(rk4, closed).values()))
     ratio = dev[0] / dev[1]
     passed = 8.0 <= ratio <= 32.0

@@ -75,8 +75,9 @@ def test_criterion_2_engine_closed_form_equivalence():
 
 
 def test_criterion_3_classical_limit():
-    """Full-contrast initial data: RK4 matches the closed forms; the
-    N-level packet approaches the classical circle with gap b_perp/N."""
+    """Full-contrast initial data: the order-8 integrator matches the closed
+    forms; the N-level packet approaches the classical circle with gap
+    b_perp/N."""
     match = check_bmt_match(CLASSICAL_CFG, 100, +1)
     drift = check_bmt_drift(CLASSICAL_CFG, 100, +1)
     report_check("3a BMT integrator vs closed form", match)

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from landau_packets.classical import bmt_integrate, classical_reference, default_step
+from landau_packets.classical import (
+    _DOP853_A,
+    _DOP853_B,
+    _DOP853_C,
+    bmt_integrate,
+    classical_reference,
+    default_step,
+)
 from landau_packets.errors import DomainError, IntegrationAccuracyError
 from landau_packets.evolution import (
     closed_form_momentum,
@@ -86,9 +93,85 @@ class TestBmtIntegration:
         with pytest.raises(IntegrationAccuracyError):
             bmt_integrate(REF.init, CFG.h, t_max=20 * period, dt=period / 4)
 
+    def test_rk4_needs_explicit_step(self):
+        period = 2 * math.pi / REF.omega
+        with pytest.raises(DomainError, match="dt"):
+            bmt_integrate(REF.init, CFG.h, t_max=period, order=4)
+
+    @pytest.mark.parametrize("order", [2, 5, 16])
+    def test_unknown_order_rejected(self, order):
+        with pytest.raises(DomainError, match="order"):
+            bmt_integrate(REF.init, CFG.h, t_max=1.0, dt=0.1, order=order)
+
+    @pytest.mark.parametrize("anomaly", [0.0, 1.16141e-3, 5.0])
+    def test_negative_zero_b_z_keeps_pz(self, anomaly):
+        # Pz = u3 has derivative 0, so the default scheme returns b_z itself
+        cfg = FieldConfig(h=0.1, anomaly=anomaly, b_z=-0.0)
+        ref = classical_reference(cfg, N_REF)
+        traj = bmt_integrate(ref.init, cfg.h, t_max=3 * 2 * math.pi / ref.omega)
+        assert np.all(traj.p[:, 2] == 0.0) and np.all(np.signbit(traj.p[:, 2]))
+
+
+class TestDormandPrinceTableau:
+    """The transcribed DOP853 tableau and the unrolled kernel that applies it."""
+
+    def test_shape(self):
+        assert len(_DOP853_C) == len(_DOP853_A) == len(_DOP853_B) == 12
+        assert [len(row) for row in _DOP853_A] == list(range(12))
+
+    def test_row_sums_are_nodes(self):
+        for row, c in zip(_DOP853_A, _DOP853_C):
+            assert abs(math.fsum(row) - c) <= 1e-14
+
+    @pytest.mark.parametrize("power", range(8))
+    def test_quadrature_conditions(self, power):
+        # sum b c^k = 1/(k+1) for k < 8; k = 0 is sum b = 1
+        total = math.fsum(b * c**power for b, c in zip(_DOP853_B, _DOP853_C))
+        assert abs(total - 1.0 / (power + 1)) <= 1e-14
+
+    def test_literals_match_scipy(self):
+        coefficients = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        assert _DOP853_C == tuple(coefficients.C[:12].tolist())
+        for i, row in enumerate(_DOP853_A):
+            assert row == tuple(coefficients.A[i, :i].tolist())
+        assert _DOP853_B == tuple(coefficients.B.tolist())
+
+    @pytest.mark.parametrize("anomaly", [1.16141e-3, 0.02, 5.0])
+    def test_empirical_order_eight(self, anomaly):
+        # halving the step over two cyclotron periods divides the error
+        # against the closed form by 2^8 = 256; at 8 and 16 steps per period
+        # of the faster rotation it is 1e-4 to 1e-9, far above roundoff
+        cfg = FieldConfig(h=0.1, anomaly=anomaly, b_z=0.5)
+        ref = classical_reference(cfg, N_REF)
+        fast_period = 2 * math.pi / max(ref.omega, abs(ref.omega_a))
+        errors = []
+        for dt in (fast_period / 8, fast_period / 16):
+            traj = bmt_integrate(ref.init, cfg.h, t_max=4 * math.pi / ref.omega, dt=dt, check_drift=False)
+            errors.append(max(compare_trajectories(traj, ref.closed_form(traj.times)).values()))
+        assert errors[1] > 1e-10
+        assert 128.0 <= errors[0] / errors[1] <= 512.0
+
+    @pytest.mark.parametrize("anomaly", [0.0, 1.16141e-3, 5.0])
+    @pytest.mark.parametrize("b_z", [0.5, -0.0])
+    def test_kernel_matches_dense_stages(self, anomaly, b_z):
+        # the unrolled kernel against every stage formed from the whole
+        # tableau and the componentwise right-hand side
+        cfg = FieldConfig(h=0.1, anomaly=anomaly, b_z=b_z)
+        ref = classical_reference(cfg, N_REF)
+        dt = default_step(cfg.h, ref.init.u[0], ref.omega_a)
+        times = dt * np.arange(201)
+        traj = bmt_integrate(ref.init, cfg.h, record_times=times, dt=dt, check_drift=False)
+        y = ref.init.u + ref.init.s
+        reference = [y]
+        for _ in range(200):
+            y = _reference_dop853(y, 2.0 * cfg.h, ref.init.g_factor, dt)
+            reference.append(y)
+        ours = np.column_stack([traj.p0, traj.p, traj.s])
+        np.testing.assert_allclose(ours, np.asarray(reference), rtol=0.0, atol=1e-12)
+
 
 def _reference_rhs(y: tuple, k: float, g: float) -> tuple:
-    # the componentwise right-hand side the unrolled kernel must reproduce
+    # the componentwise right-hand side the unrolled kernels must reproduce
     u0, u1, u2, u3, s0, s1, s2, s3 = y
     inv = 1.0 / u0
     half_g = 0.5 * g
@@ -117,6 +200,14 @@ def _reference_rk4(y: tuple, k: float, g: float, dt: float) -> tuple:
     )
 
 
+def _reference_dop853(y: tuple, k: float, g: float, dt: float) -> tuple:
+    stages = []
+    for row in _DOP853_A:
+        stage = tuple(v + dt * sum(a * d[i] for a, d in zip(row, stages)) for i, v in enumerate(y))
+        stages.append(_reference_rhs(stage, k, g))
+    return tuple(v + dt * sum(b * d[i] for b, d in zip(_DOP853_B, stages)) for i, v in enumerate(y))
+
+
 def _reference_samples(init, h_field: float, record_times: np.ndarray, dt: float) -> np.ndarray:
     # substeps on numpy scalars straight from the grid, one tuple per stage
     k = 2.0 * h_field
@@ -132,8 +223,8 @@ def _reference_samples(init, h_field: float, record_times: np.ndarray, dt: float
 
 
 class TestKernelBitIdentity:
-    """The unrolled kernel performs the componentwise RK4 operations in the
-    same order, so every sample agrees bit for bit."""
+    """The unrolled RK4 kernel performs the componentwise RK4 operations in
+    the same order, so every sample agrees bit for bit."""
 
     @staticmethod
     def assert_same_bits(traj: Trajectory, reference: np.ndarray) -> None:
@@ -150,7 +241,7 @@ class TestKernelBitIdentity:
         dt = default_step(cfg.h, ref.init.u[0], ref.omega_a)
         # 41 unevenly spaced samples, about 4000 substeps in all
         times = np.cumsum(np.r_[0.0, np.linspace(0.5, 1.5, 40)]) * 100 * dt
-        traj = bmt_integrate(ref.init, cfg.h, dt=dt, record_times=times, check_drift=False)
+        traj = bmt_integrate(ref.init, cfg.h, dt=dt, record_times=times, check_drift=False, order=4)
         self.assert_same_bits(traj, _reference_samples(ref.init, cfg.h, times, dt))
 
     @pytest.mark.parametrize("anomaly", [0.0, 1.16141e-3, 5.0])
@@ -160,7 +251,7 @@ class TestKernelBitIdentity:
         ref = classical_reference(cfg, N_REF)
         dt = default_step(cfg.h, ref.init.u[0], ref.omega_a)
         t_max = 3000.5 * dt
-        traj = bmt_integrate(ref.init, cfg.h, t_max=t_max, dt=dt, check_drift=False)
+        traj = bmt_integrate(ref.init, cfg.h, t_max=t_max, dt=dt, check_drift=False, order=4)
         steps = math.ceil(t_max / dt)
         times = t_max * np.arange(steps + 1) / steps
         np.testing.assert_array_equal(traj.times, times)
@@ -233,3 +324,18 @@ class TestTrajectoryContainer:
         traj = Trajectory(times=np.array([0.0, 1.0]), p=np.zeros((2, 3)))
         with pytest.raises(DomainError):
             traj.to_csv(tmp_path / "t.csv")
+
+    def test_csv_rows_match_per_value_formatting(self, tmp_path):
+        # one %-format per row prints the bytes format(v, ".17g") prints
+        special = [-0.0, 5e-324, 1e308, np.inf, -np.inf, 3.0, -2.0, 1e16, 0.1, 1 / 3]
+        times = np.array([-0.0, 5e-324, 1.0, 2.0, 1e308])
+        values = np.resize(np.array(special), (5, 8))
+        with np.errstate(all="ignore"):
+            traj = Trajectory(times=times, p=values[:, :3], s=values[:, 3:7], p0=values[:, 7])
+            table = np.column_stack([traj.times, traj.p, traj.s, traj.res_sp, traj.res_ss])
+        traj.to_csv(tmp_path / "t.csv")
+        lines = (tmp_path / "t.csv").read_bytes().decode().split("\n")
+        expected = [",".join(f"{v:.17g}" for v in row) for row in table.tolist()]
+        assert lines[1:] == expected + [""]
+        for token in ("-0,", "4.9406564584124654e-324", "1e+308", "-inf", "nan", ",3,"):
+            assert token in "\n".join(lines)
