@@ -19,7 +19,11 @@ the equation and drift only through integrator error, which is monitored.
 There are two schemes.  The default is the order-8 Dormand-Prince scheme
 (the 12-stage DOP853 tableau of Hairer, Norsett & Wanner, Solving Ordinary
 Differential Equations I, Sec. II.10, used at a fixed step) at
-STEPS_PER_PERIOD = 32 steps per period of the faster rotation.  Over one
+STEPS_PER_PERIOD = 32 steps per period of the fastest of the cyclotron
+rotation, the anomalous precession and the anomalous coupling frequency of
+``spin_coupling_omega``; the last one takes over above level 2 * 10^3 at
+the physical anomaly and h = 0.1, and without it the invariant drift at
+level 10^4 reads 5.1e-7 instead of 1.1e-9.  Over one
 anomalous period (about 135 cyclotron periods at the physical anomaly) it
 takes 32 times fewer steps than RK4 at 1024 steps per period, and its error
 against the closed form is about 100 times smaller (7e-10 against 6e-8 at
@@ -120,6 +124,21 @@ def cyclotron_omega(h_field: float, gamma: float) -> float:
 def anomalous_omega(h_field: float, gamma: float, b: float, g_factor: float) -> float:
     """Lab-time anomalous precession frequency (g/2 - 1) * 2h * b / gamma."""
     return (0.5 * g_factor - 1.0) * 2.0 * h_field * b / gamma
+
+
+def spin_coupling_omega(h_field: float, gamma: float, b_perp: float, g_factor: float) -> float:
+    """Lab-time frequency (2h/gamma) * b_perp * sqrt((g/2 - 1) * g/2) that
+    the anomalous term adds to the linearized spin precession.
+
+    With the momentum held fixed, the transverse spin components (S^1, S^2)
+    obey a linear system whose frequency is the root sum square of
+    (g/2) * omega and this one.  The exact motion does not oscillate at it,
+    but the local error of a step grows with the Jacobian of the right-hand
+    side, so the step has to resolve it once it exceeds omega, about where
+    gamma^2 * anomaly reaches 1.
+    """
+    half_g = 0.5 * g_factor
+    return 2.0 * h_field / gamma * b_perp * math.sqrt(abs((half_g - 1.0) * half_g))
 
 
 @dataclass(frozen=True)
@@ -397,13 +416,13 @@ def _dop853_steps(y: tuple, k: float, g: float, dt: float, steps: int) -> tuple:
 _KERNELS = {4: _rk4_steps, 8: _dop853_steps}
 
 
-def default_step(h_field: float, gamma: float, omega_a: float = 0.0) -> float:
-    """Step resolving one period of the faster of the cyclotron rotation
-    and the anomalous precession ``omega_a`` with STEPS_PER_PERIOD points."""
+def default_step(h_field: float, gamma: float, *rates: float) -> float:
+    """Step resolving one period of the fastest of the cyclotron rotation
+    and the frequencies ``rates`` with STEPS_PER_PERIOD points."""
     omega = cyclotron_omega(h_field, gamma)
     if omega <= 0:
         raise DomainError("h_field: need a positive field for a default step")
-    return 2.0 * math.pi / (max(omega, abs(omega_a)) * STEPS_PER_PERIOD)
+    return 2.0 * math.pi / (max((omega, *map(abs, rates))) * STEPS_PER_PERIOD)
 
 
 def bmt_integrate(
@@ -422,10 +441,10 @@ def bmt_integrate(
     ``dt``, or ``t_max`` is split into uniform steps of at most ``dt`` and
     every step is recorded.  ``order`` selects the scheme: 8 (order-8
     Dormand-Prince) or 4 (classical RK4).  The default ``dt`` is
-    ``default_step`` at the anomalous frequency of ``init``, which is sized
-    for the order-8 scheme, so RK4 needs an explicit ``dt``.  Invariant
-    drift beyond DRIFT_LIMIT raises IntegrationAccuracyError unless
-    ``check_drift`` is false.
+    ``default_step`` at the anomalous precession and coupling frequencies of
+    ``init``, which is sized for the order-8 scheme, so RK4 needs an
+    explicit ``dt``.  Invariant drift beyond DRIFT_LIMIT raises
+    IntegrationAccuracyError unless ``check_drift`` is false.
     """
     kernel = _KERNELS.get(order)
     if kernel is None:
@@ -435,7 +454,12 @@ def bmt_integrate(
         if order != 8:
             raise DomainError(f"dt: the default step is sized for order 8; order {order} needs dt")
         b = math.sqrt(1.0 + init.u[1] ** 2 + init.u[2] ** 2)  # sqrt(1 + b_perp^2)
-        dt = default_step(h_field, gamma, anomalous_omega(h_field, gamma, b, init.g_factor))
+        dt = default_step(
+            h_field,
+            gamma,
+            anomalous_omega(h_field, gamma, b, init.g_factor),
+            spin_coupling_omega(h_field, gamma, math.hypot(init.u[1], init.u[2]), init.g_factor),
+        )
     if record_times is None:
         if t_max is None or t_max <= 0:
             raise DomainError(f"t_max: must be > 0, got {t_max}")

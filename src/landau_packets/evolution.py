@@ -6,10 +6,24 @@ Everything here derives from the packet: its reference state (n, epsilon)
 fixes the phase energies of ``relative_energies`` and its level window the
 bands, and a ``Trajectory`` derives its invariant residuals from its own
 samples.  The engine evolves every basis state of the packet's amplitude
-array with its own phase, psi(t) = a * exp(-i*dE*t), once per block of time
-samples, and contracts the pair sums of that one psi(t) with the block
-tables of every observable at once: <psi(t)|V|psi(t)> for all bands
-together.  The energies dE are measured from the reference state.  In
+array with its own phase, psi(t) = a * exp(-i*dE*t), and contracts the pair
+sums of that one psi(t) with the block tables of every observable at once:
+<psi(t)|V|psi(t)> for all bands together.
+
+Exponentials are taken only at anchor samples, every ANCHOR_STRIDE-th one:
+sample j with anchor k = ANCHOR_STRIDE * floor(j / ANCHOR_STRIDE) gets
+
+    psi(t_j) = [a * exp(-i*dE*t_k)] * exp(-i*dE*(t_j - t_k)).
+
+The second factor comes from one table of ANCHOR_STRIDE steps, built from
+the first anchor's offsets and reused by every anchor whose offsets match
+them to within a few ulp of |t|, as on every grid of ``sample_times``; an
+anchor of any other grid takes the exponentials of its own offsets in the
+same formula.  The default 256 samples then cost 32 exponentials per state
+instead of 256.  The anchors sit at fixed sample indices, so the block of
+TIME_BLOCK samples evolved at once bounds memory without changing a value.
+
+The energies dE are measured from the reference state.  In
 uniform-gap mode they are exactly (m - n)*omega +
 (zeta - epsilon)*omega_a/2, the frequencies the closed forms use, so the
 phases are exactly periodic; in exact mode each basis state keeps its own
@@ -54,8 +68,16 @@ EXACT = "exact"
 #: tolerance on the imaginary residue of a Hermitian expectation value
 HERMITIAN_IMAG_TOL = 1e-12
 
-#: time samples evolved at once; bounds the memory held by psi(t)
-TIME_BLOCK = 64
+#: time samples evolved at once; bounds the memory held by psi(t), whose
+#: (TIME_BLOCK, levels, S) block stays in cache at 10^4 levels
+TIME_BLOCK = 32
+
+#: samples per anchor; psi(t) takes its exponentials at every
+#: ANCHOR_STRIDE-th sample, whatever TIME_BLOCK is
+ANCHOR_STRIDE = 16
+
+#: an anchor's offsets match the step table's to within this many ulp of |t|
+_OFFSET_ULPS = 4
 
 
 def _level_energy(cfg: FieldConfig, kind: str, m: int, zeta: int) -> float:
@@ -86,6 +108,11 @@ def relative_energies(packet: PacketSpec, cfg: FieldConfig, mode: str = UNIFORM_
     return energies
 
 
+def _phases(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i*dE*t) for every time, shape (len(times), levels, S)."""
+    return np.exp(-1j * energies * times[:, None, None])
+
+
 def expectation_series(
     packet: PacketSpec, bands: Iterable[OperatorBand], energies: np.ndarray, times: np.ndarray
 ) -> np.ndarray:
@@ -93,8 +120,9 @@ def expectation_series(
     time grid, shape (T, len(bands)), with ``energies`` the phase energies
     of ``relative_energies``.
 
-    psi(t) is evaluated once per block of TIME_BLOCK samples and its pair
-    sums are contracted with every block table in one product.  The
+    psi(t) is stepped from its anchor samples (see the module docstring)
+    one block of TIME_BLOCK samples at a time, and the pair sums of each
+    block are contracted with every block table in one product.  The
     imaginary residue of the Hermitian sums is checked against
     HERMITIAN_IMAG_TOL and discarded.
     """
@@ -111,11 +139,26 @@ def expectation_series(
         )
     times = np.asarray(times, dtype=float)
     coefficients = np.stack([band.blocks.reshape(-1) for band in bands], axis=1)
+    stride = ANCHOR_STRIDE
+    position = np.arange(times.size) % stride
+    offsets = times - times[np.arange(times.size) - position]  # t_j - t_k
+    steps = _phases(energies, offsets[:stride])
+    # an anchor reuses the step table when all its offsets are the first
+    # anchor's to within a few ulp of |t|, as on every uniform grid; on any
+    # other grid it takes the exponentials of its own offsets
+    matches = np.abs(offsets - offsets[position]) <= _OFFSET_ULPS * np.spacing(np.abs(times))
+    reuse = [bool(matches[k : k + stride].all()) for k in range(0, times.size, stride)]
     values = np.empty((times.size, len(bands)), dtype=complex)
     for start in range(0, times.size, TIME_BLOCK):
-        t = times[start : start + TIME_BLOCK, None, None]
-        psi = packet.amplitudes * np.exp(-1j * energies * t)
-        values[start : start + TIME_BLOCK] = pair_sums(psi).reshape(t.size, -1) @ coefficients
+        stop = min(start + TIME_BLOCK, times.size)
+        first = start - start % stride
+        anchors = packet.amplitudes * _phases(energies, times[first:stop:stride])
+        psi = np.empty((stop - start, *energies.shape), dtype=complex)
+        for psi_anchor, k in zip(anchors, range(first, stop, stride)):
+            lo, hi = max(k, start), min(k + stride, stop)
+            step = steps[lo - k : hi - k] if reuse[k // stride] else _phases(energies, offsets[lo:hi])
+            np.multiply(psi_anchor, step, out=psi[lo - start : hi - start])
+        values[start:stop] = pair_sums(psi).reshape(stop - start, -1) @ coefficients
     residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
     if residue > HERMITIAN_IMAG_TOL:
         raise AccuracyError(

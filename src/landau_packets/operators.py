@@ -142,12 +142,14 @@ def build_operator_band(
     kind: str = SPINOR,
     zeta_ref: int = 1,
 ) -> OperatorBand:
-    """Band of one observable over a contiguous level set, with the
-    kinematic factors frozen at ``reference_n``."""
+    """Band of one observable over a contiguous set of integer levels, in
+    any order, with the kinematic factors frozen at ``reference_n``."""
     levels = tuple(sorted(levels))
     if not levels:
         raise DomainError("levels: must be nonempty")
-    if any(b - a != 1 for a, b in zip(levels, levels[1:])):
+    # sorted levels are contiguous when they span one less than their count
+    # without a repeat: (1, 2, 2, 4) has the span but not the distinct levels
+    if levels[-1] - levels[0] != len(levels) - 1 or len(set(levels)) != len(levels):
         raise DomainError(f"levels: must be contiguous, got {levels}")
     if observable not in OBSERVABLES:
         raise DomainError(f"observable: must be one of {OBSERVABLES}, got {observable!r}")

@@ -7,9 +7,12 @@ from landau_packets.classical import (
     _DOP853_A,
     _DOP853_B,
     _DOP853_C,
+    STEPS_PER_PERIOD,
     bmt_integrate,
     classical_reference,
+    cyclotron_omega,
     default_step,
+    spin_coupling_omega,
 )
 from landau_packets.errors import DomainError, IntegrationAccuracyError
 from landau_packets.evolution import (
@@ -87,6 +90,40 @@ class TestBmtIntegration:
         times = sample_times(ref.omega_a, samples=64, t_max=4 * 2 * math.pi / ref.omega_a)
         traj = bmt_integrate(ref.init, cfg.h, record_times=times)
         assert max(compare_trajectories(traj, ref.closed_form(times)).values()) < 1e-6
+
+    @pytest.mark.parametrize("anomaly,n", [(1.16141e-3, 100), (1.16141e-3, 10000), (0.02, 1000), (5.0, 100)])
+    def test_spin_coupling_is_the_linearized_frequency(self, anomaly, n):
+        # with u fixed, dS/dt = [(g/2) K eta + (g/2 - 1) u (eta K eta u)^T] S / gamma
+        # has eigenvalues 0, 0 and +-i sqrt(((g/2) omega)^2 + coupling^2)
+        cfg = FieldConfig(h=0.1, anomaly=anomaly, b_z=0.5)
+        ref = classical_reference(cfg, n)
+        u = np.array(ref.init.u)
+        half_g = 0.5 * ref.init.g_factor
+        eta = np.diag([1.0, -1.0, -1.0, -1.0])
+        field = np.zeros((4, 4))
+        field[1, 2], field[2, 1] = 2 * cfg.h, -2 * cfg.h
+        jacobian = (half_g * field @ eta + (half_g - 1) * np.outer(u, eta @ field @ eta @ u)) / u[0]
+        frequency = np.max(np.abs(np.linalg.eigvals(jacobian).imag))
+        coupling = spin_coupling_omega(cfg.h, u[0], ref.kin.b_perp, ref.init.g_factor)
+        assert frequency == pytest.approx(math.hypot(half_g * ref.omega, coupling), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [100, 10000])
+    def test_default_step_resolves_spin_coupling(self, n):
+        # at the physical anomaly the coupling overtakes the cyclotron
+        # rotation near level 2000; below, the default step is unchanged
+        cfg = FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=0.5)
+        ref = classical_reference(cfg, n)
+        gamma = ref.init.u[0]
+        coupling = spin_coupling_omega(cfg.h, gamma, ref.kin.b_perp, ref.init.g_factor)
+        t_max = 10 * 2 * math.pi / ref.omega
+        traj = bmt_integrate(ref.init, cfg.h, t_max=t_max, check_drift=False)
+        fastest = max(ref.omega, abs(ref.omega_a), coupling)
+        assert (coupling < ref.omega) == (n == 100)
+        assert traj.times.size - 1 == math.ceil(t_max / (2 * math.pi / (fastest * STEPS_PER_PERIOD)))
+        assert default_step(cfg.h, gamma) == 2 * math.pi / (cyclotron_omega(cfg.h, gamma) * STEPS_PER_PERIOD)
+        # the tolerance of verify's invariant-drift check; 5.1e-7 at n = 10^4
+        # with the cyclotron step alone
+        assert max(float(np.max(traj.res_sp)), float(np.max(traj.res_ss))) <= 1e-8
 
     def test_drift_error_raised_for_coarse_step(self):
         period = 2 * math.pi / REF.omega

@@ -148,6 +148,15 @@ class TestVerifyCommand:
         assert len(report["checks"]) == len(verify.ALL_CHECKS) == 13
         assert all(check["passed"] for check in report["checks"])
 
+    def test_paper_scale_passes(self, tmp_path, capsys):
+        # 10^4 levels at the default h, b_z and anomaly: the default step
+        # must resolve the anomalous coupling frequency for the drift check
+        code = main(["verify", "--n", "10000", "--output-dir", str(tmp_path)])
+        assert code == EXIT_OK, capsys.readouterr().out
+        report = json.loads((tmp_path / "verify.json").read_text())
+        drift = next(c for c in report["checks"] if c["name"] == "bmt-invariant-drift")
+        assert drift["residual"] <= 0.2 * drift["tolerance"]
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_low_reference_levels(self, n):
         # the fixed level counts keep only the windows at or above level 1

@@ -180,7 +180,7 @@ class TestGenericExpectation:
         packet, energies, _ = engine_setup(CFG, N_REF, 5, +1)
         times = sample_times(cyclotron_frequency(CFG, N_REF, 1)[0], samples=256)
         evolve_packet(packet, CFG, times)
-        assert len(calls) == math.ceil(256 / evolution.TIME_BLOCK) == 4
+        assert len(calls) == math.ceil(256 / evolution.TIME_BLOCK) == 8
 
     def test_time_blocks_do_not_change_values(self, monkeypatch):
         packet, energies, times = engine_setup(CFG, N_REF, 5, +1)
@@ -188,6 +188,57 @@ class TestGenericExpectation:
         whole = expectation_series(packet, [band], energies, times)[:, 0]
         monkeypatch.setattr(evolution, "TIME_BLOCK", 7)
         np.testing.assert_allclose(expectation_series(packet, [band], energies, times)[:, 0], whole, rtol=0, atol=1e-15)
+
+
+#: 2*pi to the precision of long double (64-bit mantissa on x86)
+TWO_PI = np.longdouble("6.283185307179586476925286766559005768")
+EXTENDED = np.finfo(np.longdouble).nmant >= 63
+
+
+def reference_series(packet, bands, energies, times, block=16):
+    """Expectation values with the phases dE*t formed in long double and
+    reduced mod 2*pi before the exponential, and the pair sums accumulated
+    in long double, independently of the engine and of ``pair_sums``."""
+    coefficients = np.stack([band.blocks.reshape(-1) for band in bands], axis=1)
+    energies = np.asarray(energies, dtype=np.longdouble)
+    out = np.empty((len(times), len(bands)))
+    for start in range(0, len(times), block):
+        t = np.asarray(times[start : start + block], dtype=np.longdouble)[:, None, None]
+        phases = np.fmod(energies * t, TWO_PI).astype(float)
+        psi = (packet.amplitudes * np.exp(-1j * phases)).astype(np.clongdouble)
+        same = np.einsum("tmb,tmk->tbk", psi.conj(), psi)
+        up = np.einsum("tmb,tmk->tbk", psi[:, 1:].conj(), psi[:, :-1])
+        sums = np.stack([up.conj().transpose(0, 2, 1), same, up], axis=1)
+        out[start : start + block] = (sums.reshape(t.shape[0], -1).astype(complex) @ coefficients).real
+    return out
+
+
+@pytest.mark.skipif(not EXTENDED, reason="the reference needs an extended-precision long double")
+class TestPhaseAccuracy:
+    """The engine's psi(t) against phases reduced in long double."""
+
+    def test_ten_thousand_levels_uniform_gap(self):
+        # 2.3e-13 measured; exponentials of every dE*t in double precision
+        # read 1.4e-12 here
+        packet, energies, times = engine_setup(CFG, 10000, 10000, +1)
+        bands = list(build_packet_bands(packet, CFG).values())
+        values = expectation_series(packet, bands, energies, times)
+        reference = reference_series(packet, bands, energies, times)
+        assert np.max(np.abs(values - reference)) < 1e-12
+
+    def test_exact_mode_over_one_anomalous_period(self):
+        # the exact-mode trajectory of the horizon benchmark: 100 levels at
+        # n = 100, 8192 samples over one anomalous period; 1.7e-12 measured
+        cfg = FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=0.5)
+        packet = build_spinor_packet(100, 100, cfg, +1)
+        energies = relative_energies(packet, cfg, EXACT)
+        period = 2 * math.pi / classical_reference(cfg, 100, +1).omega_a
+        times = sample_times(cyclotron_frequency(cfg, 100, 1)[0], samples=8192, t_max=period)
+        bands = list(build_packet_bands(packet, cfg).values())
+        values = expectation_series(packet, bands, energies, times)
+        rows = np.r_[np.arange(0, 8192, 37), 8191]
+        reference = reference_series(packet, bands, energies, times[rows])
+        assert np.max(np.abs(values[rows] - reference)) < 1e-11
 
 
 class TestEngineMatchesClosedForms:

@@ -143,6 +143,9 @@ class TestOperatorBands:
             build_operator_band([4, 6, 7], "Px", CFG, 6)
         with pytest.raises(DomainError):
             build_operator_band([], "Px", CFG, 6)
+        # the span of (1, 2, 2, 4) is one less than its count
+        with pytest.raises(DomainError, match=r"^levels: must be contiguous, got \(1, 2, 2, 4\)$"):
+            build_operator_band([4, 2, 1, 2], "Px", CFG, 2)
 
     def test_frozen_mode_uses_reference_level(self):
         band = build_operator_band([6, 7], "Py", CFG, 7)

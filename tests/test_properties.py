@@ -2,24 +2,45 @@
 
 The draws cover field strength, longitudinal momentum, anomaly, helicity,
 reference level and level count inside the ranges spanned by
-``tests/test_acceptance.py::PARAM_SETS``.  ``derandomize=True`` fixes the
-examples, so every run checks the same configurations.
+``tests/test_acceptance.py::PARAM_SETS``, and time grids of any spacing and
+length.  ``derandomize=True`` fixes the examples, so every run checks the
+same configurations.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from landau_packets import evolution
+from landau_packets.classical import classical_reference
+from landau_packets.errors import DomainError
 from landau_packets.evolution import (
+    EXACT,
     UNIFORM_GAP,
     build_packet_bands,
     closed_form_momentum,
     closed_form_spin,
     evolve_packet,
+    expectation_series,
+    relative_energies,
     sample_times,
 )
-from landau_packets.kinematics import FieldConfig, SpinKinematics, anomalous_frequency, cyclotron_frequency
-from landau_packets.packets import build_spinor_packet, normalization_defect
+from landau_packets.kinematics import (
+    FieldConfig,
+    SpinKinematics,
+    anomalous_frequency,
+    cyclotron_frequency,
+    spin_mixing_ratio,
+)
+from landau_packets.operators import build_operator_band
+from landau_packets.packets import (
+    build_spinor_packet,
+    contrast_factor,
+    normalization_defect,
+    pair_sums,
+    structure_sums,
+)
 
 configurations = st.tuples(
     st.floats(min_value=1e-3, max_value=0.1),  # h
@@ -52,3 +73,95 @@ def test_bands_packet_and_engine(config):
     s_ref = closed_form_spin(kin, levels, omega, omega_a, times)
     assert np.max(np.abs(traj.p - p_ref)) < 1e-10
     assert np.max(np.abs(traj.s - s_ref)) < 1e-10
+
+
+# uniform grids, grids with every sample jittered by up to half a spacing
+# and grids of random spacings, with sample counts that are rarely
+# multiples of the anchor stride or the time block
+grids = st.tuples(
+    st.integers(min_value=1, max_value=150),  # samples
+    st.sampled_from(("uniform", "jittered", "uneven")),
+    st.integers(min_value=0, max_value=2**32 - 1),  # seed of the spacings
+    st.floats(min_value=0.5, max_value=20.0),  # span in cyclotron periods
+)
+
+
+def grid_times(samples, kind, seed, periods, omega):
+    span = periods * 2 * np.pi / omega
+    if kind == "uniform":
+        return sample_times(omega, samples=max(samples, 2), t_max=span)
+    rng = np.random.default_rng(seed)
+    if kind == "jittered":
+        times = span * (np.arange(samples) + rng.uniform(-0.5, 0.5, samples)) / samples
+        return np.sort(np.abs(times))
+    return span * np.cumsum(rng.uniform(0.0, 2.0, samples)) / samples
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(configurations, grids, st.sampled_from((UNIFORM_GAP, EXACT)))
+def test_expectation_series_on_any_grid(config, grid, mode):
+    # the anchored psi(t) equals a * exp(-i*dE*t) formed sample by sample,
+    # whether an anchor reuses the step table or takes its own exponentials
+    h, b_z, anomaly, epsilon, n, levels = config
+    cfg = FieldConfig(h=h, anomaly=anomaly, b_z=b_z)
+    packet = build_spinor_packet(n, levels, cfg, epsilon)
+    energies = relative_energies(packet, cfg, mode)
+    times = grid_times(*grid, cyclotron_frequency(cfg, n, epsilon)[0])
+    bands = list(build_packet_bands(packet, cfg).values())
+    coefficients = np.stack([band.blocks.reshape(-1) for band in bands], axis=1)
+    direct = np.array([
+        (pair_sums((packet.amplitudes * np.exp(-1j * energies * t))[None]).reshape(-1) @ coefficients).real
+        for t in times
+    ])
+    values = expectation_series(packet, bands, energies, times)
+    assert values.shape == direct.shape
+    assert np.max(np.abs(values - direct)) <= 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(configurations)
+def test_structure_sums(config):
+    # the bilinear sums of the closed forms: (N-1)/N, kappa/(kappa^2+1),
+    # (kappa^2-1)/(kappa^2+1) and their product, as verify's criterion
+    h, b_z, anomaly, epsilon, n, levels = config
+    cfg = FieldConfig(h=h, anomaly=anomaly, b_z=b_z)
+    kappa = spin_mixing_ratio(cfg, n, epsilon)
+    f = contrast_factor(levels)
+    sums = structure_sums(build_spinor_packet(n, levels, cfg, epsilon))
+    assert abs(sums.adjacent_same_spin - f) <= 1e-12
+    assert abs(sums.diagonal_spin_flip - kappa / (kappa**2 + 1)) <= 1e-12
+    assert abs(sums.population_imbalance - (kappa**2 - 1) / (kappa**2 + 1)) <= 1e-12
+    assert abs(sums.adjacent_spin_flip - f * kappa / (kappa**2 + 1)) <= 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(configurations)
+def test_four_vector_invariants(config):
+    # the classical four-spin stays orthogonal to the four-momentum and of
+    # unit spacelike norm along its closed form, to verify's tolerance
+    h, b_z, anomaly, epsilon, n, _ = config
+    ref = classical_reference(FieldConfig(h=h, anomaly=anomaly, b_z=b_z), n, epsilon)
+    traj = ref.closed_form(sample_times(ref.omega))
+    assert float(np.max(traj.res_sp)) <= 1e-10
+    assert float(np.max(traj.res_ss)) <= 1e-10
+    # and the polarization tensor built from them is antisymmetric and
+    # orthogonal to the four-momentum
+    p4 = traj.four_momentum()
+    tensors = evolution.polarization_series(traj.s, p4)
+    tol = 1e-12 * max(1.0, ref.kin.energy**2)
+    assert np.max(np.abs(tensors + tensors.transpose(0, 2, 1))) <= tol
+    assert np.max(np.abs(np.einsum("tmn,tn->tm", tensors, evolution.lower_index(p4.T).T))) <= tol
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-5, max_value=12), max_size=8))
+def test_band_window_check(levels):
+    # accepted exactly when the sorted levels step by one
+    ordered = sorted(levels)
+    contiguous = bool(ordered) and all(b - a == 1 for a, b in zip(ordered, ordered[1:]))
+    cfg = FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=0.5)
+    if contiguous:
+        assert build_operator_band(levels, "Sx", cfg, 100).levels == tuple(ordered)
+    else:
+        with pytest.raises(DomainError, match="^levels: must be"):
+            build_operator_band(levels, "Sx", cfg, 100)
