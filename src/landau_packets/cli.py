@@ -269,6 +269,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         extra = "" if check.residual is None else f" residual={check.residual:.3e}"
+        extra += "" if check.margin is None else f" margin={check.margin:.3g}"
         print(f"{status} {check.name}{extra}")
     if not report.passed:
         print("verification FAILED")

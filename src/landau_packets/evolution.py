@@ -7,21 +7,30 @@ fixes the phase energies of ``relative_energies`` and its level window the
 bands, and a ``Trajectory`` derives its invariant residuals from its own
 samples.  The engine evolves every basis state of the packet's amplitude
 array with its own phase, psi(t) = a * exp(-i*dE*t), and contracts the pair
-sums of that one psi(t) with the block tables of every observable at once:
+sums of psi(t) with the block tables of every observable at once:
 <psi(t)|V|psi(t)> for all bands together.
 
 Exponentials are taken only at anchor samples, every ANCHOR_STRIDE-th one:
-sample j with anchor k = ANCHOR_STRIDE * floor(j / ANCHOR_STRIDE) gets
+sample j with anchor k = ANCHOR_STRIDE * floor(j / ANCHOR_STRIDE) has
 
-    psi(t_j) = [a * exp(-i*dE*t_k)] * exp(-i*dE*(t_j - t_k)).
+    psi(t_j) = A_k * s_r,  A_k = a * exp(-i*dE*t_k),  s_r = exp(-i*dE*(t_j - t_k)).
 
-The second factor comes from one table of ANCHOR_STRIDE steps, built from
-the first anchor's offsets and reused by every anchor whose offsets match
-them to within a few ulp of |t|, as on every grid of ``sample_times``; an
-anchor of any other grid takes the exponentials of its own offsets in the
-same formula.  The default 256 samples then cost 32 exponentials per state
-instead of 256.  The anchors sit at fixed sample indices, so the block of
-TIME_BLOCK samples evolved at once bounds memory without changing a value.
+The steps s_r come from one table of ANCHOR_STRIDE rows, built from the
+first anchor's offsets and reused by every anchor whose offsets match them
+to within a few ulp of |t|, as on every grid of ``sample_times``; an anchor
+of any other grid takes the exponentials of its own offsets.  The default
+256 samples then cost 32 exponentials per state instead of 256.
+
+psi(t) itself is never formed.  Each pair sum, over m of
+conj(psi[m + d, b]) * psi[m, k], factors into a product of an anchor part
+and a step part, so the sums of all anchors and steps are one matrix
+product per level offset and spin pair (``_factored_pair_sums``), with an
+anchor off the table taking the same product against its own steps.
+Anchors and steps are stored spin-major, (S, rows, levels), so both parts
+are products of contiguous rows.  TIME_BLOCK anchors are evolved at once;
+the last block is padded with zero anchors and every step table with zero
+offsets, so every product has the same shape and no value depends on
+where a block ends.
 
 The energies dE are measured from the reference state.  In
 uniform-gap mode they are exactly (m - n)*omega +
@@ -53,13 +62,16 @@ from .kinematics import (
     energy_spinor,
 )
 from .operators import (
+    DOWN,
     MOMENTUM_OBSERVABLES,
     OBSERVABLES,
+    SAME,
+    UP,
     OperatorBand,
     build_operator_band,
     spin_labels,
 )
-from .packets import PacketSpec, contrast_factor, pair_sums
+from .packets import PacketSpec, contrast_factor
 from .trajectory import Trajectory
 
 UNIFORM_GAP = "uniform-gap"
@@ -68,9 +80,10 @@ EXACT = "exact"
 #: tolerance on the imaginary residue of a Hermitian expectation value
 HERMITIAN_IMAG_TOL = 1e-12
 
-#: time samples evolved at once; bounds the memory held by psi(t), whose
-#: (TIME_BLOCK, levels, S) block stays in cache at 10^4 levels
-TIME_BLOCK = 32
+#: anchors evolved at once; bounds the memory held by their exponentials,
+#: (S, TIME_BLOCK, levels), and fixes the row count of every pair-sum
+#: product, since the last block is padded with zero anchors
+TIME_BLOCK = 16
 
 #: samples per anchor; psi(t) takes its exponentials at every
 #: ANCHOR_STRIDE-th sample, whatever TIME_BLOCK is
@@ -108,9 +121,41 @@ def relative_energies(packet: PacketSpec, cfg: FieldConfig, mode: str = UNIFORM_
     return energies
 
 
-def _phases(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(-i*dE*t) for every time, shape (len(times), levels, S)."""
-    return np.exp(-1j * energies * times[:, None, None])
+def _phases(rates: np.ndarray, times: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(rates * t) for every time, spin-major: shape (S, len(times), levels)
+    for ``rates`` = -i*dE of shape (S, levels)."""
+    out = np.multiply(rates[:, None, :], times[:, None], out=out)
+    return np.exp(out, out=out)
+
+
+def _factored_pair_sums(anchors: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Pair sums of psi = anchors[:, K] * steps[:, r] for every anchor K and
+    step r, shape (K, R, 3, S, S) in the layout of ``pair_sums``, without
+    forming psi.
+
+    ``anchors`` (S, K, levels) and ``steps`` (S, R, levels) are spin-major.
+    The sum over m of conj(psi[m + d, b]) * psi[m, k] factors into
+    X[K, m] * Y[r, m], with X = conj(anchors[b, K, m + d]) * anchors[k, K, m]
+    and Y the same product of the steps: one (K x levels) @ (levels x R)
+    product per offset d in {0, +1} and spin pair (b, k), over contiguous
+    rows.  The d = -1 sums are the conjugate transposes of the d = +1 sums.
+    """
+    spins, rows, levels = anchors.shape
+    sums = np.empty((rows, steps.shape[1], 3, spins, spins), dtype=complex)
+    # a one-row product would go through BLAS's matrix-vector kernel, which
+    # sums less accurately, so x keeps a zero second row
+    x = np.zeros((max(rows, 2), levels), dtype=complex)
+    y = np.empty((steps.shape[1], levels), dtype=complex)
+    for d in (0, 1):
+        width = levels - d
+        for b in range(spins):
+            for k in range(spins):
+                xb, yb = x[:rows, :width], y[:, :width]
+                np.multiply(np.conjugate(anchors[b, :, d:], out=xb), anchors[k, :, :width], out=xb)
+                np.multiply(np.conjugate(steps[b, :, d:], out=yb), steps[k, :, :width], out=yb)
+                sums[:, :, SAME + d, b, k] = (x[:, :width] @ yb.T)[:rows]
+    sums[:, :, DOWN] = sums[:, :, UP].conj().swapaxes(-1, -2)
+    return sums
 
 
 def expectation_series(
@@ -120,11 +165,10 @@ def expectation_series(
     time grid, shape (T, len(bands)), with ``energies`` the phase energies
     of ``relative_energies``.
 
-    psi(t) is stepped from its anchor samples (see the module docstring)
-    one block of TIME_BLOCK samples at a time, and the pair sums of each
-    block are contracted with every block table in one product.  The
-    imaginary residue of the Hermitian sums is checked against
-    HERMITIAN_IMAG_TOL and discarded.
+    The pair sums of psi(t) are factored over anchors and steps (see the
+    module docstring), TIME_BLOCK anchors at a time, and contracted with
+    every block table in one product.  The imaginary residue of the
+    Hermitian sums is checked against HERMITIAN_IMAG_TOL and discarded.
     """
     bands = tuple(bands)
     for band in bands:
@@ -140,25 +184,34 @@ def expectation_series(
     times = np.asarray(times, dtype=float)
     coefficients = np.stack([band.blocks.reshape(-1) for band in bands], axis=1)
     stride = ANCHOR_STRIDE
-    position = np.arange(times.size) % stride
-    offsets = times - times[np.arange(times.size) - position]  # t_j - t_k
-    steps = _phases(energies, offsets[:stride])
+    anchor_times = times[::stride]
+    # offsets t_j - t_k by anchor and step, padded with zero steps past the
+    # last sample so that every step table has ANCHOR_STRIDE rows
+    index = np.arange(times.size)
+    offsets = np.zeros((max(anchor_times.size, 1), stride))
+    offsets.flat[: times.size] = times - times[index - index % stride]
+    slack = np.full(offsets.shape, np.inf)
+    slack.flat[: times.size] = _OFFSET_ULPS * np.spacing(np.abs(times))
     # an anchor reuses the step table when all its offsets are the first
     # anchor's to within a few ulp of |t|, as on every uniform grid; on any
     # other grid it takes the exponentials of its own offsets
-    matches = np.abs(offsets - offsets[position]) <= _OFFSET_ULPS * np.spacing(np.abs(times))
-    reuse = [bool(matches[k : k + stride].all()) for k in range(0, times.size, stride)]
+    reuse = np.all(np.abs(offsets - offsets[0]) <= slack, axis=1)
+    rates = np.ascontiguousarray((-1j * energies).T)  # spin-major, (S, levels)
+    amplitudes = packet.amplitudes.T[:, None, :]
+    table = _phases(rates, offsets[0])
+    anchors = np.zeros((rates.shape[0], TIME_BLOCK, rates.shape[1]), dtype=complex)
     values = np.empty((times.size, len(bands)), dtype=complex)
-    for start in range(0, times.size, TIME_BLOCK):
-        stop = min(start + TIME_BLOCK, times.size)
-        first = start - start % stride
-        anchors = packet.amplitudes * _phases(energies, times[first:stop:stride])
-        psi = np.empty((stop - start, *energies.shape), dtype=complex)
-        for psi_anchor, k in zip(anchors, range(first, stop, stride)):
-            lo, hi = max(k, start), min(k + stride, stop)
-            step = steps[lo - k : hi - k] if reuse[k // stride] else _phases(energies, offsets[lo:hi])
-            np.multiply(psi_anchor, step, out=psi[lo - start : hi - start])
-        values[start:stop] = pair_sums(psi).reshape(stop - start, -1) @ coefficients
+    for first in range(0, anchor_times.size, TIME_BLOCK):
+        count = min(TIME_BLOCK, anchor_times.size - first)
+        block = _phases(rates, anchor_times[first : first + count], out=anchors[:, :count])
+        np.multiply(amplitudes, block, out=block)
+        anchors[:, count:] = 0  # the last block is padded to TIME_BLOCK rows
+        sums = _factored_pair_sums(anchors, table)
+        for row in np.flatnonzero(~reuse[first : first + count]):
+            own = _phases(rates, offsets[first + row])
+            sums[row] = _factored_pair_sums(anchors[:, row : row + 1], own)[0]
+        start, stop = first * stride, min((first + TIME_BLOCK) * stride, times.size)
+        values[start:stop] = sums.reshape(-1, coefficients.shape[0])[: stop - start] @ coefficients
     residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
     if residue > HERMITIAN_IMAG_TOL:
         raise AccuracyError(

@@ -42,12 +42,21 @@ class CheckResult:
     tolerance: float | None = None
     details: dict = field(default_factory=dict)
 
+    @property
+    def margin(self) -> float | None:
+        """residual / tolerance, the share of its tolerance the check used;
+        None when it reports no residual or no tolerance."""
+        if self.residual is None or self.tolerance is None:
+            return None
+        return float(self.residual) / float(self.tolerance)
+
     def as_dict(self) -> dict:
         return {
             "name": self.name,
             "passed": bool(self.passed),
             "residual": None if self.residual is None else float(self.residual),
             "tolerance": None if self.tolerance is None else float(self.tolerance),
+            "margin": self.margin,
             "details": self.details,
         }
 

@@ -140,6 +140,25 @@ class TestVerifyCommand:
         names = {check["name"] for check in report["checks"]}
         assert "structure-sums" in names and "bmt-closed-form-match" in names
 
+    def test_reports_margin_of_every_check(self, tmp_path, capsys):
+        # margin = residual / tolerance, null where either is missing, and
+        # deterministic: a rerun writes the same report
+        reports = []
+        for run in ("a", "b"):
+            assert main(["verify", *FAST, "--output-dir", str(tmp_path / run)]) == EXIT_OK
+            reports.append(json.loads((tmp_path / run / "verify.json").read_text()))
+        checks = reports[0]["checks"]
+        for check in checks:
+            if check["residual"] is None or check["tolerance"] is None:
+                assert check["margin"] is None, check["name"]
+            else:
+                assert check["margin"] == check["residual"] / check["tolerance"], check["name"]
+                assert 0 <= check["margin"] <= 1, check["name"]
+        assert {c["name"] for c in checks if c["margin"] is None} == {"rk4-order", "oracle-convergence", "determinism"}
+        assert [c["margin"] for c in checks] == [c["margin"] for c in reports[1]["checks"]]
+        out = capsys.readouterr().out  # both runs
+        assert out.count(" margin=") == 2 * sum(c["margin"] is not None for c in checks)
+
     def test_dirac_case_passes(self, tmp_path):
         # without an anomaly the spin does not precess relative to the orbit
         code = main(["verify", *FAST, "--anomaly", "0", "--output-dir", str(tmp_path)])

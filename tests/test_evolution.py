@@ -33,7 +33,7 @@ from landau_packets.kinematics import (
     transverse_momentum,
 )
 from landau_packets.operators import spin_labels
-from landau_packets.packets import build_scalar_packet, build_spinor_packet, contrast_factor, pair_sums
+from landau_packets.packets import build_scalar_packet, build_spinor_packet, contrast_factor
 from landau_packets.trajectory import Trajectory
 
 CFG = FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=0.5)
@@ -168,26 +168,50 @@ class TestGenericExpectation:
             expectation_series(packet, [broken], energies, times)
 
     def test_one_state_evaluation_per_time_block(self, monkeypatch):
-        # every observable is contracted with the same psi(t): one pair-sum
-        # pass per block of TIME_BLOCK samples, not one per observable
+        # every observable is contracted with the same pair sums: one
+        # factored pass per block of TIME_BLOCK anchors, each over all
+        # TIME_BLOCK rows and ANCHOR_STRIDE steps, not one per observable;
+        # an anchor off the step table takes one more pass of its own
         calls = []
 
-        def counted(psi):
-            calls.append(psi.shape)
-            return pair_sums(psi)
+        def counted(anchors, steps):
+            calls.append((anchors.shape, steps.shape))
+            return factored(anchors, steps)
 
-        monkeypatch.setattr(evolution, "pair_sums", counted)
-        packet, energies, _ = engine_setup(CFG, N_REF, 5, +1)
-        times = sample_times(cyclotron_frequency(CFG, N_REF, 1)[0], samples=256)
+        factored = evolution._factored_pair_sums
+        monkeypatch.setattr(evolution, "_factored_pair_sums", counted)
+        packet, _, _ = engine_setup(CFG, N_REF, 5, +1)
+        omega = cyclotron_frequency(CFG, N_REF, 1)[0]
+        evolve_packet(packet, CFG, sample_times(omega, samples=1024))
+        block = (2, evolution.TIME_BLOCK, 5), (2, evolution.ANCHOR_STRIDE, 5)
+        assert calls == [block] * math.ceil(1024 / evolution.ANCHOR_STRIDE / evolution.TIME_BLOCK) == [block] * 4
+
+        calls.clear()
+        times = sample_times(omega, samples=40)
+        times[20] += 0.25 * times[1]  # the second of three anchors leaves the table
         evolve_packet(packet, CFG, times)
-        assert len(calls) == math.ceil(256 / evolution.TIME_BLOCK) == 8
+        assert calls == [block, ((2, 1, 5), (2, evolution.ANCHOR_STRIDE, 5))]
+
+    def test_anchor_sums_do_not_depend_on_their_block(self):
+        # an anchor's pair sums are the same bits alone (off the table) as in
+        # a block: a one-row product would take BLAS's matrix-vector kernel
+        rng = np.random.default_rng(5)
+        rates = -1j * rng.uniform(-50.0, 50.0, (2, 1000))
+        anchors = evolution._phases(rates, rng.uniform(0.0, 1.0, evolution.TIME_BLOCK))
+        steps = evolution._phases(rates, rng.uniform(0.0, 0.1, evolution.ANCHOR_STRIDE))
+        block = evolution._factored_pair_sums(anchors, steps)
+        for row in (0, 7, evolution.TIME_BLOCK - 1):
+            alone = evolution._factored_pair_sums(anchors[:, row : row + 1], steps)[0]
+            np.testing.assert_array_equal(alone, block[row])
 
     def test_time_blocks_do_not_change_values(self, monkeypatch):
         packet, energies, times = engine_setup(CFG, N_REF, 5, +1)
+        jittered = times + 0.25 * times[1] * np.sin(np.arange(times.size))
         band = build_packet_bands(packet, CFG)["Sx"]
-        whole = expectation_series(packet, [band], energies, times)[:, 0]
+        whole = [expectation_series(packet, [band], energies, grid)[:, 0] for grid in (times, jittered)]
         monkeypatch.setattr(evolution, "TIME_BLOCK", 7)
-        np.testing.assert_allclose(expectation_series(packet, [band], energies, times)[:, 0], whole, rtol=0, atol=1e-15)
+        for grid, values in zip((times, jittered), whole):
+            np.testing.assert_allclose(expectation_series(packet, [band], energies, grid)[:, 0], values, rtol=0, atol=1e-15)
 
 
 #: 2*pi to the precision of long double (64-bit mantissa on x86)
@@ -225,6 +249,26 @@ class TestPhaseAccuracy:
         values = expectation_series(packet, bands, energies, times)
         reference = reference_series(packet, bands, energies, times)
         assert np.max(np.abs(values - reference)) < 1e-12
+
+    def test_ten_thousand_levels_partial_last_anchor(self):
+        # the default grid cut to 250 samples: the last anchor steps 10
+        # samples through the first rows of the table; 2.4e-13 measured
+        packet, energies, times = engine_setup(CFG, 10000, 10000, +1)
+        bands = list(build_packet_bands(packet, CFG).values())
+        values = expectation_series(packet, bands, energies, times[:250])
+        reference = reference_series(packet, bands, energies, times[:250])
+        assert np.max(np.abs(values - reference)) < 1e-12
+
+    def test_ten_thousand_levels_off_the_step_table(self):
+        # every sample jittered by up to 0.4 of the sample interval, so every
+        # anchor takes its own steps; 3.7e-13 measured
+        packet, energies, times = engine_setup(CFG, 10000, 10000, +1)
+        rng = np.random.default_rng(3)
+        times = np.abs(times + 0.4 * times[1] * rng.uniform(-1.0, 1.0, times.size))
+        bands = list(build_packet_bands(packet, CFG).values())
+        values = expectation_series(packet, bands, energies, times)
+        reference = reference_series(packet, bands, energies, times)
+        assert np.max(np.abs(values - reference)) < 5e-12
 
     def test_exact_mode_over_one_anomalous_period(self):
         # the exact-mode trajectory of the horizon benchmark: 100 levels at
