@@ -30,17 +30,40 @@ against the closed form is about 100 times smaller (7e-10 against 6e-8 at
 the default ``verify`` configuration).  Classical RK4 is kept for the
 convergence-order check, which sets its step explicitly.
 
-Each scheme runs the steps between two recorded samples in one kernel,
-``_dop853_steps`` or ``_rk4_steps``, on eight Python-float locals and the
-same derivative expressions.  Scalar arithmetic on Python floats costs a
-fraction of the same arithmetic on numpy scalars or through per-stage
-tuples, so the grid is converted with ``tolist`` before integrating.  The
-RK4 kernel performs the operations of the componentwise RK4 update in the
-same order, so its results are the same bits; it only drops what is
-constant (u0 and u3, whose derivative is 0) or never read (the stage values
-of s0 and s3).  The order-8 kernel unrolls its stages with the tableau's
-entries as named locals and skips its zero entries; a generic loop over the
-tableau's rows took three times as long per step.
+The order-8 scheme uses that both equations are linear, the momentum
+equation in (u1, u2) and the spin equation in S once u is given, and that
+both are unchanged by a rotation about the field.  Written in the frame of
+the momentum, one step of a given length is therefore the same linear map
+for every step: the momentum gains delta * u (a scaled quarter turn, the
+tableau's stability polynomial minus 1), and the transverse spin (s1, s2),
+resolved along and across the momentum, gains a 2 x 2 map of itself, s0 and
+s3 a row of it.  The 12 stages run once per distinct step length, as
+numpy arrays over the lengths and in double-double arithmetic (about
+2^-100 relative), so each map is its exact value rounded once.  That
+matters twice over:
+
+- an error in a map repeats on every step of its length, so it grows
+  linearly with the step count where fresh roundoff grows as its square
+  root; delta is moreover applied as hi + lo (for the spin maps the low
+  parts moved no residual beyond roundoff);
+- the anomalous term shears the spin along the momentum with entries of
+  order a k b^2 dt / gamma (about 36 at level 10^5 and anomaly 5).  In the
+  lab basis those entries multiply the large spin components and cancel;
+  along and across the momentum they multiply only the small transverse
+  component.
+
+The maps depend on the momentum's length rho only through the spin
+equation, and rho moves only by roundoff and by the scheme's amplitude
+error (1.9e-15 per step at 32 steps per period), so each step takes the
+map at rho plus its first-order change in rho^2.  Two scalar loops then
+apply the maps in order: the momentum's, and the spin's, turned to each
+step's momentum direction.  u0 and u3 stay fixed.
+
+The RK4 kernel ``_rk4_steps`` runs the steps between two recorded samples
+on eight Python-float locals.  It performs the operations of the
+componentwise RK4 update in the same order, so its results are the same
+bits; it only drops what is constant (u0 and u3, whose derivative is 0) or
+never read (the stage values of s0 and s3).
 """
 
 from __future__ import annotations
@@ -105,6 +128,12 @@ _DOP853_B = (
     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
     0.04471061572777259,
 )
+
+#: relative change of the momentum's length at which the order-8 scheme
+#: takes the derivative of its frame maps in rho^2
+_RHO_STEP = 2.0**-20
+#: steps the order-8 scheme advances between two conversions of lists to arrays
+_DOP853_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -250,170 +279,156 @@ def _rk4_steps(y: tuple, k: float, g: float, dt: float, steps: int) -> tuple:
     return (u0, u1, u2, u3, s0, s1, s2, s3)
 
 
-def _dop853_steps(y: tuple, k: float, g: float, dt: float, steps: int) -> tuple:
-    """Advance y = (u0, u1, u2, u3, s0, s1, s2, s3) by ``steps`` steps of the
-    order-8 Dormand-Prince scheme of length ``dt`` in lab time, with k = 2h
-    and g the g-factor."""
-    (
-        (), (a1_0,), (a2_0, a2_1), (a3_0, _, a3_2), (a4_0, _, a4_2, a4_3),
-        (a5_0, _, _, a5_3, a5_4), (a6_0, _, _, a6_3, a6_4, a6_5),
-        (a7_0, _, _, a7_3, a7_4, a7_5, a7_6), (a8_0, _, _, a8_3, a8_4, a8_5, a8_6, a8_7),
-        (a9_0, _, _, a9_3, a9_4, a9_5, a9_6, a9_7, a9_8),
-        (a10_0, _, _, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
-        (a11_0, _, _, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10),
-    ) = _DOP853_A
-    b0, _, _, _, _, b5, b6, b7, b8, b9, b10, b11 = _DOP853_B
-    u0, u1, u2, u3, s0, s1, s2, s3 = y
-    # u0 and u3 have derivative 0 and stay fixed.  s0 and s3 feed no
-    # derivative, and theirs (a * q and a * u3 * q / u0) differ from q by a
-    # constant factor, so the weights b are applied to the stage values of q
-    inv = 1.0 / u0
+def _two_prod(a, b):
+    """(p, e) with p = fl(a * b) and p + e = a * b exactly: Dekker's
+    product, on Veltkamp's split of each factor at 2^27 + 1."""
+    p = a * b
+    c = 134217729.0 * a
+    ah = c - (c - a)
+    al = a - ah
+    c = 134217729.0 * b
+    bh = c - (c - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_mul_add(xh, xl, yh, yl, ch, cl):
+    """x * y + c for unevaluated sums x = xh + xl, y = yh + yl and
+    c = ch + cl, to about twice working precision, as a pair (hi, lo)."""
+    p, e = _two_prod(xh, yh)
+    s = p + ch
+    t = s - p
+    e = e + (xh * yl + xl * yh) + ((p - (s - t)) + (ch - t)) + cl
+    hi = s + e
+    return hi, e - (hi - s)
+
+
+def _dd_combination(coefficients, terms):
+    """sum_i c_i x_i for doubles c_i and pairs x_i, as a pair."""
+    hi, lo = 0.0, 0.0
+    for coefficient, (th, tl) in zip(coefficients, terms):
+        if coefficient:
+            hi, lo = _dd_mul_add(coefficient, 0.0, th, tl, hi, lo)
+    return hi, lo
+
+
+def _quarter_turn(x: np.ndarray) -> np.ndarray:
+    """(x1, x2) -> (-x2, x1) along the first axis."""
+    return np.stack([-x[1], x[0]])
+
+
+def _frame_steps(lengths: np.ndarray, rho: np.ndarray, k: float, inv: float, g: float):
+    """One order-8 step for each lane, taken in the frame of the momentum
+    and in double-double arithmetic: the momentum starts at (rho, 0), the
+    two unit spins at (1, 0) along and (0, 1) across it, and the step has
+    the lane's length.  Returns, each as a pair (hi, lo), the increment of
+    the momentum divided by rho (components, lanes), those of the spins
+    (components, spins, lanes), and dt * sum_i b_i q_i of each spin
+    (spins, lanes).
+    """
     half_g = 0.5 * g
     a = half_g - 1.0
-    mk = -k
-    mhk = -half_g * k
-    hk = half_g * k
-    au3 = a * u3
-    for _ in range(steps):
-        q0 = k * (s1 * u2 - s2 * u1)
-        d0u1, d0u2 = mk * u2 * inv, k * u1 * inv
-        d0s1 = (mhk * s2 + a * u1 * q0) * inv
-        d0s2 = (hk * s1 + a * u2 * q0) * inv
-
-        v1 = u1 + dt * (a1_0 * d0u1)
-        v2 = u2 + dt * (a1_0 * d0u2)
-        w1 = s1 + dt * (a1_0 * d0s1)
-        w2 = s2 + dt * (a1_0 * d0s2)
-        q1 = k * (w1 * v2 - w2 * v1)
-        d1u1, d1u2 = mk * v2 * inv, k * v1 * inv
-        d1s1 = (mhk * w2 + a * v1 * q1) * inv
-        d1s2 = (hk * w1 + a * v2 * q1) * inv
-
-        v1 = u1 + dt * (a2_0 * d0u1 + a2_1 * d1u1)
-        v2 = u2 + dt * (a2_0 * d0u2 + a2_1 * d1u2)
-        w1 = s1 + dt * (a2_0 * d0s1 + a2_1 * d1s1)
-        w2 = s2 + dt * (a2_0 * d0s2 + a2_1 * d1s2)
-        q2 = k * (w1 * v2 - w2 * v1)
-        d2u1, d2u2 = mk * v2 * inv, k * v1 * inv
-        d2s1 = (mhk * w2 + a * v1 * q2) * inv
-        d2s2 = (hk * w1 + a * v2 * q2) * inv
-
-        v1 = u1 + dt * (a3_0 * d0u1 + a3_2 * d2u1)
-        v2 = u2 + dt * (a3_0 * d0u2 + a3_2 * d2u2)
-        w1 = s1 + dt * (a3_0 * d0s1 + a3_2 * d2s1)
-        w2 = s2 + dt * (a3_0 * d0s2 + a3_2 * d2s2)
-        q3 = k * (w1 * v2 - w2 * v1)
-        d3u1, d3u2 = mk * v2 * inv, k * v1 * inv
-        d3s1 = (mhk * w2 + a * v1 * q3) * inv
-        d3s2 = (hk * w1 + a * v2 * q3) * inv
-
-        v1 = u1 + dt * (a4_0 * d0u1 + a4_2 * d2u1 + a4_3 * d3u1)
-        v2 = u2 + dt * (a4_0 * d0u2 + a4_2 * d2u2 + a4_3 * d3u2)
-        w1 = s1 + dt * (a4_0 * d0s1 + a4_2 * d2s1 + a4_3 * d3s1)
-        w2 = s2 + dt * (a4_0 * d0s2 + a4_2 * d2s2 + a4_3 * d3s2)
-        q4 = k * (w1 * v2 - w2 * v1)
-        d4u1, d4u2 = mk * v2 * inv, k * v1 * inv
-        d4s1 = (mhk * w2 + a * v1 * q4) * inv
-        d4s2 = (hk * w1 + a * v2 * q4) * inv
-
-        v1 = u1 + dt * (a5_0 * d0u1 + a5_3 * d3u1 + a5_4 * d4u1)
-        v2 = u2 + dt * (a5_0 * d0u2 + a5_3 * d3u2 + a5_4 * d4u2)
-        w1 = s1 + dt * (a5_0 * d0s1 + a5_3 * d3s1 + a5_4 * d4s1)
-        w2 = s2 + dt * (a5_0 * d0s2 + a5_3 * d3s2 + a5_4 * d4s2)
-        q5 = k * (w1 * v2 - w2 * v1)
-        d5u1, d5u2 = mk * v2 * inv, k * v1 * inv
-        d5s1 = (mhk * w2 + a * v1 * q5) * inv
-        d5s2 = (hk * w1 + a * v2 * q5) * inv
-
-        v1 = u1 + dt * (a6_0 * d0u1 + a6_3 * d3u1 + a6_4 * d4u1 + a6_5 * d5u1)
-        v2 = u2 + dt * (a6_0 * d0u2 + a6_3 * d3u2 + a6_4 * d4u2 + a6_5 * d5u2)
-        w1 = s1 + dt * (a6_0 * d0s1 + a6_3 * d3s1 + a6_4 * d4s1 + a6_5 * d5s1)
-        w2 = s2 + dt * (a6_0 * d0s2 + a6_3 * d3s2 + a6_4 * d4s2 + a6_5 * d5s2)
-        q6 = k * (w1 * v2 - w2 * v1)
-        d6u1, d6u2 = mk * v2 * inv, k * v1 * inv
-        d6s1 = (mhk * w2 + a * v1 * q6) * inv
-        d6s2 = (hk * w1 + a * v2 * q6) * inv
-
-        v1 = u1 + dt * (a7_0 * d0u1 + a7_3 * d3u1 + a7_4 * d4u1 + a7_5 * d5u1 + a7_6 * d6u1)
-        v2 = u2 + dt * (a7_0 * d0u2 + a7_3 * d3u2 + a7_4 * d4u2 + a7_5 * d5u2 + a7_6 * d6u2)
-        w1 = s1 + dt * (a7_0 * d0s1 + a7_3 * d3s1 + a7_4 * d4s1 + a7_5 * d5s1 + a7_6 * d6s1)
-        w2 = s2 + dt * (a7_0 * d0s2 + a7_3 * d3s2 + a7_4 * d4s2 + a7_5 * d5s2 + a7_6 * d6s2)
-        q7 = k * (w1 * v2 - w2 * v1)
-        d7u1, d7u2 = mk * v2 * inv, k * v1 * inv
-        d7s1 = (mhk * w2 + a * v1 * q7) * inv
-        d7s2 = (hk * w1 + a * v2 * q7) * inv
-
-        v1 = u1 + dt * (a8_0 * d0u1 + a8_3 * d3u1 + a8_4 * d4u1 + a8_5 * d5u1 + a8_6 * d6u1
-                        + a8_7 * d7u1)
-        v2 = u2 + dt * (a8_0 * d0u2 + a8_3 * d3u2 + a8_4 * d4u2 + a8_5 * d5u2 + a8_6 * d6u2
-                        + a8_7 * d7u2)
-        w1 = s1 + dt * (a8_0 * d0s1 + a8_3 * d3s1 + a8_4 * d4s1 + a8_5 * d5s1 + a8_6 * d6s1
-                        + a8_7 * d7s1)
-        w2 = s2 + dt * (a8_0 * d0s2 + a8_3 * d3s2 + a8_4 * d4s2 + a8_5 * d5s2 + a8_6 * d6s2
-                        + a8_7 * d7s2)
-        q8 = k * (w1 * v2 - w2 * v1)
-        d8u1, d8u2 = mk * v2 * inv, k * v1 * inv
-        d8s1 = (mhk * w2 + a * v1 * q8) * inv
-        d8s2 = (hk * w1 + a * v2 * q8) * inv
-
-        v1 = u1 + dt * (a9_0 * d0u1 + a9_3 * d3u1 + a9_4 * d4u1 + a9_5 * d5u1 + a9_6 * d6u1
-                        + a9_7 * d7u1 + a9_8 * d8u1)
-        v2 = u2 + dt * (a9_0 * d0u2 + a9_3 * d3u2 + a9_4 * d4u2 + a9_5 * d5u2 + a9_6 * d6u2
-                        + a9_7 * d7u2 + a9_8 * d8u2)
-        w1 = s1 + dt * (a9_0 * d0s1 + a9_3 * d3s1 + a9_4 * d4s1 + a9_5 * d5s1 + a9_6 * d6s1
-                        + a9_7 * d7s1 + a9_8 * d8s1)
-        w2 = s2 + dt * (a9_0 * d0s2 + a9_3 * d3s2 + a9_4 * d4s2 + a9_5 * d5s2 + a9_6 * d6s2
-                        + a9_7 * d7s2 + a9_8 * d8s2)
-        q9 = k * (w1 * v2 - w2 * v1)
-        d9u1, d9u2 = mk * v2 * inv, k * v1 * inv
-        d9s1 = (mhk * w2 + a * v1 * q9) * inv
-        d9s2 = (hk * w1 + a * v2 * q9) * inv
-
-        v1 = u1 + dt * (a10_0 * d0u1 + a10_3 * d3u1 + a10_4 * d4u1 + a10_5 * d5u1
-                        + a10_6 * d6u1 + a10_7 * d7u1 + a10_8 * d8u1 + a10_9 * d9u1)
-        v2 = u2 + dt * (a10_0 * d0u2 + a10_3 * d3u2 + a10_4 * d4u2 + a10_5 * d5u2
-                        + a10_6 * d6u2 + a10_7 * d7u2 + a10_8 * d8u2 + a10_9 * d9u2)
-        w1 = s1 + dt * (a10_0 * d0s1 + a10_3 * d3s1 + a10_4 * d4s1 + a10_5 * d5s1
-                        + a10_6 * d6s1 + a10_7 * d7s1 + a10_8 * d8s1 + a10_9 * d9s1)
-        w2 = s2 + dt * (a10_0 * d0s2 + a10_3 * d3s2 + a10_4 * d4s2 + a10_5 * d5s2
-                        + a10_6 * d6s2 + a10_7 * d7s2 + a10_8 * d8s2 + a10_9 * d9s2)
-        q10 = k * (w1 * v2 - w2 * v1)
-        d10u1, d10u2 = mk * v2 * inv, k * v1 * inv
-        d10s1 = (mhk * w2 + a * v1 * q10) * inv
-        d10s2 = (hk * w1 + a * v2 * q10) * inv
-
-        v1 = u1 + dt * (a11_0 * d0u1 + a11_3 * d3u1 + a11_4 * d4u1 + a11_5 * d5u1
-                        + a11_6 * d6u1 + a11_7 * d7u1 + a11_8 * d8u1 + a11_9 * d9u1
-                        + a11_10 * d10u1)
-        v2 = u2 + dt * (a11_0 * d0u2 + a11_3 * d3u2 + a11_4 * d4u2 + a11_5 * d5u2
-                        + a11_6 * d6u2 + a11_7 * d7u2 + a11_8 * d8u2 + a11_9 * d9u2
-                        + a11_10 * d10u2)
-        w1 = s1 + dt * (a11_0 * d0s1 + a11_3 * d3s1 + a11_4 * d4s1 + a11_5 * d5s1
-                        + a11_6 * d6s1 + a11_7 * d7s1 + a11_8 * d8s1 + a11_9 * d9s1
-                        + a11_10 * d10s1)
-        w2 = s2 + dt * (a11_0 * d0s2 + a11_3 * d3s2 + a11_4 * d4s2 + a11_5 * d5s2
-                        + a11_6 * d6s2 + a11_7 * d7s2 + a11_8 * d8s2 + a11_9 * d9s2
-                        + a11_10 * d10s2)
-        q11 = k * (w1 * v2 - w2 * v1)
-        d11u1, d11u2 = mk * v2 * inv, k * v1 * inv
-        d11s1 = (mhk * w2 + a * v1 * q11) * inv
-        d11s2 = (hk * w1 + a * v2 * q11) * inv
-
-        u1 = u1 + dt * (b0 * d0u1 + b5 * d5u1 + b6 * d6u1 + b7 * d7u1 + b8 * d8u1 + b9 * d9u1
-                        + b10 * d10u1 + b11 * d11u1)
-        u2 = u2 + dt * (b0 * d0u2 + b5 * d5u2 + b6 * d6u2 + b7 * d7u2 + b8 * d8u2 + b9 * d9u2
-                        + b10 * d10u2 + b11 * d11u2)
-        s1 = s1 + dt * (b0 * d0s1 + b5 * d5s1 + b6 * d6s1 + b7 * d7s1 + b8 * d8s1 + b9 * d9s1
-                        + b10 * d10s1 + b11 * d11s1)
-        s2 = s2 + dt * (b0 * d0s2 + b5 * d5s2 + b6 * d6s2 + b7 * d7s2 + b8 * d8s2 + b9 * d9s2
-                        + b10 * d10s2 + b11 * d11s2)
-        q = dt * (b0 * q0 + b5 * q5 + b6 * q6 + b7 * q7 + b8 * q8 + b9 * q9 + b10 * q10 + b11 * q11)
-        s0 = s0 + a * q
-        s3 = s3 + au3 * q * inv
-    return (u0, u1, u2, u3, s0, s1, s2, s3)
+    omega = _two_prod(k, inv)
+    hk = _two_prod(half_g, k)
+    # rows: the momentum over rho, then (s1, s2) x (along, across)
+    start = np.zeros((6, lengths.size))
+    start[0], start[2], start[5] = 1.0, 1.0, 1.0
+    rates, qs = [], []
+    for row in _DOP853_A:
+        yh, yl = _dd_mul_add(lengths, 0.0, *_dd_combination(row, rates), start, 0.0)
+        uh, ul = _dd_mul_add(rho, 0.0, yh[:2], yl[:2], 0.0, 0.0)
+        sh, sl = yh[2:].reshape(2, 2, -1), yl[2:].reshape(2, 2, -1)
+        # q = k (s1 u2 - s2 u1); ds/dt = ((g/2) k J s + a q u) / gamma, du/dt = k J u / gamma
+        qh, ql = _dd_mul_add(sh[0], sl[0], uh[1], ul[1], 0.0, 0.0)
+        qh, ql = _dd_mul_add(-sh[1], -sl[1], uh[0], ul[0], qh, ql)
+        qh, ql = _dd_mul_add(k, 0.0, qh, ql, 0.0, 0.0)
+        ah, al = _dd_mul_add(a, 0.0, qh, ql, 0.0, 0.0)
+        dh, dl = _dd_mul_add(ah, al, uh[:, None], ul[:, None], 0.0, 0.0)
+        dh, dl = _dd_mul_add(*hk, _quarter_turn(sh), _quarter_turn(sl), dh, dl)
+        dh, dl = _dd_mul_add(inv, 0.0, dh, dl, 0.0, 0.0)
+        mh, ml = _dd_mul_add(*omega, _quarter_turn(yh[:2]), _quarter_turn(yl[:2]), 0.0, 0.0)
+        rates.append((np.concatenate([mh, dh.reshape(4, -1)]), np.concatenate([ml, dl.reshape(4, -1)])))
+        qs.append((qh, ql))
+    dh, dl = _dd_mul_add(lengths, 0.0, *_dd_combination(_DOP853_B, rates), 0.0, 0.0)
+    dq = _dd_mul_add(lengths, 0.0, *_dd_combination(_DOP853_B, qs), 0.0, 0.0)
+    return (dh[:2], dl[:2]), (dh[2:].reshape(2, 2, -1), dl[2:].reshape(2, 2, -1)), dq
 
 
-_KERNELS = {4: _rk4_steps, 8: _dop853_steps}
+def _dop853_samples(init: ClassicalState, k: float, record_times: np.ndarray, dt: float) -> np.ndarray:
+    """The order-8 states (u0, u1, u2, u3, s0, s1, s2, s3) on ``record_times``,
+    with k = 2h; the steps between two samples split their span evenly into
+    pieces no longer than ``dt``."""
+    spans = np.diff(record_times)
+    substeps = np.maximum(np.ceil(spans / dt - 1e-12), 1.0).astype(np.intp)
+    lengths = spans / substeps
+    gamma, u1, u2, u3 = init.u
+    s0, s1, s2, s3 = init.s
+    inv = 1.0 / gamma
+    a = 0.5 * init.g_factor - 1.0
+    a3 = a * u3 * inv
+
+    # one frame step per distinct length, at the momentum's length rho and
+    # at rho (1 + _RHO_STEP) for the derivative in rho^2
+    distinct, which = np.unique(lengths, return_inverse=True)
+    rho = math.hypot(u1, u2)
+    rho_next = rho * (1.0 + _RHO_STEP) + _RHO_STEP
+    lanes = distinct.size
+    (mh, ml), (sh, _), (qh, _) = _frame_steps(
+        np.tile(distinct, 2), np.repeat([rho, rho_next], lanes), k, inv, init.g_factor
+    )
+    delta_hi = (mh[0] + 1j * mh[1])[:lanes]
+    delta_lo = (ml[0] + 1j * ml[1])[:lanes]
+    spin = sh[0] + 1j * sh[1]
+    d_rho2 = rho_next**2 - rho**2
+    spin, spin_slope = spin[:, :lanes], (spin[:, lanes:] - spin[:, :lanes]) / d_rho2
+    q, q_slope = qh[:, :lanes], (qh[:, lanes:] - qh[:, :lanes]) / d_rho2
+
+    step = np.repeat(which, substeps)
+    ends = np.cumsum(substeps)
+    out = np.empty((record_times.size, 8))
+    out[0] = init.u + init.s
+    out[1:, 0] = gamma
+    out[1:, 3] = u3
+    z, sigma = complex(u1, u2), complex(s1, s2)
+    for begin in range(0, step.size, _DOP853_BLOCK):
+        ix = step[begin:begin + _DOP853_BLOCK]
+        # the momentum: u1 + i u2 gains delta (u1 + i u2), delta carried as hi + lo
+        zs = [z]
+        for d_hi, d_lo in zip(delta_hi[ix].tolist(), delta_lo[ix].tolist()):
+            z = z + (d_hi * z + d_lo * z)
+            zs.append(z)
+        zs = np.array(zs)
+        # the spin: the frame maps at each step's momentum length, turned to
+        # its direction e
+        radius = np.abs(zs[:-1])
+        e = np.divide(zs[:-1], radius, out=np.ones(ix.size, dtype=complex), where=radius > 0)
+        shift = (radius - rho) * (radius + rho)
+        along, across = e * (spin[:, ix] + shift * spin_slope[:, ix])
+        q_along, q_across = q[:, ix] + shift * q_slope[:, ix]
+        sigmas, s0s, s3s = [sigma], [s0], [s3]
+        for ce, ds_a, ds_c, dq_a, dq_c in zip(
+            e.conj().tolist(), along.tolist(), across.tolist(), q_along.tolist(), q_across.tolist()
+        ):
+            w = ce * sigma
+            p, r = w.real, w.imag
+            sigma = sigma + (p * ds_a + r * ds_c)
+            dq = p * dq_a + r * dq_c
+            s0 = s0 + a * dq
+            s3 = s3 + a3 * dq
+            sigmas.append(sigma)
+            s0s.append(s0)
+            s3s.append(s3)
+        first, last = np.searchsorted(ends, (begin, begin + ix.size), side="right")
+        at = ends[first:last] - begin
+        rows = slice(first + 1, last + 1)
+        out[rows, 1] = zs.real[at]
+        out[rows, 2] = zs.imag[at]
+        sigmas = np.array(sigmas)
+        out[rows, 4] = np.array(s0s)[at]
+        out[rows, 5] = sigmas.real[at]
+        out[rows, 6] = sigmas.imag[at]
+        out[rows, 7] = np.array(s3s)[at]
+    return out
 
 
 def default_step(h_field: float, gamma: float, *rates: float) -> float:
@@ -446,8 +461,7 @@ def bmt_integrate(
     explicit ``dt``.  Invariant drift beyond DRIFT_LIMIT raises
     IntegrationAccuracyError unless ``check_drift`` is false.
     """
-    kernel = _KERNELS.get(order)
-    if kernel is None:
+    if order not in (4, 8):
         raise DomainError(f"order: must be 4 or 8, got {order}")
     gamma = init.u[0]
     if dt is None:
@@ -471,17 +485,18 @@ def bmt_integrate(
             raise DomainError("record_times: grid must start at t = 0")
 
     k = 2.0 * h_field
-    g = init.g_factor
-    y = init.u + init.s
-    samples = [y]
-    grid = record_times.tolist()
-    for t_prev, t_next in zip(grid[:-1], grid[1:]):
-        span = t_next - t_prev
-        substeps = max(1, math.ceil(span / dt - 1e-12))
-        y = kernel(y, k, g, span / substeps, substeps)
-        samples.append(y)
-
-    arr = np.asarray(samples)
+    if order == 8:
+        arr = _dop853_samples(init, k, record_times, dt)
+    else:
+        y = init.u + init.s
+        samples = [y]
+        grid = record_times.tolist()
+        for t_prev, t_next in zip(grid[:-1], grid[1:]):
+            span = t_next - t_prev
+            substeps = max(1, math.ceil(span / dt - 1e-12))
+            y = _rk4_steps(y, k, init.g_factor, span / substeps, substeps)
+            samples.append(y)
+        arr = np.asarray(samples)
     traj = Trajectory(times=record_times, p=arr[:, 1:4], s=arr[:, 4:8], p0=arr[:, 0])
     if check_drift:
         worst = max(float(np.max(traj.res_sp)), float(np.max(traj.res_ss)))

@@ -350,6 +350,21 @@ class TestStartup:
         )
         assert result.stdout.strip() == "False"
 
+    def test_default_verify_loads_no_random_or_polynomial(self, tmp_path):
+        # numpy imports both lazily; a verify run without --perturb needs
+        # neither, and each would add 10-15 ms to its start
+        src = str(Path(landau_packets.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        probe = (
+            "import sys; from landau_packets.cli import main; "
+            f"code = main(['verify', '--output-dir', {str(tmp_path)!r}]); "
+            "print(code, 'numpy.random' in sys.modules, 'numpy.polynomial' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.split()[-3:] == ["0", "False", "False"]
+
 
 class TestConfigHandling:
     def test_config_file_merging(self, tmp_path):

@@ -159,6 +159,35 @@ class TestRadialRule:
         p_order = np.polynomial.legendre.legval(t, [0.0] * order + [1.0])
         assert np.dot(weights, p_order**2) / (hi - lo) < 1e-13 < 1.0 / (2 * order + 1)
 
+    def test_end_weights_against_forty_digits(self):
+        # the weights 2 / ((1 - x^2) P_n'(x)^2) where 1 - x^2 is smallest, at
+        # the roots of P_200 found to 40 digits
+        order = 200
+        nodes, weights = radial_rule(order)
+
+        def legendre_and_slope(x):
+            p = mpmath.legendre(order, x)
+            return p, order * (x * p - mpmath.legendre(order - 1, x)) / (x * x - 1)
+
+        with mpmath.workdps(40):
+            for i in (0, -1):
+                x = mpmath.mpf(nodes[i])
+                for _ in range(6):
+                    p, slope = legendre_and_slope(x)
+                    x -= p / slope
+                _, slope = legendre_and_slope(x)
+                exact = 2 / ((1 - x * x) * slope**2)
+                assert abs(nodes[i] - x) <= 1e-16
+                assert abs(weights[i] - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 7, 200, 201, 400, 801])
+    def test_rule_is_symmetric_and_ascending(self, order):
+        nodes, weights = radial_rule(order)
+        assert np.all(np.diff(nodes) > 0)
+        np.testing.assert_array_equal(nodes, -nodes[::-1])
+        np.testing.assert_array_equal(weights, weights[::-1])
+        assert abs(np.sum(weights) - 2.0) <= 1e-14
+
     def test_cached_rule_read_only(self):
         nodes, weights = radial_rule(200)
         assert radial_rule(200)[0] is nodes
