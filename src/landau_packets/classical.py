@@ -1,10 +1,10 @@
 """Classical reference dynamics: the classical reference of a packet (its
 anomaly-free kinematics, lab-time cyclotron and anomalous frequencies and
-initial state) and fixed-step integrators for covariant spin precession in
-a constant magnetic field along z.  The closed-form classical motion is the
+initial state) and a fixed-step integrator for covariant spin precession
+in a constant magnetic field along z.  The closed-form classical motion is the
 unit-contrast limit of the closed forms in ``evolution``.
 
-The integrators advance the pair (u, S) of four-vectors in lab time,
+The integrator advances the pair (u, S) of four-vectors in lab time,
 u = (gamma, b_vec) the dimensionless four-momentum and S the four-spin,
 
     du/d(tau) = K u_low,
@@ -16,21 +16,18 @@ field of strength h along +z.  A magnetic field does no work, so gamma is
 conserved; orthogonality S.u and the spacelike norm of S are conserved by
 the equation and drift only through integrator error, which is monitored.
 
-There are two schemes.  The default is the order-8 Dormand-Prince scheme
-(the 12-stage DOP853 tableau of Hairer, Norsett & Wanner, Solving Ordinary
-Differential Equations I, Sec. II.10, used at a fixed step) at
-STEPS_PER_PERIOD = 32 steps per period of the fastest of the cyclotron
-rotation, the anomalous precession and the anomalous coupling frequency of
-``spin_coupling_omega``; the last one takes over above level 2 * 10^3 at
-the physical anomaly and h = 0.1, and without it the invariant drift at
-level 10^4 reads 5.1e-7 instead of 1.1e-9.  Over one
-anomalous period (about 135 cyclotron periods at the physical anomaly) it
-takes 32 times fewer steps than RK4 at 1024 steps per period, and its error
-against the closed form is about 100 times smaller (7e-10 against 6e-8 at
-the default ``verify`` configuration).  Classical RK4 is kept for the
-convergence-order check, which sets its step explicitly.
+The scheme is the order-8 Dormand-Prince tableau (the 12-stage DOP853 of
+Hairer, Norsett & Wanner, Solving Ordinary Differential Equations I,
+Sec. II.10, used at a fixed step).  Its default step resolves one period of
+the fastest of the cyclotron rotation, the anomalous precession and the
+anomalous coupling frequency of ``spin_coupling_omega`` with
+STEPS_PER_PERIOD = 32 points; the coupling frequency takes over above level
+2 * 10^3 at the physical anomaly and h = 0.1, and without it the invariant
+drift at level 10^4 reads 5.1e-7 instead of 1.1e-9.  Over one anomalous
+period (about 135 cyclotron periods at the physical anomaly) its error
+against the closed form is 7e-10 at the default ``verify`` configuration.
 
-The order-8 scheme uses that both equations are linear, the momentum
+The scheme uses that both equations are linear, the momentum
 equation in (u1, u2) and the spin equation in S once u is given, and that
 both are unchanged by a rotation about the field.  Written in the frame of
 the momentum, one step of a given length is therefore the same linear map
@@ -58,12 +55,6 @@ error (1.9e-15 per step at 32 steps per period), so each step takes the
 map at rho plus its first-order change in rho^2.  Two scalar loops then
 apply the maps in order: the momentum's, and the spin's, turned to each
 step's momentum direction.  u0 and u3 stay fixed.
-
-The RK4 kernel ``_rk4_steps`` runs the steps between two recorded samples
-on eight Python-float locals.  It performs the operations of the
-componentwise RK4 update in the same order, so its results are the same
-bits; it only drops what is constant (u0 and u3, whose derivative is 0) or
-never read (the stage values of s0 and s3).
 """
 
 from __future__ import annotations
@@ -203,80 +194,6 @@ def classical_reference(cfg: FieldConfig, n: int, epsilon: int = 1) -> Classical
         omega_a=anomalous_omega(cfg.h, kin.energy, kin.b, g),
         init=init,
     )
-
-
-def _rk4_steps(y: tuple, k: float, g: float, dt: float, steps: int) -> tuple:
-    """Advance y = (u0, u1, u2, u3, s0, s1, s2, s3) by ``steps`` RK4 steps
-    of length ``dt`` in lab time, with k = 2h and g the g-factor."""
-    u0, u1, u2, u3, s0, s1, s2, s3 = y
-    # u0 and u3 have derivative 0 and stay fixed; the stage values of s0 and
-    # s3 feed no derivative, so only their updates are formed
-    inv = 1.0 / u0
-    half_g = 0.5 * g
-    a = half_g - 1.0
-    mk = -k
-    mhk = -half_g * k
-    hk = half_g * k
-    hdt = 0.5 * dt
-    sixth = dt / 6.0
-    # u3 = -0.0 becomes u3 + hdt * 0.0 after the first stage, as in the
-    # componentwise update; every later stage sees that value
-    au3_first = a * u3
-    u3 = u3 + hdt * 0.0
-    au3 = a * u3
-    for _ in range(steps):
-        q = k * (s1 * u2 - s2 * u1)
-        d1u1 = mk * u2 * inv
-        d1u2 = k * u1 * inv
-        d1s0 = a * q
-        d1s1 = (mhk * s2 + a * u1 * q) * inv
-        d1s2 = (hk * s1 + a * u2 * q) * inv
-        d1s3 = au3_first * q * inv
-        au3_first = au3
-
-        v1 = u1 + hdt * d1u1
-        v2 = u2 + hdt * d1u2
-        w1 = s1 + hdt * d1s1
-        w2 = s2 + hdt * d1s2
-        q = k * (w1 * v2 - w2 * v1)
-        d2u1 = mk * v2 * inv
-        d2u2 = k * v1 * inv
-        d2s0 = a * q
-        d2s1 = (mhk * w2 + a * v1 * q) * inv
-        d2s2 = (hk * w1 + a * v2 * q) * inv
-        d2s3 = au3 * q * inv
-
-        v1 = u1 + hdt * d2u1
-        v2 = u2 + hdt * d2u2
-        w1 = s1 + hdt * d2s1
-        w2 = s2 + hdt * d2s2
-        q = k * (w1 * v2 - w2 * v1)
-        d3u1 = mk * v2 * inv
-        d3u2 = k * v1 * inv
-        d3s0 = a * q
-        d3s1 = (mhk * w2 + a * v1 * q) * inv
-        d3s2 = (hk * w1 + a * v2 * q) * inv
-        d3s3 = au3 * q * inv
-
-        v1 = u1 + dt * d3u1
-        v2 = u2 + dt * d3u2
-        w1 = s1 + dt * d3s1
-        w2 = s2 + dt * d3s2
-        q = k * (w1 * v2 - w2 * v1)
-        d4u1 = mk * v2 * inv
-        d4u2 = k * v1 * inv
-        d4s0 = a * q
-        d4s1 = (mhk * w2 + a * v1 * q) * inv
-        d4s2 = (hk * w1 + a * v2 * q) * inv
-        d4s3 = au3 * q * inv
-
-        u1 = u1 + sixth * (d1u1 + 2.0 * (d2u1 + d3u1) + d4u1)
-        u2 = u2 + sixth * (d1u2 + 2.0 * (d2u2 + d3u2) + d4u2)
-        s0 = s0 + sixth * (d1s0 + 2.0 * (d2s0 + d3s0) + d4s0)
-        s1 = s1 + sixth * (d1s1 + 2.0 * (d2s1 + d3s1) + d4s1)
-        s2 = s2 + sixth * (d1s2 + 2.0 * (d2s2 + d3s2) + d4s2)
-        s3 = s3 + sixth * (d1s3 + 2.0 * (d2s3 + d3s3) + d4s3)
-    return (u0, u1, u2, u3, s0, s1, s2, s3)
 
 
 def _two_prod(a, b):
@@ -447,26 +364,19 @@ def bmt_integrate(
     dt: float | None = None,
     record_times: np.ndarray | None = None,
     check_drift: bool = True,
-    order: int = 8,
 ) -> Trajectory:
     """Integrate the spin precession and collect a trajectory.
 
     Either ``record_times`` gives the sample grid (starting at 0) and the
     integrator lands on each sample exactly with substeps no longer than
     ``dt``, or ``t_max`` is split into uniform steps of at most ``dt`` and
-    every step is recorded.  ``order`` selects the scheme: 8 (order-8
-    Dormand-Prince) or 4 (classical RK4).  The default ``dt`` is
-    ``default_step`` at the anomalous precession and coupling frequencies of
-    ``init``, which is sized for the order-8 scheme, so RK4 needs an
-    explicit ``dt``.  Invariant drift beyond DRIFT_LIMIT raises
-    IntegrationAccuracyError unless ``check_drift`` is false.
+    every step is recorded.  The default ``dt`` is ``default_step`` at the
+    anomalous precession and coupling frequencies of ``init``.  Invariant
+    drift beyond DRIFT_LIMIT raises IntegrationAccuracyError unless
+    ``check_drift`` is false.
     """
-    if order not in (4, 8):
-        raise DomainError(f"order: must be 4 or 8, got {order}")
     gamma = init.u[0]
     if dt is None:
-        if order != 8:
-            raise DomainError(f"dt: the default step is sized for order 8; order {order} needs dt")
         b = math.sqrt(1.0 + init.u[1] ** 2 + init.u[2] ** 2)  # sqrt(1 + b_perp^2)
         dt = default_step(
             h_field,
@@ -474,29 +384,23 @@ def bmt_integrate(
             anomalous_omega(h_field, gamma, b, init.g_factor),
             spin_coupling_omega(h_field, gamma, math.hypot(init.u[1], init.u[2]), init.g_factor),
         )
+    elif not (math.isfinite(dt) and dt > 0):
+        raise DomainError(f"dt: must be finite and > 0, got {dt}")
     if record_times is None:
-        if t_max is None or t_max <= 0:
-            raise DomainError(f"t_max: must be > 0, got {t_max}")
+        if t_max is None or not (math.isfinite(t_max) and t_max > 0):
+            raise DomainError(f"t_max: must be finite and > 0, got {t_max}")
         steps = max(1, math.ceil(t_max / dt))
         record_times = t_max * np.arange(steps + 1) / steps
     else:
         record_times = np.asarray(record_times, dtype=float)
+        if record_times.ndim != 1 or record_times.size == 0:
+            raise DomainError("record_times: need a non-empty 1-D grid")
+        if not np.all(np.isfinite(record_times)):
+            raise DomainError("record_times: every time must be finite")
         if record_times[0] != 0.0:
             raise DomainError("record_times: grid must start at t = 0")
 
-    k = 2.0 * h_field
-    if order == 8:
-        arr = _dop853_samples(init, k, record_times, dt)
-    else:
-        y = init.u + init.s
-        samples = [y]
-        grid = record_times.tolist()
-        for t_prev, t_next in zip(grid[:-1], grid[1:]):
-            span = t_next - t_prev
-            substeps = max(1, math.ceil(span / dt - 1e-12))
-            y = _rk4_steps(y, k, init.g_factor, span / substeps, substeps)
-            samples.append(y)
-        arr = np.asarray(samples)
+    arr = _dop853_samples(init, 2.0 * h_field, record_times, dt)
     traj = Trajectory(times=record_times, p=arr[:, 1:4], s=arr[:, 4:8], p0=arr[:, 0])
     if check_drift:
         worst = max(float(np.max(traj.res_sp)), float(np.max(traj.res_ss)))

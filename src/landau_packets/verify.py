@@ -256,21 +256,29 @@ def check_bmt_match(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
 
 
 def check_rk4_order(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
-    ref = classical.classical_reference(replace(cfg, anomaly=max(cfg.anomaly, 1e-3)), n, epsilon)
-    period = 2.0 * math.pi / ref.omega
-    times = evolution.sample_times(ref.omega, samples=64, t_max=2.0 * period)
-    closed = ref.closed_form(times)
-    # the coarse step resolves the faster of the two rotations
-    coarse = 2.0 * math.pi / max(ref.omega, abs(ref.omega_a)) / 32.0
+    """Criterion 7: halving the step of the order-8 scheme divides its
+    deviation from the closed form by 2^8, within a factor of 2.  The
+    function keeps the name of the RK4 check it replaced because the
+    benchmark's tracer keys its per-check spans on that name."""
+    ref = classical.classical_reference(cfg, n, epsilon)
+    gamma = ref.init.u[0]
+    coupling = classical.spin_coupling_omega(cfg.h, gamma, ref.kin.b_perp, ref.init.g_factor)
+    # 8 and 16 steps per period of the fastest rate, whatever the default
+    # resolution, uniform over two cyclotron periods: a record grid would
+    # cap each step at its spacing
+    default = classical.default_step(cfg.h, gamma, ref.omega_a, coupling)
+    coarse = default * classical.STEPS_PER_PERIOD / 8.0
     dev = []
     for dt in (coarse, 0.5 * coarse):
-        rk4 = classical.bmt_integrate(
-            ref.init, cfg.h, record_times=times, dt=dt, check_drift=False, order=4
+        traj = classical.bmt_integrate(
+            ref.init, cfg.h, t_max=4.0 * math.pi / ref.omega, dt=dt, check_drift=False
         )
-        dev.append(max(compare_trajectories(rk4, closed).values()))
-    ratio = dev[0] / dev[1]
-    passed = 8.0 <= ratio <= 32.0
-    return CheckResult("rk4-order", passed, ratio, None, {"expected": 16.0})
+        dev.append(max(compare_trajectories(traj, ref.closed_form(traj.times)).values()))
+    ratio = dev[0] / dev[1] if dev[1] > 0 else math.inf
+    return CheckResult(
+        "integrator-order", 128.0 <= ratio <= 512.0, ratio, None,
+        {"expected": 256.0, "fine_deviation": dev[1]},
+    )
 
 
 def check_bmt_drift(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:

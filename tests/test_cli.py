@@ -154,7 +154,7 @@ class TestVerifyCommand:
             else:
                 assert check["margin"] == check["residual"] / check["tolerance"], check["name"]
                 assert 0 <= check["margin"] <= 1, check["name"]
-        assert {c["name"] for c in checks if c["margin"] is None} == {"rk4-order", "oracle-convergence", "determinism"}
+        assert {c["name"] for c in checks if c["margin"] is None} == {"integrator-order", "oracle-convergence", "determinism"}
         assert [c["margin"] for c in checks] == [c["margin"] for c in reports[1]["checks"]]
         out = capsys.readouterr().out  # both runs
         assert out.count(" margin=") == 2 * sum(c["margin"] is not None for c in checks)
