@@ -64,6 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .doubledouble import _dd_mul_add, _two_prod
 from .errors import DomainError, IntegrationAccuracyError
 from .evolution import closed_form_momentum, closed_form_spin, closed_form_trajectory
 from .kinematics import FieldConfig, SpinKinematics
@@ -74,6 +75,12 @@ STEPS_PER_PERIOD = 32
 
 #: invariant drift beyond this aborts the run
 DRIFT_LIMIT = 1e-6
+
+#: most order-8 steps one run may take: 9 times the 1.1e6 steps of the
+#: largest validated run (``verify`` at level 10^6 and anomaly 5).  At the
+#: cap a run takes about 12 s and 80 MB of step indices; recording every
+#: step (``t_max`` without a grid) holds 64 bytes a step more, 0.64 GB
+MAX_STEPS = 10**7
 
 #: the order-8 Dormand-Prince tableau (DOP853, Hairer, Norsett & Wanner):
 #: nodes c, stage matrix a (row i holds the i entries left of the diagonal)
@@ -196,30 +203,6 @@ def classical_reference(cfg: FieldConfig, n: int, epsilon: int = 1) -> Classical
     )
 
 
-def _two_prod(a, b):
-    """(p, e) with p = fl(a * b) and p + e = a * b exactly: Dekker's
-    product, on Veltkamp's split of each factor at 2^27 + 1."""
-    p = a * b
-    c = 134217729.0 * a
-    ah = c - (c - a)
-    al = a - ah
-    c = 134217729.0 * b
-    bh = c - (c - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_mul_add(xh, xl, yh, yl, ch, cl):
-    """x * y + c for unevaluated sums x = xh + xl, y = yh + yl and
-    c = ch + cl, to about twice working precision, as a pair (hi, lo)."""
-    p, e = _two_prod(xh, yh)
-    s = p + ch
-    t = s - p
-    e = e + (xh * yl + xl * yh) + ((p - (s - t)) + (ch - t)) + cl
-    hi = s + e
-    return hi, e - (hi - s)
-
-
 def _dd_combination(coefficients, terms):
     """sum_i c_i x_i for doubles c_i and pairs x_i, as a pair."""
     hi, lo = 0.0, 0.0
@@ -271,13 +254,11 @@ def _frame_steps(lengths: np.ndarray, rho: np.ndarray, k: float, inv: float, g: 
     return (dh[:2], dl[:2]), (dh[2:].reshape(2, 2, -1), dl[2:].reshape(2, 2, -1)), dq
 
 
-def _dop853_samples(init: ClassicalState, k: float, record_times: np.ndarray, dt: float) -> np.ndarray:
+def _dop853_samples(init: ClassicalState, k: float, record_times: np.ndarray, substeps: np.ndarray) -> np.ndarray:
     """The order-8 states (u0, u1, u2, u3, s0, s1, s2, s3) on ``record_times``,
-    with k = 2h; the steps between two samples split their span evenly into
-    pieces no longer than ``dt``."""
-    spans = np.diff(record_times)
-    substeps = np.maximum(np.ceil(spans / dt - 1e-12), 1.0).astype(np.intp)
-    lengths = spans / substeps
+    with k = 2h; the span between two samples is split evenly into its
+    number of ``substeps``."""
+    lengths = np.diff(record_times) / substeps
     gamma, u1, u2, u3 = init.u
     s0, s1, s2, s3 = init.s
     inv = 1.0 / gamma
@@ -371,7 +352,9 @@ def bmt_integrate(
     integrator lands on each sample exactly with substeps no longer than
     ``dt``, or ``t_max`` is split into uniform steps of at most ``dt`` and
     every step is recorded.  The default ``dt`` is ``default_step`` at the
-    anomalous precession and coupling frequencies of ``init``.  Invariant
+    anomalous precession and coupling frequencies of ``init``.  A run of
+    more than MAX_STEPS steps raises DomainError before anything is
+    allocated.  Invariant
     drift beyond DRIFT_LIMIT raises IntegrationAccuracyError unless
     ``check_drift`` is false.
     """
@@ -389,6 +372,8 @@ def bmt_integrate(
     if record_times is None:
         if t_max is None or not (math.isfinite(t_max) and t_max > 0):
             raise DomainError(f"t_max: must be finite and > 0, got {t_max}")
+        if not t_max / dt <= MAX_STEPS:
+            raise DomainError(f"t_max: {t_max} takes {t_max / dt:.3g} steps of {dt:.3g}, more than {MAX_STEPS}")
         steps = max(1, math.ceil(t_max / dt))
         record_times = t_max * np.arange(steps + 1) / steps
     else:
@@ -400,7 +385,14 @@ def bmt_integrate(
         if record_times[0] != 0.0:
             raise DomainError("record_times: grid must start at t = 0")
 
-    arr = _dop853_samples(init, 2.0 * h_field, record_times, dt)
+    substeps = np.maximum(np.ceil(np.diff(record_times) / dt - 1e-12), 1.0)
+    total = float(np.sum(substeps))
+    if not total <= MAX_STEPS:
+        raise DomainError(
+            f"record_times: reaching t = {record_times[-1]} takes {total:.3g} steps of at most {dt:.3g}, "
+            f"more than {MAX_STEPS}"
+        )
+    arr = _dop853_samples(init, 2.0 * h_field, record_times, substeps.astype(np.intp))
     traj = Trajectory(times=record_times, p=arr[:, 1:4], s=arr[:, 4:8], p0=arr[:, 0])
     if check_drift:
         worst = max(float(np.max(traj.res_sp)), float(np.max(traj.res_ss)))

@@ -142,6 +142,11 @@ class TestBmtIntegration:
             ({"record_times": []}, "record_times"),
             ({"record_times": [0.0, math.nan]}, "record_times"),
             ({"record_times": [0.0, math.inf]}, "record_times"),
+            # more than MAX_STEPS steps, rejected before the grid or the step
+            # indices are allocated
+            ({"t_max": 1e300, "dt": 1e-300}, "t_max"),
+            ({"t_max": 1e12}, "t_max"),
+            ({"record_times": [0.0, 1e12]}, "record_times"),
         ],
     )
     def test_bad_step_input_rejected(self, kwargs, field):

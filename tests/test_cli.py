@@ -98,6 +98,15 @@ class TestTrajectoryCommand:
         assert capsys.readouterr().err.startswith("configuration error: t_max:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_max", ["1e12", "1e300"])
+    def test_step_count_beyond_the_cap_rejected(self, tmp_path, capsys, t_max):
+        # more order-8 steps than classical.MAX_STEPS between the samples
+        code = main(["trajectory", *FAST, "--samples", "16", "--t-max", t_max, "--output-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: record_times:") and err.count("\n") == 1
+        assert f"more than {classical.MAX_STEPS}" in err
+
 
 class TestConvergeCommand:
     def test_factor_table(self, tmp_path):
