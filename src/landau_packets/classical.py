@@ -1,7 +1,7 @@
 """Classical reference dynamics: the classical reference of a packet (its
-anomaly-free kinematics, lab-time cyclotron and anomalous frequencies and
-initial state) and a fixed-step integrator for covariant spin precession
-in a constant magnetic field along z.  The closed-form classical motion is the
+anomaly-free kinematics, turning at the lab-time cyclotron and anomalous
+frequencies, and its initial state) and a fixed-step integrator for
+covariant spin precession in a constant magnetic field along z.  The closed-form classical motion is the
 unit-contrast limit of the closed forms in ``evolution``.
 
 The integrator advances the pair (u, S) of four-vectors in lab time,
@@ -60,13 +60,13 @@ step's momentum direction.  u0 and u3 stay fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .doubledouble import _dd_mul_add, _two_prod
 from .errors import DomainError, IntegrationAccuracyError
-from .evolution import closed_form_momentum, closed_form_spin, closed_form_trajectory
+from .evolution import closed_form_momentum, closed_form_spin
 from .kinematics import FieldConfig, SpinKinematics
 from .trajectory import Trajectory
 
@@ -78,8 +78,8 @@ DRIFT_LIMIT = 1e-6
 
 #: most order-8 steps one run may take: 9 times the 1.1e6 steps of the
 #: largest validated run (``verify`` at level 10^6 and anomaly 5).  At the
-#: cap a run takes about 12 s and 80 MB of step indices; recording every
-#: step (``t_max`` without a grid) holds 64 bytes a step more, 0.64 GB
+#: cap a run takes about 12 s and, with a grid, memory by the sample; recording
+#: every step (``t_max`` without a grid) holds 64 bytes a step, 0.64 GB
 MAX_STEPS = 10**7
 
 #: the order-8 Dormand-Prince tableau (DOP853, Hairer, Norsett & Wanner):
@@ -171,35 +171,31 @@ def spin_coupling_omega(h_field: float, gamma: float, b_perp: float, g_factor: f
 @dataclass(frozen=True)
 class ClassicalReference:
     """Classical motion matching the full-contrast packet at one level: the
-    anomaly-free kinematics, the lab-time cyclotron and anomalous
-    frequencies and the initial state, whose g-factor is 2(1 + anomaly)."""
+    anomaly-free kinematics, turning at the lab-time cyclotron and
+    anomalous frequencies, and the initial state, whose g-factor is
+    2(1 + anomaly)."""
 
     kin: SpinKinematics
-    omega: float
-    omega_a: float
     init: ClassicalState
-
-    def closed_form(self, times: np.ndarray) -> Trajectory:
-        """The unit-contrast closed-form trajectory on a time grid."""
-        return closed_form_trajectory(self.kin, None, self.omega, self.omega_a, times)
 
 
 def classical_reference(cfg: FieldConfig, n: int, epsilon: int = 1) -> ClassicalReference:
-    """The classical reference of the packet centered on level n."""
-    kin = SpinKinematics.from_field(cfg, n, epsilon, anomaly_free=True)
+    """The classical reference of the packet centered on level n: the
+    kinematics of level n at anomaly 0 (B^2 = b^2 + b_z^2 exactly, so the
+    four-spin invariants close identically), turning at ``cyclotron_omega``
+    and ``anomalous_omega`` instead of the level gaps."""
+    kin = SpinKinematics.from_field(cfg.without_anomaly(), n, epsilon)
     g = 2.0 * (1.0 + cfg.anomaly)
-    p = closed_form_momentum(kin, None, 1.0, 0.0)
-    s = closed_form_spin(kin, None, 1.0, 1.0, 0.0)
+    p = closed_form_momentum(kin, None, 0.0)
+    s = closed_form_spin(kin, None, 0.0)
     init = ClassicalState(
         u=(kin.energy, float(p[0]), float(p[1]), float(p[2])),
         s=(float(s[0]), float(s[1]), float(s[2]), float(s[3])),
         g_factor=g,
     )
+    omega_a = anomalous_omega(cfg.h, kin.energy, kin.b, g)
     return ClassicalReference(
-        kin=kin,
-        omega=cyclotron_omega(cfg.h, kin.energy),
-        omega_a=anomalous_omega(cfg.h, kin.energy, kin.b, g),
-        init=init,
+        kin=replace(kin, omega=cyclotron_omega(cfg.h, kin.energy), omega_a=omega_a), init=init
     )
 
 
@@ -281,15 +277,16 @@ def _dop853_samples(init: ClassicalState, k: float, record_times: np.ndarray, su
     spin, spin_slope = spin[:, :lanes], (spin[:, lanes:] - spin[:, :lanes]) / d_rho2
     q, q_slope = qh[:, :lanes], (qh[:, lanes:] - qh[:, :lanes]) / d_rho2
 
-    step = np.repeat(which, substeps)
     ends = np.cumsum(substeps)
+    steps = int(ends[-1]) if ends.size else 0
     out = np.empty((record_times.size, 8))
     out[0] = init.u + init.s
     out[1:, 0] = gamma
     out[1:, 3] = u3
     z, sigma = complex(u1, u2), complex(s1, s2)
-    for begin in range(0, step.size, _DOP853_BLOCK):
-        ix = step[begin:begin + _DOP853_BLOCK]
+    for begin in range(0, steps, _DOP853_BLOCK):
+        # the length of each step of the block, by the span between samples it lies in
+        ix = which[np.searchsorted(ends, np.arange(begin, min(begin + _DOP853_BLOCK, steps)), side="right")]
         # the momentum: u1 + i u2 gains delta (u1 + i u2), delta carried as hi + lo
         zs = [z]
         for d_hi, d_lo in zip(delta_hi[ix].tolist(), delta_lo[ix].tolist()):
@@ -338,6 +335,28 @@ def default_step(h_field: float, gamma: float, *rates: float) -> float:
     return 2.0 * math.pi / (max((omega, *map(abs, rates))) * STEPS_PER_PERIOD)
 
 
+def state_step(init: ClassicalState, h_field: float) -> float:
+    """The default step of ``bmt_integrate`` from ``init``: ``default_step``
+    at its anomalous precession and coupling frequencies."""
+    gamma, g = init.u[0], init.g_factor
+    b = math.sqrt(1.0 + init.u[1] ** 2 + init.u[2] ** 2)  # sqrt(1 + b_perp^2)
+    coupling = spin_coupling_omega(h_field, gamma, math.hypot(init.u[1], init.u[2]), g)
+    return default_step(h_field, gamma, anomalous_omega(h_field, gamma, b, g), coupling)
+
+
+def step_counts(record_times: np.ndarray, dt: float, source: str = "record_times") -> np.ndarray:
+    """The number of steps of at most ``dt`` between consecutive samples;
+    DomainError naming ``source``, the grid's origin, above MAX_STEPS in all."""
+    counts = np.maximum(np.ceil(np.diff(record_times) / dt - 1e-12), 1.0)
+    total = float(np.sum(counts))
+    if not total <= MAX_STEPS:
+        raise DomainError(
+            f"{source}: reaching t = {record_times[-1]} takes {total:.3g} steps of at most {dt:.3g}, "
+            f"more than {MAX_STEPS}"
+        )
+    return counts.astype(np.intp)
+
+
 def bmt_integrate(
     init: ClassicalState,
     h_field: float,
@@ -351,22 +370,13 @@ def bmt_integrate(
     Either ``record_times`` gives the sample grid (starting at 0) and the
     integrator lands on each sample exactly with substeps no longer than
     ``dt``, or ``t_max`` is split into uniform steps of at most ``dt`` and
-    every step is recorded.  The default ``dt`` is ``default_step`` at the
-    anomalous precession and coupling frequencies of ``init``.  A run of
-    more than MAX_STEPS steps raises DomainError before anything is
-    allocated.  Invariant
-    drift beyond DRIFT_LIMIT raises IntegrationAccuracyError unless
-    ``check_drift`` is false.
+    every step is recorded.  The default ``dt`` is ``state_step(init,
+    h_field)``.  A run of more than MAX_STEPS steps raises DomainError
+    before anything is allocated.  Invariant drift beyond DRIFT_LIMIT
+    raises IntegrationAccuracyError unless ``check_drift`` is false.
     """
-    gamma = init.u[0]
     if dt is None:
-        b = math.sqrt(1.0 + init.u[1] ** 2 + init.u[2] ** 2)  # sqrt(1 + b_perp^2)
-        dt = default_step(
-            h_field,
-            gamma,
-            anomalous_omega(h_field, gamma, b, init.g_factor),
-            spin_coupling_omega(h_field, gamma, math.hypot(init.u[1], init.u[2]), init.g_factor),
-        )
+        dt = state_step(init, h_field)
     elif not (math.isfinite(dt) and dt > 0):
         raise DomainError(f"dt: must be finite and > 0, got {dt}")
     if record_times is None:
@@ -385,14 +395,7 @@ def bmt_integrate(
         if record_times[0] != 0.0:
             raise DomainError("record_times: grid must start at t = 0")
 
-    substeps = np.maximum(np.ceil(np.diff(record_times) / dt - 1e-12), 1.0)
-    total = float(np.sum(substeps))
-    if not total <= MAX_STEPS:
-        raise DomainError(
-            f"record_times: reaching t = {record_times[-1]} takes {total:.3g} steps of at most {dt:.3g}, "
-            f"more than {MAX_STEPS}"
-        )
-    arr = _dop853_samples(init, 2.0 * h_field, record_times, substeps.astype(np.intp))
+    arr = _dop853_samples(init, 2.0 * h_field, record_times, step_counts(record_times, dt))
     traj = Trajectory(times=record_times, p=arr[:, 1:4], s=arr[:, 4:8], p0=arr[:, 0])
     if check_drift:
         worst = max(float(np.max(traj.res_sp)), float(np.max(traj.res_ss)))

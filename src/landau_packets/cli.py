@@ -194,21 +194,20 @@ def _manifest(cfg: RunConfig, packet: packets.PacketSpec, kin: SpinKinematics) -
 
 def cmd_trajectory(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     field = cfg.field
 
     packet = packets.build_spinor_packet(cfg.n, cfg.levels, field, cfg.epsilon)
-    omega = cyclotron_frequency(field, cfg.n, cfg.epsilon)[0]
-    omega_a = anomalous_frequency(field, cfg.n)[0]
-    times = evolution.sample_times(omega, samples=cfg.samples, t_max=cfg.t_max)
+    kin = SpinKinematics.from_field(field, cfg.n, cfg.epsilon)
+    times = evolution.sample_times(kin.omega, samples=cfg.samples, t_max=cfg.t_max)
+    init = classical.classical_reference(field, cfg.n, cfg.epsilon).init
+    # a t_max beyond the integrator's step cap is rejected before anything is written
+    classical.step_counts(times, classical.state_step(init, cfg.h), "t_max")
 
     engine = evolution.evolve_packet(packet, field, times, mode=cfg.mode)
-    kin = SpinKinematics.from_field(field, cfg.n, cfg.epsilon)
-    closed = evolution.closed_form_trajectory(kin, cfg.levels, omega, omega_a, times)
-
-    init = classical.classical_reference(field, cfg.n, cfg.epsilon).init
+    closed = evolution.closed_form_trajectory(kin, cfg.levels, times)
     bmt = classical.bmt_integrate(init, cfg.h, record_times=times)
 
+    os.makedirs(cfg.output_dir, exist_ok=True)
     engine.to_csv(os.path.join(cfg.output_dir, "trajectory.csv"))
     closed.to_csv(os.path.join(cfg.output_dir, "closed_form.csv"))
     bmt.to_csv(os.path.join(cfg.output_dir, "classical.csv"))
@@ -235,10 +234,9 @@ def cmd_converge(args: argparse.Namespace) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     field = cfg.field
 
-    omega = cyclotron_frequency(field, cfg.n, cfg.epsilon)[0]
     kin = SpinKinematics.from_field(field, cfg.n, cfg.epsilon)
-    times = evolution.sample_times(omega, samples=cfg.samples, t_max=cfg.t_max)
-    reference = evolution.closed_form_momentum(kin, None, omega, times)
+    times = evolution.sample_times(kin.omega, samples=cfg.samples, t_max=cfg.t_max)
+    reference = evolution.closed_form_momentum(kin, None, times)
     rows = []
     for levels in n_list:
         packet = packets.build_spinor_packet(cfg.n, levels, field, cfg.epsilon)

@@ -238,34 +238,33 @@ def sample_times(omega: float, samples: int = 256, t_max: float | None = None) -
     return t_max * np.arange(samples) / samples
 
 
-def closed_form_momentum(kin: SpinKinematics, levels: int | None, omega: float, times) -> np.ndarray:
+def closed_form_momentum(kin: SpinKinematics, levels: int | None, times) -> np.ndarray:
     """Momentum expectation of an N-level packet: a circle of radius
-    (N-1)/N * b_perp traversed at the cyclotron frequency, plus the
-    constant longitudinal component.  ``levels=None`` gives the classical
-    limit of unit contrast."""
+    (N-1)/N * b_perp traversed at the cyclotron frequency ``kin.omega``,
+    plus the constant longitudinal component.  ``levels=None`` gives the
+    classical limit of unit contrast."""
     t = np.atleast_1d(np.asarray(times, dtype=float))
     f = contrast_factor(levels)
     out = np.empty((t.size, 3))
-    out[:, 0] = -f * kin.b_perp * np.sin(omega * t)
-    out[:, 1] = f * kin.b_perp * np.cos(omega * t)
+    out[:, 0] = -f * kin.b_perp * np.sin(kin.omega * t)
+    out[:, 1] = f * kin.b_perp * np.cos(kin.omega * t)
     out[:, 2] = kin.b_z
     return out if np.ndim(times) else out[0]
 
 
-def closed_form_spin(
-    kin: SpinKinematics, levels: int | None, omega: float, omega_a: float, times
-) -> np.ndarray:
+def closed_form_spin(kin: SpinKinematics, levels: int | None, times) -> np.ndarray:
     """Four-spin expectation (S0, Sx, Sy, Sz) of an N-level packet.
 
     The transverse components carry the contrast factor (N-1)/N and mix the
-    cyclotron and anomalous rotations; the longitudinal and time components
-    oscillate at the anomalous frequency alone.  ``levels=None`` gives the
-    classical limit of unit contrast.
+    cyclotron rotation at ``kin.omega`` and the anomalous one at
+    ``kin.omega_a``; the longitudinal and time components oscillate at the
+    anomalous frequency alone.  ``levels=None`` gives the classical limit
+    of unit contrast.
     """
     t = np.atleast_1d(np.asarray(times, dtype=float))
     f = contrast_factor(levels)
-    cw, sw = np.cos(omega * t), np.sin(omega * t)
-    ca, sa = np.cos(omega_a * t), np.sin(omega_a * t)
+    cw, sw = np.cos(kin.omega * t), np.sin(kin.omega * t)
+    ca, sa = np.cos(kin.omega_a * t), np.sin(kin.omega_a * t)
     out = np.empty((t.size, 4))
     out[:, 0] = (kin.b_z / kin.b) * kin.zeta_z + kin.energy * (kin.b_perp / kin.b) * kin.zeta_perp * ca
     out[:, 1] = -f * kin.zeta_perp * (cw * sa + kin.b * sw * ca)
@@ -336,12 +335,10 @@ def evolve_packet(
     return Trajectory(times=times, p=p, s=s, p0=p0)
 
 
-def closed_form_trajectory(
-    kin: SpinKinematics, levels: int | None, omega: float, omega_a: float, times: np.ndarray
-) -> Trajectory:
-    """Trajectory of the closed forms, with the reference energy as the
-    four-momentum time component."""
+def closed_form_trajectory(kin: SpinKinematics, levels: int | None, times: np.ndarray) -> Trajectory:
+    """Trajectory of the closed forms at the rates of ``kin``, with the
+    reference energy as the four-momentum time component."""
     times = np.asarray(times, dtype=float)
-    p = closed_form_momentum(kin, levels, omega, times)
-    s = closed_form_spin(kin, levels, omega, omega_a, times)
+    p = closed_form_momentum(kin, levels, times)
+    s = closed_form_spin(kin, levels, times)
     return Trajectory(times=times, p=p, s=s, p0=np.full(times.size, kin.energy))

@@ -209,59 +209,49 @@ def anomalous_frequency(cfg: FieldConfig, n: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SpinKinematics:
-    """Frozen kinematic snapshot of the reference level of a packet.
+    """Frozen kinematic snapshot of the reference level of a packet, with
+    the rates its closed forms turn at.
 
     All downstream closed forms (momentum and spin trajectories, matrix
     element prefactors) read from one of these, so building it once pins
-    the semiclassical freezing consistently.
+    the semiclassical freezing consistently: the momentum circles at
+    ``omega`` and the spin precesses relative to it at ``omega_a``.
+    ``from_field`` sets these to the exact level gaps;
+    ``classical.classical_reference`` sets the classical lab-time rates.
     """
 
     b_perp: float
-    b: float
     b_z: float
     energy: float
     kappa: float
-    zeta_perp: float
-    zeta_z: float
-    epsilon: int
+    omega: float
+    omega_a: float
 
-    def __post_init__(self) -> None:
-        if abs(self.b - math.sqrt(1.0 + self.b_perp**2)) > 1e-12 * self.b:
-            raise DomainError("b: must equal sqrt(1 + b_perp^2)")
-        if abs(self.zeta_perp**2 + self.zeta_z**2 - 1.0) > 1e-12:
-            raise DomainError("zeta_perp^2 + zeta_z^2 must equal 1")
+    @property
+    def b(self) -> float:
+        """Transverse energy factor sqrt(1 + b_perp^2)."""
+        return math.sqrt(1.0 + self.b_perp**2)
+
+    @property
+    def zeta_perp(self) -> float:
+        """Transverse polarization constant 2*kappa/(kappa^2 + 1)."""
+        return polarization_constants(self.kappa)[0]
+
+    @property
+    def zeta_z(self) -> float:
+        """Longitudinal polarization constant (kappa^2 - 1)/(kappa^2 + 1)."""
+        return polarization_constants(self.kappa)[1]
 
     @classmethod
-    def from_field(
-        cls,
-        cfg: FieldConfig,
-        n: int,
-        epsilon: int = 1,
-        anomaly_free: bool = False,
-    ) -> "SpinKinematics":
-        """Build the snapshot at level n.
-
-        With ``anomaly_free=True`` the energy and the mixing ratio are
-        evaluated at anomaly = 0, i.e. B^2 = b^2 + b_z^2 exactly.  That is
-        the kinematics solving the classical spin-precession equation, and
-        the one under which the four-spin invariants close identically.
-        """
-        eff = cfg.without_anomaly() if anomaly_free else cfg
-        b_perp = transverse_momentum(eff.h, n, SPINOR)
-        if b_perp == 0.0:
-            raise SingularConfigurationError(
-                "b_perp = 0 (h = 0 or n = 0): spin kinematics undefined"
-            )
-        b = math.sqrt(1.0 + b_perp**2)
-        kappa = spin_mixing_ratio(eff, n, epsilon)
-        zeta_perp, zeta_z = polarization_constants(kappa)
+    def from_field(cls, cfg: FieldConfig, n: int, epsilon: int = 1) -> "SpinKinematics":
+        """The snapshot at level n, turning at the gap to level n + 1 and the
+        zeta-splitting of level n; SingularConfigurationError at b_perp = 0
+        (h = 0 or n = 0), where the mixing ratio is undefined."""
         return cls(
-            b_perp=b_perp,
-            b=b,
-            b_z=eff.b_z,
-            energy=energy_spinor(eff, n, epsilon),
-            kappa=kappa,
-            zeta_perp=zeta_perp,
-            zeta_z=zeta_z,
-            epsilon=epsilon,
+            b_perp=transverse_momentum(cfg.h, n, SPINOR),
+            b_z=cfg.b_z,
+            energy=energy_spinor(cfg, n, epsilon),
+            kappa=spin_mixing_ratio(cfg, n, epsilon),
+            omega=cyclotron_frequency(cfg, n, epsilon)[0],
+            omega_a=anomalous_frequency(cfg, n)[0],
         )

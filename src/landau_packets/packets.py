@@ -93,12 +93,17 @@ class StructureSums:
     population_imbalance: complex
 
 
-def _level_window(n: int, count: int) -> tuple[int, ...]:
+def _level_window(n: int, count: int) -> range:
     # odd counts sit symmetrically about n; even counts put the extra level above
     if count < 1:
         raise DomainError(f"levels: need at least one level, got {count}")
     m_min = n - (count - 1) // 2
-    return tuple(range(m_min, m_min + count))
+    return range(m_min, m_min + count)
+
+
+def spinor_window_fits(n: int, count: int) -> bool:
+    """Whether the spin-1/2 window of ``count`` levels centered on n starts at level 1 or above."""
+    return _level_window(n, count)[0] >= 1
 
 
 def _phase_factors(count: int, phases) -> np.ndarray:
@@ -123,7 +128,7 @@ def build_scalar_packet(n: int, levels: int, phases=None) -> PacketSpec:
             f"levels: window {window[0]}..{window[-1]} reaches below the ground level"
         )
     amplitudes = _phase_factors(levels, phases)[:, None] * (1.0 / math.sqrt(levels))
-    return PacketSpec(kind=SCALAR, n=n, levels=window, epsilon=1, amplitudes=amplitudes)
+    return PacketSpec(kind=SCALAR, n=n, levels=tuple(window), epsilon=1, amplitudes=amplitudes)
 
 
 def build_spinor_packet(
@@ -140,14 +145,14 @@ def build_spinor_packet(
     normalization splits as 1/N per level regardless of kappa.
     """
     window = _level_window(n, levels)
-    if window[0] < 1:
+    if not spinor_window_fits(n, levels):
         raise DomainError(
             f"levels: window {window[0]}..{window[-1]} reaches below the first spin-1/2 level"
         )
     kappa = spin_mixing_ratio(cfg, n, epsilon)
     down = 1.0 / math.sqrt(levels * (kappa * kappa + 1.0))
     amplitudes = _phase_factors(levels, phases)[:, None] * np.array([down, kappa * down])
-    return PacketSpec(kind=SPINOR, n=n, levels=window, epsilon=epsilon, amplitudes=amplitudes)
+    return PacketSpec(kind=SPINOR, n=n, levels=tuple(window), epsilon=epsilon, amplitudes=amplitudes)
 
 
 def normalization_defect(packet: PacketSpec) -> float:

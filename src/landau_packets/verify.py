@@ -21,13 +21,7 @@ import numpy as np
 
 from . import classical, evolution, laguerre, operators, packets
 from .errors import AccuracyError
-from .kinematics import (
-    FieldConfig,
-    SpinKinematics,
-    anomalous_frequency,
-    cyclotron_frequency,
-    spin_mixing_ratio,
-)
+from .kinematics import FieldConfig, SpinKinematics, spin_mixing_ratio
 from .trajectory import compare_trajectories
 
 FACTOR_LAW_LEVELS = (1, 2, 3, 5, 10, 100, 1000)
@@ -92,14 +86,8 @@ def _reports_accuracy_error(name: str):
 
 
 def _fitting_levels(counts, n: int) -> list[int]:
-    """The level counts whose spinor window centered on n stays at or above
-    level 1 (the window starts at n - (count - 1) // 2)."""
-    return [count for count in counts if n - (count - 1) // 2 >= 1]
-
-
-def _engine_setup(cfg: FieldConfig, n: int, levels: int, epsilon: int):
-    packet = packets.build_spinor_packet(n, levels, cfg, epsilon)
-    return packet, evolution.sample_times(cyclotron_frequency(cfg, n, epsilon)[0])
+    """The level counts whose spinor window centered on n fits."""
+    return [count for count in counts if packets.spinor_window_fits(n, count)]
 
 
 def check_packet_normalization(
@@ -168,14 +156,12 @@ def check_structure_sums(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
 def check_engine_closed_form(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
     worst = 0.0
     kin = SpinKinematics.from_field(cfg, n, epsilon)
-    omega = cyclotron_frequency(cfg, n, epsilon)[0]
-    omega_a = anomalous_frequency(cfg, n)[0]
+    times = evolution.sample_times(kin.omega)
     for levels in _fitting_levels(ENGINE_LEVELS, n):
-        packet, times = _engine_setup(cfg, n, levels, epsilon)
+        packet = packets.build_spinor_packet(n, levels, cfg, epsilon)
         traj = evolution.evolve_packet(packet, cfg, times, mode=evolution.UNIFORM_GAP)
-        p_ref = evolution.closed_form_momentum(kin, levels, omega, times)
-        s_ref = evolution.closed_form_spin(kin, levels, omega, omega_a, times)
-        worst = max(worst, float(np.max(np.abs(traj.p - p_ref))), float(np.max(np.abs(traj.s - s_ref))))
+        closed = evolution.closed_form_trajectory(kin, levels, times)
+        worst = max(worst, *compare_trajectories(traj, closed).values())
     tol = 1e-10
     return CheckResult("engine-closed-form", worst <= tol, worst, tol)
 
@@ -185,8 +171,9 @@ def check_factor_law(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
     worst = 0.0
     rows = {}
     kin = SpinKinematics.from_field(cfg, n, epsilon)
+    times = evolution.sample_times(kin.omega)
     for levels in _fitting_levels(FACTOR_LAW_LEVELS, n):
-        packet, times = _engine_setup(cfg, n, levels, epsilon)
+        packet = packets.build_spinor_packet(n, levels, cfg, epsilon)
         traj = evolution.evolve_packet(packet, cfg, times, mode=evolution.UNIFORM_GAP)
         factor = float(np.max(np.abs(traj.p[:, 0]))) / kin.b_perp
         rows[levels] = factor
@@ -197,17 +184,14 @@ def check_factor_law(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
 
 def check_invariants(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
     ref = classical.classical_reference(cfg, n, epsilon)
-    traj = ref.closed_form(evolution.sample_times(ref.omega))
+    traj = evolution.closed_form_trajectory(ref.kin, None, evolution.sample_times(ref.kin.omega))
     worst = max(float(np.max(traj.res_sp)), float(np.max(traj.res_ss)))
     tol = 1e-10
 
     # orthogonality residual scales linearly with the anomaly
     def max_res_sp(anomaly: float) -> float:
-        c = FieldConfig(h=cfg.h, anomaly=anomaly, b_z=cfg.b_z)
-        kin = SpinKinematics.from_field(c, n, epsilon)
-        w = cyclotron_frequency(c, n, epsilon)[0]
-        wa = anomalous_frequency(c, n)[0]
-        t = evolution.closed_form_trajectory(kin, None, w, wa, evolution.sample_times(w))
+        kin = SpinKinematics.from_field(replace(cfg, anomaly=anomaly), n, epsilon)
+        t = evolution.closed_form_trajectory(kin, None, evolution.sample_times(kin.omega))
         return float(np.max(t.res_sp))
 
     base_anomaly = max(cfg.anomaly, 1e-3)
@@ -226,7 +210,8 @@ def check_invariants(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
 
 def check_polarization_tensor(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
     ref = classical.classical_reference(cfg, n, epsilon)
-    traj = ref.closed_form(evolution.sample_times(ref.omega, samples=32))
+    times = evolution.sample_times(ref.kin.omega, samples=32)
+    traj = evolution.closed_form_trajectory(ref.kin, None, times)
     p4 = traj.four_momentum()
     tensors = evolution.polarization_series(traj.s, p4)
     p_low = evolution.lower_index(p4.T).T
@@ -240,17 +225,18 @@ def check_polarization_tensor(cfg: FieldConfig, n: int, epsilon: int) -> CheckRe
 
 def _drift_horizon(ref: classical.ClassicalReference) -> float:
     """Ten cyclotron periods, the span the invariant-drift check integrates."""
-    return 10.0 * 2.0 * math.pi / ref.omega
+    return 10.0 * 2.0 * math.pi / ref.kin.omega
 
 
 def check_bmt_match(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
     ref = classical.classical_reference(cfg, n, epsilon)
     # one anomalous period; without an anomaly the spin does not precess
     # relative to the orbit, and the drift check's horizon stands in
-    t_max = 2.0 * math.pi / ref.omega_a if ref.omega_a else _drift_horizon(ref)
-    times = evolution.sample_times(ref.omega, samples=128, t_max=t_max)
+    t_max = 2.0 * math.pi / ref.kin.omega_a if ref.kin.omega_a else _drift_horizon(ref)
+    times = evolution.sample_times(ref.kin.omega, samples=128, t_max=t_max)
     bmt = classical.bmt_integrate(ref.init, cfg.h, record_times=times, check_drift=False)
-    worst = max(compare_trajectories(bmt, ref.closed_form(times)).values())
+    closed = evolution.closed_form_trajectory(ref.kin, None, times)
+    worst = max(compare_trajectories(bmt, closed).values())
     tol = 1e-6
     return CheckResult("bmt-closed-form-match", worst <= tol, worst, tol)
 
@@ -261,19 +247,17 @@ def check_rk4_order(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
     function keeps the name of the RK4 check it replaced because the
     benchmark's tracer keys its per-check spans on that name."""
     ref = classical.classical_reference(cfg, n, epsilon)
-    gamma = ref.init.u[0]
-    coupling = classical.spin_coupling_omega(cfg.h, gamma, ref.kin.b_perp, ref.init.g_factor)
     # 8 and 16 steps per period of the fastest rate, whatever the default
     # resolution, uniform over two cyclotron periods: a record grid would
     # cap each step at its spacing
-    default = classical.default_step(cfg.h, gamma, ref.omega_a, coupling)
-    coarse = default * classical.STEPS_PER_PERIOD / 8.0
+    coarse = classical.state_step(ref.init, cfg.h) * classical.STEPS_PER_PERIOD / 8.0
     dev = []
     for dt in (coarse, 0.5 * coarse):
         traj = classical.bmt_integrate(
-            ref.init, cfg.h, t_max=4.0 * math.pi / ref.omega, dt=dt, check_drift=False
+            ref.init, cfg.h, t_max=4.0 * math.pi / ref.kin.omega, dt=dt, check_drift=False
         )
-        dev.append(max(compare_trajectories(traj, ref.closed_form(traj.times)).values()))
+        closed = evolution.closed_form_trajectory(ref.kin, None, traj.times)
+        dev.append(max(compare_trajectories(traj, closed).values()))
     ratio = dev[0] / dev[1] if dev[1] > 0 else math.inf
     return CheckResult(
         "integrator-order", 128.0 <= ratio <= 512.0, ratio, None,
@@ -318,7 +302,8 @@ def check_oracle_convergence(cfg: FieldConfig, n: int, epsilon: int) -> CheckRes
 @_reports_accuracy_error("determinism")
 def check_determinism(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
     # three levels, or two where three reach below level 1
-    packet, times = _engine_setup(cfg, n, _fitting_levels((3, 2), n)[0], epsilon)
+    packet = packets.build_spinor_packet(n, _fitting_levels((3, 2), n)[0], cfg, epsilon)
+    times = evolution.sample_times(SpinKinematics.from_field(cfg, n, epsilon).omega)
 
     def render() -> bytes:
         traj = evolution.evolve_packet(packet, cfg, times, mode=evolution.UNIFORM_GAP)

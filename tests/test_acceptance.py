@@ -1,7 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line with its measured residual next to the pinned tolerance.
 
-Criteria 1, 2, 3a, 4, 5, 6 and 7 run the shared ``verify`` checks at the
+Criteria 1, 2, 3a, 4, 5, 6, 7 and 8 run the shared ``verify`` checks at the
 acceptance configurations; the checks carry the tolerances, and criterion 7
 the window [128, 512] for the step-halving ratio of the order-8 integrator."""
 
@@ -10,12 +10,13 @@ import time
 import numpy as np
 
 from landau_packets.evolution import UNIFORM_GAP, closed_form_momentum, evolve_packet, sample_times
-from landau_packets.kinematics import FieldConfig, SpinKinematics, cyclotron_frequency
+from landau_packets.kinematics import FieldConfig, SpinKinematics
 from landau_packets.packets import build_spinor_packet
 from landau_packets.verify import (
     CheckResult,
     check_bmt_drift,
     check_bmt_match,
+    check_determinism,
     check_engine_closed_form,
     check_factor_law,
     check_invariants,
@@ -87,11 +88,10 @@ def test_criterion_3_classical_limit():
 
     n_ref, levels = 1200, 100
     kin_q = SpinKinematics.from_field(CFG, n_ref, +1)
-    omega_q = cyclotron_frequency(CFG, n_ref, +1)[0]
-    grid = sample_times(omega_q)
+    grid = sample_times(kin_q.omega)
     packet = build_spinor_packet(n_ref, levels, CFG, +1)
     traj = evolve_packet(packet, CFG, grid, mode=UNIFORM_GAP)
-    circle = closed_form_momentum(kin_q, None, omega_q, grid)
+    circle = closed_form_momentum(kin_q, None, grid)
     gap = float(np.max(np.abs(traj.p[:, :2] - circle[:, :2])))
     expected = kin_q.b_perp / levels
     gap_ok = abs(gap - expected) <= 1e-10 * expected
@@ -145,18 +145,8 @@ def test_criterion_7_integrator_order():
     assert result.passed
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism():
     """Identical configurations produce byte-identical CSV output."""
-    from landau_packets.cli import main
-
-    args = ["trajectory", "--h", "0.1", "--anomaly", "0.02", "--b-z", "0.5",
-            "--n", "100", "--levels", "3", "--seed", "7"]
-    dirs = [tmp_path / "run_a", tmp_path / "run_b"]
-    for target in dirs:
-        assert main([*args, "--output-dir", str(target)]) == 0
-    identical = all(
-        (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
-        for name in ("trajectory.csv", "closed_form.csv", "classical.csv")
-    )
-    report("8 determinism", identical, "CSV outputs byte-identical across reruns")
-    assert identical
+    result = check_determinism(CLASSICAL_CFG, 100, +1)
+    report("8 determinism", result.passed, f"{result.name}: trajectory CSV byte-identical across reruns")
+    assert result.passed

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,16 +12,19 @@ from landau_packets.classical import (
     STEPS_PER_PERIOD,
     ClassicalState,
     _frame_steps,
+    anomalous_omega,
     bmt_integrate,
     classical_reference,
     cyclotron_omega,
     default_step,
     spin_coupling_omega,
+    state_step,
 )
 from landau_packets import classical, verify
 from landau_packets.errors import DomainError, IntegrationAccuracyError
 from landau_packets.evolution import (
     closed_form_momentum,
+    closed_form_trajectory,
     evolve_packet,
     sample_times,
 )
@@ -36,22 +40,19 @@ REF = classical_reference(CFG, N_REF)
 
 class TestClassicalMomentum:
     # the classical circle is the unit-contrast closed form
-    KIN = SpinKinematics(
-        b_perp=2.0, b=math.sqrt(5.0), b_z=0.5, energy=math.sqrt(5.25),
-        kappa=1.0, zeta_perp=1.0, zeta_z=0.0, epsilon=1,
-    )
+    KIN = SpinKinematics(b_perp=2.0, b_z=0.5, energy=math.sqrt(5.25), kappa=1.0, omega=0.1, omega_a=0.0)
 
     def test_at_zero(self):
-        np.testing.assert_allclose(closed_form_momentum(self.KIN, None, 0.1, 0.0), [0.0, 2.0, 0.5])
+        np.testing.assert_allclose(closed_form_momentum(self.KIN, None, 0.0), [0.0, 2.0, 0.5])
 
     def test_half_period(self):
         omega = 0.25
-        p = closed_form_momentum(self.KIN, None, omega, math.pi / omega)
+        p = closed_form_momentum(replace(self.KIN, omega=omega), None, math.pi / omega)
         np.testing.assert_allclose(p, [0.0, -2.0, 0.5], atol=1e-14)
 
     def test_circular(self):
         t = np.linspace(0, 80, 101)
-        p = closed_form_momentum(self.KIN, None, 0.1, t)
+        p = closed_form_momentum(self.KIN, None, t)
         np.testing.assert_allclose(np.hypot(p[:, 0], p[:, 1]), 2.0, rtol=1e-14)
 
 
@@ -71,13 +72,18 @@ class TestInitialConditions:
         np.testing.assert_allclose(init.u[1:], [0.0, kin.b_perp, kin.b_z], atol=1e-14)
         assert init.s[2] == pytest.approx(kin.zeta_perp * kin.b, rel=1e-14)
 
+    def test_turns_at_the_lab_time_rates(self):
+        kin, g = REF.kin, REF.init.g_factor
+        assert kin.omega == cyclotron_omega(CFG.h, kin.energy)
+        assert kin.omega_a == anomalous_omega(CFG.h, kin.energy, kin.b, g)
+
 
 class TestBmtIntegration:
     def test_helicity_conserved_at_g2(self):
         cfg = FieldConfig(h=0.1, anomaly=0.0, b_z=0.0)
         ref = classical_reference(cfg, N_REF)
         assert ref.init.g_factor == 2.0
-        traj = bmt_integrate(ref.init, cfg.h, t_max=10 * 2 * math.pi / ref.omega)
+        traj = bmt_integrate(ref.init, cfg.h, t_max=10 * 2 * math.pi / ref.kin.omega)
         longitudinal = np.sum(traj.p * traj.s[:, 1:], axis=1) / np.linalg.norm(traj.p, axis=1)
         assert np.max(np.abs(longitudinal - longitudinal[0])) < 1e-8
 
@@ -90,10 +96,10 @@ class TestBmtIntegration:
         # at anomaly 5 the spin precesses 32 times faster than the orbit turns
         cfg = FieldConfig(h=0.1, anomaly=5.0, b_z=0.5)
         ref = classical_reference(cfg, N_REF)
-        assert ref.omega_a > 30 * ref.omega
-        times = sample_times(ref.omega_a, samples=64, t_max=4 * 2 * math.pi / ref.omega_a)
+        assert ref.kin.omega_a > 30 * ref.kin.omega
+        times = sample_times(ref.kin.omega_a, samples=64, t_max=4 * 2 * math.pi / ref.kin.omega_a)
         traj = bmt_integrate(ref.init, cfg.h, record_times=times)
-        assert max(compare_trajectories(traj, ref.closed_form(times)).values()) < 1e-6
+        assert max(compare_trajectories(traj, closed_form_trajectory(ref.kin, None, times)).values()) < 1e-6
 
     @pytest.mark.parametrize("anomaly,n", [(1.16141e-3, 100), (1.16141e-3, 10000), (0.02, 1000), (5.0, 100)])
     def test_spin_coupling_is_the_linearized_frequency(self, anomaly, n):
@@ -109,7 +115,7 @@ class TestBmtIntegration:
         jacobian = (half_g * field @ eta + (half_g - 1) * np.outer(u, eta @ field @ eta @ u)) / u[0]
         frequency = np.max(np.abs(np.linalg.eigvals(jacobian).imag))
         coupling = spin_coupling_omega(cfg.h, u[0], ref.kin.b_perp, ref.init.g_factor)
-        assert frequency == pytest.approx(math.hypot(half_g * ref.omega, coupling), rel=1e-10)
+        assert frequency == pytest.approx(math.hypot(half_g * ref.kin.omega, coupling), rel=1e-10)
 
     @pytest.mark.parametrize("n", [100, 10000])
     def test_default_step_resolves_spin_coupling(self, n):
@@ -119,15 +125,27 @@ class TestBmtIntegration:
         ref = classical_reference(cfg, n)
         gamma = ref.init.u[0]
         coupling = spin_coupling_omega(cfg.h, gamma, ref.kin.b_perp, ref.init.g_factor)
-        t_max = 10 * 2 * math.pi / ref.omega
+        t_max = 10 * 2 * math.pi / ref.kin.omega
         traj = bmt_integrate(ref.init, cfg.h, t_max=t_max, check_drift=False)
-        fastest = max(ref.omega, abs(ref.omega_a), coupling)
-        assert (coupling < ref.omega) == (n == 100)
+        fastest = max(ref.kin.omega, abs(ref.kin.omega_a), coupling)
+        assert (coupling < ref.kin.omega) == (n == 100)
         assert traj.times.size - 1 == math.ceil(t_max / (2 * math.pi / (fastest * STEPS_PER_PERIOD)))
+        assert state_step(ref.init, cfg.h) == 2 * math.pi / (fastest * STEPS_PER_PERIOD)
         assert default_step(cfg.h, gamma) == 2 * math.pi / (cyclotron_omega(cfg.h, gamma) * STEPS_PER_PERIOD)
         # the tolerance of verify's invariant-drift check; 5.1e-7 at n = 10^4
         # with the cyclotron step alone
         assert max(float(np.max(traj.res_sp)), float(np.max(traj.res_ss))) <= 1e-8
+
+    def test_step_blocks_leave_the_samples_unchanged(self, monkeypatch):
+        # 16 to 96 steps between samples, of a different length in every
+        # span; blocks of 7 steps end inside nearly every span
+        periods = np.cumsum(np.r_[0.0, np.linspace(0.5, 3.0, 40)])
+        times = periods * 2 * math.pi / REF.kin.omega
+        expected = bmt_integrate(REF.init, CFG.h, record_times=times)
+        monkeypatch.setattr(classical, "_DOP853_BLOCK", 7)
+        blocked = bmt_integrate(REF.init, CFG.h, record_times=times)
+        assert np.array_equal(np.column_stack([blocked.p0, blocked.p, blocked.s]),
+                              np.column_stack([expected.p0, expected.p, expected.s]))
 
     @pytest.mark.parametrize(
         "kwargs, field",
@@ -154,7 +172,7 @@ class TestBmtIntegration:
             bmt_integrate(REF.init, CFG.h, **kwargs)
 
     def test_drift_error_raised_for_coarse_step(self):
-        period = 2 * math.pi / REF.omega
+        period = 2 * math.pi / REF.kin.omega
         with pytest.raises(IntegrationAccuracyError):
             bmt_integrate(REF.init, CFG.h, t_max=20 * period, dt=period / 4)
 
@@ -163,7 +181,7 @@ class TestBmtIntegration:
         # Pz = u3 has derivative 0, so the default scheme returns b_z itself
         cfg = FieldConfig(h=0.1, anomaly=anomaly, b_z=-0.0)
         ref = classical_reference(cfg, N_REF)
-        traj = bmt_integrate(ref.init, cfg.h, t_max=3 * 2 * math.pi / ref.omega)
+        traj = bmt_integrate(ref.init, cfg.h, t_max=3 * 2 * math.pi / ref.kin.omega)
         assert np.all(traj.p[:, 2] == 0.0) and np.all(np.signbit(traj.p[:, 2]))
 
 
@@ -212,7 +230,7 @@ class TestDormandPrinceTableau:
         # tableau and the componentwise right-hand side
         cfg = FieldConfig(h=0.1, anomaly=anomaly, b_z=b_z)
         ref = classical_reference(cfg, N_REF)
-        dt = default_step(cfg.h, ref.init.u[0], ref.omega_a)
+        dt = default_step(cfg.h, ref.init.u[0], ref.kin.omega_a)
         times = dt * np.arange(201)
         traj = bmt_integrate(ref.init, cfg.h, record_times=times, dt=dt, check_drift=False)
         y = ref.init.u + ref.init.s
@@ -231,7 +249,7 @@ class TestDormandPrinceTableau:
         # 1.1e-10 and 1.9e-11 from the componentwise stages, with it 1e-12
         cfg = FieldConfig(h=0.1, anomaly=anomaly, b_z=0.5)
         ref = classical_reference(cfg, n)
-        dt = default_step(cfg.h, ref.init.u[0], ref.omega_a)
+        dt = default_step(cfg.h, ref.init.u[0], ref.kin.omega_a)
         times = dt * np.arange(4001)
         traj = bmt_integrate(ref.init, cfg.h, record_times=times, dt=dt, check_drift=False)
         y = ref.init.u + ref.init.s
@@ -377,29 +395,24 @@ class TestQuantumClassicalGap:
         # the gap is exactly (1 - f) * b_perp = b_perp / N
         cfg = FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=0.5)
         packet = build_spinor_packet(1200, levels, cfg, +1)
-        from landau_packets.kinematics import cyclotron_frequency
-
-        omega = cyclotron_frequency(cfg, 1200, +1)[0]
-        times = sample_times(omega)
-        traj = evolve_packet(packet, cfg, times)
         kin = SpinKinematics.from_field(cfg, 1200, +1)
-        classical = closed_form_momentum(kin, None, omega, times)
+        times = sample_times(kin.omega)
+        traj = evolve_packet(packet, cfg, times)
+        classical = closed_form_momentum(kin, None, times)
         gap = np.max(np.abs(traj.p[:, :2] - classical[:, :2]))
         assert gap == pytest.approx(kin.b_perp / levels, rel=1e-10)
 
     def test_ten_thousand_levels_relative_gap(self):
         # at N = 1e4 the relative transverse gap is 1e-4
         from landau_packets.evolution import expectation_series, relative_energies
-        from landau_packets.kinematics import cyclotron_frequency
         from landau_packets.operators import build_operator_band
 
         cfg = FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=0.5)
         n_ref, levels = 12000, 10000
         packet = build_spinor_packet(n_ref, levels, cfg, +1)
-        omega = cyclotron_frequency(cfg, n_ref, 1)[0]
-        times = sample_times(omega)
         kin = SpinKinematics.from_field(cfg, n_ref, +1)
-        circle = closed_form_momentum(kin, None, omega, times)
+        times = sample_times(kin.omega)
+        circle = closed_form_momentum(kin, None, times)
         bands = [build_operator_band(packet.levels, name, cfg, n_ref, zeta_ref=1) for name in ("Px", "Py")]
         series = expectation_series(packet, bands, relative_energies(packet, cfg), times)
         gap = float(np.max(np.abs(series - circle[:, :2])))
@@ -408,21 +421,21 @@ class TestQuantumClassicalGap:
 
 class TestCompareTrajectories:
     def test_identical_is_zero(self):
-        traj = REF.closed_form(sample_times(REF.omega, samples=16))
+        traj = closed_form_trajectory(REF.kin, None, sample_times(REF.kin.omega, samples=16))
         result = compare_trajectories(traj, traj)
         assert list(result) == ["Px", "Py", "Pz", "S0", "Sx", "Sy", "Sz"]
         assert all(v == 0.0 for v in result.values())
 
     def test_spin_compared_only_when_both_carry_it(self):
-        traj = REF.closed_form(sample_times(REF.omega, samples=16))
+        traj = closed_form_trajectory(REF.kin, None, sample_times(REF.kin.omega, samples=16))
         momentum_only = Trajectory(times=traj.times, p=traj.p + 0.25)
         assert compare_trajectories(traj, momentum_only) == pytest.approx(
             {"Px": 0.25, "Py": 0.25, "Pz": 0.25}, rel=1e-12
         )
 
     def test_grid_mismatch_rejected(self):
-        a = REF.closed_form(sample_times(REF.omega, samples=16))
-        b = REF.closed_form(sample_times(REF.omega, samples=32))
+        a = closed_form_trajectory(REF.kin, None, sample_times(REF.kin.omega, samples=16))
+        b = closed_form_trajectory(REF.kin, None, sample_times(REF.kin.omega, samples=32))
         with pytest.raises(DomainError):
             compare_trajectories(a, b)
 

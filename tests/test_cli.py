@@ -101,11 +101,13 @@ class TestTrajectoryCommand:
     @pytest.mark.parametrize("t_max", ["1e12", "1e300"])
     def test_step_count_beyond_the_cap_rejected(self, tmp_path, capsys, t_max):
         # more order-8 steps than classical.MAX_STEPS between the samples
-        code = main(["trajectory", *FAST, "--samples", "16", "--t-max", t_max, "--output-dir", str(tmp_path)])
+        out = tmp_path / "out"
+        code = main(["trajectory", *FAST, "--samples", "16", "--t-max", t_max, "--output-dir", str(out)])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("configuration error: record_times:") and err.count("\n") == 1
+        assert err.startswith("configuration error: t_max:") and err.count("\n") == 1
         assert f"more than {classical.MAX_STEPS}" in err
+        assert not out.exists()
 
 
 class TestConvergeCommand:

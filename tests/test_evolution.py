@@ -276,7 +276,7 @@ class TestPhaseAccuracy:
         cfg = FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=0.5)
         packet = build_spinor_packet(100, 100, cfg, +1)
         energies = relative_energies(packet, cfg, EXACT)
-        period = 2 * math.pi / classical_reference(cfg, 100, +1).omega_a
+        period = 2 * math.pi / classical_reference(cfg, 100, +1).kin.omega_a
         times = sample_times(cyclotron_frequency(cfg, 100, 1)[0], samples=8192, t_max=period)
         bands = list(build_packet_bands(packet, cfg).values())
         values = expectation_series(packet, bands, energies, times)
@@ -292,10 +292,8 @@ class TestEngineMatchesClosedForms:
         packet, energies, times = engine_setup(cfg, n, levels, epsilon)
         traj = evolve_packet(packet, cfg, times)
         kin = SpinKinematics.from_field(cfg, n, epsilon)
-        omega = cyclotron_frequency(cfg, n, epsilon)[0]
-        omega_a = anomalous_frequency(cfg, n)[0]
-        p_ref = closed_form_momentum(kin, levels, omega, times)
-        s_ref = closed_form_spin(kin, levels, omega, omega_a, times)
+        p_ref = closed_form_momentum(kin, levels, times)
+        s_ref = closed_form_spin(kin, levels, times)
         assert np.max(np.abs(traj.p - p_ref)) < 1e-10
         assert np.max(np.abs(traj.s - s_ref)) < 1e-10
 
@@ -317,13 +315,13 @@ class TestEngineMatchesClosedForms:
 
 class TestClosedForms:
     def test_momentum_at_zero(self):
-        kin = SpinKinematics.from_field(CFG, N_REF, +1)
-        p0 = closed_form_momentum(kin, 5, 0.3, 0.0)
+        kin = replace(SpinKinematics.from_field(CFG, N_REF, +1), omega=0.3)
+        p0 = closed_form_momentum(kin, 5, 0.0)
         np.testing.assert_allclose(p0, [0.0, 0.8 * kin.b_perp, CFG.b_z], atol=1e-14)
 
     def test_spin_at_zero(self):
-        kin = SpinKinematics.from_field(CFG, N_REF, +1)
-        s0 = closed_form_spin(kin, 5, 0.3, 0.01, 0.0)
+        kin = replace(SpinKinematics.from_field(CFG, N_REF, +1), omega=0.3, omega_a=0.01)
+        s0 = closed_form_spin(kin, 5, 0.0)
         f = contrast_factor(5)
         expected = [
             (kin.b_z / kin.b) * kin.zeta_z + kin.energy * (kin.b_perp / kin.b) * kin.zeta_perp,
@@ -336,20 +334,20 @@ class TestClosedForms:
     def test_rigid_rotation_at_g2(self):
         # kappa = 1, b_z = 0, no anomalous rotation: spin follows momentum
         cfg = FieldConfig(h=0.1, anomaly=0.0, b_z=0.0)
-        kin = SpinKinematics.from_field(cfg, 50, +1)
         omega = 0.27
+        kin = replace(SpinKinematics.from_field(cfg, 50, +1), omega=omega, omega_a=0.0)
         times = sample_times(omega, samples=64)
-        s = closed_form_spin(kin, None, omega, 0.0, times)
+        s = closed_form_spin(kin, None, times)
         np.testing.assert_allclose(s[:, 1], -kin.b * np.sin(omega * times), atol=1e-13)
         np.testing.assert_allclose(s[:, 2], kin.b * np.cos(omega * times), atol=1e-13)
 
     def test_full_contrast_norm_closes(self):
         cfg = FieldConfig(h=0.1, anomaly=0.05, b_z=0.5)
-        kin = SpinKinematics.from_field(cfg, N_REF, +1, anomaly_free=True)
-        omega, omega_a = 0.03, 0.004
+        omega = 0.03
+        kin = replace(SpinKinematics.from_field(cfg.without_anomaly(), N_REF, +1), omega=omega, omega_a=0.004)
         for t in (0.0, math.pi / (4 * omega), math.pi / omega):
-            s = closed_form_spin(kin, None, omega, omega_a, t)
-            p = closed_form_momentum(kin, None, omega, t)
+            s = closed_form_spin(kin, None, t)
+            p = closed_form_momentum(kin, None, t)
             norm = s[1] ** 2 + s[2] ** 2 + s[3] ** 2 - s[0] ** 2
             dot = s[0] * kin.energy - s[1] * p[0] - s[2] * p[1] - s[3] * p[2]
             assert abs(norm - 1.0) < 1e-10
@@ -379,7 +377,7 @@ class TestPolarizationTensor:
 
     def test_series_along_trajectory(self):
         ref = classical_reference(FieldConfig(h=0.1, anomaly=0.0, b_z=0.5), N_REF)
-        traj = ref.closed_form(sample_times(ref.omega, samples=16))
+        traj = closed_form_trajectory(ref.kin, None, sample_times(ref.kin.omega, samples=16))
         p4 = traj.four_momentum()
         tensors = polarization_series(traj.s, p4)
         assert tensors.shape == (16, 4, 4)
@@ -393,13 +391,13 @@ class TestPolarizationTensor:
 class TestInvariantReport:
     def test_full_contrast_residuals_vanish(self):
         ref = classical_reference(FieldConfig(h=0.1, anomaly=0.05, b_z=0.5), N_REF)
-        traj = ref.closed_form(sample_times(ref.omega))
+        traj = closed_form_trajectory(ref.kin, None, sample_times(ref.kin.omega))
         assert np.max(traj.res_sp) < 1e-10
         assert np.max(traj.res_ss) < 1e-10
 
     def test_finite_window_norm_residual_positive(self):
         ref = classical_reference(FieldConfig(h=0.1, anomaly=0.0, b_z=0.5), N_REF)
-        traj = closed_form_trajectory(ref.kin, 3, ref.omega, ref.omega_a, sample_times(ref.omega))
+        traj = closed_form_trajectory(ref.kin, 3, sample_times(ref.kin.omega))
         assert np.min(traj.res_ss) > 0.0
 
     def test_zero_spin_unit_residual(self):

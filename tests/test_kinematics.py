@@ -229,8 +229,17 @@ class TestSpinKinematics:
 
     def test_anomaly_free_energy(self):
         cfg = FieldConfig(h=0.07, anomaly=0.1, b_z=0.9)
-        kin = SpinKinematics.from_field(cfg, 40, +1, anomaly_free=True)
+        kin = SpinKinematics.from_field(cfg.without_anomaly(), 40, +1)
         assert kin.energy == pytest.approx(math.hypot(kin.b, kin.b_z), rel=1e-15)
+
+    def test_rates_are_the_level_gaps(self):
+        cfg = FieldConfig(h=0.07, anomaly=0.002, b_z=0.9)
+        for epsilon in (-1, 1):
+            kin = SpinKinematics.from_field(cfg, 40, epsilon)
+            assert kin.omega == cyclotron_frequency(cfg, 40, epsilon)[0]
+            assert kin.omega == energy_spinor(cfg, 41, epsilon) - energy_spinor(cfg, 40, epsilon)
+            assert kin.omega_a == anomalous_frequency(cfg, 40)[0]
+            assert kin.omega_a == energy_spinor(cfg, 40, 1) - energy_spinor(cfg, 40, -1)
 
 
 class TestQuantumNumbers:

@@ -21,6 +21,7 @@ from landau_packets.evolution import (
     build_packet_bands,
     closed_form_momentum,
     closed_form_spin,
+    closed_form_trajectory,
     evolve_packet,
     expectation_series,
     relative_energies,
@@ -29,7 +30,6 @@ from landau_packets.evolution import (
 from landau_packets.kinematics import (
     FieldConfig,
     SpinKinematics,
-    anomalous_frequency,
     cyclotron_frequency,
     spin_mixing_ratio,
 )
@@ -64,13 +64,11 @@ def test_bands_packet_and_engine(config):
         assert band.hermiticity_defect() == 0.0
         assert band.band_width_defect() == 0
 
-    omega = cyclotron_frequency(cfg, n, epsilon)[0]
-    omega_a = anomalous_frequency(cfg, n)[0]
-    times = sample_times(omega, samples=64)
-    traj = evolve_packet(packet, cfg, times, mode=UNIFORM_GAP)
     kin = SpinKinematics.from_field(cfg, n, epsilon)
-    p_ref = closed_form_momentum(kin, levels, omega, times)
-    s_ref = closed_form_spin(kin, levels, omega, omega_a, times)
+    times = sample_times(kin.omega, samples=64)
+    traj = evolve_packet(packet, cfg, times, mode=UNIFORM_GAP)
+    p_ref = closed_form_momentum(kin, levels, times)
+    s_ref = closed_form_spin(kin, levels, times)
     assert np.max(np.abs(traj.p - p_ref)) < 1e-10
     assert np.max(np.abs(traj.s - s_ref)) < 1e-10
 
@@ -141,7 +139,7 @@ def test_four_vector_invariants(config):
     # unit spacelike norm along its closed form, to verify's tolerance
     h, b_z, anomaly, epsilon, n, _ = config
     ref = classical_reference(FieldConfig(h=h, anomaly=anomaly, b_z=b_z), n, epsilon)
-    traj = ref.closed_form(sample_times(ref.omega))
+    traj = closed_form_trajectory(ref.kin, None, sample_times(ref.kin.omega))
     assert float(np.max(traj.res_sp)) <= 1e-10
     assert float(np.max(traj.res_ss)) <= 1e-10
     # and the polarization tensor built from them is antisymmetric and

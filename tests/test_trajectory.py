@@ -123,7 +123,7 @@ def test_horizon_tables_use_the_array_path(tmp_path, fallback_calls):
     # the trajectory call of the horizon-verify benchmark: one anomalous
     # period at level 100, 100 levels, three tables of 8192 rows
     cfg = FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=0.5)
-    t_max = 2 * math.pi / abs(classical_reference(cfg, 100).omega_a)
+    t_max = 2 * math.pi / abs(classical_reference(cfg, 100).kin.omega_a)
     code = cli.main([
         "trajectory", "--h", "0.1", "--anomaly", "1.16141e-3", "--b-z", "0.5", "--mode", "exact",
         "--n", "100", "--levels", "100", "--samples", "8192", "--t-max", repr(t_max),
