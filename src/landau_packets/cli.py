@@ -39,7 +39,7 @@ from .kinematics import (
     cyclotron_frequency,
     energy_spinor,
 )
-from .trajectory import compare_trajectories
+from .trajectory import compare_trajectories, write_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,10 +52,6 @@ EXIT_ACCURACY = 4
 #: resolves the profiles at n = 1000
 ORACLE_MAX_N = 10_000
 ORACLE_MAX_S = 100
-
-#: a converge.csv or oracle.csv row: an integer, then three doubles printed
-#: with 17 significant digits
-_TABLE_ROW = "%d,%.17g,%.17g,%.17g\n"
 
 
 @dataclass
@@ -231,7 +227,6 @@ def cmd_converge(args: argparse.Namespace) -> int:
     n_list = args.n_list
     if not n_list:
         raise DomainError("n_list: need at least one level count")
-    os.makedirs(cfg.output_dir, exist_ok=True)
     field = cfg.field
 
     kin = SpinKinematics.from_field(field, cfg.n, cfg.epsilon)
@@ -245,10 +240,9 @@ def cmd_converge(args: argparse.Namespace) -> int:
         gap = float(np.max(np.abs(traj.p[:, :2] - reference[:, :2])))
         rows.append((levels, factor, abs(factor - packets.contrast_factor(levels)), gap))
 
+    os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, "converge.csv")
-    with open(path, "w", newline="\n") as handle:
-        handle.write("levels,factor,factor_defect,classical_gap\n")
-        handle.writelines(_TABLE_ROW % row for row in rows)
+    write_table(path, "levels,factor,factor_defect,classical_gap", rows)
     for levels, factor, defect, gap in rows:
         print(f"levels={levels:6d} factor={factor:.12f} defect={defect:.3e} gap={gap:.6e}")
     print(f"wrote {path}")
@@ -257,12 +251,12 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     report = verify.run_all_checks(
         cfg.field, cfg.n, cfg.epsilon, perturb=args.perturb, seed=cfg.seed
     )
     payload = report.as_dict()
     payload["config"] = asdict(cfg)
+    os.makedirs(cfg.output_dir, exist_ok=True)
     _json_dump(payload, os.path.join(cfg.output_dir, "verify.json"))
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -298,15 +292,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise DomainError(
             f"n_list: levels must be >= max(1, radial_s) = {max(s, 1)}, got {min(n_list)}"
         )
-    os.makedirs(cfg.output_dir, exist_ok=True)
     rows = laguerre.semiclassical_convergence(s, cfg.h, n_list, b_z=cfg.b_z)
     exponent_x = laguerre.fit_decay_exponent(n_list, [r[1] for r in rows])
     exponent_y = laguerre.fit_decay_exponent(n_list, [r[2] for r in rows])
 
+    os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, "oracle.csv")
-    with open(path, "w", newline="\n") as handle:
-        handle.write("n,rel_err_x,rel_err_y,err_z\n")
-        handle.writelines(_TABLE_ROW % row for row in rows)
+    write_table(path, "n,rel_err_x,rel_err_y,err_z", rows)
     for n, ex, ey, ez in rows:
         print(f"n={n:4d} rel_err_x={ex:.6e} rel_err_y={ey:.6e} err_z={ez:.3e}")
     print(f"decay exponent x: {exponent_x:.4f}  y: {exponent_y:.4f}")

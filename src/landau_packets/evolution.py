@@ -3,12 +3,14 @@ with the block tables of the observables, the closed-form trajectories it
 reproduces and the polarization tensor.
 
 Everything here derives from the packet: its reference state (n, epsilon)
-fixes the phase energies of ``relative_energies`` and its level window the
-bands, and a ``Trajectory`` derives its invariant residuals from its own
-samples.  The engine evolves every basis state of the packet's amplitude
-array with its own phase, psi(t) = a * exp(-i*dE*t), and contracts the pair
-sums of psi(t) with the block tables of every observable at once:
-<psi(t)|V|psi(t)> for all bands together.
+fixes one frozen ``SpinKinematics``, which the block tables of the bands,
+the phase energies of ``relative_energies`` and the energy p0 all read;
+its level window fixes the bands; and a ``Trajectory`` derives its
+invariant residuals from its own samples.  The engine evolves every basis
+state of the packet's amplitude array with its own phase,
+psi(t) = a * exp(-i*dE*t), and contracts the pair sums of psi(t) with the
+block tables of every observable at once: <psi(t)|V|psi(t)> for all bands
+together.
 
 Exponentials are taken only at anchor samples, every ANCHOR_STRIDE-th one:
 sample j with anchor k = ANCHOR_STRIDE * floor(j / ANCHOR_STRIDE) has
@@ -34,10 +36,10 @@ where a block ends.
 
 The energies dE are measured from the reference state.  In
 uniform-gap mode they are exactly (m - n)*omega +
-(zeta - epsilon)*omega_a/2, the frequencies the closed forms use, so the
-phases are exactly periodic; in exact mode each basis state keeps its own
-level energy and the packet slowly dephases, the effect the semiclassical
-freezing discards.
+(zeta - epsilon)*omega_a/2, the rates of the reference the closed forms
+turn at (omega_a = 0 for spin-0), so the phases are exactly periodic; in
+exact mode each basis state keeps its own level energy and the packet
+slowly dephases, the effect the semiclassical freezing discards.
 
 Metric convention: signature (+,-,-,-), Levi-Civita eps^{0123} = +1.
 """
@@ -53,11 +55,8 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .kinematics import (
     SCALAR,
-    SPINOR,
     FieldConfig,
     SpinKinematics,
-    anomalous_frequency,
-    cyclotron_frequency,
     energy_scalar,
     energy_spinor,
 )
@@ -101,24 +100,21 @@ def relative_energies(packet: PacketSpec, cfg: FieldConfig, mode: str = UNIFORM_
     """Phase energies of the packet's basis states less the energy of its
     reference state (n, epsilon), shape (levels, S) like the amplitudes.
 
-    In uniform-gap mode every adjacent-level gap equals the cyclotron
-    frequency of the reference level and every spin splitting its anomalous
-    frequency (zero for spin-0), which keeps the phases exactly periodic.
-    In exact mode each state carries its true level energy.
+    Both modes read the reference's ``SpinKinematics``: in uniform-gap
+    mode every adjacent-level gap is its ``omega`` and every spin splitting
+    its ``omega_a`` (zero for spin-0), which keeps the phases exactly
+    periodic; in exact mode each state carries its true level energy, less
+    the reference ``energy``.
     """
     if mode not in (UNIFORM_GAP, EXACT):
         raise DomainError(f"mode: must be '{UNIFORM_GAP}' or '{EXACT}', got {mode!r}")
     kind, n, zeta_ref = packet.kind, packet.n, packet.epsilon
     zetas = spin_labels(kind)
+    kin = SpinKinematics.from_field(cfg, n, zeta_ref, kind)
     if mode == EXACT:
-        base = _level_energy(cfg, kind, n, zeta_ref)
-        return np.array([[_level_energy(cfg, kind, m, z) - base for z in zetas] for m in packet.levels])
-    omega = cyclotron_frequency(cfg, n, zeta_ref, kind)[0]
-    energies = (np.asarray(packet.levels)[:, None] - n) * omega
-    if kind == SPINOR:
-        omega_a = anomalous_frequency(cfg, n)[0]
-        energies = energies + 0.5 * (np.array(zetas) - zeta_ref) * omega_a
-    return energies
+        return np.array([[_level_energy(cfg, kind, m, z) - kin.energy for z in zetas] for m in packet.levels])
+    offsets = np.asarray(packet.levels)[:, None] - n
+    return offsets * kin.omega + 0.5 * (np.array(zetas) - zeta_ref) * kin.omega_a
 
 
 def _phases(rates: np.ndarray, times: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -322,14 +318,15 @@ def evolve_packet(
     """Run the generic engine over a time grid and collect a trajectory.
 
     The energy component of the four-momentum is the packet-averaged level
-    energy, which is time independent.
+    energy, the reference energy plus the mean phase energy, which is time
+    independent.
     """
     times = np.asarray(times, dtype=float)
     energies = relative_energies(packet, cfg, mode)
     values = expectation_series(packet, build_packet_bands(packet, cfg).values(), energies, times)
     p = values[:, : len(MOMENTUM_OBSERVABLES)]
     weights = np.abs(packet.amplitudes) ** 2
-    reference = _level_energy(cfg, packet.kind, packet.n, packet.epsilon)
+    reference = SpinKinematics.from_field(cfg, packet.n, packet.epsilon, packet.kind).energy
     p0 = np.full(times.size, reference + float(np.sum(weights * energies)))
     s = None if packet.kind == SCALAR else values[:, len(MOMENTUM_OBSERVABLES) :]
     return Trajectory(times=times, p=p, s=s, p0=p0)

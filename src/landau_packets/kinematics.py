@@ -212,18 +212,19 @@ class SpinKinematics:
     """Frozen kinematic snapshot of the reference level of a packet, with
     the rates its closed forms turn at.
 
-    All downstream closed forms (momentum and spin trajectories, matrix
-    element prefactors) read from one of these, so building it once pins
-    the semiclassical freezing consistently: the momentum circles at
+    The block tables, the engine's phase energies and energy, and the
+    closed-form trajectories all read one of these, so building it once
+    pins the semiclassical freezing consistently: the momentum circles at
     ``omega`` and the spin precesses relative to it at ``omega_a``.
     ``from_field`` sets these to the exact level gaps;
     ``classical.classical_reference`` sets the classical lab-time rates.
+    ``mixing`` is the spin mixing ratio kappa, None for a spin-0 reference.
     """
 
     b_perp: float
     b_z: float
     energy: float
-    kappa: float
+    mixing: float | None
     omega: float
     omega_a: float
 
@@ -231,6 +232,13 @@ class SpinKinematics:
     def b(self) -> float:
         """Transverse energy factor sqrt(1 + b_perp^2)."""
         return math.sqrt(1.0 + self.b_perp**2)
+
+    @property
+    def kappa(self) -> float:
+        """Spin mixing ratio A(+1)/A(-1); DomainError for a spin-0 reference."""
+        if self.mixing is None:
+            raise DomainError("kappa: a spin-0 reference has no spin mixing ratio")
+        return self.mixing
 
     @property
     def zeta_perp(self) -> float:
@@ -243,15 +251,20 @@ class SpinKinematics:
         return polarization_constants(self.kappa)[1]
 
     @classmethod
-    def from_field(cls, cfg: FieldConfig, n: int, epsilon: int = 1) -> "SpinKinematics":
-        """The snapshot at level n, turning at the gap to level n + 1 and the
-        zeta-splitting of level n; SingularConfigurationError at b_perp = 0
-        (h = 0 or n = 0), where the mixing ratio is undefined."""
+    def from_field(
+        cls, cfg: FieldConfig, n: int, epsilon: int = 1, kind: str = SPINOR
+    ) -> "SpinKinematics":
+        """The snapshot at level n, branch zeta = epsilon, turning at the gap
+        to level n + 1 and the zeta-splitting of level n; a spin-0 reference
+        has omega_a = 0, no mixing ratio and no epsilon.
+        SingularConfigurationError at a spin-1/2 b_perp = 0 (h = 0 or
+        n = 0), where the mixing ratio is undefined."""
+        spinor = kind == SPINOR
         return cls(
-            b_perp=transverse_momentum(cfg.h, n, SPINOR),
+            b_perp=transverse_momentum(cfg.h, n, kind),
             b_z=cfg.b_z,
-            energy=energy_spinor(cfg, n, epsilon),
-            kappa=spin_mixing_ratio(cfg, n, epsilon),
-            omega=cyclotron_frequency(cfg, n, epsilon)[0],
-            omega_a=anomalous_frequency(cfg, n)[0],
+            energy=energy_spinor(cfg, n, epsilon) if spinor else energy_scalar(cfg, n),
+            mixing=spin_mixing_ratio(cfg, n, epsilon) if spinor else None,
+            omega=cyclotron_frequency(cfg, n, epsilon, kind)[0],
+            omega_a=anomalous_frequency(cfg, n)[0] if spinor else 0.0,
         )

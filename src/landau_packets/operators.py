@@ -6,28 +6,21 @@ diagonal in the spin quantum number; the transverse spin components flip
 the spin quantum number and also connect adjacent levels; the longitudinal
 spin components are diagonal in the level index with both spin-diagonal and
 spin-flip parts.  Every element uses the kinematic factors (b_perp, b, b_z,
-B) of the packet's reference level, the frozen regime in which the
-closed-form trajectories are exact, so a band is its level window plus one
-complex table of shape (3, S, S): level offset d = m_bra - m_ket in
-{-1, 0, +1}, spin of the bra, spin of the ket; S = 1 for spin-0 and S = 2
-for spin-1/2.
+B) of the ``SpinKinematics`` of the packet's reference level, the frozen
+regime in which the closed-form trajectories are exact, so a band is its
+level window plus one complex table of shape (3, S, S): level offset
+d = m_bra - m_ket in {-1, 0, +1}, spin of the bra, spin of the ket; S = 1
+for spin-0 and S = 2 for spin-1/2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .kinematics import (
-    SCALAR,
-    SPINOR,
-    FieldConfig,
-    energy_spinor,
-    transverse_momentum,
-)
+from .kinematics import SCALAR, SPINOR, FieldConfig, SpinKinematics
 
 MOMENTUM_OBSERVABLES = ("Px", "Py", "Pz")
 SPIN_OBSERVABLES = ("S0", "Sx", "Sy", "Sz")
@@ -47,19 +40,10 @@ def spin_labels(kind: str) -> tuple[int, ...]:
     return (NO_SPIN,) if kind == SCALAR else (-1, 1)
 
 
-@dataclass(frozen=True)
-class BandParams:
-    """Kinematic factors a band was built with."""
-
-    b_perp: float
-    b: float
-    b_z: float
-    energy: float
-
-
-def block_table(observable: str, kind: str, params: BandParams) -> np.ndarray:
+def block_table(observable: str, kind: str, kin: SpinKinematics) -> np.ndarray:
     """Elements of one observable between level m + d (bra) and level m
-    (ket), shape (3, S, S): offset d, spin of the bra, spin of the ket.
+    (ket), shape (3, S, S): offset d, spin of the bra, spin of the ket, from
+    the factors b_perp, b, b_z and energy B of the reference ``kin``.
 
     The x and y spin components flip zeta, with the raising branch weighted
     by (b - zeta) and the lowering branch by (b + zeta), zeta the spin of
@@ -67,7 +51,7 @@ def block_table(observable: str, kind: str, params: BandParams) -> np.ndarray:
     """
     zeta = np.array(spin_labels(kind), dtype=float)  # spin of the ket, last axis
     diag = np.eye(zeta.size, dtype=bool)
-    b_perp, b, b_z, energy = params.b_perp, params.b, params.b_z, params.energy
+    b_perp, b, b_z, energy = kin.b_perp, kin.b, kin.b_z, kin.energy
     table = np.zeros((3, zeta.size, zeta.size), dtype=complex)
     if observable == "Px":
         table[UP] = np.where(diag, 0.5j * b_perp, 0)
@@ -103,7 +87,6 @@ class OperatorBand:
     kind: str
     levels: tuple[int, ...]
     blocks: np.ndarray
-    params: BandParams
 
     @property
     def entries(self) -> dict[tuple[int, int, int, int], complex]:
@@ -143,7 +126,8 @@ def build_operator_band(
     zeta_ref: int = 1,
 ) -> OperatorBand:
     """Band of one observable over a contiguous set of integer levels, in
-    any order, with the kinematic factors frozen at ``reference_n``."""
+    any order, with the kinematic factors frozen at the reference state
+    (``reference_n``, ``zeta_ref``)."""
     levels = tuple(sorted(levels))
     if not levels:
         raise DomainError("levels: must be nonempty")
@@ -155,13 +139,7 @@ def build_operator_band(
         raise DomainError(f"observable: must be one of {OBSERVABLES}, got {observable!r}")
     if kind == SCALAR and observable in SPIN_OBSERVABLES:
         raise DomainError(f"observable: {observable} is undefined for spin-0 states")
-    if kind not in (SCALAR, SPINOR):
-        raise DomainError(f"kind: must be 'scalar' or 'spinor', got {kind!r}")
-
-    b_perp = transverse_momentum(cfg.h, reference_n, kind)
-    b = math.sqrt(1.0 + b_perp**2)
-    energy = energy_spinor(cfg, reference_n, zeta_ref) if kind == SPINOR else 0.0
-    params = BandParams(b_perp=b_perp, b=b, b_z=cfg.b_z, energy=energy)
-    blocks = block_table(observable, kind, params)
+    # from_field rejects a kind other than SCALAR and SPINOR
+    blocks = block_table(observable, kind, SpinKinematics.from_field(cfg, reference_n, zeta_ref, kind))
     blocks.setflags(write=False)
-    return OperatorBand(observable=observable, kind=kind, levels=levels, blocks=blocks, params=params)
+    return OperatorBand(observable=observable, kind=kind, levels=levels, blocks=blocks)

@@ -1,5 +1,6 @@
 """Time-sampled expectation-value trajectories, their four-spin invariant
-residuals, their CSV form and a component-wise comparison.
+residuals, their CSV form and a component-wise comparison, and the one
+writer of every CSV table.
 
 A trajectory with spin components and the energy component derives the
 residuals of the classical spin-vector relations from its own arrays:
@@ -12,7 +13,9 @@ The CSV schema is fixed:
     t,Px,Py,Pz,S0,Sx,Sy,Sz,resSP,resSS
 
 one row per sample, every value printed as format(v, ".17g") prints it, 17
-significant digits so the doubles round-trip exactly.
+significant digits so the doubles round-trip exactly.  ``write_table``
+writes this and every other table the same way; an integer-valued double
+below 10^17, such as a level count, prints as "%d" prints the integer.
 
 The text is produced by numpy, CSV_BLOCK_ROWS rows at a time, without a
 per-value Python call.  For each value x with decimal exponent
@@ -238,11 +241,17 @@ class Trajectory:
     def to_csv(self, path) -> None:
         if self.res_sp is None:
             raise DomainError("trajectory: CSV schema needs spin components and the energy")
-        table = np.column_stack([self.times, self.p, self.s, self.res_sp, self.res_ss])
-        with open(path, "wb") as handle:
-            handle.write(CSV_HEADER.encode() + b"\n")
-            for begin in range(0, len(table), CSV_BLOCK_ROWS):
-                handle.write(_csv_block(table[begin : begin + CSV_BLOCK_ROWS]))
+        write_table(path, CSV_HEADER, np.column_stack([self.times, self.p, self.s, self.res_sp, self.res_ss]))
+
+
+def write_table(path, header: str, table) -> None:
+    """Write the rows of a 2-D table of doubles to ``path`` under a header
+    line, each value as format(v, ".17g"), CSV_BLOCK_ROWS rows at a time."""
+    table = np.asarray(table, dtype=float)
+    with open(path, "wb") as handle:
+        handle.write(header.encode() + b"\n")
+        for begin in range(0, len(table), CSV_BLOCK_ROWS):
+            handle.write(_csv_block(table[begin : begin + CSV_BLOCK_ROWS]))
 
 
 def compare_trajectories(a: Trajectory, b: Trajectory) -> dict[str, float]:

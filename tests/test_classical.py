@@ -40,7 +40,7 @@ REF = classical_reference(CFG, N_REF)
 
 class TestClassicalMomentum:
     # the classical circle is the unit-contrast closed form
-    KIN = SpinKinematics(b_perp=2.0, b_z=0.5, energy=math.sqrt(5.25), kappa=1.0, omega=0.1, omega_a=0.0)
+    KIN = SpinKinematics(b_perp=2.0, b_z=0.5, energy=math.sqrt(5.25), mixing=1.0, omega=0.1, omega_a=0.0)
 
     def test_at_zero(self):
         np.testing.assert_allclose(closed_form_momentum(self.KIN, None, 0.0), [0.0, 2.0, 0.5])

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import landau_packets
-from landau_packets import FieldConfig, classical, evolution, verify
-from landau_packets.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
+from landau_packets import FieldConfig, classical, evolution, laguerre, verify
+from landau_packets.cli import EXIT_ACCURACY, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
+from landau_packets.errors import QuadratureAccuracyError
 
 FAST = ["--h", "0.1", "--anomaly", "0.02", "--b-z", "0.5", "--n", "100"]
 
@@ -139,6 +140,21 @@ class TestConvergeCommand:
         assert capsys.readouterr().err.startswith("configuration error: n_list:")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--n", "2", "--n-list", "3,9"], "levels: window -2..6 reaches below"),
+            (["--h", "0"], "b_perp = 0"),
+        ],
+    )
+    def test_failing_run_writes_nothing(self, tmp_path, capsys, flags, message):
+        # a packet or reference rejected while computing leaves no directory behind
+        out = tmp_path / "out"
+        code = main(["converge", *FAST, *flags, "--output-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"configuration error: {message}")
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_default_configuration_passes(self, tmp_path, capsys):
@@ -246,6 +262,14 @@ class TestVerifyCommand:
             assert "imaginary residue" in check["details"]["error"]
         assert "verification FAILED" in capsys.readouterr().out
 
+    def test_failing_run_writes_nothing(self, tmp_path, capsys):
+        # h = 0 leaves the reference without transverse momentum
+        out = tmp_path / "out"
+        code = main(["verify", *FAST, "--h", "0", "--output-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: b_perp = 0")
+        assert not out.exists()
+
 
 class TestOracleCommand:
     def test_exponent_and_table(self, tmp_path, capsys):
@@ -312,6 +336,17 @@ class TestOracleCommand:
         code = main(["oracle", "--radial-s", "20", "--n-list", "10,40", "--output-dir", str(out)])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("configuration error: n_list:")
+        assert not out.exists()
+
+    def test_failing_quadrature_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        def unresolved(*args, **kwargs):
+            raise QuadratureAccuracyError("order doubling did not converge")
+
+        monkeypatch.setattr(laguerre, "semiclassical_convergence", unresolved)
+        out = tmp_path / "out"
+        code = main(["oracle", "--n-list", "10,20", "--output-dir", str(out)])
+        assert code == EXIT_ACCURACY
+        assert capsys.readouterr().err.startswith("numerical accuracy error: order doubling")
         assert not out.exists()
 
 
@@ -468,17 +503,21 @@ class TestConfigHandling:
         assert code == EXIT_OK
         assert (tmp_path / "env_out" / "trajectory.csv").exists()
 
-    def test_table_rows_match_per_value_formatting(self):
-        # converge.csv and oracle.csv rows: one %-format prints the bytes of
-        # the per-value f-string
-        from landau_packets.cli import _TABLE_ROW
+    def test_table_rows_match_per_value_formatting(self, tmp_path):
+        # converge.csv and oracle.csv rows: the table writer prints the bytes
+        # of the per-value f-string, the integer column as %d prints it; a
+        # level count validate accepts stays below 2**53
+        from landau_packets.trajectory import write_table
 
         special = [-0.0, 5e-324, 1e308, math.inf, 3.0, 1e16, 0.1, 1 / 3, math.nan]
-        for levels in (1, 10000, 10**30):
-            for i in range(len(special)):
-                row = (levels, *(special * 2)[i : i + 3])
-                expected = f"{row[0]},{row[1]:.17g},{row[2]:.17g},{row[3]:.17g}\n"
-                assert _TABLE_ROW % row == expected
+        rows = [
+            (levels, *(special * 2)[i : i + 3])
+            for levels in (1, 10000, 2**53)
+            for i in range(len(special))
+        ]
+        write_table(tmp_path / "table.csv", "n,a,b,c", rows)
+        expected = "n,a,b,c\n" + "".join(f"{n},{a:.17g},{b:.17g},{c:.17g}\n" for n, a, b, c in rows)
+        assert (tmp_path / "table.csv").read_bytes() == expected.encode()
 
     def test_csv_round_trip_precision(self, tmp_path):
         # 17 significant digits reproduce the in-memory doubles exactly

@@ -241,6 +241,24 @@ class TestSpinKinematics:
             assert kin.omega_a == anomalous_frequency(cfg, 40)[0]
             assert kin.omega_a == energy_spinor(cfg, 40, 1) - energy_spinor(cfg, 40, -1)
 
+    @pytest.mark.parametrize("epsilon", [-1, 1])
+    def test_scalar_reference(self, epsilon):
+        # a spin-0 reference: half-quantum b_perp, its own energy and gap,
+        # no anomalous rotation
+        cfg = FieldConfig(h=0.07, anomaly=0.002, b_z=0.9)
+        kin = SpinKinematics.from_field(cfg, 40, epsilon, kind=SCALAR)
+        assert kin.b_perp == transverse_momentum(cfg.h, 40, SCALAR)
+        assert kin.b_z == cfg.b_z
+        assert kin.energy == energy_scalar(cfg, 40)
+        assert kin.omega == energy_scalar(cfg, 41) - energy_scalar(cfg, 40)
+        assert kin.omega_a == 0.0
+
+    @pytest.mark.parametrize("name", ["kappa", "zeta_perp", "zeta_z"])
+    def test_scalar_reference_has_no_polarization(self, name):
+        kin = SpinKinematics.from_field(FieldConfig(h=0.07), 40, kind=SCALAR)
+        with pytest.raises(DomainError, match="^kappa: a spin-0 reference"):
+            getattr(kin, name)
+
 
 class TestQuantumNumbers:
     def test_azimuthal(self):

@@ -3,12 +3,12 @@ from dataclasses import replace
 
 import pytest
 
-from landau_packets.errors import DomainError
-from landau_packets.kinematics import SCALAR, SPINOR, FieldConfig, energy_spinor
+from landau_packets.errors import DomainError, SingularConfigurationError
+from landau_packets.kinematics import SCALAR, SPINOR, FieldConfig, SpinKinematics
 from landau_packets.operators import (
+    MOMENTUM_OBSERVABLES,
     NO_SPIN,
     OBSERVABLES,
-    BandParams,
     block_table,
     build_operator_band,
     spin_labels,
@@ -18,10 +18,11 @@ CFG = FieldConfig(h=0.25, anomaly=0.01, b_z=0.7)
 B_PERP = 1.0  # spinor value at h = 0.25, n = 1
 
 
-def element(observable, kind, m_bra, zeta_bra, m_ket, zeta_ket, b_perp, b_z, b=1.0, energy=1.0):
+def element(observable, kind, m_bra, zeta_bra, m_ket, zeta_ket, b_perp, b_z, energy=1.0):
     """One matrix element read off the block table built from the given
-    kinematic factors."""
-    table = block_table(observable, kind, BandParams(b_perp=b_perp, b=b, b_z=b_z, energy=energy))
+    kinematic factors; b = sqrt(1 + b_perp^2) follows from b_perp."""
+    kin = SpinKinematics(b_perp=b_perp, b_z=b_z, energy=energy, mixing=None, omega=0.0, omega_a=0.0)
+    table = block_table(observable, kind, kin)
     zetas = spin_labels(kind)
     return table[m_bra - m_ket + 1, zetas.index(zeta_bra), zetas.index(zeta_ket)]
 
@@ -34,9 +35,9 @@ def spinor_momentum(m_bra, zeta_bra, m_ket, zeta_ket, component, b_perp, b_z):
     return element(f"P{component}", SPINOR, m_bra, zeta_bra, m_ket, zeta_ket, b_perp, b_z)
 
 
-def spin(m_bra, zeta_bra, m_ket, zeta_ket, component, b, b_z, b_perp, energy):
+def spin(m_bra, zeta_bra, m_ket, zeta_ket, component, b_z, b_perp, energy):
     name = "S0" if component == "0" else f"S{component}"
-    return element(name, SPINOR, m_bra, zeta_bra, m_ket, zeta_ket, b_perp, b_z, b, energy)
+    return element(name, SPINOR, m_bra, zeta_bra, m_ket, zeta_ket, b_perp, b_z, energy)
 
 
 class TestScalarMomentumElements:
@@ -71,37 +72,38 @@ class TestSpinorMomentumElements:
 
 class TestSpinElements:
     B = 1.5
+    B_PERP = math.sqrt(B**2 - 1)  # b = sqrt(1 + b_perp^2) = B
     ENERGY = 2.0
 
     def test_sz_diagonal(self):
-        value = spin(4, +1, 4, +1, "z", self.B, 0.7, 1.0, self.ENERGY)
+        value = spin(4, +1, 4, +1, "z", 0.7, self.B_PERP, self.ENERGY)
         assert value == pytest.approx(self.ENERGY / self.B)
-        value = spin(4, -1, 4, -1, "z", self.B, 0.7, 1.0, self.ENERGY)
+        value = spin(4, -1, 4, -1, "z", 0.7, self.B_PERP, self.ENERGY)
         assert value == pytest.approx(-self.ENERGY / self.B)
 
     def test_s0_flip(self):
-        value = spin(4, -1, 4, +1, "0", self.B, 0.7, 1.0, self.ENERGY)
-        assert value == pytest.approx(self.ENERGY * 1.0 / self.B)
+        value = spin(4, -1, 4, +1, "0", 0.7, self.B_PERP, self.ENERGY)
+        assert value == pytest.approx(self.ENERGY * self.B_PERP / self.B)
 
     def test_sx_diagonal_vanishes(self):
         for zeta_prime in (-1, +1):
-            assert spin(4, zeta_prime, 4, +1, "x", self.B, 0.7, 1.0, self.ENERGY) == 0j
+            assert spin(4, zeta_prime, 4, +1, "x", 0.7, self.B_PERP, self.ENERGY) == 0j
 
     def test_sx_branches(self):
-        up = spin(5, -1, 4, +1, "x", self.B, 0.7, 1.0, self.ENERGY)
+        up = spin(5, -1, 4, +1, "x", 0.7, self.B_PERP, self.ENERGY)
         assert up == pytest.approx(0.5j * (self.B - 1))
-        down = spin(3, -1, 4, +1, "x", self.B, 0.7, 1.0, self.ENERGY)
+        down = spin(3, -1, 4, +1, "x", 0.7, self.B_PERP, self.ENERGY)
         assert down == pytest.approx(-0.5j * (self.B + 1))
 
     def test_sy_branches(self):
-        up = spin(5, -1, 4, +1, "y", self.B, 0.7, 1.0, self.ENERGY)
+        up = spin(5, -1, 4, +1, "y", 0.7, self.B_PERP, self.ENERGY)
         assert up == pytest.approx(0.5 * (self.B - 1))
-        down = spin(3, -1, 4, +1, "y", self.B, 0.7, 1.0, self.ENERGY)
+        down = spin(3, -1, 4, +1, "y", 0.7, self.B_PERP, self.ENERGY)
         assert down == pytest.approx(0.5 * (self.B + 1))
 
     def test_spin_conserving_transverse_vanishes(self):
-        assert spin(5, +1, 4, +1, "x", self.B, 0.7, 1.0, self.ENERGY) == 0j
-        assert spin(5, -1, 4, -1, "y", self.B, 0.7, 1.0, self.ENERGY) == 0j
+        assert spin(5, +1, 4, +1, "x", 0.7, self.B_PERP, self.ENERGY) == 0j
+        assert spin(5, -1, 4, -1, "y", 0.7, self.B_PERP, self.ENERGY) == 0j
 
 
 class TestOperatorBands:
@@ -138,6 +140,10 @@ class TestOperatorBands:
         with pytest.raises(DomainError):
             build_operator_band([6, 7, 8], "Sx", CFG, 7, kind=SCALAR)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(DomainError, match="^kind: must be 'scalar' or 'spinor', got 'vector'$"):
+            build_operator_band([6, 7, 8], "Px", CFG, 7, kind="vector")
+
     def test_non_contiguous_rejected(self):
         with pytest.raises(DomainError):
             build_operator_band([4, 6, 7], "Px", CFG, 6)
@@ -171,10 +177,21 @@ class TestOperatorBands:
         blocks[2, 0, 0] += 0.5
         assert replace(band, blocks=blocks).hermiticity_defect() == 0.5
 
-    def test_band_params_snapshot(self):
-        band = build_operator_band([6, 7, 8], "Sz", CFG, 7)
-        assert band.params.energy == pytest.approx(energy_spinor(CFG, 7, +1), rel=1e-15)
-        assert band.params.b == pytest.approx(math.sqrt(1 + band.params.b_perp**2), rel=1e-15)
+    @pytest.mark.parametrize("kind", [SCALAR, SPINOR])
+    @pytest.mark.parametrize("zeta_ref", [-1, 1])
+    def test_table_is_the_reference_kinematics_table(self, kind, zeta_ref):
+        # a band's table is block_table of the one frozen reference, bit for bit
+        kin = SpinKinematics.from_field(CFG, 7, zeta_ref, kind)
+        for name in MOMENTUM_OBSERVABLES if kind == SCALAR else OBSERVABLES:
+            band = build_operator_band([6, 7, 8], name, CFG, 7, kind=kind, zeta_ref=zeta_ref)
+            assert band.blocks.tobytes() == block_table(name, kind, kin).tobytes()
+
+    @pytest.mark.parametrize("cfg,reference_n", [(replace(CFG, h=0.0), 7), (CFG, 0)])
+    def test_spinor_band_without_transverse_momentum_rejected(self, cfg, reference_n):
+        # b_perp = 0 leaves the spin mixing ratio of the reference undefined
+        with pytest.raises(SingularConfigurationError):
+            build_operator_band([0, 1, 2], "Px", cfg, reference_n)
+        build_operator_band([0, 1, 2], "Px", cfg, reference_n, kind=SCALAR)
 
 
 class TestQuadratureOracleAgreement:
