@@ -92,8 +92,14 @@ class RunConfig:
                 f"at h={self.h}, anomaly={self.anomaly}"
             )
         if self.h > 0 and cyclotron_frequency(self.field, self.n, self.epsilon)[0] <= 0:
-            # n alone is the cause when the gap rounds to zero without any b_z
+            # without any b_z, h alone is the cause when even the gap between
+            # levels 1 and 2 rounds to zero, and n alone when the gap at n does
             at_rest = FieldConfig(h=self.h, anomaly=self.anomaly)
+            if cyclotron_frequency(at_rest, 1, self.epsilon)[0] <= 0:
+                raise DomainError(
+                    f"h: the gap between levels rounds to zero at h={self.h} "
+                    "even between levels 1 and 2 at b_z=0"
+                )
             cause = "n" if cyclotron_frequency(at_rest, self.n, self.epsilon)[0] <= 0 else "b_z"
             raise DomainError(
                 f"{cause}: the gap between levels n={self.n} and n+1 rounds to zero at b_z={self.b_z}"

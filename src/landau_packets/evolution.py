@@ -2,15 +2,17 @@
 with the block tables of the observables, the closed-form trajectories it
 reproduces and the polarization tensor.
 
-Everything here derives from the packet: its reference state (n, epsilon)
-fixes one frozen ``SpinKinematics``, which the block tables of the bands,
-the phase energies of ``relative_energies`` and the energy p0 all read;
-its level window fixes the bands; and a ``Trajectory`` derives its
-invariant residuals from its own samples.  The engine evolves every basis
-state of the packet's amplitude array with its own phase,
-psi(t) = a * exp(-i*dE*t), and contracts the pair sums of psi(t) with the
-block tables of every observable at once: <psi(t)|V|psi(t)> for all bands
-together.
+Everything here derives from the packet, the engine's only input besides
+the field: its reference state (n, epsilon) fixes one frozen
+``SpinKinematics``, which the block tables of the bands, the phase
+energies of ``relative_energies`` and the energy p0 all read;
+``expectation_series`` builds every band of the packet's kind over the
+packet's own level window, so no band can come from another window; and a
+``Trajectory`` derives its invariant residuals from its own samples.  The
+engine evolves every basis state of the packet's amplitude array with its
+own phase, psi(t) = a * exp(-i*dE*t), and contracts the pair sums of
+psi(t) with the block tables of every observable at once:
+<psi(t)|V|psi(t)> for all bands together.
 
 Exponentials are taken only at anchor samples, every ANCHOR_STRIDE-th one:
 sample j with anchor k = ANCHOR_STRIDE * floor(j / ANCHOR_STRIDE) has
@@ -47,7 +49,6 @@ Metric convention: signature (+,-,-,-), Levi-Civita eps^{0123} = +1.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from itertools import permutations
 
 import numpy as np
@@ -66,7 +67,6 @@ from .operators import (
     OBSERVABLES,
     SAME,
     UP,
-    OperatorBand,
     build_operator_band,
     spin_labels,
 )
@@ -155,30 +155,31 @@ def _factored_pair_sums(anchors: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
 
 def expectation_series(
-    packet: PacketSpec, bands: Iterable[OperatorBand], energies: np.ndarray, times: np.ndarray
+    packet: PacketSpec, cfg: FieldConfig, energies: np.ndarray, times: np.ndarray
 ) -> np.ndarray:
-    """Real expectation values <psi(t)|V|psi(t)> of a sequence of bands on a
-    time grid, shape (T, len(bands)), with ``energies`` the phase energies
-    of ``relative_energies``.
+    """Real expectation values <psi(t)|V|psi(t)> of every observable of the
+    packet's kind on a time grid, shape (T, observables) in the order of
+    OBSERVABLES (MOMENTUM_OBSERVABLES for spin-0), with ``energies`` the
+    phase energies of ``relative_energies``.
 
-    The pair sums of psi(t) are factored over anchors and steps (see the
-    module docstring), TIME_BLOCK anchors at a time, and contracted with
-    every block table in one product.  The imaginary residue of the
-    Hermitian sums is checked against HERMITIAN_IMAG_TOL and discarded.
+    The bands are built over the packet's own level window, frozen at its
+    reference state (n, epsilon).  The pair sums of psi(t) are factored
+    over anchors and steps (see the module docstring), TIME_BLOCK anchors
+    at a time, and contracted with every block table in one product.  The
+    imaginary residue of the Hermitian sums is checked against
+    HERMITIAN_IMAG_TOL and discarded.
     """
-    bands = tuple(bands)
-    for band in bands:
-        if (band.levels, band.kind) != (packet.levels, packet.kind):
-            raise DomainError(
-                f"levels, kind: band window {band.levels} of kind {band.kind!r} does not match "
-                f"the packet's {packet.levels} of kind {packet.kind!r}"
-            )
     if np.shape(energies) != packet.amplitudes.shape:
         raise DomainError(
             f"energies: expected shape {packet.amplitudes.shape}, got {np.shape(energies)}"
         )
-    times = np.asarray(times, dtype=float)
+    names = MOMENTUM_OBSERVABLES if packet.kind == SCALAR else OBSERVABLES
+    bands = (
+        build_operator_band(packet.levels, name, cfg, packet.n, kind=packet.kind, zeta_ref=packet.epsilon)
+        for name in names
+    )
     coefficients = np.stack([band.blocks.reshape(-1) for band in bands], axis=1)
+    times = np.asarray(times, dtype=float)
     stride = ANCHOR_STRIDE
     anchor_times = times[::stride]
     # offsets t_j - t_k by anchor and step, padded with zero steps past the
@@ -196,7 +197,7 @@ def expectation_series(
     amplitudes = packet.amplitudes.T[:, None, :]
     table = _phases(rates, offsets[0])
     anchors = np.zeros((rates.shape[0], TIME_BLOCK, rates.shape[1]), dtype=complex)
-    values = np.empty((times.size, len(bands)), dtype=complex)
+    values = np.empty((times.size, len(names)), dtype=complex)
     for first in range(0, anchor_times.size, TIME_BLOCK):
         count = min(TIME_BLOCK, anchor_times.size - first)
         block = _phases(rates, anchor_times[first : first + count], out=anchors[:, :count])
@@ -300,18 +301,6 @@ def polarization_series(s: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.einsum("mnab,...a,...b->...mn", _EPS, s_low, p_low)
 
 
-def build_packet_bands(packet: PacketSpec, cfg: FieldConfig) -> dict[str, OperatorBand]:
-    """All observable bands over the packet's level window, in the order of
-    OBSERVABLES."""
-    names = MOMENTUM_OBSERVABLES if packet.kind == SCALAR else OBSERVABLES
-    return {
-        name: build_operator_band(
-            packet.levels, name, cfg, packet.n, kind=packet.kind, zeta_ref=packet.epsilon
-        )
-        for name in names
-    }
-
-
 def evolve_packet(
     packet: PacketSpec, cfg: FieldConfig, times: np.ndarray, mode: str = UNIFORM_GAP
 ) -> Trajectory:
@@ -323,7 +312,7 @@ def evolve_packet(
     """
     times = np.asarray(times, dtype=float)
     energies = relative_energies(packet, cfg, mode)
-    values = expectation_series(packet, build_packet_bands(packet, cfg).values(), energies, times)
+    values = expectation_series(packet, cfg, energies, times)
     p = values[:, : len(MOMENTUM_OBSERVABLES)]
     weights = np.abs(packet.amplitudes) ** 2
     reference = SpinKinematics.from_field(cfg, packet.n, packet.epsilon, packet.kind).energy

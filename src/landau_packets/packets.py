@@ -106,43 +106,30 @@ def spinor_window_fits(n: int, count: int) -> bool:
     return _level_window(n, count)[0] >= 1
 
 
-def _phase_factors(count: int, phases) -> np.ndarray:
-    if phases is None:
-        return np.ones(count, dtype=complex)
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (count,):
-        raise DomainError(f"phases: need one phase per level, got shape {phases.shape}")
-    return np.exp(1j * phases)
-
-
-def build_scalar_packet(n: int, levels: int, phases=None) -> PacketSpec:
+def build_scalar_packet(n: int, levels: int) -> PacketSpec:
     """Uniform equal-phase packet of spin-0 states on ``levels`` levels
     centered on n.
 
-    An optional per-level phase vector perturbs the equal-phase rule for
-    degradation experiments.
+    A packet with other phases is this one with its amplitudes replaced
+    (``dataclasses.replace``); ``PacketSpec`` checks their shape.
     """
     window = _level_window(n, levels)
     if window[0] < 0:
         raise DomainError(
             f"levels: window {window[0]}..{window[-1]} reaches below the ground level"
         )
-    amplitudes = _phase_factors(levels, phases)[:, None] * (1.0 / math.sqrt(levels))
+    amplitudes = np.full((levels, 1), 1.0 / math.sqrt(levels))
     return PacketSpec(kind=SCALAR, n=n, levels=tuple(window), epsilon=1, amplitudes=amplitudes)
 
 
-def build_spinor_packet(
-    n: int,
-    levels: int,
-    cfg: FieldConfig,
-    epsilon: int = 1,
-    phases=None,
-) -> PacketSpec:
+def build_spinor_packet(n: int, levels: int, cfg: FieldConfig, epsilon: int = 1) -> PacketSpec:
     """Uniform equal-phase packet of spin-1/2 states with helicity sign
     ``epsilon``.
 
     Every level carries the same spin amplitude ratio kappa, so the packet
-    normalization splits as 1/N per level regardless of kappa.
+    normalization splits as 1/N per level regardless of kappa.  As for
+    ``build_scalar_packet``, other phases are applied by replacing the
+    amplitudes.
     """
     window = _level_window(n, levels)
     if not spinor_window_fits(n, levels):
@@ -151,7 +138,7 @@ def build_spinor_packet(
         )
     kappa = spin_mixing_ratio(cfg, n, epsilon)
     down = 1.0 / math.sqrt(levels * (kappa * kappa + 1.0))
-    amplitudes = _phase_factors(levels, phases)[:, None] * np.array([down, kappa * down])
+    amplitudes = np.tile([down, kappa * down], (levels, 1))
     return PacketSpec(kind=SPINOR, n=n, levels=tuple(window), epsilon=epsilon, amplitudes=amplitudes)
 
 

@@ -465,6 +465,16 @@ class TestConfigHandling:
         assert err.startswith("configuration error: b_z:") and err.count("\n") == 1
         assert "n=100" in err
 
+    @pytest.mark.parametrize("h", ["1e-300", "1e-17"])
+    def test_vanishing_level_gap_names_h(self, tmp_path, capsys, h):
+        # no level fits: the gap rounds to zero even between levels 1 and 2
+        out = tmp_path / "out"
+        code = main(["verify", "--h", h, "--output-dir", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: h:") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("b_z", ["0", "0.5"])
     def test_vanishing_level_gap_names_n(self, tmp_path, capsys, b_z):
         out = tmp_path / "out"

@@ -10,7 +10,6 @@ from landau_packets.errors import DomainError
 from landau_packets.evolution import (
     EXACT,
     UNIFORM_GAP,
-    build_packet_bands,
     closed_form_momentum,
     closed_form_spin,
     closed_form_trajectory,
@@ -32,7 +31,7 @@ from landau_packets.kinematics import (
     energy_spinor,
     transverse_momentum,
 )
-from landau_packets.operators import spin_labels
+from landau_packets.operators import OBSERVABLES, build_operator_band, spin_labels
 from landau_packets.packets import build_scalar_packet, build_spinor_packet, contrast_factor
 from landau_packets.trajectory import Trajectory
 
@@ -49,6 +48,11 @@ PARAM_SETS = [
     (FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=2.0), 100, -1),
     (FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=2.0), 50, +1),
 ]
+
+
+def with_phases(packet, phases):
+    """The packet with its amplitudes at level i turned by exp(i*phases[i])."""
+    return replace(packet, amplitudes=packet.amplitudes * np.exp(1j * phases)[:, None])
 
 
 def engine_setup(cfg, n, levels, epsilon, mode=UNIFORM_GAP):
@@ -83,13 +87,13 @@ class TestEnergyModel:
         # cyclotron period, to rounding
         cfg = FieldConfig(h=0.1, anomaly=0.0, b_z=0.5)
         packet, energies, _ = engine_setup(cfg, N_REF, 5, +1)
-        bands = build_packet_bands(packet, cfg)
         period = 2 * math.pi / cyclotron_frequency(cfg, N_REF, 1)[0]
         probes = np.array([0.0, 0.3 * period, 0.8 * period])
+        first = expectation_series(packet, cfg, energies, probes)
+        second = expectation_series(packet, cfg, energies, probes + period)
         for name in ("Px", "Py", "Sx", "Sz"):
-            first = expectation_series(packet, [bands[name]], energies, probes)[:, 0]
-            second = expectation_series(packet, [bands[name]], energies, probes + period)[:, 0]
-            np.testing.assert_allclose(second, first, atol=1e-12)
+            column = OBSERVABLES.index(name)
+            np.testing.assert_allclose(second[:, column], first[:, column], atol=1e-12)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(DomainError):
@@ -99,50 +103,32 @@ class TestEnergyModel:
 class TestGenericExpectation:
     def test_pz_at_zero(self, monkeypatch):
         packet, energies, _ = engine_setup(CFG, N_REF, 3, +1)
-        bands = build_packet_bands(packet, CFG)
         # the imaginary residue must stay below 1e-15, not just the default gate
         monkeypatch.setattr(evolution, "HERMITIAN_IMAG_TOL", 1e-15)
-        value = expectation_series(packet, [bands["Pz"]], energies, [0.0])[0, 0]
+        value = expectation_series(packet, CFG, energies, [0.0])[0, OBSERVABLES.index("Pz")]
         assert value == pytest.approx(CFG.b_z, rel=1e-14)
 
     def test_px_at_zero(self):
         packet, energies, _ = engine_setup(CFG, N_REF, 3, +1)
-        bands = build_packet_bands(packet, CFG)
-        assert abs(expectation_series(packet, [bands["Px"]], energies, [0.0])[0, 0]) < 1e-14
+        assert abs(expectation_series(packet, CFG, energies, [0.0])[0, OBSERVABLES.index("Px")]) < 1e-14
 
     def test_scalar_py_half_period(self):
         packet = build_scalar_packet(10, 3)
         energies = relative_energies(packet, CFG)
-        bands = build_packet_bands(packet, CFG)
         half_period = math.pi / cyclotron_frequency(CFG, 10, kind=SCALAR)[0]
-        value = expectation_series(packet, [bands["Py"]], energies, [half_period])[0, 0]
+        value = expectation_series(packet, CFG, energies, [half_period])[0, OBSERVABLES.index("Py")]
         expected = -(2.0 / 3.0) * transverse_momentum(CFG.h, 10, SCALAR)
         assert value == pytest.approx(expected, rel=1e-12)
-
-    def test_mismatched_windows_rejected(self):
-        packet, energies, _ = engine_setup(CFG, N_REF, 3, +1)
-        other = build_spinor_packet(N_REF, 5, CFG, +1)
-        bands = build_packet_bands(other, CFG)
-        with pytest.raises(DomainError):
-            expectation_series(packet, [bands["Px"]], energies, [0.0])
-
-    def test_mismatched_kinds_rejected(self):
-        packet = build_scalar_packet(N_REF, 3)
-        spinor_band = build_packet_bands(build_spinor_packet(N_REF, 3, CFG, +1), CFG)["Px"]
-        assert spinor_band.levels == packet.levels
-        with pytest.raises(DomainError):
-            expectation_series(packet, [spinor_band], relative_energies(packet, CFG), [0.0])
 
     def test_mismatched_energies_rejected(self):
         # energies of another packet's window do not fit this packet's states
         packet, _, _ = engine_setup(CFG, N_REF, 3, +1)
         _, other, _ = engine_setup(CFG, N_REF, 5, +1)
-        bands = build_packet_bands(packet, CFG)
         with pytest.raises(DomainError, match="energies"):
-            expectation_series(packet, [bands["Px"]], other, [0.0])
+            expectation_series(packet, CFG, other, [0.0])
         scalar = build_scalar_packet(N_REF, 3)
         with pytest.raises(DomainError, match="energies"):
-            expectation_series(packet, [bands["Px"]], relative_energies(scalar, CFG), [0.0])
+            expectation_series(packet, CFG, relative_energies(scalar, CFG), [0.0])
 
     def test_evolve_packet_computes_energies_once(self, monkeypatch):
         calls = []
@@ -156,16 +142,21 @@ class TestGenericExpectation:
         evolve_packet(packet, CFG, times, mode=EXACT)
         assert len(calls) == 1
 
-    def test_hermitian_residue_gate(self):
+    def test_hermitian_residue_gate(self, monkeypatch):
         from landau_packets.errors import AccuracyError
 
+        def broken(levels, observable, *args, **kwargs):
+            band = build_operator_band(levels, observable, *args, **kwargs)
+            if observable != "Px":
+                return band
+            blocks = band.blocks.copy()
+            blocks[2, 0, 0] += 0.5  # breaks Hermiticity
+            return replace(band, blocks=blocks)
+
+        monkeypatch.setattr(evolution, "build_operator_band", broken)
         packet, energies, times = engine_setup(CFG, N_REF, 3, +1)
-        bands = build_packet_bands(packet, CFG)
-        blocks = bands["Px"].blocks.copy()
-        blocks[2, 0, 0] += 0.5  # breaks Hermiticity
-        broken = replace(bands["Px"], blocks=blocks)
         with pytest.raises(AccuracyError):
-            expectation_series(packet, [broken], energies, times)
+            expectation_series(packet, CFG, energies, times)
 
     def test_one_state_evaluation_per_time_block(self, monkeypatch):
         # every observable is contracted with the same pair sums: one
@@ -207,11 +198,13 @@ class TestGenericExpectation:
     def test_time_blocks_do_not_change_values(self, monkeypatch):
         packet, energies, times = engine_setup(CFG, N_REF, 5, +1)
         jittered = times + 0.25 * times[1] * np.sin(np.arange(times.size))
-        band = build_packet_bands(packet, CFG)["Sx"]
-        whole = [expectation_series(packet, [band], energies, grid)[:, 0] for grid in (times, jittered)]
+        column = OBSERVABLES.index("Sx")
+        whole = [expectation_series(packet, CFG, energies, grid)[:, column] for grid in (times, jittered)]
         monkeypatch.setattr(evolution, "TIME_BLOCK", 7)
         for grid, values in zip((times, jittered), whole):
-            np.testing.assert_allclose(expectation_series(packet, [band], energies, grid)[:, 0], values, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(
+                expectation_series(packet, CFG, energies, grid)[:, column], values, rtol=0, atol=1e-15
+            )
 
 
 #: 2*pi to the precision of long double (64-bit mantissa on x86)
@@ -219,10 +212,12 @@ TWO_PI = np.longdouble("6.283185307179586476925286766559005768")
 EXTENDED = np.finfo(np.longdouble).nmant >= 63
 
 
-def reference_series(packet, bands, energies, times, block=16):
-    """Expectation values with the phases dE*t formed in long double and
-    reduced mod 2*pi before the exponential, and the pair sums accumulated
-    in long double, independently of the engine and of ``pair_sums``."""
+def reference_series(packet, cfg, energies, times, block=16):
+    """Expectation values of every observable with the phases dE*t formed
+    in long double and reduced mod 2*pi before the exponential, and the pair
+    sums accumulated in long double, independently of the engine and of
+    ``pair_sums``."""
+    bands = [build_operator_band(packet.levels, name, cfg, packet.n, zeta_ref=packet.epsilon) for name in OBSERVABLES]
     coefficients = np.stack([band.blocks.reshape(-1) for band in bands], axis=1)
     energies = np.asarray(energies, dtype=np.longdouble)
     out = np.empty((len(times), len(bands)))
@@ -245,18 +240,16 @@ class TestPhaseAccuracy:
         # 2.3e-13 measured; exponentials of every dE*t in double precision
         # read 1.4e-12 here
         packet, energies, times = engine_setup(CFG, 10000, 10000, +1)
-        bands = list(build_packet_bands(packet, CFG).values())
-        values = expectation_series(packet, bands, energies, times)
-        reference = reference_series(packet, bands, energies, times)
+        values = expectation_series(packet, CFG, energies, times)
+        reference = reference_series(packet, CFG, energies, times)
         assert np.max(np.abs(values - reference)) < 1e-12
 
     def test_ten_thousand_levels_partial_last_anchor(self):
         # the default grid cut to 250 samples: the last anchor steps 10
         # samples through the first rows of the table; 2.4e-13 measured
         packet, energies, times = engine_setup(CFG, 10000, 10000, +1)
-        bands = list(build_packet_bands(packet, CFG).values())
-        values = expectation_series(packet, bands, energies, times[:250])
-        reference = reference_series(packet, bands, energies, times[:250])
+        values = expectation_series(packet, CFG, energies, times[:250])
+        reference = reference_series(packet, CFG, energies, times[:250])
         assert np.max(np.abs(values - reference)) < 1e-12
 
     def test_ten_thousand_levels_off_the_step_table(self):
@@ -265,9 +258,8 @@ class TestPhaseAccuracy:
         packet, energies, times = engine_setup(CFG, 10000, 10000, +1)
         rng = np.random.default_rng(3)
         times = np.abs(times + 0.4 * times[1] * rng.uniform(-1.0, 1.0, times.size))
-        bands = list(build_packet_bands(packet, CFG).values())
-        values = expectation_series(packet, bands, energies, times)
-        reference = reference_series(packet, bands, energies, times)
+        values = expectation_series(packet, CFG, energies, times)
+        reference = reference_series(packet, CFG, energies, times)
         assert np.max(np.abs(values - reference)) < 5e-12
 
     def test_exact_mode_over_one_anomalous_period(self):
@@ -278,10 +270,9 @@ class TestPhaseAccuracy:
         energies = relative_energies(packet, cfg, EXACT)
         period = 2 * math.pi / classical_reference(cfg, 100, +1).kin.omega_a
         times = sample_times(cyclotron_frequency(cfg, 100, 1)[0], samples=8192, t_max=period)
-        bands = list(build_packet_bands(packet, cfg).values())
-        values = expectation_series(packet, bands, energies, times)
+        values = expectation_series(packet, cfg, energies, times)
         rows = np.r_[np.arange(0, 8192, 37), 8191]
-        reference = reference_series(packet, bands, energies, times[rows])
+        reference = reference_series(packet, cfg, energies, times[rows])
         assert np.max(np.abs(values[rows] - reference)) < 1e-11
 
 
@@ -428,7 +419,7 @@ class TestExactMode:
         # reference: the double sum over basis states, one term per band
         # entry with the phase exp(i*(E_bra - E_ket)*t) of absolute energies
         rng = np.random.default_rng(7)
-        packet = build_spinor_packet(N_REF, 5, CFG, +1, phases=rng.uniform(0, 2 * math.pi, size=5))
+        packet = with_phases(build_spinor_packet(N_REF, 5, CFG, +1), rng.uniform(0, 2 * math.pi, size=5))
         energies = relative_energies(packet, CFG, EXACT)
         times = sample_times(cyclotron_frequency(CFG, N_REF, 1)[0], samples=16)
         amplitude = {
@@ -436,14 +427,15 @@ class TestExactMode:
             for i, m in enumerate(packet.levels)
             for j, zeta in enumerate(spin_labels(SPINOR))
         }
-        for name, band in build_packet_bands(packet, CFG).items():
+        actual = expectation_series(packet, CFG, energies, times)
+        for column, name in enumerate(OBSERVABLES):
+            band = build_operator_band(packet.levels, name, CFG, N_REF)
             expected = np.zeros(times.size, dtype=complex)
             for (mb, zb, mk, zk), value in band.entries.items():
                 weight = amplitude[(zb, mb)].conjugate() * amplitude[(zk, mk)] * value
                 gap = energy_spinor(CFG, mb, zb) - energy_spinor(CFG, mk, zk)
                 expected += weight * np.exp(1j * gap * times)
-            actual = expectation_series(packet, [band], energies, times)[:, 0]
-            np.testing.assert_allclose(actual, expected.real, rtol=0, atol=1e-12, err_msg=name)
+            np.testing.assert_allclose(actual[:, column], expected.real, rtol=0, atol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize("n", [1000, 10000])
     def test_contrast_follows_dirichlet_kernel(self, n):

@@ -218,3 +218,18 @@ class TestQuadratureOracleAgreement:
                     deviations.append(abs(ratio - 1))
         assert deviations[1] < deviations[0]
         assert deviations[0] == pytest.approx(1 / (4 * 20), rel=0.1)
+
+    @pytest.mark.parametrize("s", [0, 7])
+    @pytest.mark.parametrize("dn", [1, -1])
+    def test_y_magnitude_is_x_magnitude(self, s, dn):
+        # the y element is the x element times -i (dn = +1) or +i (dn = -1),
+        # so the convergence scan reports one error for both
+        from landau_packets.kinematics import QuantumNumbers
+        from landau_packets.laguerre import momentum_element_quadrature
+
+        cfg = FieldConfig(h=0.05, anomaly=0.0, b_z=0.3)
+        bra, ket = QuantumNumbers(30 + dn, s), QuantumNumbers(30, s)
+        x = momentum_element_quadrature(bra, ket, "x", cfg)
+        y = momentum_element_quadrature(bra, ket, "y", cfg)
+        assert x != 0 and abs(y) == abs(x)
+        assert y == (-1j * dn) * x

@@ -18,7 +18,6 @@ from landau_packets.errors import DomainError
 from landau_packets.evolution import (
     EXACT,
     UNIFORM_GAP,
-    build_packet_bands,
     closed_form_momentum,
     closed_form_spin,
     closed_form_trajectory,
@@ -33,7 +32,7 @@ from landau_packets.kinematics import (
     cyclotron_frequency,
     spin_mixing_ratio,
 )
-from landau_packets.operators import build_operator_band
+from landau_packets.operators import OBSERVABLES, build_operator_band
 from landau_packets.packets import (
     build_spinor_packet,
     contrast_factor,
@@ -60,7 +59,8 @@ def test_bands_packet_and_engine(config):
     packet = build_spinor_packet(n, levels, cfg, epsilon)
     assert normalization_defect(packet) <= 1e-14
 
-    for band in build_packet_bands(packet, cfg).values():
+    for name in OBSERVABLES:
+        band = build_operator_band(packet.levels, name, cfg, n, zeta_ref=epsilon)
         assert band.hermiticity_defect() == 0.0
         assert band.band_width_defect() == 0
 
@@ -105,13 +105,15 @@ def test_expectation_series_on_any_grid(config, grid, mode):
     packet = build_spinor_packet(n, levels, cfg, epsilon)
     energies = relative_energies(packet, cfg, mode)
     times = grid_times(*grid, cyclotron_frequency(cfg, n, epsilon)[0])
-    bands = list(build_packet_bands(packet, cfg).values())
-    coefficients = np.stack([band.blocks.reshape(-1) for band in bands], axis=1)
+    coefficients = np.stack(
+        [build_operator_band(packet.levels, name, cfg, n, zeta_ref=epsilon).blocks.reshape(-1) for name in OBSERVABLES],
+        axis=1,
+    )
     direct = np.array([
         (pair_sums((packet.amplitudes * np.exp(-1j * energies * t))[None]).reshape(-1) @ coefficients).real
         for t in times
     ])
-    values = expectation_series(packet, bands, energies, times)
+    values = expectation_series(packet, cfg, energies, times)
     assert values.shape == direct.shape
     assert np.max(np.abs(values - direct)) <= 1e-12
 
