@@ -395,12 +395,16 @@ def bmt_integrate(
         if record_times[0] != 0.0:
             raise DomainError("record_times: grid must start at t = 0")
 
-    arr = _dop853_samples(init, 2.0 * h_field, record_times, step_counts(record_times, dt))
+    counts = step_counts(record_times, dt)
+    arr = _dop853_samples(init, 2.0 * h_field, record_times, counts)
     traj = Trajectory(times=record_times, p=arr[:, 1:4], s=arr[:, 4:8], p0=arr[:, 0])
     if check_drift:
         worst = max(float(np.max(traj.res_sp)), float(np.max(traj.res_ss)))
         if worst > DRIFT_LIMIT:
+            # the step is fixed by the state and the drift grows with the
+            # span, so the span is what a caller can shorten
             raise IntegrationAccuracyError(
-                f"invariant drift {worst:.3e} exceeds {DRIFT_LIMIT}; reduce the step"
+                f"invariant drift {worst:.3e} exceeds {DRIFT_LIMIT} over the span t = 0 to "
+                f"{record_times[-1]:.6g} in {int(np.sum(counts))} steps; use a shorter t_max"
             )
     return traj

@@ -68,7 +68,10 @@ class RunConfig:
     seed: int = 0
     output_dir: str = "."
 
-    def validate(self) -> None:
+    def validate(self, level_gap: bool = True) -> None:
+        """Reject a configuration no command can run; with ``level_gap``
+        false, skip the check that levels n and n+1 lie a positive gap apart,
+        which only the commands that evolve phases at n need."""
         FieldConfig(h=self.h, anomaly=self.anomaly, b_z=self.b_z)  # checks h, anomaly
         if self.n < 1:
             raise DomainError(f"n: must be >= 1, got {self.n}")
@@ -91,7 +94,7 @@ class RunConfig:
                 f"h, anomaly, n: the level energies at n={self.n} and n+1 overflow "
                 f"at h={self.h}, anomaly={self.anomaly}"
             )
-        if self.h > 0 and cyclotron_frequency(self.field, self.n, self.epsilon)[0] <= 0:
+        if level_gap and self.h > 0 and cyclotron_frequency(self.field, self.n, self.epsilon)[0] <= 0:
             # without any b_z, h alone is the cause when even the gap between
             # levels 1 and 2 rounds to zero, and n alone when the gap at n does
             at_rest = FieldConfig(h=self.h, anomaly=self.anomaly)
@@ -141,16 +144,17 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    """Flags over the configuration file over the defaults; the output
-    directory defaults to SEMICLASSICAL_OUTPUT_DIR when that is set."""
+def _merge_config(args: argparse.Namespace, level_gap: bool = True) -> RunConfig:
+    """Flags over the configuration file over the defaults, validated with
+    or without the ``level_gap`` check; the output directory defaults to
+    SEMICLASSICAL_OUTPUT_DIR when that is set."""
     values = _parse_config_file(args.config) if args.config else {}
     values.setdefault("output_dir", os.environ.get("SEMICLASSICAL_OUTPUT_DIR", RunConfig.output_dir))
     for key in _KEY_TYPES:
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
     cfg = RunConfig(**values)
-    cfg.validate()
+    cfg.validate(level_gap)
     return cfg
 
 
@@ -277,7 +281,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
+    cfg = _merge_config(args, level_gap=False)
     n_list = args.n_list
     if len(set(n_list)) < 2:
         raise DomainError(

@@ -23,7 +23,9 @@ The steps s_r come from one table of ANCHOR_STRIDE rows, built from the
 first anchor's offsets and reused by every anchor whose offsets match them
 to within a few ulp of |t|, as on every grid of ``sample_times``; an anchor
 of any other grid takes the exponentials of its own offsets.  The default
-256 samples then cost 32 exponentials per state instead of 256.
+256 samples then cost 32 exponentials per state instead of 256.  Each
+exponential is the cosine and sine of the real angle -dE*t, which are the
+bits np.exp gives the complex rate -i*dE*t.
 
 psi(t) itself is never formed.  Each pair sum, over m of
 conj(psi[m + d, b]) * psi[m, k], factors into a product of an anchor part
@@ -35,6 +37,18 @@ are products of contiguous rows.  TIME_BLOCK anchors are evolved at once;
 the last block is padded with zero anchors and every step table with zero
 offsets, so every product has the same shape and no value depends on
 where a block ends.
+
+The level axis is worked through in chunks of LEVEL_CHUNK levels, each
+with its own step table and its anchors block by block.  A chunk reads one
+level past the ones it owns, so that its d = +1 sums close the pair
+(m, m + 1) across its upper border, while its d = 0 sums cover only its
+own levels: every pair is summed once.  The block tables do not depend on
+m, so each chunk's sums are contracted with them at once and added into
+the result.  The phases and pair sums held at any time are
+O(S * TIME_BLOCK * LEVEL_CHUNK) values, plus O(levels + samples) for the
+packet, the energies, the time offsets and the result.  A packet of at most
+LEVEL_CHUNK levels is one chunk and gets the bits of a sum over all its
+levels at once.
 
 The energies dE are measured from the reference state.  In
 uniform-gap mode they are exactly (m - n)*omega +
@@ -79,10 +93,16 @@ EXACT = "exact"
 #: tolerance on the imaginary residue of a Hermitian expectation value
 HERMITIAN_IMAG_TOL = 1e-12
 
-#: anchors evolved at once; bounds the memory held by their exponentials,
-#: (S, TIME_BLOCK, levels), and fixes the row count of every pair-sum
-#: product, since the last block is padded with zero anchors
+#: anchors evolved at once; with LEVEL_CHUNK it bounds the memory held by
+#: their exponentials, (S, TIME_BLOCK, LEVEL_CHUNK + 1), and it fixes the
+#: row count of every pair-sum product, since the last block is padded
+#: with zero anchors
 TIME_BLOCK = 16
+
+#: levels whose phases and pair sums are held at once; a chunk reads one
+#: level past the ones it owns, and a packet of at most LEVEL_CHUNK levels
+#: is one chunk
+LEVEL_CHUNK = 1024
 
 #: samples per anchor; psi(t) takes its exponentials at every
 #: ANCHOR_STRIDE-th sample, whatever TIME_BLOCK is
@@ -117,20 +137,34 @@ def relative_energies(packet: PacketSpec, cfg: FieldConfig, mode: str = UNIFORM_
     return offsets * kin.omega + 0.5 * (np.array(zetas) - zeta_ref) * kin.omega_a
 
 
-def _phases(rates: np.ndarray, times: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(rates * t) for every time, spin-major: shape (S, len(times), levels)
-    for ``rates`` = -i*dE of shape (S, levels)."""
-    out = np.multiply(rates[:, None, :], times[:, None], out=out)
-    return np.exp(out, out=out)
+def _phases(energies: np.ndarray, times: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(-i*dE*t) for every time, spin-major: shape (S, len(times), levels)
+    for phase energies dE of shape (S, levels).
+
+    The cosine and sine of the real angle theta = -dE*t go into the real and
+    imaginary parts; adding 0.0 turns theta = -0 into +0, the sign the
+    complex product -i*dE*t gives it, so the result is np.exp(-1j*dE*t) bit
+    for bit.
+    """
+    if out is None:
+        out = np.empty((energies.shape[0], times.size, energies.shape[1]), dtype=complex)
+    theta = np.multiply(energies[:, None, :], -times[:, None])
+    theta += 0.0
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
 
-def _factored_pair_sums(anchors: np.ndarray, steps: np.ndarray) -> np.ndarray:
+def _factored_pair_sums(anchors: np.ndarray, steps: np.ndarray, owned: int) -> np.ndarray:
     """Pair sums of psi = anchors[:, K] * steps[:, r] for every anchor K and
     step r, shape (K, R, 3, S, S) in the layout of ``pair_sums``, without
     forming psi.
 
-    ``anchors`` (S, K, levels) and ``steps`` (S, R, levels) are spin-major.
-    The sum over m of conj(psi[m + d, b]) * psi[m, k] factors into
+    ``anchors`` (S, K, levels) and ``steps`` (S, R, levels) are spin-major
+    and span a run of levels whose first ``owned`` are summed over: the
+    d = 0 sums cover those levels, the d = +1 sums every pair (m, m + 1) of
+    the run, which takes in one level past the owned ones when the run has
+    it.  The sum over m of conj(psi[m + d, b]) * psi[m, k] factors into
     X[K, m] * Y[r, m], with X = conj(anchors[b, K, m + d]) * anchors[k, K, m]
     and Y the same product of the steps: one (K x levels) @ (levels x R)
     product per offset d in {0, +1} and spin pair (b, k), over contiguous
@@ -142,13 +176,12 @@ def _factored_pair_sums(anchors: np.ndarray, steps: np.ndarray) -> np.ndarray:
     # sums less accurately, so x keeps a zero second row
     x = np.zeros((max(rows, 2), levels), dtype=complex)
     y = np.empty((steps.shape[1], levels), dtype=complex)
-    for d in (0, 1):
-        width = levels - d
+    for d, width in ((0, owned), (1, levels - 1)):
         for b in range(spins):
             for k in range(spins):
                 xb, yb = x[:rows, :width], y[:, :width]
-                np.multiply(np.conjugate(anchors[b, :, d:], out=xb), anchors[k, :, :width], out=xb)
-                np.multiply(np.conjugate(steps[b, :, d:], out=yb), steps[k, :, :width], out=yb)
+                np.multiply(np.conjugate(anchors[b, :, d : d + width], out=xb), anchors[k, :, :width], out=xb)
+                np.multiply(np.conjugate(steps[b, :, d : d + width], out=yb), steps[k, :, :width], out=yb)
                 sums[:, :, SAME + d, b, k] = (x[:, :width] @ yb.T)[:rows]
     sums[:, :, DOWN] = sums[:, :, UP].conj().swapaxes(-1, -2)
     return sums
@@ -164,10 +197,10 @@ def expectation_series(
 
     The bands are built over the packet's own level window, frozen at its
     reference state (n, epsilon).  The pair sums of psi(t) are factored
-    over anchors and steps (see the module docstring), TIME_BLOCK anchors
-    at a time, and contracted with every block table in one product.  The
-    imaginary residue of the Hermitian sums is checked against
-    HERMITIAN_IMAG_TOL and discarded.
+    over anchors and steps (see the module docstring), LEVEL_CHUNK levels
+    and TIME_BLOCK anchors at a time, and contracted with every block table
+    in one product.  The imaginary residue of the Hermitian sums is checked
+    against HERMITIAN_IMAG_TOL and discarded.
     """
     if np.shape(energies) != packet.amplitudes.shape:
         raise DomainError(
@@ -193,22 +226,31 @@ def expectation_series(
     # anchor's to within a few ulp of |t|, as on every uniform grid; on any
     # other grid it takes the exponentials of its own offsets
     reuse = np.all(np.abs(offsets - offsets[0]) <= slack, axis=1)
-    rates = np.ascontiguousarray((-1j * energies).T)  # spin-major, (S, levels)
-    amplitudes = packet.amplitudes.T[:, None, :]
-    table = _phases(rates, offsets[0])
-    anchors = np.zeros((rates.shape[0], TIME_BLOCK, rates.shape[1]), dtype=complex)
-    values = np.empty((times.size, len(names)), dtype=complex)
-    for first in range(0, anchor_times.size, TIME_BLOCK):
-        count = min(TIME_BLOCK, anchor_times.size - first)
-        block = _phases(rates, anchor_times[first : first + count], out=anchors[:, :count])
-        np.multiply(amplitudes, block, out=block)
-        anchors[:, count:] = 0  # the last block is padded to TIME_BLOCK rows
-        sums = _factored_pair_sums(anchors, table)
-        for row in np.flatnonzero(~reuse[first : first + count]):
-            own = _phases(rates, offsets[first + row])
-            sums[row] = _factored_pair_sums(anchors[:, row : row + 1], own)[0]
-        start, stop = first * stride, min((first + TIME_BLOCK) * stride, times.size)
-        values[start:stop] = sums.reshape(-1, coefficients.shape[0])[: stop - start] @ coefficients
+    energies = np.ascontiguousarray(np.transpose(energies), dtype=float)  # spin-major, (S, levels)
+    spins, levels = energies.shape
+    # -0 is the identity of addition, so a packet of one chunk keeps the
+    # bits of its sums, signed zeros included
+    values = np.full((times.size, len(names)), complex(-0.0, -0.0))
+    for low in range(0, levels, LEVEL_CHUNK):
+        # the chunk owns LEVEL_CHUNK levels and reads one more, which closes
+        # its last (m, m + 1) pair
+        owned = min(LEVEL_CHUNK, levels - low)
+        run = slice(low, min(low + owned + 1, levels))
+        chunk = energies[:, run]
+        amplitudes = packet.amplitudes.T[:, None, run]
+        table = _phases(chunk, offsets[0])
+        anchors = np.zeros((spins, TIME_BLOCK, chunk.shape[1]), dtype=complex)
+        for first in range(0, anchor_times.size, TIME_BLOCK):
+            count = min(TIME_BLOCK, anchor_times.size - first)
+            block = _phases(chunk, anchor_times[first : first + count], out=anchors[:, :count])
+            np.multiply(amplitudes, block, out=block)
+            anchors[:, count:] = 0  # the last block is padded to TIME_BLOCK rows
+            sums = _factored_pair_sums(anchors, table, owned)
+            for row in np.flatnonzero(~reuse[first : first + count]):
+                own = _phases(chunk, offsets[first + row])
+                sums[row] = _factored_pair_sums(anchors[:, row : row + 1], own, owned)[0]
+            start, stop = first * stride, min((first + TIME_BLOCK) * stride, times.size)
+            values[start:stop] += sums.reshape(-1, coefficients.shape[0])[: stop - start] @ coefficients
     residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
     if residue > HERMITIAN_IMAG_TOL:
         raise AccuracyError(

@@ -20,10 +20,12 @@ below 10^17, such as a level count, prints as "%d" prints the integer.
 The text is produced by numpy, CSV_BLOCK_ROWS rows at a time, without a
 per-value Python call.  For each value x with decimal exponent
 E = floor(log10|x|), y = |x| 10^(16 - E) is formed in double-double
-arithmetic (error about 1e-14 absolute) against a table of 10^k = hi + lo
-built exactly from Python integers.  Since y >= 1e16 > 2^53, hi is an
-integer, and the 17-digit mantissa is N = hi + round(lo), half-even; a
-misjudged E is corrected once, and N = 10^17 carries into the exponent.
+arithmetic (error about 1e-14 absolute) against 10^(16 - E) = hi + lo,
+built exactly from Python integers the first time a value of decimal
+exponent E is written, as is the exponent's text.  Since
+y >= 1e16 > 2^53, hi is an integer, and the 17-digit mantissa is
+N = hi + round(lo), half-even; a misjudged E is corrected once, and
+N = 10^17 carries into the exponent.
 N is expanded through a table of 4-digit strings, and each value's text is
 laid out in fixed slots (sign, leading "0." and zeros, integer digits,
 point, fraction digits without trailing zeros, exponent), following %g:
@@ -40,6 +42,7 @@ the per-value ones by construction.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,13 +59,8 @@ CSV_BLOCK_ROWS = 1024
 #: magnitudes the CSV writer formats in arrays; the Veltkamp split of the
 #: value and of 10^(16 - E) stays finite within them
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
-#: powers 10^k the writer scales by: E within [-280, 280], misjudged by at
-#: most one by log10 and once more by the correction
-_K_MIN, _K_MAX = 16 - 282, 16 + 282
 #: distance of lo's fraction from 1/2 below which the rounding is left to "%.17g"
 _TIE_MARGIN = 1e-6
-#: decimal exponents of the writer's exponent table, [-_EXP_RANGE, _EXP_RANGE]
-_EXP_RANGE = 300
 # bytes of one value's text slots: sign, "0." and up to 3 zeros of |x| < 1,
 # 17 digits with the point among them, and the exponent and separator
 _WIDTH = 32
@@ -76,42 +74,51 @@ def _format_value(value: float) -> bytes:
 
 
 @functools.cache
-def _tables() -> tuple[np.ndarray, ...]:
-    """The writer's tables, built on first use.
+def _scale(x: int) -> tuple[float, float]:
+    """10^(16 - x) = hi + lo, which brings a value of decimal exponent x to
+    17 digits: hi the nearest double and lo the nearest double to
+    10^(16 - x) - hi (int true division and int-to-float conversion both
+    round correctly)."""
+    k = 16 - x
+    if k >= 0:
+        hi = float(10**k)
+        return hi, float(10**k - int(hi))
+    den = 10**-k
+    hi = 1 / den
+    m, d = hi.as_integer_ratio()
+    return hi, (d - m * den) / (d * den)
 
-    10^k = hi + lo for k in [_K_MIN, _K_MAX], hi the nearest double and lo
-    the nearest double to 10^k - hi (int true division and int-to-float
-    conversion both round correctly); the 4 ASCII digits of each q < 10^4
-    as one uint32; 20-byte masks and points as 5 uint32 each; and the "e+XX"
-    text of each exponent as one uint64, empty where %g prints fixed
-    notation.
-    """
-    his, los = [], []
-    for k in range(_K_MIN, _K_MAX + 1):
-        if k >= 0:
-            hi = float(10**k)
-            lo = float(10**k - int(hi))
-        else:
-            den = 10**-k
-            hi = 1 / den
-            m, d = hi.as_integer_ratio()
-            lo = (d - m * den) / (d * den)
-        his.append(hi)
-        los.append(lo)
-    q = np.arange(10**4)
-    quads = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1).astype(np.uint8) + _ZERO
+
+@functools.cache
+def _exponent_text(x: int) -> int:
+    """The "e+XX" text of decimal exponent x as the bytes of one uint64, 0
+    where %g prints fixed notation."""
+    return 0 if -4 <= x < 17 else int.from_bytes((b"e%+03d" % x).ljust(8, b"\0"), sys.byteorder)
+
+
+def _by_exponent(entry, e: np.ndarray) -> np.ndarray:
+    """entry(x) for each decimal exponent x of ``e``.  The entries are
+    cached, so a process builds only those of the few decades its values
+    reach, not all 600 the writer may need."""
+    top = int(e.max())
+    table = np.array([entry(x) for x in range(top, int(e.min()) - 1, -1)])
+    return table[top - e]
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """The writer's digit tables, built on first use: the 4 ASCII digits of
+    each q < 10^4 as one uint32, and 20-byte masks and points as 5 uint32
+    each."""
+    # the digits of q = 1000a + 100b + 10c + d at index (a, b, c, d)
+    digit = np.arange(_ZERO, _ZERO + 10, dtype=np.uint8)
+    quads = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    for place in range(4):
+        quads[..., place] = digit.reshape((10,) + (1,) * (3 - place))
     # row k of keep holds 255 in the first k of 20 bytes, row k of point a "." at byte k
     keep = np.tri(21, 20, -1, dtype=np.uint8) * 255
     point = np.eye(21, 20, dtype=np.uint8) * ord(".")
-    exponents = np.zeros((2 * _EXP_RANGE + 1, 8), dtype=np.uint8)
-    for x in range(-_EXP_RANGE, _EXP_RANGE + 1):
-        if not -4 <= x < 17:
-            text = b"e%+03d" % x
-            exponents[x + _EXP_RANGE, : len(text)] = list(text)
-    tables = (
-        np.array(his), np.array(los), quads.view(np.uint32).ravel(), keep.view(np.uint32),
-        point.view(np.uint32), exponents.view(np.uint64).ravel(),
-    )
+    tables = quads.view(np.uint32).ravel(), keep.view(np.uint32), point.view(np.uint32)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -119,9 +126,8 @@ def _tables() -> tuple[np.ndarray, ...]:
 
 def _scaled(a: np.ndarray, e: np.ndarray):
     """a 10^(16 - e) as a pair (hi, lo), about 1e-14 absolute at 1e17."""
-    pow_hi, pow_lo = _tables()[:2]
-    k = 16 - _K_MIN - e
-    return _dd_mul_add(a, 0.0, pow_hi[k], pow_lo[k], 0.0, 0.0)
+    pow_hi, pow_lo = _by_exponent(_scale, e).T
+    return _dd_mul_add(a, 0.0, pow_hi, pow_lo, 0.0, 0.0)
 
 
 def _out_of_range(hi: np.ndarray, lo: np.ndarray):
@@ -157,7 +163,7 @@ def _csv_block(table: np.ndarray) -> bytes:
     carry = n == 10**17
     n[carry] = 10**16
     e += carry
-    _, _, quads, keep, point, exponents = _tables()
+    quads, keep, point = _tables()
     # the 20 ASCII digits of n, four to a word: "000", then digit c at byte 3 + c
     groups = np.empty((x.size, 5), dtype=np.int64)
     upper, lower = np.divmod(n, 10**8)
@@ -179,7 +185,7 @@ def _csv_block(table: np.ndarray) -> bytes:
     words = np.empty((x.size, _WIDTH // 4), dtype=np.uint32)
     words[:, 0] = 0
     words[:, 1:6] = digits & ~integer & np.take(keep, significant + 3, axis=0)
-    words[:, 6:].view(np.uint64)[:, 0] = exponents[e + _EXP_RANGE]
+    words[:, 6:].view(np.uint64)[:, 0] = _by_exponent(_exponent_text, e)
     text = words.view(np.uint8)
     text[:, 3:23] |= ((digits & integer) | np.take(point, dotted, axis=0)).view(np.uint8)
     text[:, 0] = np.where(np.signbit(x), ord("-"), 0)

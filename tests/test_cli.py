@@ -110,6 +110,18 @@ class TestTrajectoryCommand:
         assert f"more than {classical.MAX_STEPS}" in err
         assert not out.exists()
 
+    def test_drift_failure_names_the_span(self, tmp_path, capsys):
+        # about 320 cyclotron periods at anomaly 0 drift past DRIFT_LIMIT;
+        # the step is fixed by the state, so the message points at t_max
+        out = tmp_path / "out"
+        code = main(["trajectory", "--anomaly", "0", "--n", "100000", "--t-max", "2e6", "--samples", "64",
+                     "--output-dir", str(out)])
+        assert code == EXIT_ACCURACY
+        err = capsys.readouterr().err
+        assert err.startswith("numerical accuracy error: invariant drift") and err.count("\n") == 1
+        assert "over the span t = 0 to 1.96875e+06 in " in err and "use a shorter t_max" in err
+        assert not out.exists()
+
 
 class TestConvergeCommand:
     def test_factor_table(self, tmp_path):
@@ -337,6 +349,18 @@ class TestOracleCommand:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("configuration error: n_list:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("b_z", ["1e8", "1e10"])
+    def test_large_b_z_accepted(self, tmp_path, b_z):
+        # the oracle evolves no phases, so a gap between levels n and n+1
+        # that rounds to zero at b_z does not concern it; its transverse
+        # errors do not depend on b_z
+        tables = {}
+        for value in ("0.5", b_z):
+            out = tmp_path / value
+            assert main(["oracle", "--n-list", "10,20", "--b-z", value, "--output-dir", str(out)]) == EXIT_OK
+            tables[value] = read_csv(out / "oracle.csv")[1]
+        np.testing.assert_array_equal(tables[b_z][:, :3], tables["0.5"][:, :3])
 
     def test_failing_quadrature_writes_nothing(self, tmp_path, monkeypatch, capsys):
         def unresolved(*args, **kwargs):
