@@ -33,10 +33,16 @@ and a step part, so the sums of all anchors and steps are one matrix
 product per level offset and spin pair (``_factored_pair_sums``), with an
 anchor off the table taking the same product against its own steps.
 Anchors and steps are stored spin-major, (S, rows, levels), so both parts
-are products of contiguous rows.  TIME_BLOCK anchors are evolved at once;
+are products of contiguous rows.  The anchors are evolved in blocks sized
+from the run of levels (``_time_block``): TIME_BLOCK over a full chunk,
+and over a run of w levels whole groups of TIME_BLOCK up to
+TIME_BLOCK * (LEVEL_CHUNK + 1) // w, balanced over the blocks, so a short
+packet on a long grid pays the work of a block a few times rather than
+once per TIME_BLOCK anchors.  Each product takes one group of TIME_BLOCK
+anchors, since BLAS may sum a row of a larger product in another order;
 the last block is padded with zero anchors and every step table with zero
-offsets, so every product has the same shape and no value depends on
-where a block ends.
+offsets, so every product has the same shape and no value depends on the
+block or on where it ends.
 
 The level axis is worked through in chunks of LEVEL_CHUNK levels, each
 with its own step table and its anchors block by block.  A chunk reads one
@@ -44,11 +50,11 @@ level past the ones it owns, so that its d = +1 sums close the pair
 (m, m + 1) across its upper border, while its d = 0 sums cover only its
 own levels: every pair is summed once.  The block tables do not depend on
 m, so each chunk's sums are contracted with them at once and added into
-the result.  The phases and pair sums held at any time are
-O(S * TIME_BLOCK * LEVEL_CHUNK) values, plus O(levels + samples) for the
-packet, the energies, the time offsets and the result.  A packet of at most
-LEVEL_CHUNK levels is one chunk and gets the bits of a sum over all its
-levels at once.
+the result.  The phases held at any time are O(S * TIME_BLOCK *
+LEVEL_CHUNK) values and the pair sums of one block O(S^2 * samples), plus
+O(levels + samples) for the packet, the energies, the time offsets and
+the result.  A packet of at most LEVEL_CHUNK levels is one chunk and gets
+the bits of a sum over all its levels at once.
 
 The energies dE are measured from the reference state.  In
 uniform-gap mode they are exactly (m - n)*omega +
@@ -93,10 +99,11 @@ EXACT = "exact"
 #: tolerance on the imaginary residue of a Hermitian expectation value
 HERMITIAN_IMAG_TOL = 1e-12
 
-#: anchors evolved at once; with LEVEL_CHUNK it bounds the memory held by
-#: their exponentials, (S, TIME_BLOCK, LEVEL_CHUNK + 1), and it fixes the
-#: row count of every pair-sum product, since the last block is padded
-#: with zero anchors
+#: anchors of one pair-sum product, and of one block over a full chunk;
+#: a shorter run of levels evolves whole groups of TIME_BLOCK anchors at
+#: once, as many as keep their exponentials within (S, TIME_BLOCK,
+#: LEVEL_CHUNK + 1) (``_time_block``), and the last block is padded with
+#: zero anchors, so every product has TIME_BLOCK rows
 TIME_BLOCK = 16
 
 #: levels whose phases and pair sums are held at once; a chunk reads one
@@ -155,6 +162,15 @@ def _phases(energies: np.ndarray, times: np.ndarray, out: np.ndarray | None = No
     return out
 
 
+def _time_block(anchors: int, width: int) -> int:
+    """Anchors evolved at once over a run of ``width`` levels: whole groups
+    of TIME_BLOCK, at most (LEVEL_CHUNK + 1) // width of them, as even as
+    the blocks that ``anchors`` need allow."""
+    groups = max(-(-anchors // TIME_BLOCK), 1)
+    blocks = -(-groups // max((LEVEL_CHUNK + 1) // width, 1))
+    return TIME_BLOCK * -(-groups // blocks)
+
+
 def _factored_pair_sums(anchors: np.ndarray, steps: np.ndarray, owned: int) -> np.ndarray:
     """Pair sums of psi = anchors[:, K] * steps[:, r] for every anchor K and
     step r, shape (K, R, 3, S, S) in the layout of ``pair_sums``, without
@@ -182,7 +198,11 @@ def _factored_pair_sums(anchors: np.ndarray, steps: np.ndarray, owned: int) -> n
                 xb, yb = x[:rows, :width], y[:, :width]
                 np.multiply(np.conjugate(anchors[b, :, d : d + width], out=xb), anchors[k, :, :width], out=xb)
                 np.multiply(np.conjugate(steps[b, :, d : d + width], out=yb), steps[k, :, :width], out=yb)
-                sums[:, :, SAME + d, b, k] = (x[:, :width] @ yb.T)[:rows]
+                # one group of TIME_BLOCK anchors per product, whatever the
+                # block: BLAS may sum a row of a larger product in another order
+                for first in range(0, rows, TIME_BLOCK):
+                    product = x[first : first + TIME_BLOCK, :width] @ yb.T
+                    sums[first : first + TIME_BLOCK, :, SAME + d, b, k] = product[: rows - first]
     sums[:, :, DOWN] = sums[:, :, UP].conj().swapaxes(-1, -2)
     return sums
 
@@ -198,9 +218,9 @@ def expectation_series(
     The bands are built over the packet's own level window, frozen at its
     reference state (n, epsilon).  The pair sums of psi(t) are factored
     over anchors and steps (see the module docstring), LEVEL_CHUNK levels
-    and TIME_BLOCK anchors at a time, and contracted with every block table
-    in one product.  The imaginary residue of the Hermitian sums is checked
-    against HERMITIAN_IMAG_TOL and discarded.
+    and one block of anchors at a time, and contracted with every block
+    table in one product.  The imaginary residue of the Hermitian sums is
+    checked against HERMITIAN_IMAG_TOL and discarded.
     """
     if np.shape(energies) != packet.amplitudes.shape:
         raise DomainError(
@@ -239,17 +259,18 @@ def expectation_series(
         chunk = energies[:, run]
         amplitudes = packet.amplitudes.T[:, None, run]
         table = _phases(chunk, offsets[0])
-        anchors = np.zeros((spins, TIME_BLOCK, chunk.shape[1]), dtype=complex)
-        for first in range(0, anchor_times.size, TIME_BLOCK):
-            count = min(TIME_BLOCK, anchor_times.size - first)
+        rows = _time_block(anchor_times.size, chunk.shape[1])
+        anchors = np.zeros((spins, rows, chunk.shape[1]), dtype=complex)
+        for first in range(0, anchor_times.size, rows):
+            count = min(rows, anchor_times.size - first)
             block = _phases(chunk, anchor_times[first : first + count], out=anchors[:, :count])
             np.multiply(amplitudes, block, out=block)
-            anchors[:, count:] = 0  # the last block is padded to TIME_BLOCK rows
+            anchors[:, count:] = 0  # the last block is padded to the same rows
             sums = _factored_pair_sums(anchors, table, owned)
             for row in np.flatnonzero(~reuse[first : first + count]):
                 own = _phases(chunk, offsets[first + row])
                 sums[row] = _factored_pair_sums(anchors[:, row : row + 1], own, owned)[0]
-            start, stop = first * stride, min((first + TIME_BLOCK) * stride, times.size)
+            start, stop = first * stride, min((first + rows) * stride, times.size)
             values[start:stop] += sums.reshape(-1, coefficients.shape[0])[: stop - start] @ coefficients
     residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
     if residue > HERMITIAN_IMAG_TOL:

@@ -21,22 +21,24 @@ The text is produced by numpy, CSV_BLOCK_ROWS rows at a time, without a
 per-value Python call.  For each value x with decimal exponent
 E = floor(log10|x|), y = |x| 10^(16 - E) is formed in double-double
 arithmetic (error about 1e-14 absolute) against 10^(16 - E) = hi + lo,
-built exactly from Python integers the first time a value of decimal
-exponent E is written, as is the exponent's text.  Since
+built exactly from Python integers, with the Veltkamp halves of hi, the
+first time a value of decimal exponent E is written.  Since
 y >= 1e16 > 2^53, hi is an integer, and the 17-digit mantissa is
 N = hi + round(lo), half-even; a misjudged E is corrected once, and
 N = 10^17 carries into the exponent.
-N is expanded through a table of 4-digit strings, and each value's text is
-laid out in fixed slots (sign, leading "0." and zeros, integer digits,
-point, fraction digits without trailing zeros, exponent), following %g:
-fixed notation for -4 <= E < 17, "e+XX" notation otherwise.  Unused slots
-hold 0 bytes, which are squeezed out of the block in one pass.
+N is split into 4-digit groups in int32 and expanded through a table of
+4-digit words.  Each value gets a fixed slot of 28 bytes: the separator
+before it, the sign, "0." and the zeros of |x| < 1, the integer digits,
+the point, the fraction digits without trailing zeros and the exponent,
+following %g: fixed notation for -4 <= E < 17, "e+XX" notation
+otherwise.  The slots live in a bytearray, whose unused 0 bytes are
+squeezed out of the block in one pass.
 
 A value goes to the per-value "%.17g" instead when it is not finite, when
-|x| lies outside [1e-280, 1e280], where the Veltkamp split or 10^k would
-overflow, or when the fraction of lo lies within 1e-6 of 1/2, so that the
-double-double error could decide the rounding.  The written bytes equal
-the per-value ones by construction.
+its exponent has three digits (|E| >= 100), which no slot holds, or when
+the fraction of lo lies within 1e-6 of 1/2, so that the double-double
+error could decide the rounding; its slot holds "%b" for it.  The written
+bytes equal the per-value ones by construction.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .doubledouble import _dd_mul_add
+from .doubledouble import _SPLIT
 from .errors import DomainError
 from .operators import OBSERVABLES
 
@@ -56,14 +58,15 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 #: rows the CSV writer formats at a time, which bounds its working memory
 CSV_BLOCK_ROWS = 1024
 
-#: magnitudes the CSV writer formats in arrays; the Veltkamp split of the
-#: value and of 10^(16 - E) stays finite within them
-_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+#: magnitudes the CSV writer formats in arrays; 10^(16 - E) and its
+#: Veltkamp halves stay finite for every decade within them
+_FAST_MIN, _FAST_MAX = 1e-100, 1e100
 #: distance of lo's fraction from 1/2 below which the rounding is left to "%.17g"
 _TIE_MARGIN = 1e-6
-# bytes of one value's text slots: sign, "0." and up to 3 zeros of |x| < 1,
-# 17 digits with the point among them, and the exponent and separator
-_WIDTH = 32
+#: bytes of one value's slot: the separator before it, the sign, "0." of
+#: |x| < 1 and the zeros after it, 17 digits with the point among them, and
+#: an exponent of two digits
+_SLOT = 28
 _ZERO = ord("0")
 
 
@@ -73,61 +76,98 @@ def _format_value(value: float) -> bytes:
     return b"%.17g" % value
 
 
+def _word(text: bytes) -> int:
+    """Up to 4 bytes of text as the uint32 that holds them."""
+    return int.from_bytes(text.ljust(4, b"\0"), sys.byteorder)
+
+
 @functools.cache
-def _scale(x: int) -> tuple[float, float]:
+def _scale(x: int) -> tuple[float, float, float, float]:
     """10^(16 - x) = hi + lo, which brings a value of decimal exponent x to
-    17 digits: hi the nearest double and lo the nearest double to
-    10^(16 - x) - hi (int true division and int-to-float conversion both
-    round correctly)."""
+    17 digits, as (hi, big, small, lo): hi the nearest double, big + small
+    its Veltkamp split, and lo the nearest double to 10^(16 - x) - hi (int
+    true division and int-to-float conversion both round correctly)."""
     k = 16 - x
     if k >= 0:
         hi = float(10**k)
-        return hi, float(10**k - int(hi))
-    den = 10**-k
-    hi = 1 / den
-    m, d = hi.as_integer_ratio()
-    return hi, (d - m * den) / (d * den)
+        lo = float(10**k - int(hi))
+    else:
+        den = 10**-k
+        hi = 1 / den
+        m, d = hi.as_integer_ratio()
+        lo = (d - m * den) / (d * den)
+    c = _SPLIT * hi
+    big = c - (c - hi)
+    return hi, big, hi - big, lo
 
 
-@functools.cache
-def _exponent_text(x: int) -> int:
-    """The "e+XX" text of decimal exponent x as the bytes of one uint64, 0
-    where %g prints fixed notation."""
-    return 0 if -4 <= x < 17 else int.from_bytes((b"e%+03d" % x).ljust(8, b"\0"), sys.byteorder)
-
-
-def _by_exponent(entry, e: np.ndarray) -> np.ndarray:
-    """entry(x) for each decimal exponent x of ``e``.  The entries are
-    cached, so a process builds only those of the few decades its values
-    reach, not all 600 the writer may need."""
+def _scales(e: np.ndarray):
+    """The items of _scale(x) for each decimal exponent x of ``e``, one
+    array per item, taken as they are read.  The entries are cached, so a
+    process builds only those of the few decades its values reach, not all
+    200 the writer may need."""
     top = int(e.max())
-    table = np.array([entry(x) for x in range(top, int(e.min()) - 1, -1)])
-    return table[top - e]
+    table = np.array([_scale(x) for x in range(top, int(e.min()) - 1, -1)])
+    index = top - e
+    return (item[index] for item in table.T)
 
 
 @functools.cache
 def _tables() -> tuple[np.ndarray, ...]:
-    """The writer's digit tables, built on first use: the 4 ASCII digits of
-    each q < 10^4 as one uint32, and 20-byte masks and points as 5 uint32
-    each."""
+    """The writer's tables, built on first use.
+
+    ``digits``: the 4 ASCII digits of each q < 10^4 as one uint32, then each
+    digit d < 10 alone in the last byte of one.  ``trailing``: the trailing
+    zeros of each q < 10^4, 4 for q = 0.  ``keep``: row k holds 255 in the
+    first k bytes of a slot.  ``marks``: row lead + 3 holds the "." after
+    lead integer digits, or -lead zeros after "0." for lead <= 0, and
+    nothing for lead = 17.
+    """
     # the digits of q = 1000a + 100b + 10c + d at index (a, b, c, d)
     digit = np.arange(_ZERO, _ZERO + 10, dtype=np.uint8)
-    quads = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    quads = np.zeros((10**4 + 10, 4), dtype=np.uint8)
     for place in range(4):
-        quads[..., place] = digit.reshape((10,) + (1,) * (3 - place))
-    # row k of keep holds 255 in the first k of 20 bytes, row k of point a "." at byte k
-    keep = np.tri(21, 20, -1, dtype=np.uint8) * 255
-    point = np.eye(21, 20, dtype=np.uint8) * ord(".")
-    tables = quads.view(np.uint32).ravel(), keep.view(np.uint32), point.view(np.uint32)
+        quads[: 10**4, place] = np.broadcast_to(digit.reshape((10,) + (1,) * (3 - place)), (10,) * 4).ravel()
+    quads[10**4 :, 3] = digit
+    trailing = np.zeros(10**4, dtype=np.uint8)
+    for k in range(1, 5):
+        trailing[:: 10**k] += 1
+    keep = np.tri(_SLOT + 1, _SLOT, -1, dtype=np.uint8) * 255
+    marks = np.zeros((21, _SLOT), dtype=np.uint8)
+    for lead in range(-3, 17):
+        if lead > 0:
+            marks[lead + 3, 6 + lead] = ord(".")
+        else:
+            marks[lead + 3, 7 + lead : 7] = _ZERO
+    tables = quads.view(np.uint32).ravel(), trailing, keep.view(np.uint32), marks.view(np.uint32)
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
 def _scaled(a: np.ndarray, e: np.ndarray):
-    """a 10^(16 - e) as a pair (hi, lo), about 1e-14 absolute at 1e17."""
-    pow_hi, pow_lo = _by_exponent(_scale, e).T
-    return _dd_mul_add(a, 0.0, pow_hi, pow_lo, 0.0, 0.0)
+    """a 10^(16 - e) as a pair (hi, lo), about 1e-14 absolute at 1e17: the
+    pair of ``doubledouble._dd_mul_add(a, 0, hi, lo, 0, 0)`` without the
+    terms of its zero arguments, which move at most the sign of a zero lo,
+    and with the split of 10^(16 - e) read from its decade's entry."""
+    scale = _scales(e)
+    p = a * next(scale)
+    # the Veltkamp split of a, and the error of p from the four products
+    big = a * _SPLIT
+    small = big - a
+    big -= small
+    np.subtract(a, big, out=small)
+    p_big, p_small = next(scale), next(scale)
+    err = big * p_big
+    err -= p
+    err += np.multiply(big, p_small, out=big)
+    err += np.multiply(small, p_big, out=p_big)
+    err += np.multiply(small, p_small, out=p_small)
+    del p_big, p_small
+    err += np.multiply(a, next(scale), out=small)
+    hi = np.add(p, err, out=big)
+    err -= np.subtract(hi, p, out=p)
+    return hi, err
 
 
 def _out_of_range(hi: np.ndarray, lo: np.ndarray):
@@ -137,70 +177,112 @@ def _out_of_range(hi: np.ndarray, lo: np.ndarray):
     return low, high
 
 
-def _csv_block(table: np.ndarray) -> bytes:
+def _decimal(x: np.ndarray):
+    """The 17-digit decimal mantissa n and exponent e of each |x|, with
+    10^16 <= n < 10^17 (0 for zero), and where the arrays decide them."""
+    a = np.abs(x)
+    zero = a == 0.0
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    # zero and the values left to "%.17g" run through as 1.0
+    a[~fast] = 1.0
+    fast |= zero
+    e = np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _scaled(a, e)
+    # a misjudged E leaves hi + lo outside [1e16, 1e17), and is corrected
+    # once; only a value within 32 of either end can be, or round to 10^17
+    edge = np.flatnonzero((hi < 1e16 + 32) | (hi > 1e17 - 32))
+    if edge.size:
+        low, high = _out_of_range(hi[edge], lo[edge])
+        fix = edge[low | high]
+        if fix.size:
+            e[fix] += high[low | high].astype(np.intp) - low[low | high]
+            hi[fix], lo[fix] = _scaled(a[fix], e[fix])
+            low, high = _out_of_range(hi[fix], lo[fix])
+            fast[fix[low | high]] = False
+    r = np.rint(lo)
+    fast &= np.abs(lo - r) < 0.5 - _TIE_MARGIN
+    n = hi.astype(np.int64)
+    n += r.astype(np.int64)
+    n[zero] = 0
+    if edge.size:
+        carry = edge[n[edge] == 10**17]
+        n[carry] = 10**16
+        e[carry] += 1
+    fast &= np.abs(e) < 100
+    return n, e, fast
+
+
+def _csv_block(table: np.ndarray) -> bytearray:
     """CSV text of the rows of ``table``: each value as format(v, ".17g"),
     a comma between columns and a newline after each row."""
     rows, columns = table.shape
     x = table.ravel()
-    a = np.abs(x)
-    zero = a == 0.0
-    fast = zero | ((a >= _FAST_MIN) & (a <= _FAST_MAX))
-    # zero and the values left to "%.17g" run through as 1.0
-    a = np.where(fast & ~zero, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    hi, lo = _scaled(a, e)
-    low, high = _out_of_range(hi, lo)
-    fix = np.flatnonzero(low | high)
-    if fix.size:
-        e[fix] += high[fix].astype(np.int64) - low[fix]
-        hi[fix], lo[fix] = _scaled(a[fix], e[fix])
-        low, high = _out_of_range(hi[fix], lo[fix])
-        fast[fix[low | high]] = False
-    fast &= np.abs(lo - np.floor(lo) - 0.5) > _TIE_MARGIN
+    size = x.size
+    n, e, fast = _decimal(x)
 
-    # the 17-digit mantissa, 10^16 <= n < 10^17 after the carry
-    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    carry = n == 10**17
-    n[carry] = 10**16
-    e += carry
-    quads, keep, point = _tables()
-    # the 20 ASCII digits of n, four to a word: "000", then digit c at byte 3 + c
-    groups = np.empty((x.size, 5), dtype=np.int64)
-    upper, lower = np.divmod(n, 10**8)
-    upper, groups[:, 2] = np.divmod(upper, 10**4)
-    groups[:, 0], groups[:, 1] = np.divmod(upper, 10**4)
-    groups[:, 3], groups[:, 4] = np.divmod(lower, 10**4)
-    digits = quads[groups]
-    significant = 17 - np.argmax(digits.view(np.uint8)[:, :2:-1] != _ZERO, axis=1)
-    digits[:, 0] &= ~keep[3, 0]
-
-    # text bytes: sign, "0." and zeros of |x| < 1 at 0-5, integer digit c at
-    # 6 + c, the point after the last one, fraction digit c at 7 + c, and
-    # exponent and separator at 24-31
+    # a slot of 7 words per value holds the separator before it, the sign,
+    # "0." of |x| < 1, digit c of the mantissa at byte 7 + c and the "e"
+    # notation exponent.  %g's integer digits, the first lead = E + 1 (one
+    # in "e" notation), move one byte to the front to make room for the
+    # point; lead <= 0 marks -lead zeros after "0.".  One more slot holds
+    # the block's last newline.
+    digits, trailing, keep, marks = _tables()
     fixed = (e >= -4) & (e < 17)
-    small = fixed & (e < 0)
-    whole = np.where(fixed, np.maximum(e + 1, 0), 1)
-    integer = np.take(keep, whole + 3, axis=0)
-    dotted = np.where(~small & (significant > whole), whole + 3, 20)
-    words = np.empty((x.size, _WIDTH // 4), dtype=np.uint32)
-    words[:, 0] = 0
-    words[:, 1:6] = digits & ~integer & np.take(keep, significant + 3, axis=0)
-    words[:, 6:].view(np.uint64)[:, 0] = _by_exponent(_exponent_text, e)
-    text = words.view(np.uint8)
-    text[:, 3:23] |= ((digits & integer) | np.take(point, dotted, axis=0)).view(np.uint8)
-    text[:, 0] = np.where(np.signbit(x), ord("-"), 0)
-    text[:, 1] = np.where(small, _ZERO, 0)
-    text[:, 2] = np.where(small, ord("."), 0)
-    for z in range(3):
-        text[:, 3 + z] = np.where(small & (e < -1 - z), _ZERO, 0)
-    text[zero, 6] = _ZERO
-    text.reshape(rows, columns, _WIDTH)[:, :, 29] = ord(",")
-    text.reshape(rows, columns, _WIDTH)[:, -1, 29] = ord("\n")
-    for i in np.flatnonzero(~fast).tolist():
-        value = _format_value(float(x[i]))
-        text[i, :29] = 0
-        text[i, : len(value)] = np.frombuffer(value, dtype=np.uint8)
-    return text.tobytes().translate(None, b"\0")
+    lead = np.where(fixed, e + 1, 1).astype(np.int8)
+    # "e+XX": the two digits of |E| < 100 are the last two of its 4-digit word
+    exponent = digits[np.abs(e)] & _word(b"\0\0\xff\xff") | np.where(e < 0, _word(b"e-"), _word(b"e+"))
+    exponent[fixed] = 0
+    # n in 4-digit groups, from 10^8 upper + lower in int32; the first group
+    # is the leading digit alone, indexed past the 4-digit words
+    upper = n // 10**8
+    lower = (n - upper * 10**8).astype(np.int32)
+    upper = upper.astype(np.int32)
+    head, third = upper // 10**4, lower // 10**4
+    first = head // 10**4
+    groups = (first + 10**4, head - first * 10**4, upper - head * 10**4, third, lower - third * 10**4)
+    # the block's peak memory comes below, so what is done with goes first
+    del e, n, upper, lower, head, first, third
+    # the digit words into zeroed slots, held by a bytearray that squeezes
+    # out their 0 bytes in place; 17 significant digits less the trailing
+    # zeros of the last groups
+    buffer = bytearray((size + 1) * _SLOT)
+    words = np.frombuffer(buffer, dtype=np.uint32).reshape(size + 1, -1)
+    slots = words[:size]
+    trailing_zeros = np.uint8(0)
+    for j, group in enumerate(groups, 1):
+        group = group.astype(np.intp)
+        slots[:, j] = digits[group]
+        if j > 1:
+            zeros = trailing[group]
+            trailing_zeros = zeros + (zeros == 4) * trailing_zeros
+    significant = 17 - trailing_zeros
+    del groups, group
+    # the digits up to the last significant or integer one; then the integer
+    # digits, out of the slots and in again one byte to the front
+    slots &= np.take(keep, np.maximum(significant, lead) + 7, axis=0)
+    whole = np.take(keep, lead + 7, axis=0)
+    whole &= slots
+    slots ^= whole
+    words.reshape(-1).view(np.uint8)[: whole.nbytes - 1] |= whole.reshape(-1).view(np.uint8)[1:]
+    del whole
+    slots |= np.take(marks, np.where(significant > lead, lead, 17) + 3, axis=0)
+    slots[:, -1] = exponent
+    separator = np.full((rows, columns), _word(b","), dtype=np.uint32)
+    separator[:, 0] = _word(b"\n")
+    separator[0, 0] = 0
+    separator = separator.reshape(-1)
+    sign = np.signbit(x) * np.uint32(_word(b"\0-"))
+    slots[:, 0] = separator | sign | (lead <= 0) * np.uint32(_word(b"\0\0" b"0."))
+    # a value left to "%.17g" holds "%b" for the formatting of the text below
+    slow = np.flatnonzero(~fast)
+    slots[slow, 0] = separator[slow] | _word(b"\0%b")
+    slots[slow, 1:] = 0
+    words[size, 0] = _word(b"\n")
+    text = buffer.translate(None, b"\0")
+    del buffer, words, slots  # the formatting below copies the text once more
+    if slow.size:
+        text %= tuple(_format_value(v) for v in x[slow].tolist())
+    return text
 
 
 @dataclass(frozen=True)

@@ -14,18 +14,24 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import classical, evolution, laguerre, operators, packets
-from .errors import AccuracyError
+from .errors import AccuracyError, DomainError
 from .kinematics import FieldConfig, SpinKinematics, spin_mixing_ratio
 from .trajectory import compare_trajectories
 
 FACTOR_LAW_LEVELS = (1, 2, 3, 5, 10, 100, 1000)
 ENGINE_LEVELS = (1, 2, 3, 5, 9)
+#: the smaller residual of the anomaly-halving pair of ``check_invariants``
+#: reads at least this many roundoff units u * E^2
+HALVING_ROUNDOFF = 1e3
+#: the roundoff unit of a double
+_U = sys.float_info.epsilon
 
 
 @dataclass
@@ -188,16 +194,30 @@ def check_invariants(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
     worst = max(float(np.max(traj.res_sp)), float(np.max(traj.res_ss)))
     tol = 1e-10
 
-    # orthogonality residual scales linearly with the anomaly
-    def max_res_sp(anomaly: float) -> float:
-        kin = SpinKinematics.from_field(replace(cfg, anomaly=anomaly), n, epsilon)
-        t = evolution.closed_form_trajectory(kin, None, evolution.sample_times(kin.omega))
-        return float(np.max(t.res_sp))
+    # the orthogonality residual of the frozen kinematics scales linearly
+    # with the anomaly, as anomaly * h^2 at small h; halving measures it
+    # only where both runs stand above roundoff
+    def max_res_sp(anomaly: float) -> tuple[float, float]:
+        try:
+            kin = SpinKinematics.from_field(replace(cfg, anomaly=anomaly), n, epsilon)
+            t = evolution.closed_form_trajectory(kin, None, evolution.sample_times(kin.omega))
+        except (DomainError, OverflowError):
+            raise DomainError(
+                f"h: at h={cfg.h} no anomaly lifts the orthogonality residual of "
+                "four-vector-invariants above roundoff"
+            ) from None
+        return float(np.max(t.res_sp)), kin.energy
 
+    # the first decade of anomalies from max(anomaly, 1e-3) up whose half
+    # run reads HALVING_ROUNDOFF units u * E^2 or more
     base_anomaly = max(cfg.anomaly, 1e-3)
-    r_full = max_res_sp(base_anomaly)
-    r_half = max_res_sp(0.5 * base_anomaly)
-    ratio = r_full / r_half if r_half > 0 else math.inf
+    while True:
+        r_half, energy = max_res_sp(0.5 * base_anomaly)
+        if r_half >= HALVING_ROUNDOFF * _U * energy**2:
+            break
+        base_anomaly *= 10.0
+    r_full = max_res_sp(base_anomaly)[0]
+    ratio = r_full / r_half
     linear = abs(ratio - 2.0) <= 0.2
     return CheckResult(
         "four-vector-invariants",

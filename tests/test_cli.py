@@ -499,6 +499,24 @@ class TestConfigHandling:
         assert err.startswith("configuration error: h:") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("h", ["1e-16", "1e-12", "1e-8", "1e-5", "0.1"])
+    def test_invariants_halving_stands_above_roundoff(self, tmp_path, capsys, h):
+        # four-vector-invariants halves an anomaly whose residuals stand
+        # above roundoff, or verify rejects h: at h = 1e-16 no anomaly the
+        # kinematics accept lifts the residual, which grows as anomaly * h^2
+        out = tmp_path / "out"
+        code = main(["verify", "--h", h, "--output-dir", str(out)])
+        if h == "1e-16":
+            assert code == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: h:") and err.count("\n") == 1
+            assert "four-vector-invariants" in err and not out.exists()
+            return
+        assert code == EXIT_OK
+        checks = {c["name"]: c for c in json.loads((out / "verify.json").read_text())["checks"]}
+        invariants = checks["four-vector-invariants"]
+        assert invariants["passed"] and abs(invariants["details"]["anomaly_halving_ratio"] - 2.0) <= 0.2
+
     @pytest.mark.parametrize("b_z", ["0", "0.5"])
     def test_vanishing_level_gap_names_n(self, tmp_path, capsys, b_z):
         out = tmp_path / "out"

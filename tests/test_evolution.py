@@ -161,9 +161,11 @@ class TestGenericExpectation:
 
     def test_one_state_evaluation_per_time_block(self, monkeypatch):
         # every observable is contracted with the same pair sums: one
-        # factored pass per block of TIME_BLOCK anchors, each over all
-        # TIME_BLOCK rows and ANCHOR_STRIDE steps, not one per observable;
-        # an anchor off the step table takes one more pass of its own
+        # factored pass per block of anchors and ANCHOR_STRIDE steps, not one
+        # per observable.  A run of w levels takes its anchors in whole
+        # groups of TIME_BLOCK, at most (LEVEL_CHUNK + 1) // w groups a
+        # block, balanced over the blocks; an anchor off the step table
+        # takes one more pass of its own
         calls = []
 
         def counted(anchors, steps, owned):
@@ -174,10 +176,25 @@ class TestGenericExpectation:
         monkeypatch.setattr(evolution, "_factored_pair_sums", counted)
         packet, _, _ = engine_setup(CFG, N_REF, 5, +1)
         omega = cyclotron_frequency(CFG, N_REF, 1)[0]
-        evolve_packet(packet, CFG, sample_times(omega, samples=1024))
-        block = (2, evolution.TIME_BLOCK, 5), (2, evolution.ANCHOR_STRIDE, 5), 5
-        assert calls == [block] * math.ceil(1024 / evolution.ANCHOR_STRIDE / evolution.TIME_BLOCK) == [block] * 4
+        # the horizon's 512 anchors over 100 levels take 4 blocks of 8
+        # groups; 16 anchors take one group over a full chunk or a few levels
+        assert evolution._time_block(512, 100) == 8 * evolution.TIME_BLOCK
+        assert evolution._time_block(16, evolution.LEVEL_CHUNK + 1) == evolution.TIME_BLOCK
+        assert evolution._time_block(16, 3) == evolution.TIME_BLOCK
 
+        # 64 anchors, 4 groups, over 5 levels: one block
+        evolve_packet(packet, CFG, sample_times(omega, samples=1024))
+        rows = 4 * evolution.TIME_BLOCK
+        assert calls == [((2, rows, 5), (2, evolution.ANCHOR_STRIDE, 5), 5)]
+
+        # at most 3 groups a block: two blocks of 2 groups, not 3 and 1
+        calls.clear()
+        monkeypatch.setattr(evolution, "LEVEL_CHUNK", 15)
+        evolve_packet(packet, CFG, sample_times(omega, samples=1024))
+        rows = 2 * evolution.TIME_BLOCK
+        assert calls == [((2, rows, 5), (2, evolution.ANCHOR_STRIDE, 5), 5)] * 2
+
+        block = (2, evolution.TIME_BLOCK, 5), (2, evolution.ANCHOR_STRIDE, 5), 5
         calls.clear()
         times = sample_times(omega, samples=40)
         times[20] += 0.25 * times[1]  # the second of three anchors leaves the table
@@ -225,15 +242,19 @@ class TestGenericExpectation:
         np.testing.assert_array_equal(phases.view(np.uint64), expected.view(np.uint64))
 
     def test_time_blocks_do_not_change_values(self, monkeypatch):
-        packet, energies, times = engine_setup(CFG, N_REF, 5, +1)
+        # blocks of one group of TIME_BLOCK anchors give the bits of one
+        # block of four, since every product takes one group; groups of 7
+        # anchors move the values by roundoff only
+        packet, energies, _ = engine_setup(CFG, N_REF, 5, +1)
+        times = sample_times(cyclotron_frequency(CFG, N_REF, 1)[0], samples=1024)
         jittered = times + 0.25 * times[1] * np.sin(np.arange(times.size))
-        column = OBSERVABLES.index("Sx")
-        whole = [expectation_series(packet, CFG, energies, grid)[:, column] for grid in (times, jittered)]
+        whole = [expectation_series(packet, CFG, energies, grid) for grid in (times, jittered)]
+        monkeypatch.setattr(evolution, "_time_block", lambda anchors, width: evolution.TIME_BLOCK)
+        for grid, values in zip((times, jittered), whole):
+            np.testing.assert_array_equal(expectation_series(packet, CFG, energies, grid), values)
         monkeypatch.setattr(evolution, "TIME_BLOCK", 7)
         for grid, values in zip((times, jittered), whole):
-            np.testing.assert_allclose(
-                expectation_series(packet, CFG, energies, grid)[:, column], values, rtol=0, atol=1e-15
-            )
+            np.testing.assert_allclose(expectation_series(packet, CFG, energies, grid), values, rtol=0, atol=1e-15)
 
     def test_level_chunks_do_not_change_values(self, monkeypatch):
         # 50 levels in chunks of 7 against one chunk, in both energy models,
