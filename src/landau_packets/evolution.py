@@ -14,35 +14,39 @@ own phase, psi(t) = a * exp(-i*dE*t), and contracts the pair sums of
 psi(t) with the block tables of every observable at once:
 <psi(t)|V|psi(t)> for all bands together.
 
-Exponentials are taken only at anchor samples, every ANCHOR_STRIDE-th one:
-sample j with anchor k = ANCHOR_STRIDE * floor(j / ANCHOR_STRIDE) has
+Exponentials are taken only at anchor samples, every s-th one for the
+anchor stride s = ``anchor_stride(T)`` of a grid of T samples: sample j with
+anchor k = s * floor(j / s) has
 
     psi(t_j) = A_k * s_r,  A_k = a * exp(-i*dE*t_k),  s_r = exp(-i*dE*(t_j - t_k)).
 
-The steps s_r come from one table of ANCHOR_STRIDE rows, built from the
-first anchor's offsets and reused by every anchor whose offsets match them
-to within a few ulp of |t|, as on every grid of ``sample_times``; an anchor
-of any other grid takes the exponentials of its own offsets.  The default
-256 samples then cost 32 exponentials per state instead of 256.  Each
+The steps s_r come from one table of s rows, built from the first anchor's
+offsets and reused by every anchor whose offsets match them to within a few
+ulp of |t|, as on every grid of ``sample_times``; an anchor of any other
+grid takes the exponentials of its own offsets.  A state then costs T/s + s
+exponentials instead of T, least at s ~ sqrt(T), so s is the largest power
+of two <= sqrt(T), never below MIN_ANCHOR_STRIDE: the default 256 samples
+take 16 + 16 per state, the 8192 of one anomalous period 128 + 64.  Each
 exponential is the cosine and sine of the real angle -dE*t, which are the
 bits np.exp gives the complex rate -i*dE*t.
 
 psi(t) itself is never formed.  Each pair sum, over m of
 conj(psi[m + d, b]) * psi[m, k], factors into a product of an anchor part
-and a step part, so the sums of all anchors and steps are one matrix
-product per level offset and spin pair (``_factored_pair_sums``), with an
-anchor off the table taking the same product against its own steps.
-Anchors and steps are stored spin-major, (S, rows, levels), so both parts
-are products of contiguous rows.  The anchors are evolved in blocks sized
-from the run of levels (``_time_block``): TIME_BLOCK over a full chunk,
-and over a run of w levels whole groups of TIME_BLOCK up to
-TIME_BLOCK * (LEVEL_CHUNK + 1) // w, balanced over the blocks, so a short
-packet on a long grid pays the work of a block a few times rather than
-once per TIME_BLOCK anchors.  Each product takes one group of TIME_BLOCK
-anchors, since BLAS may sum a row of a larger product in another order;
-the last block is padded with zero anchors and every step table with zero
-offsets, so every product has the same shape and no value depends on the
-block or on where it ends.
+and a step part, so the sums of all anchors and steps are matrix products
+per level offset and spin pair (``_factored_pair_sums``), with an anchor off
+the table taking the same products against its own steps.  Anchors and
+steps are stored spin-major, (S, rows, levels), so both parts are products
+of contiguous rows.  The anchors are evolved in blocks sized from the run
+of levels and the stride (``_time_block``): whole groups of TIME_BLOCK, as
+many as keep the block's exponentials within those of TIME_BLOCK anchors
+over a full chunk and its pair sums within the samples of as many anchors
+at MIN_ANCHOR_STRIDE, so a short packet on a long grid pays the work of a
+block a few times rather than once per TIME_BLOCK anchors.  Each product
+takes one group of TIME_BLOCK anchors and MIN_ANCHOR_STRIDE steps, the
+products of every grid under 1024 samples, since BLAS may sum an entry of
+a larger product in another order; the last block is padded with zero
+anchors and every step table with zero offsets, so every product has the
+same shape and no value depends on the block or on where it ends.
 
 The level axis is worked through in chunks of LEVEL_CHUNK levels, each
 with its own step table and its anchors block by block.  A chunk reads one
@@ -50,9 +54,9 @@ level past the ones it owns, so that its d = +1 sums close the pair
 (m, m + 1) across its upper border, while its d = 0 sums cover only its
 own levels: every pair is summed once.  The block tables do not depend on
 m, so each chunk's sums are contracted with them at once and added into
-the result.  The phases held at any time are O(S * TIME_BLOCK *
-LEVEL_CHUNK) values and the pair sums of one block O(S^2 * samples), plus
-O(levels + samples) for the packet, the energies, the time offsets and
+the result.  The phases held at any time are O(S * (TIME_BLOCK + s) *
+LEVEL_CHUNK) values and the pair sums of one block O(S^2 * TIME_BLOCK * s),
+plus O(levels + samples) for the packet, the energies, the time offsets and
 the result.  A packet of at most LEVEL_CHUNK levels is one chunk and gets
 the bits of a sum over all its levels at once.
 
@@ -101,9 +105,8 @@ HERMITIAN_IMAG_TOL = 1e-12
 
 #: anchors of one pair-sum product, and of one block over a full chunk;
 #: a shorter run of levels evolves whole groups of TIME_BLOCK anchors at
-#: once, as many as keep their exponentials within (S, TIME_BLOCK,
-#: LEVEL_CHUNK + 1) (``_time_block``), and the last block is padded with
-#: zero anchors, so every product has TIME_BLOCK rows
+#: once (``_time_block``), and the last block is padded with zero anchors,
+#: so every product has TIME_BLOCK rows
 TIME_BLOCK = 16
 
 #: levels whose phases and pair sums are held at once; a chunk reads one
@@ -111,9 +114,10 @@ TIME_BLOCK = 16
 #: is one chunk
 LEVEL_CHUNK = 1024
 
-#: samples per anchor; psi(t) takes its exponentials at every
-#: ANCHOR_STRIDE-th sample, whatever TIME_BLOCK is
-ANCHOR_STRIDE = 16
+#: least samples per anchor, and steps of one pair-sum product; a grid of
+#: fewer than 1024 samples takes its exponentials at every
+#: MIN_ANCHOR_STRIDE-th one (``anchor_stride``)
+MIN_ANCHOR_STRIDE = 16
 
 #: an anchor's offsets match the step table's to within this many ulp of |t|
 _OFFSET_ULPS = 4
@@ -162,12 +166,24 @@ def _phases(energies: np.ndarray, times: np.ndarray, out: np.ndarray | None = No
     return out
 
 
-def _time_block(anchors: int, width: int) -> int:
-    """Anchors evolved at once over a run of ``width`` levels: whole groups
-    of TIME_BLOCK, at most (LEVEL_CHUNK + 1) // width of them, as even as
-    the blocks that ``anchors`` need allow."""
+def anchor_stride(samples: int) -> int:
+    """Samples per anchor on a grid of ``samples``: the largest power of two
+    <= sqrt(samples), never below MIN_ANCHOR_STRIDE, so that a state takes
+    about samples / s + s exponentials."""
+    return max(MIN_ANCHOR_STRIDE, 1 << (math.isqrt(max(samples, 1)).bit_length() - 1))
+
+
+def _time_block(anchors: int, width: int, stride: int) -> int:
+    """Anchors evolved at once over a run of ``width`` levels, ``stride``
+    samples each: whole groups of TIME_BLOCK, at most
+    (LEVEL_CHUNK + 1) // width * MIN_ANCHOR_STRIDE // stride of them but at
+    least one, as even as the blocks that ``anchors`` need allow.  A block's
+    exponentials then stay within (S, TIME_BLOCK, LEVEL_CHUNK + 1), and its
+    pair sums cover no more samples than a block did at MIN_ANCHOR_STRIDE,
+    unless one group is already more."""
     groups = max(-(-anchors // TIME_BLOCK), 1)
-    blocks = -(-groups // max((LEVEL_CHUNK + 1) // width, 1))
+    most = max((LEVEL_CHUNK + 1) // width * MIN_ANCHOR_STRIDE // stride, 1)
+    blocks = -(-groups // most)
     return TIME_BLOCK * -(-groups // blocks)
 
 
@@ -182,8 +198,8 @@ def _factored_pair_sums(anchors: np.ndarray, steps: np.ndarray, owned: int) -> n
     the run, which takes in one level past the owned ones when the run has
     it.  The sum over m of conj(psi[m + d, b]) * psi[m, k] factors into
     X[K, m] * Y[r, m], with X = conj(anchors[b, K, m + d]) * anchors[k, K, m]
-    and Y the same product of the steps: one (K x levels) @ (levels x R)
-    product per offset d in {0, +1} and spin pair (b, k), over contiguous
+    and Y the same product of the steps: (K x levels) @ (levels x R)
+    products per offset d in {0, +1} and spin pair (b, k), over contiguous
     rows.  The d = -1 sums are the conjugate transposes of the d = +1 sums.
     """
     spins, rows, levels = anchors.shape
@@ -198,11 +214,14 @@ def _factored_pair_sums(anchors: np.ndarray, steps: np.ndarray, owned: int) -> n
                 xb, yb = x[:rows, :width], y[:, :width]
                 np.multiply(np.conjugate(anchors[b, :, d : d + width], out=xb), anchors[k, :, :width], out=xb)
                 np.multiply(np.conjugate(steps[b, :, d : d + width], out=yb), steps[k, :, :width], out=yb)
-                # one group of TIME_BLOCK anchors per product, whatever the
-                # block: BLAS may sum a row of a larger product in another order
+                # one group of TIME_BLOCK anchors and MIN_ANCHOR_STRIDE steps
+                # per product, whatever the block and the table: BLAS may sum
+                # an entry of a larger product in another order
                 for first in range(0, rows, TIME_BLOCK):
-                    product = x[first : first + TIME_BLOCK, :width] @ yb.T
-                    sums[first : first + TIME_BLOCK, :, SAME + d, b, k] = product[: rows - first]
+                    for col in range(0, y.shape[0], MIN_ANCHOR_STRIDE):
+                        cols = slice(col, col + MIN_ANCHOR_STRIDE)
+                        product = x[first : first + TIME_BLOCK, :width] @ yb[cols].T
+                        sums[first : first + TIME_BLOCK, cols, SAME + d, b, k] = product[: rows - first]
     sums[:, :, DOWN] = sums[:, :, UP].conj().swapaxes(-1, -2)
     return sums
 
@@ -233,10 +252,10 @@ def expectation_series(
     )
     coefficients = np.stack([band.blocks.reshape(-1) for band in bands], axis=1)
     times = np.asarray(times, dtype=float)
-    stride = ANCHOR_STRIDE
+    stride = anchor_stride(times.size)
     anchor_times = times[::stride]
     # offsets t_j - t_k by anchor and step, padded with zero steps past the
-    # last sample so that every step table has ANCHOR_STRIDE rows
+    # last sample so that every step table has ``stride`` rows
     index = np.arange(times.size)
     offsets = np.zeros((max(anchor_times.size, 1), stride))
     offsets.flat[: times.size] = times - times[index - index % stride]
@@ -259,7 +278,7 @@ def expectation_series(
         chunk = energies[:, run]
         amplitudes = packet.amplitudes.T[:, None, run]
         table = _phases(chunk, offsets[0])
-        rows = _time_block(anchor_times.size, chunk.shape[1])
+        rows = _time_block(anchor_times.size, chunk.shape[1], stride)
         anchors = np.zeros((spins, rows, chunk.shape[1]), dtype=complex)
         for first in range(0, anchor_times.size, rows):
             count = min(rows, anchor_times.size - first)

@@ -24,7 +24,11 @@ on both sides by 9*sqrt(n_max + 1) + 40 and clipped at 0.  The order is
 200 + 2s, so every level at a given s shares one cached rule; the products
 oscillate about 2s times across the window.  Every oracle value is
 recomputed at twice the order and rejected if the two disagree by more
-than CONVERGENCE_TOL.
+than CONVERGENCE_TOL.  A rule costs two passes of the Legendre recurrence
+(``radial_rule``): one at Tricomi's estimates of the nodes, whose Taylor
+polynomial of P_order, its derivatives taken from Legendre's equation,
+corrects them, and one at the corrected nodes that confirms them and gives
+the weights.
 
 Order doubling cannot see what lies outside the window.  For s = 0,
 I(n, 0; rho)^2 is the Gamma(n + 1) density (mean n + 1, standard deviation
@@ -62,8 +66,13 @@ _RESCALE_ABOVE = 1e150
 _LN2 = math.log(2.0)
 #: levels from which the profile seed expands log(l!) by Stirling's series
 _STIRLING_FROM = 100
-#: Newton steps allowed for the Gauss-Legendre nodes; from Tricomi's
-#: estimates they converge in at most 4 (every order to 400, every 50th to 2000)
+#: terms of the Taylor polynomial of P_order about Tricomi's estimates, and
+#: Newton steps taken on it; the roots it gives are within 1.2e-16 of those
+#: of P_order at every order to 2000
+_TAYLOR_TERMS = 5
+_TAYLOR_STEPS = 3
+#: Newton steps on the recurrence allowed to confirm the Gauss-Legendre
+#: nodes; one confirms them at every order to 2000
 _NEWTON_STEPS = 10
 
 
@@ -81,16 +90,46 @@ def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cur, n * (x * cur - prev) / (x * x - 1.0)
 
 
+def _taylor_roots(n: int, x: np.ndarray) -> np.ndarray:
+    """Roots of P_n near the estimates ``x``, from one pass of the
+    recurrence: Newton's method on the Taylor polynomial of P_n about each
+    estimate (Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29 (2007) 1420).
+
+    Its coefficients a_k = P_n^(k)(x) / k! follow from P_n and P_n' by
+    Legendre's equation differentiated k times,
+    (k + 1)(k + 2)(1 - x^2) a_{k+2} = 2(k + 1)^2 x a_{k+1} + (k(k + 1) - n(n + 1)) a_k.
+    """
+    p, dp = _legendre(n, x)
+    one = (1.0 - x) * (1.0 + x)
+    a = [p, dp]
+    for k in range(_TAYLOR_TERMS - 2):
+        a.append(
+            (2.0 * (k + 1.0) ** 2 * x * a[k + 1] + (k * (k + 1.0) - n * (n + 1.0)) * a[k])
+            / ((k + 1.0) * (k + 2.0) * one)
+        )
+    h = np.zeros_like(x)
+    for _ in range(_TAYLOR_STEPS):
+        f, df = a[-1], np.zeros_like(x)
+        for c in a[-2::-1]:
+            df = df * h + f
+            f = f * h + c
+        h -= f / df
+    return x + h
+
+
 @lru_cache(maxsize=64)
 def radial_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], exact for
     polynomials of degree <= 2*order - 1, nodes ascending.
 
-    Newton's method on P_order, run on the three-term recurrence for all
-    nonnegative nodes at once from Tricomi's estimates
-    (1 - (n - 1) / (8 n^3)) cos(pi (4k - 1) / (4n + 2)); the negative nodes
-    are their mirror images.  The weights 2 / ((1 - x^2) P'(x)^2) are taken
-    at the converged nodes.
+    Two passes of the three-term recurrence, for all nonnegative nodes at
+    once: the first, at Tricomi's estimates
+    (1 - (n - 1) / (8 n^3)) cos(pi (4k - 1) / (4n + 2)), corrects them by
+    the Taylor polynomial of P_order (``_taylor_roots``); the second
+    confirms that no Newton step on P_order is left above 1e-15 and gives
+    the weights 2 / ((1 - x^2) P'(x)^2) at the nodes.  Should a step be
+    left, Newton's method runs on until one is not.  The negative nodes are
+    the mirror images.
     """
     if order < 1:
         raise DomainError(f"order: must be >= 1, got {order}")
@@ -99,15 +138,15 @@ def radial_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     x = (1.0 - (n - 1.0) / (8.0 * n**3)) * np.cos(theta)
     if n % 2:
         x[-1] = 0.0  # P_n is odd: 0 is a root, and Newton keeps it
+    x = _taylor_roots(n, x)
     for _ in range(_NEWTON_STEPS):
         p, dp = _legendre(n, x)
         step = p / dp
-        x = x - step
         if np.max(np.abs(step)) <= 1e-15:
             break
+        x = x - step
     else:
         raise QuadratureAccuracyError(f"Gauss-Legendre nodes of order {n} did not converge")
-    _, dp = _legendre(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     nodes = np.concatenate([-x, x[::-1][n % 2:]])
     weights = np.concatenate([w, w[::-1][n % 2:]])

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,11 +165,12 @@ class TestGenericExpectation:
 
     def test_one_state_evaluation_per_time_block(self, monkeypatch):
         # every observable is contracted with the same pair sums: one
-        # factored pass per block of anchors and ANCHOR_STRIDE steps, not one
-        # per observable.  A run of w levels takes its anchors in whole
-        # groups of TIME_BLOCK, at most (LEVEL_CHUNK + 1) // w groups a
-        # block, balanced over the blocks; an anchor off the step table
-        # takes one more pass of its own
+        # factored pass per block of anchors and step table, not one per
+        # observable.  A run of w levels at stride s takes its anchors in
+        # whole groups of TIME_BLOCK, at most
+        # (LEVEL_CHUNK + 1) // w * MIN_ANCHOR_STRIDE // s groups a block,
+        # balanced over the blocks; an anchor off the step table takes one
+        # more pass of its own
         calls = []
 
         def counted(anchors, steps, owned):
@@ -176,30 +181,35 @@ class TestGenericExpectation:
         monkeypatch.setattr(evolution, "_factored_pair_sums", counted)
         packet, _, _ = engine_setup(CFG, N_REF, 5, +1)
         omega = cyclotron_frequency(CFG, N_REF, 1)[0]
-        # the horizon's 512 anchors over 100 levels take 4 blocks of 8
-        # groups; 16 anchors take one group over a full chunk or a few levels
-        assert evolution._time_block(512, 100) == 8 * evolution.TIME_BLOCK
-        assert evolution._time_block(16, evolution.LEVEL_CHUNK + 1) == evolution.TIME_BLOCK
-        assert evolution._time_block(16, 3) == evolution.TIME_BLOCK
+        block = evolution.TIME_BLOCK
+        # 512 anchors at stride 16 over 100 levels take 4 blocks of 8
+        # groups; the horizon's 128 anchors at stride 64 take 4 blocks of 2,
+        # so a block's pair sums cover 2048 samples either way; 16 anchors
+        # take one group over a full chunk or a few levels, at any stride
+        assert evolution._time_block(512, 100, 16) == 8 * block
+        assert evolution._time_block(128, 100, 64) == 2 * block
+        assert evolution._time_block(16, evolution.LEVEL_CHUNK + 1, 16) == block
+        assert evolution._time_block(256, evolution.LEVEL_CHUNK + 1, 256) == block
+        assert evolution._time_block(16, 3, 16) == block
 
-        # 64 anchors, 4 groups, over 5 levels: one block
+        # 1024 samples at stride 32: 32 anchors, 2 groups, over 5 levels
+        # are one block against a 32-row step table
         evolve_packet(packet, CFG, sample_times(omega, samples=1024))
-        rows = 4 * evolution.TIME_BLOCK
-        assert calls == [((2, rows, 5), (2, evolution.ANCHOR_STRIDE, 5), 5)]
+        assert calls == [((2, 2 * block, 5), (2, 32, 5), 5)]
 
-        # at most 3 groups a block: two blocks of 2 groups, not 3 and 1
+        # 2048 samples at stride 32: 64 anchors, 4 groups; at most 3 groups
+        # a block makes two blocks of 2 groups, not 3 and 1
         calls.clear()
-        monkeypatch.setattr(evolution, "LEVEL_CHUNK", 15)
-        evolve_packet(packet, CFG, sample_times(omega, samples=1024))
-        rows = 2 * evolution.TIME_BLOCK
-        assert calls == [((2, rows, 5), (2, evolution.ANCHOR_STRIDE, 5), 5)] * 2
+        monkeypatch.setattr(evolution, "LEVEL_CHUNK", 30)
+        evolve_packet(packet, CFG, sample_times(omega, samples=2048))
+        assert calls == [((2, 2 * block, 5), (2, 32, 5), 5)] * 2
 
-        block = (2, evolution.TIME_BLOCK, 5), (2, evolution.ANCHOR_STRIDE, 5), 5
+        stride = evolution.MIN_ANCHOR_STRIDE
         calls.clear()
         times = sample_times(omega, samples=40)
         times[20] += 0.25 * times[1]  # the second of three anchors leaves the table
         evolve_packet(packet, CFG, times)
-        assert calls == [block, ((2, 1, 5), (2, evolution.ANCHOR_STRIDE, 5), 5)]
+        assert calls == [((2, block, 5), (2, stride, 5), 5), ((2, 1, 5), (2, stride, 5), 5)]
 
         # chunks of two levels own levels (0, 1), (2, 3) and (4,), and read
         # one level more where there is one: the same passes once per chunk
@@ -211,24 +221,69 @@ class TestGenericExpectation:
             call
             for width, owned in runs
             for call in (
-                ((2, evolution.TIME_BLOCK, width), (2, evolution.ANCHOR_STRIDE, width), owned),
-                ((2, 1, width), (2, evolution.ANCHOR_STRIDE, width), owned),
+                ((2, block, width), (2, stride, width), owned),
+                ((2, 1, width), (2, stride, width), owned),
             )
         ]
 
+    def test_anchor_stride_from_the_grid_length(self):
+        # the largest power of two <= sqrt(T), never below 16
+        samples = [0, 1, 2, 40, 256, 1023, 1024, 4095, 8192, 65536]
+        strides = [16, 16, 16, 16, 16, 16, 32, 32, 64, 256]
+        assert [evolution.anchor_stride(size) for size in samples] == strides
+
+    def test_horizon_takes_its_exponentials_at_the_anchors_and_steps(self, monkeypatch):
+        # the 100-level, 8192-sample horizon evaluates T/s + s = 128 + 64
+        # phases per state
+        rows = []
+
+        def counted(energies, times, out=None):
+            rows.append(np.size(times))
+            return phases(energies, times, out)
+
+        phases = evolution._phases
+        monkeypatch.setattr(evolution, "_phases", counted)
+        packet = build_spinor_packet(100, 100, CFG, +1)
+        energies = relative_energies(packet, CFG, EXACT)
+        period = 2 * math.pi / classical_reference(CFG, 100, +1).kin.omega_a
+        times = sample_times(cyclotron_frequency(CFG, 100, 1)[0], samples=8192, t_max=period)
+        expectation_series(packet, CFG, energies, times)
+        assert sum(rows) <= 8192 // 64 + 64
+
     def test_anchor_sums_do_not_depend_on_their_block(self):
         # an anchor's pair sums are the same bits alone (off the table) as in
-        # a block: a one-row product would take BLAS's matrix-vector kernel;
-        # 999 owned levels of 1000 are a chunk that reads one level more
-        rng = np.random.default_rng(5)
-        energies = rng.uniform(-50.0, 50.0, (2, 1000))
-        anchors = evolution._phases(energies, rng.uniform(0.0, 1.0, evolution.TIME_BLOCK))
-        steps = evolution._phases(energies, rng.uniform(0.0, 0.1, evolution.ANCHOR_STRIDE))
-        for owned in (1000, 999):
-            block = evolution._factored_pair_sums(anchors, steps, owned)
-            for row in (0, 7, evolution.TIME_BLOCK - 1):
-                alone = evolution._factored_pair_sums(anchors[:, row : row + 1], steps, owned)[0]
-                np.testing.assert_array_equal(alone, block[row])
+        # a block, under one BLAS thread and two: a one-row product would
+        # take BLAS's matrix-vector kernel, and with two threads a block of
+        # 16 anchors times a table of 32 or more steps in one product gives
+        # other last bits than the anchor alone at 150 and 300 levels.  A run
+        # of n levels of which n - 1 are owned is a chunk that reads one
+        # level more
+        src = str(Path(evolution.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        probe = """
+import numpy as np
+from landau_packets import evolution
+rng = np.random.default_rng(5)
+for levels, table in ((1000, 16), (150, 64), (300, 64)):
+    energies = rng.uniform(-50.0, 50.0, (2, levels))
+    anchors = evolution._phases(energies, rng.uniform(0.0, 1.0, evolution.TIME_BLOCK))
+    steps = evolution._phases(energies, rng.uniform(0.0, 0.1, table))
+    for owned in (levels, levels - 1):
+        block = evolution._factored_pair_sums(anchors, steps, owned)
+        for row in (0, 7, evolution.TIME_BLOCK - 1):
+            alone = evolution._factored_pair_sums(anchors[:, row : row + 1], steps, owned)[0]
+            np.testing.assert_array_equal(alone, block[row])
+print("ok")
+"""
+        for threads in ("1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-c", probe],
+                env={**env, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True,
+                text=True,
+            )
+            assert result.returncode == 0, result.stdout + result.stderr
+            assert result.stdout.split() == ["ok"]
 
     def test_phases_are_the_complex_exponentials(self):
         # cos and sin of the real angle are np.exp of -i*dE*t bit for bit,
@@ -249,7 +304,7 @@ class TestGenericExpectation:
         times = sample_times(cyclotron_frequency(CFG, N_REF, 1)[0], samples=1024)
         jittered = times + 0.25 * times[1] * np.sin(np.arange(times.size))
         whole = [expectation_series(packet, CFG, energies, grid) for grid in (times, jittered)]
-        monkeypatch.setattr(evolution, "_time_block", lambda anchors, width: evolution.TIME_BLOCK)
+        monkeypatch.setattr(evolution, "_time_block", lambda anchors, width, stride: evolution.TIME_BLOCK)
         for grid, values in zip((times, jittered), whole):
             np.testing.assert_array_equal(expectation_series(packet, CFG, energies, grid), values)
         monkeypatch.setattr(evolution, "TIME_BLOCK", 7)
@@ -325,6 +380,15 @@ class TestPhaseAccuracy:
         reference = reference_series(packet, CFG, energies, times)
         assert np.max(np.abs(values - reference)) < 1e-12
 
+    def test_ten_thousand_levels_at_stride_32(self):
+        # 1024 samples take 32 anchors of 32 steps; 2.2e-13 measured
+        packet, energies, _ = engine_setup(CFG, 10000, 10000, +1)
+        times = sample_times(cyclotron_frequency(CFG, 10000, 1)[0], samples=1024)
+        assert evolution.anchor_stride(times.size) == 32
+        values = expectation_series(packet, CFG, energies, times)
+        reference = reference_series(packet, CFG, energies, times)
+        assert np.max(np.abs(values - reference)) < 1e-12
+
     def test_ten_thousand_levels_partial_last_anchor(self):
         # the default grid cut to 250 samples: the last anchor steps 10
         # samples through the first rows of the table; 1.9e-13 measured
@@ -354,7 +418,8 @@ class TestPhaseAccuracy:
 
     def test_exact_mode_over_one_anomalous_period(self):
         # the exact-mode trajectory of the horizon benchmark: 100 levels at
-        # n = 100, 8192 samples over one anomalous period; 1.7e-12 measured
+        # n = 100, 8192 samples over one anomalous period at stride 64;
+        # 2.0e-12 measured
         cfg = FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=0.5)
         packet = build_spinor_packet(100, 100, cfg, +1)
         energies = relative_energies(packet, cfg, EXACT)

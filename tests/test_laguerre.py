@@ -161,24 +161,52 @@ class TestRadialRule:
 
     def test_end_weights_against_forty_digits(self):
         # the weights 2 / ((1 - x^2) P_n'(x)^2) where 1 - x^2 is smallest, at
-        # the roots of P_200 found to 40 digits
-        order = 200
-        nodes, weights = radial_rule(order)
+        # the roots of P_n found to 40 digits.  At order 400 they read
+        # 1.93e-12: the weight at a node rounded to double moves by
+        # delta_x / (1 - x) from the one at the root
+        for order, bound in ((200, 1e-13), (400, 1.95e-12)):
+            nodes, weights = radial_rule(order)
 
-        def legendre_and_slope(x):
-            p = mpmath.legendre(order, x)
-            return p, order * (x * p - mpmath.legendre(order - 1, x)) / (x * x - 1)
+            def legendre_and_slope(x):
+                p = mpmath.legendre(order, x)
+                return p, order * (x * p - mpmath.legendre(order - 1, x)) / (x * x - 1)
 
-        with mpmath.workdps(40):
-            for i in (0, -1):
-                x = mpmath.mpf(nodes[i])
-                for _ in range(6):
-                    p, slope = legendre_and_slope(x)
-                    x -= p / slope
-                _, slope = legendre_and_slope(x)
-                exact = 2 / ((1 - x * x) * slope**2)
-                assert abs(nodes[i] - x) <= 1e-16
-                assert abs(weights[i] - exact) <= 1e-13 * exact
+            with mpmath.workdps(40):
+                for i in (0, -1):
+                    x = mpmath.mpf(nodes[i])
+                    for _ in range(6):
+                        p, slope = legendre_and_slope(x)
+                        x -= p / slope
+                    _, slope = legendre_and_slope(x)
+                    exact = 2 / ((1 - x * x) * slope**2)
+                    assert abs(nodes[i] - x) <= 1e-16
+                    assert abs(weights[i] - exact) <= bound * exact
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 7, 200, 201, 206, 400, 801, 2000])
+    def test_two_recurrence_passes(self, order, monkeypatch):
+        # one pass at Tricomi's estimates feeds the Taylor polynomial, and
+        # one at its roots confirms them and gives the weights
+        calls = []
+
+        def counted(n, x):
+            calls.append(n)
+            return legendre(n, x)
+
+        legendre = laguerre._legendre
+        monkeypatch.setattr(laguerre, "_legendre", counted)
+        radial_rule.__wrapped__(order)
+        assert 0 < len(calls) <= 2
+
+    def test_newton_on_the_recurrence_takes_over_from_the_taylor_step(self, monkeypatch):
+        # without the Taylor correction the confirming pass runs Newton's
+        # method from Tricomi's estimates; the nodes agree to 1 ulp of 1,
+        # and the weights to the 1.2e-11 that moves an end weight of order
+        # 400 (delta_x / (1 - x) with 1 - x = 1.8e-5)
+        nodes, weights = radial_rule.__wrapped__(400)
+        monkeypatch.setattr(laguerre, "_TAYLOR_STEPS", 0)
+        newton_nodes, newton_weights = radial_rule.__wrapped__(400)
+        assert np.max(np.abs(newton_nodes - nodes)) <= 2.3e-16
+        np.testing.assert_allclose(newton_weights, weights, rtol=2e-11, atol=0)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 7, 200, 201, 400, 801])
     def test_rule_is_symmetric_and_ascending(self, order):
