@@ -50,10 +50,7 @@ from .laguerre import (
     orthonormality_defect,
     semiclassical_convergence,
 )
-from .operators import (
-    OperatorBand,
-    build_operator_band,
-)
+from .operators import build_operator_band
 from .packets import (
     PacketSpec,
     StructureSums,

@@ -36,17 +36,12 @@ and a step part, so the sums of all anchors and steps are matrix products
 per level offset and spin pair (``_factored_pair_sums``), with an anchor off
 the table taking the same products against its own steps.  Anchors and
 steps are stored spin-major, (S, rows, levels), so both parts are products
-of contiguous rows.  The anchors are evolved in blocks sized from the run
-of levels and the stride (``_time_block``): whole groups of TIME_BLOCK, as
-many as keep the block's exponentials within those of TIME_BLOCK anchors
-over a full chunk and its pair sums within the samples of as many anchors
-at MIN_ANCHOR_STRIDE, so a short packet on a long grid pays the work of a
-block a few times rather than once per TIME_BLOCK anchors.  Each product
-takes one group of TIME_BLOCK anchors and MIN_ANCHOR_STRIDE steps, the
-products of every grid under 1024 samples, since BLAS may sum an entry of
-a larger product in another order; the last block is padded with zero
-anchors and every step table with zero offsets, so every product has the
-same shape and no value depends on the block or on where it ends.
+of contiguous rows.  The anchors are evolved in blocks of TIME_BLOCK, and
+each product takes one block and MIN_ANCHOR_STRIDE steps, the products of
+every grid under 1024 samples, since BLAS may sum an entry of a larger
+product in another order; the last block is padded with zero anchors and
+every step table with zero offsets, so every product has the same shape
+and no value depends on the block or on where it ends.
 
 The level axis is worked through in chunks of LEVEL_CHUNK levels, each
 with its own step table and its anchors block by block.  A chunk reads one
@@ -103,10 +98,8 @@ EXACT = "exact"
 #: tolerance on the imaginary residue of a Hermitian expectation value
 HERMITIAN_IMAG_TOL = 1e-12
 
-#: anchors of one pair-sum product, and of one block over a full chunk;
-#: a shorter run of levels evolves whole groups of TIME_BLOCK anchors at
-#: once (``_time_block``), and the last block is padded with zero anchors,
-#: so every product has TIME_BLOCK rows
+#: anchors evolved at once, the rows of one pair-sum product; the last
+#: block is padded with zero anchors, so every product has TIME_BLOCK rows
 TIME_BLOCK = 16
 
 #: levels whose phases and pair sums are held at once; a chunk reads one
@@ -173,34 +166,22 @@ def anchor_stride(samples: int) -> int:
     return max(MIN_ANCHOR_STRIDE, 1 << (math.isqrt(max(samples, 1)).bit_length() - 1))
 
 
-def _time_block(anchors: int, width: int, stride: int) -> int:
-    """Anchors evolved at once over a run of ``width`` levels, ``stride``
-    samples each: whole groups of TIME_BLOCK, at most
-    (LEVEL_CHUNK + 1) // width * MIN_ANCHOR_STRIDE // stride of them but at
-    least one, as even as the blocks that ``anchors`` need allow.  A block's
-    exponentials then stay within (S, TIME_BLOCK, LEVEL_CHUNK + 1), and its
-    pair sums cover no more samples than a block did at MIN_ANCHOR_STRIDE,
-    unless one group is already more."""
-    groups = max(-(-anchors // TIME_BLOCK), 1)
-    most = max((LEVEL_CHUNK + 1) // width * MIN_ANCHOR_STRIDE // stride, 1)
-    blocks = -(-groups // most)
-    return TIME_BLOCK * -(-groups // blocks)
-
-
 def _factored_pair_sums(anchors: np.ndarray, steps: np.ndarray, owned: int) -> np.ndarray:
     """Pair sums of psi = anchors[:, K] * steps[:, r] for every anchor K and
     step r, shape (K, R, 3, S, S) in the layout of ``pair_sums``, without
     forming psi.
 
-    ``anchors`` (S, K, levels) and ``steps`` (S, R, levels) are spin-major
-    and span a run of levels whose first ``owned`` are summed over: the
-    d = 0 sums cover those levels, the d = +1 sums every pair (m, m + 1) of
-    the run, which takes in one level past the owned ones when the run has
-    it.  The sum over m of conj(psi[m + d, b]) * psi[m, k] factors into
-    X[K, m] * Y[r, m], with X = conj(anchors[b, K, m + d]) * anchors[k, K, m]
-    and Y the same product of the steps: (K x levels) @ (levels x R)
-    products per offset d in {0, +1} and spin pair (b, k), over contiguous
-    rows.  The d = -1 sums are the conjugate transposes of the d = +1 sums.
+    ``anchors`` (S, K, levels), one block of K <= TIME_BLOCK anchors, and
+    ``steps`` (S, R, levels) are spin-major and span a run of levels whose
+    first ``owned`` are summed over: the d = 0 sums cover those levels, the
+    d = +1 sums every pair (m, m + 1) of the run, which takes in one level
+    past the owned ones when the run has it.  The sum over m of
+    conj(psi[m + d, b]) * psi[m, k] factors into X[K, m] * Y[r, m], with
+    X = conj(anchors[b, K, m + d]) * anchors[k, K, m] and Y the same product
+    of the steps: one (K x levels) @ (levels x MIN_ANCHOR_STRIDE) product
+    per tile of steps, offset d in {0, +1} and spin pair (b, k), over
+    contiguous rows.  The d = -1 sums are the conjugate transposes of the
+    d = +1 sums.
     """
     spins, rows, levels = anchors.shape
     sums = np.empty((rows, steps.shape[1], 3, spins, spins), dtype=complex)
@@ -214,14 +195,11 @@ def _factored_pair_sums(anchors: np.ndarray, steps: np.ndarray, owned: int) -> n
                 xb, yb = x[:rows, :width], y[:, :width]
                 np.multiply(np.conjugate(anchors[b, :, d : d + width], out=xb), anchors[k, :, :width], out=xb)
                 np.multiply(np.conjugate(steps[b, :, d : d + width], out=yb), steps[k, :, :width], out=yb)
-                # one group of TIME_BLOCK anchors and MIN_ANCHOR_STRIDE steps
-                # per product, whatever the block and the table: BLAS may sum
-                # an entry of a larger product in another order
-                for first in range(0, rows, TIME_BLOCK):
-                    for col in range(0, y.shape[0], MIN_ANCHOR_STRIDE):
-                        cols = slice(col, col + MIN_ANCHOR_STRIDE)
-                        product = x[first : first + TIME_BLOCK, :width] @ yb[cols].T
-                        sums[first : first + TIME_BLOCK, cols, SAME + d, b, k] = product[: rows - first]
+                # MIN_ANCHOR_STRIDE steps per product, whatever the table:
+                # BLAS may sum an entry of a wider product in another order
+                for col in range(0, y.shape[0], MIN_ANCHOR_STRIDE):
+                    cols = slice(col, col + MIN_ANCHOR_STRIDE)
+                    sums[:, cols, SAME + d, b, k] = (x[:, :width] @ yb[cols].T)[:rows]
     sums[:, :, DOWN] = sums[:, :, UP].conj().swapaxes(-1, -2)
     return sums
 
@@ -245,13 +223,15 @@ def expectation_series(
         raise DomainError(
             f"energies: expected shape {packet.amplitudes.shape}, got {np.shape(energies)}"
         )
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise DomainError("times: must be finite")
     names = MOMENTUM_OBSERVABLES if packet.kind == SCALAR else OBSERVABLES
     bands = (
         build_operator_band(packet.levels, name, cfg, packet.n, kind=packet.kind, zeta_ref=packet.epsilon)
         for name in names
     )
-    coefficients = np.stack([band.blocks.reshape(-1) for band in bands], axis=1)
-    times = np.asarray(times, dtype=float)
+    coefficients = np.stack([band.reshape(-1) for band in bands], axis=1)
     stride = anchor_stride(times.size)
     anchor_times = times[::stride]
     # offsets t_j - t_k by anchor and step, padded with zero steps past the
@@ -278,10 +258,9 @@ def expectation_series(
         chunk = energies[:, run]
         amplitudes = packet.amplitudes.T[:, None, run]
         table = _phases(chunk, offsets[0])
-        rows = _time_block(anchor_times.size, chunk.shape[1], stride)
-        anchors = np.zeros((spins, rows, chunk.shape[1]), dtype=complex)
-        for first in range(0, anchor_times.size, rows):
-            count = min(rows, anchor_times.size - first)
+        anchors = np.zeros((spins, TIME_BLOCK, chunk.shape[1]), dtype=complex)
+        for first in range(0, anchor_times.size, TIME_BLOCK):
+            count = min(TIME_BLOCK, anchor_times.size - first)
             block = _phases(chunk, anchor_times[first : first + count], out=anchors[:, :count])
             np.multiply(amplitudes, block, out=block)
             anchors[:, count:] = 0  # the last block is padded to the same rows
@@ -289,10 +268,11 @@ def expectation_series(
             for row in np.flatnonzero(~reuse[first : first + count]):
                 own = _phases(chunk, offsets[first + row])
                 sums[row] = _factored_pair_sums(anchors[:, row : row + 1], own, owned)[0]
-            start, stop = first * stride, min((first + rows) * stride, times.size)
+            start, stop = first * stride, min((first + TIME_BLOCK) * stride, times.size)
             values[start:stop] += sums.reshape(-1, coefficients.shape[0])[: stop - start] @ coefficients
     residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
-    if residue > HERMITIAN_IMAG_TOL:
+    # written so that a NaN residue fails too
+    if not residue <= HERMITIAN_IMAG_TOL:
         raise AccuracyError(
             f"imaginary residue {residue:.3e} of Hermitian expectation exceeds {HERMITIAN_IMAG_TOL}"
         )
@@ -309,11 +289,13 @@ def sample_times(omega: float, samples: int = 256, t_max: float | None = None) -
     if samples < 2:
         raise DomainError(f"samples: must be >= 2, got {samples}")
     if t_max is None:
-        if omega <= 0:
-            raise DomainError("omega: need a positive frequency to choose a default span")
+        if not 0 < omega < math.inf:
+            raise DomainError(f"omega: need a positive finite frequency to choose a default span, got {omega}")
         t_max = 4.0 * math.pi / omega
-    if t_max <= 0:
-        raise DomainError(f"t_max: must be > 0, got {t_max}")
+    if not 0 < t_max < math.inf:
+        raise DomainError(f"t_max: must be finite and > 0, got {t_max}")
+    if t_max * (samples - 1) == math.inf:
+        raise DomainError(f"t_max: {t_max} times {samples - 1} overflows the grid of {samples} samples")
     return t_max * np.arange(samples) / samples
 
 

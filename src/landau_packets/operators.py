@@ -7,15 +7,17 @@ the spin quantum number and also connect adjacent levels; the longitudinal
 spin components are diagonal in the level index with both spin-diagonal and
 spin-flip parts.  Every element uses the kinematic factors (b_perp, b, b_z,
 B) of the ``SpinKinematics`` of the packet's reference level, the frozen
-regime in which the closed-form trajectories are exact, so a band is its
-level window plus one complex table of shape (3, S, S): level offset
-d = m_bra - m_ket in {-1, 0, +1}, spin of the bra, spin of the ket; S = 1
-for spin-0 and S = 2 for spin-1/2.
+regime in which the closed-form trajectories are exact, so no element
+depends on the level and a band over any contiguous window is one complex
+table of shape (3, S, S): level offset d = m_bra - m_ket in {-1, 0, +1},
+spin of the bra, spin of the ket; S = 1 for spin-0 and S = 2 for
+spin-1/2.  The element between two states of the window is
+table[m_bra - m_ket + 1, spin_bra, spin_ket].  The table also carries its
+window and kind, so that ``entries`` can list its nonzero elements by state
+for inspection; the engine reads only the array.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,18 +77,14 @@ def block_table(observable: str, kind: str, kin: SpinKinematics) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class OperatorBand:
-    """Band-sparse matrix of one observable over a contiguous level window.
+class BandTable(np.ndarray):
+    """Block table of one observable over a contiguous level window: a
+    plain (3, S, S) array that also records its sorted ``levels`` and its
+    ``kind``, which views and copies keep."""
 
-    ``blocks`` is the read-only table of ``block_table``: the element between
-    two states of the window is blocks[m_bra - m_ket + 1, spin_bra, spin_ket].
-    """
-
-    observable: str
-    kind: str
-    levels: tuple[int, ...]
-    blocks: np.ndarray
+    def __array_finalize__(self, obj) -> None:
+        self.levels = getattr(obj, "levels", ())
+        self.kind = getattr(obj, "kind", SPINOR)
 
     @property
     def entries(self) -> dict[tuple[int, int, int, int], complex]:
@@ -100,21 +98,17 @@ class OperatorBand:
                     continue
                 for k, zeta_ket in enumerate(zetas):
                     for j, zeta_bra in enumerate(zetas):
-                        value = complex(self.blocks[i, j, k])
+                        value = complex(self[i, j, k])
                         if value != 0j:
                             out[(m_bra, zeta_bra, m_ket, zeta_ket)] = value
         return out
 
-    def hermiticity_defect(self) -> float:
-        """Largest deviation of a block element from the conjugate of its
-        mirror, the element at the opposite offset with the spins swapped."""
-        mirror = self.blocks[::-1].conj().transpose(0, 2, 1)
-        return float(np.max(np.abs(self.blocks - mirror)))
 
-    def band_width_defect(self) -> int:
-        """Largest |m_bra - m_ket| the table holds beyond one; zero for a
-        valid band."""
-        return max((self.blocks.shape[0] - 1) // 2 - 1, 0)
+def hermiticity_defect(table: np.ndarray) -> float:
+    """Largest deviation of a block element from the conjugate of its
+    mirror, the element at the opposite offset with the spins swapped."""
+    mirror = table[::-1].conj().transpose(0, 2, 1)
+    return float(np.max(np.abs(table - mirror)))
 
 
 def build_operator_band(
@@ -124,10 +118,10 @@ def build_operator_band(
     reference_n: int,
     kind: str = SPINOR,
     zeta_ref: int = 1,
-) -> OperatorBand:
-    """Band of one observable over a contiguous set of integer levels, in
-    any order, with the kinematic factors frozen at the reference state
-    (``reference_n``, ``zeta_ref``)."""
+) -> BandTable:
+    """Read-only block table of one observable over a contiguous set of
+    integer levels, in any order, with the kinematic factors frozen at the
+    reference state (``reference_n``, ``zeta_ref``)."""
     levels = tuple(sorted(levels))
     if not levels:
         raise DomainError("levels: must be nonempty")
@@ -140,6 +134,7 @@ def build_operator_band(
     if kind == SCALAR and observable in SPIN_OBSERVABLES:
         raise DomainError(f"observable: {observable} is undefined for spin-0 states")
     # from_field rejects a kind other than SCALAR and SPINOR
-    blocks = block_table(observable, kind, SpinKinematics.from_field(cfg, reference_n, zeta_ref, kind))
-    blocks.setflags(write=False)
-    return OperatorBand(observable=observable, kind=kind, levels=levels, blocks=blocks)
+    table = block_table(observable, kind, SpinKinematics.from_field(cfg, reference_n, zeta_ref, kind)).view(BandTable)
+    table.levels, table.kind = levels, kind
+    table.setflags(write=False)
+    return table

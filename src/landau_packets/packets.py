@@ -47,6 +47,8 @@ class PacketSpec:
         shape = (len(self.levels), len(spin_labels(self.kind)))
         if amplitudes.shape != shape:
             raise DomainError(f"amplitudes: expected shape {shape}, got {amplitudes.shape}")
+        if not np.all(np.isfinite(amplitudes)):
+            raise DomainError("amplitudes: must be finite")
         amplitudes.setflags(write=False)
         object.__setattr__(self, "amplitudes", amplitudes)
 

@@ -306,6 +306,8 @@ class Trajectory:
     def __post_init__(self) -> None:
         if self.times.ndim != 1:
             raise DomainError("times: must be one-dimensional")
+        if not np.all(np.isfinite(self.times)):
+            raise DomainError("times: must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise DomainError("times: must be strictly increasing")
         if self.p.shape != (self.times.size, 3):

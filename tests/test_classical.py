@@ -443,6 +443,14 @@ class TestTrajectoryContainer:
         with pytest.raises(DomainError):
             Trajectory(times=np.array([0.0, 0.0, 1.0]), p=np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_times_must_be_finite(self, bad):
+        # a NaN passes the increase check, since NaN <= 0 is false
+        with pytest.raises(DomainError, match="^times: must be finite$"):
+            Trajectory(times=np.array([0.0, bad, 2.0]), p=np.zeros((3, 3)))
+        with pytest.raises(DomainError, match="^times: must be finite$"):
+            Trajectory(times=np.array([0.0, 1.0, bad]), p=np.zeros((3, 3)))
+
     def test_csv_requires_spin(self, tmp_path):
         traj = Trajectory(times=np.array([0.0, 1.0]), p=np.zeros((2, 3)))
         with pytest.raises(DomainError):

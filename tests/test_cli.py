@@ -206,6 +206,15 @@ class TestVerifyCommand:
         assert len(report["checks"]) == len(verify.ALL_CHECKS) == 13
         assert all(check["passed"] for check in report["checks"])
 
+    def test_dirac_case_at_rest_with_negative_helicity(self, tmp_path):
+        # kappa = -1 exactly, where the linear form kappa/(kappa+1) that
+        # structure-sums records has no value
+        code = main(["verify", "--anomaly", "0", "--b-z", "0", "--epsilon", "-1", "--output-dir", str(tmp_path)])
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert code == EXIT_OK
+        sums = next(check for check in report["checks"] if check["name"] == "structure-sums")
+        assert sums["details"]["linear_form_value"] is None
+
     def test_paper_scale_passes(self, tmp_path, capsys):
         # 10^4 levels at the default h, b_z and anomaly: the default step
         # must resolve the anomalous coupling frequency for the drift check

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -151,26 +152,42 @@ class TestGenericExpectation:
         from landau_packets.errors import AccuracyError
 
         def broken(levels, observable, *args, **kwargs):
-            band = build_operator_band(levels, observable, *args, **kwargs)
+            table = build_operator_band(levels, observable, *args, **kwargs)
             if observable != "Px":
-                return band
-            blocks = band.blocks.copy()
-            blocks[2, 0, 0] += 0.5  # breaks Hermiticity
-            return replace(band, blocks=blocks)
+                return table
+            table = table.copy()
+            table[2, 0, 0] += 0.5  # breaks Hermiticity
+            return table
 
         monkeypatch.setattr(evolution, "build_operator_band", broken)
         packet, energies, times = engine_setup(CFG, N_REF, 3, +1)
         with pytest.raises(AccuracyError):
             expectation_series(packet, CFG, energies, times)
 
+    def test_hermitian_residue_gate_fails_a_nan_residue(self):
+        # NaN > tol is false, so the gate is written as not residue <= tol;
+        # the amplitudes are set past the packet's own finiteness check
+        from landau_packets.errors import AccuracyError
+
+        packet, energies, times = engine_setup(CFG, N_REF, 3, +1)
+        object.__setattr__(packet, "amplitudes", np.full(packet.amplitudes.shape, complex(np.nan)))
+        with pytest.raises(AccuracyError, match="imaginary residue nan"):
+            expectation_series(packet, CFG, energies, times)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_rejected(self, bad):
+        packet, energies, times = engine_setup(CFG, N_REF, 3, +1)
+        times = times.copy()
+        times[5] = bad
+        with pytest.raises(DomainError, match="^times: must be finite$"):
+            expectation_series(packet, CFG, energies, times)
+
     def test_one_state_evaluation_per_time_block(self, monkeypatch):
         # every observable is contracted with the same pair sums: one
-        # factored pass per block of anchors and step table, not one per
-        # observable.  A run of w levels at stride s takes its anchors in
-        # whole groups of TIME_BLOCK, at most
-        # (LEVEL_CHUNK + 1) // w * MIN_ANCHOR_STRIDE // s groups a block,
-        # balanced over the blocks; an anchor off the step table takes one
-        # more pass of its own
+        # factored pass per block of TIME_BLOCK anchors and step table, not
+        # one per observable, whatever the run of levels and the stride; the
+        # last block is padded to TIME_BLOCK anchors, and an anchor off the
+        # step table takes one more pass of its own
         calls = []
 
         def counted(anchors, steps, owned):
@@ -182,27 +199,16 @@ class TestGenericExpectation:
         packet, _, _ = engine_setup(CFG, N_REF, 5, +1)
         omega = cyclotron_frequency(CFG, N_REF, 1)[0]
         block = evolution.TIME_BLOCK
-        # 512 anchors at stride 16 over 100 levels take 4 blocks of 8
-        # groups; the horizon's 128 anchors at stride 64 take 4 blocks of 2,
-        # so a block's pair sums cover 2048 samples either way; 16 anchors
-        # take one group over a full chunk or a few levels, at any stride
-        assert evolution._time_block(512, 100, 16) == 8 * block
-        assert evolution._time_block(128, 100, 64) == 2 * block
-        assert evolution._time_block(16, evolution.LEVEL_CHUNK + 1, 16) == block
-        assert evolution._time_block(256, evolution.LEVEL_CHUNK + 1, 256) == block
-        assert evolution._time_block(16, 3, 16) == block
 
-        # 1024 samples at stride 32: 32 anchors, 2 groups, over 5 levels
-        # are one block against a 32-row step table
+        # 1024 samples at stride 32: 32 anchors over 5 levels are two
+        # blocks against a 32-row step table
         evolve_packet(packet, CFG, sample_times(omega, samples=1024))
-        assert calls == [((2, 2 * block, 5), (2, 32, 5), 5)]
+        assert calls == [((2, block, 5), (2, 32, 5), 5)] * 2
 
-        # 2048 samples at stride 32: 64 anchors, 4 groups; at most 3 groups
-        # a block makes two blocks of 2 groups, not 3 and 1
+        # 1100 samples at stride 32: 35 anchors, the third block padded
         calls.clear()
-        monkeypatch.setattr(evolution, "LEVEL_CHUNK", 30)
-        evolve_packet(packet, CFG, sample_times(omega, samples=2048))
-        assert calls == [((2, 2 * block, 5), (2, 32, 5), 5)] * 2
+        evolve_packet(packet, CFG, sample_times(omega, samples=1100))
+        assert calls == [((2, block, 5), (2, 32, 5), 5)] * 3
 
         stride = evolution.MIN_ANCHOR_STRIDE
         calls.clear()
@@ -297,16 +303,11 @@ print("ok")
         np.testing.assert_array_equal(phases.view(np.uint64), expected.view(np.uint64))
 
     def test_time_blocks_do_not_change_values(self, monkeypatch):
-        # blocks of one group of TIME_BLOCK anchors give the bits of one
-        # block of four, since every product takes one group; groups of 7
-        # anchors move the values by roundoff only
+        # blocks of 7 anchors move the values by roundoff only
         packet, energies, _ = engine_setup(CFG, N_REF, 5, +1)
         times = sample_times(cyclotron_frequency(CFG, N_REF, 1)[0], samples=1024)
         jittered = times + 0.25 * times[1] * np.sin(np.arange(times.size))
         whole = [expectation_series(packet, CFG, energies, grid) for grid in (times, jittered)]
-        monkeypatch.setattr(evolution, "_time_block", lambda anchors, width, stride: evolution.TIME_BLOCK)
-        for grid, values in zip((times, jittered), whole):
-            np.testing.assert_array_equal(expectation_series(packet, CFG, energies, grid), values)
         monkeypatch.setattr(evolution, "TIME_BLOCK", 7)
         for grid, values in zip((times, jittered), whole):
             np.testing.assert_allclose(expectation_series(packet, CFG, energies, grid), values, rtol=0, atol=1e-15)
@@ -354,7 +355,7 @@ def reference_series(packet, cfg, energies, times, block=16):
     sums accumulated in long double, independently of the engine and of
     ``pair_sums``."""
     bands = [build_operator_band(packet.levels, name, cfg, packet.n, zeta_ref=packet.epsilon) for name in OBSERVABLES]
-    coefficients = np.stack([band.blocks.reshape(-1) for band in bands], axis=1)
+    coefficients = np.stack([band.reshape(-1) for band in bands], axis=1)
     energies = np.asarray(energies, dtype=np.longdouble)
     out = np.empty((len(times), len(bands)))
     for start in range(0, len(times), block):
@@ -577,18 +578,19 @@ class TestExactMode:
         packet = with_phases(build_spinor_packet(N_REF, 5, CFG, +1), rng.uniform(0, 2 * math.pi, size=5))
         energies = relative_energies(packet, CFG, EXACT)
         times = sample_times(cyclotron_frequency(CFG, N_REF, 1)[0], samples=16)
-        amplitude = {
-            (zeta, m): packet.amplitudes[i, j]
-            for i, m in enumerate(packet.levels)
-            for j, zeta in enumerate(spin_labels(SPINOR))
-        }
+        zetas = spin_labels(SPINOR)
+        states = list(product(range(len(packet.levels)), range(len(zetas))))
         actual = expectation_series(packet, CFG, energies, times)
         for column, name in enumerate(OBSERVABLES):
-            band = build_operator_band(packet.levels, name, CFG, N_REF)
+            table = build_operator_band(packet.levels, name, CFG, N_REF)
             expected = np.zeros(times.size, dtype=complex)
-            for (mb, zb, mk, zk), value in band.entries.items():
-                weight = amplitude[(zb, mb)].conjugate() * amplitude[(zk, mk)] * value
-                gap = energy_spinor(CFG, mb, zb) - energy_spinor(CFG, mk, zk)
+            for (ib, jb), (ik, jk) in product(states, states):
+                if abs(ib - ik) > 1:
+                    continue
+                value = table[ib - ik + 1, jb, jk]
+                weight = packet.amplitudes[ib, jb].conjugate() * packet.amplitudes[ik, jk] * value
+                mb, mk = packet.levels[ib], packet.levels[ik]
+                gap = energy_spinor(CFG, mb, zetas[jb]) - energy_spinor(CFG, mk, zetas[jk])
                 expected += weight * np.exp(1j * gap * times)
             np.testing.assert_allclose(actual[:, column], expected.real, rtol=0, atol=1e-12, err_msg=name)
 
@@ -659,3 +661,16 @@ class TestSampling:
             sample_times(0.3, samples=1)
         with pytest.raises(DomainError):
             sample_times(0.3, t_max=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_span_rejected(self, bad):
+        with pytest.raises(DomainError, match="^t_max: must be finite and > 0, got"):
+            sample_times(1.0, 4, t_max=bad)
+        with pytest.raises(DomainError, match="^omega: need a positive finite frequency"):
+            sample_times(bad, 4)
+
+    def test_overflowing_grid_rejected(self):
+        # 1e308 * 3 overflows before the division by the sample count
+        with pytest.raises(DomainError, match="^t_max: 1e[+]308 times 3 overflows the grid of 4 samples$"):
+            sample_times(1.0, 4, t_max=1e308)
+        assert sample_times(1.0, 4, t_max=1e307)[-1] == 1e307 * 3 / 4

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from landau_packets.errors import DomainError, SingularConfigurationError
@@ -9,8 +10,10 @@ from landau_packets.operators import (
     MOMENTUM_OBSERVABLES,
     NO_SPIN,
     OBSERVABLES,
+    OFFSETS,
     block_table,
     build_operator_band,
+    hermiticity_defect,
     spin_labels,
 )
 
@@ -106,37 +109,72 @@ class TestSpinElements:
         assert spin(5, -1, 4, -1, "y", 0.7, self.B_PERP, self.ENERGY) == 0j
 
 
+def window_count(table, level_count):
+    """Nonzero elements of a band over ``level_count`` adjacent levels: the
+    elements of offset d appear once per level pair (m + d, m) in the
+    window."""
+    return sum(
+        int(np.count_nonzero(table[d + 1])) * max(level_count - abs(d), 0) for d in OFFSETS
+    )
+
+
 class TestOperatorBands:
     def test_single_level_px_empty(self):
-        band = build_operator_band([7], "Px", CFG, 7)
-        assert band.entries == {}
+        # one level holds only the offset-0 block, which Px leaves empty
+        table = build_operator_band([7], "Px", CFG, 7)
+        assert window_count(table, 1) == 0
 
     def test_pz_structure_count(self):
-        band = build_operator_band([6, 7, 8], "Pz", CFG, 7)
-        assert len(band.entries) == 6  # 2 spins x 3 levels, diagonal
-        for (mb, zb, mk, zk), value in band.entries.items():
-            assert mb == mk and zb == zk
-            assert value == 0.7
+        table = build_operator_band([6, 7, 8], "Pz", CFG, 7)
+        assert window_count(table, 3) == 6  # 2 spins x 3 levels, diagonal
+        np.testing.assert_array_equal(table[1], np.diag([0.7, 0.7]))
+        assert not np.any(table[[0, 2]])
+
+    @pytest.mark.parametrize(
+        "kind,counts",
+        [
+            pytest.param(SCALAR, {"Px": 12, "Py": 12, "Pz": 7}, id=SCALAR),
+            pytest.param(SPINOR, {"Px": 24, "Py": 24, "Pz": 14, "Sx": 24, "Sy": 24, "Sz": 28, "S0": 28}, id=SPINOR),
+        ],
+    )
+    def test_element_count_over_seven_levels(self, kind, counts):
+        # over L = 7 levels with S spins and b_z != 0: 2 (L - 1) S for the
+        # transverse components, S L for Pz and 2 S L for Sz and S0
+        cfg = FieldConfig(h=0.1, b_z=0.4)
+        for name, count in counts.items():
+            table = build_operator_band(range(8, 15), name, cfg, 11, kind=kind)
+            assert window_count(table, 7) == count, name
+
+    @pytest.mark.parametrize("kind", [SCALAR, SPINOR])
+    def test_entries_list_the_table_by_state(self, kind):
+        zetas = spin_labels(kind)
+        for name in OBSERVABLES if kind == SPINOR else MOMENTUM_OBSERVABLES:
+            table = build_operator_band([9, 7, 8], name, CFG, 8, kind=kind)
+            entries = table.entries
+            assert len(entries) == window_count(table, 3), name
+            for (m_bra, zeta_bra, m_ket, zeta_ket), value in entries.items():
+                assert value == table[m_bra - m_ket + 1, zetas.index(zeta_bra), zetas.index(zeta_ket)]
 
     def test_every_band_is_hermitian_and_banded(self):
         for name in OBSERVABLES:
-            band = build_operator_band(range(5, 10), name, CFG, 7)
-            assert band.hermiticity_defect() == 0.0
-            assert band.band_width_defect() == 0
+            table = build_operator_band(range(5, 10), name, CFG, 7)
+            assert hermiticity_defect(table) == 0.0
+            assert table.shape == (len(OFFSETS), 2, 2)
 
     def test_momentum_blocks_spin_diagonal(self):
-        band = build_operator_band(range(5, 10), "Px", CFG, 7)
-        assert all(zb == zk for (_, zb, _, zk) in band.entries)
+        table = build_operator_band(range(5, 10), "Px", CFG, 7)
+        assert np.any(table)
+        assert not np.any(table[:, [0, 1], [1, 0]])
 
     def test_transverse_spin_blocks_spin_flip(self):
         for name in ("Sx", "Sy"):
-            band = build_operator_band(range(5, 10), name, CFG, 7)
-            assert band.entries
-            assert all(zb == -zk for (_, zb, _, zk) in band.entries)
+            table = build_operator_band(range(5, 10), name, CFG, 7)
+            assert np.any(table)
+            assert not np.any(table[:, [0, 1], [0, 1]])
 
     def test_scalar_band(self):
-        band = build_operator_band([6, 7, 8], "Py", CFG, 7, kind=SCALAR)
-        assert all(zb == 0 and zk == 0 for (_, zb, _, zk) in band.entries)
+        table = build_operator_band([6, 7, 8], "Py", CFG, 7, kind=SCALAR)
+        assert table.shape == (len(OFFSETS), 1, 1)
         with pytest.raises(DomainError):
             build_operator_band([6, 7, 8], "Sx", CFG, 7, kind=SCALAR)
 
@@ -154,28 +192,34 @@ class TestOperatorBands:
             build_operator_band([4, 2, 1, 2], "Px", CFG, 2)
 
     def test_frozen_mode_uses_reference_level(self):
-        band = build_operator_band([6, 7], "Py", CFG, 7)
-        value = band.entries[(7, +1, 6, +1)]
+        # the element between (7, +1) and (6, +1), offset +1
+        table = build_operator_band([6, 7], "Py", CFG, 7)
         expected = 0.5 * 2.0 * math.sqrt(CFG.h * 7)
-        assert value == pytest.approx(expected, rel=1e-14)
-        band_low_ref = build_operator_band([6, 7], "Py", CFG, 6)
-        assert band_low_ref.entries[(7, +1, 6, +1)] == pytest.approx(
-            0.5 * 2.0 * math.sqrt(CFG.h * 6), rel=1e-14
-        )
+        assert table[2, 1, 1] == pytest.approx(expected, rel=1e-14)
+        table_low_ref = build_operator_band([6, 7], "Py", CFG, 6)
+        assert table_low_ref[2, 1, 1] == pytest.approx(0.5 * 2.0 * math.sqrt(CFG.h * 6), rel=1e-14)
 
     def test_one_read_only_table_per_band(self):
         spinor = build_operator_band(range(5, 10), "Sx", CFG, 7)
         scalar = build_operator_band(range(5, 10), "Px", CFG, 7, kind=SCALAR)
-        assert spinor.blocks.shape == (3, 2, 2)
-        assert scalar.blocks.shape == (3, 1, 1)
+        assert spinor.shape == (3, 2, 2)
+        assert scalar.shape == (3, 1, 1)
         with pytest.raises(ValueError):
-            spinor.blocks[0, 0, 0] = 1.0
+            spinor[0, 0, 0] = 1.0
 
     def test_non_hermitian_table_detected(self):
-        band = build_operator_band(range(5, 10), "Px", CFG, 7)
-        blocks = band.blocks.copy()
-        blocks[2, 0, 0] += 0.5
-        assert replace(band, blocks=blocks).hermiticity_defect() == 0.5
+        table = build_operator_band(range(5, 10), "Px", CFG, 7).copy()
+        table[2, 0, 0] += 0.5
+        assert hermiticity_defect(table) == 0.5
+
+    def test_band_check_rejects_a_table_of_another_shape(self, monkeypatch):
+        # a zero table of offsets -2 ... +2 is Hermitian but no band
+        from landau_packets import operators, verify
+
+        monkeypatch.setattr(operators, "build_operator_band", lambda *args, **kwargs: np.zeros((5, 2, 2)))
+        result = verify.check_band_hermiticity(CFG, 7, +1)
+        assert not result.passed
+        assert result.residual == 1.0
 
     @pytest.mark.parametrize("kind", [SCALAR, SPINOR])
     @pytest.mark.parametrize("zeta_ref", [-1, 1])
@@ -183,8 +227,8 @@ class TestOperatorBands:
         # a band's table is block_table of the one frozen reference, bit for bit
         kin = SpinKinematics.from_field(CFG, 7, zeta_ref, kind)
         for name in MOMENTUM_OBSERVABLES if kind == SCALAR else OBSERVABLES:
-            band = build_operator_band([6, 7, 8], name, CFG, 7, kind=kind, zeta_ref=zeta_ref)
-            assert band.blocks.tobytes() == block_table(name, kind, kin).tobytes()
+            table = build_operator_band([6, 7, 8], name, CFG, 7, kind=kind, zeta_ref=zeta_ref)
+            assert table.tobytes() == block_table(name, kind, kin).tobytes()
 
     @pytest.mark.parametrize("cfg,reference_n", [(replace(CFG, h=0.0), 7), (CFG, 0)])
     def test_spinor_band_without_transverse_momentum_rejected(self, cfg, reference_n):
@@ -205,8 +249,8 @@ class TestQuadratureOracleAgreement:
         deviations = []
         for n in (20, 80):
             for component in ("x", "y"):
-                band = build_operator_band([n, n + 1], f"P{component}", cfg, n, kind=SCALAR)
-                closed = band.entries[(n + 1, NO_SPIN, n, NO_SPIN)]
+                # the element between levels n + 1 and n, offset +1
+                closed = build_operator_band([n, n + 1], f"P{component}", cfg, n, kind=SCALAR)[2, 0, 0]
                 exact = momentum_element_quadrature(
                     QuantumNumbers(n + 1, 0), QuantumNumbers(n, 0), component, cfg
                 )

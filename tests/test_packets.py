@@ -199,6 +199,16 @@ class TestAmplitudeArray:
         with pytest.raises(DomainError):
             PacketSpec(kind="spinor", n=10, levels=(9, 10, 11), epsilon=1, amplitudes=np.ones((3, 1)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_amplitudes_must_be_finite(self, bad):
+        packet = build_spinor_packet(100, 3, CFG)
+        with pytest.raises(DomainError, match="^amplitudes: must be finite$"):
+            replace(packet, amplitudes=np.full((3, 2), bad))
+        amplitudes = packet.amplitudes.copy()
+        amplitudes[1, 0] = bad
+        with pytest.raises(DomainError, match="^amplitudes: must be finite$"):
+            replace(packet, amplitudes=amplitudes)
+
     def test_json_amplitudes_sorted_by_spin_then_level(self):
         packet = build_spinor_packet(10, 3, CFG, -1)
         entries = packet.as_json_dict()["amplitudes"]

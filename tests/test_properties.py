@@ -32,7 +32,7 @@ from landau_packets.kinematics import (
     cyclotron_frequency,
     spin_mixing_ratio,
 )
-from landau_packets.operators import OBSERVABLES, build_operator_band
+from landau_packets.operators import OBSERVABLES, OFFSETS, build_operator_band, hermiticity_defect
 from landau_packets.packets import (
     build_spinor_packet,
     contrast_factor,
@@ -60,9 +60,9 @@ def test_bands_packet_and_engine(config):
     assert normalization_defect(packet) <= 1e-14
 
     for name in OBSERVABLES:
-        band = build_operator_band(packet.levels, name, cfg, n, zeta_ref=epsilon)
-        assert band.hermiticity_defect() == 0.0
-        assert band.band_width_defect() == 0
+        table = build_operator_band(packet.levels, name, cfg, n, zeta_ref=epsilon)
+        assert hermiticity_defect(table) == 0.0
+        assert table.shape == (len(OFFSETS), 2, 2)
 
     kin = SpinKinematics.from_field(cfg, n, epsilon)
     times = sample_times(kin.omega, samples=64)
@@ -106,7 +106,7 @@ def test_expectation_series_on_any_grid(config, grid, mode):
     energies = relative_energies(packet, cfg, mode)
     times = grid_times(*grid, cyclotron_frequency(cfg, n, epsilon)[0])
     coefficients = np.stack(
-        [build_operator_band(packet.levels, name, cfg, n, zeta_ref=epsilon).blocks.reshape(-1) for name in OBSERVABLES],
+        [build_operator_band(packet.levels, name, cfg, n, zeta_ref=epsilon).reshape(-1) for name in OBSERVABLES],
         axis=1,
     )
     direct = np.array([
@@ -156,12 +156,14 @@ def test_four_vector_invariants(config):
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(st.lists(st.integers(min_value=-5, max_value=12), max_size=8))
 def test_band_window_check(levels):
-    # accepted exactly when the sorted levels step by one
+    # accepted exactly when the sorted levels step by one, in any order,
+    # with the table the window does not change
     ordered = sorted(levels)
     contiguous = bool(ordered) and all(b - a == 1 for a, b in zip(ordered, ordered[1:]))
     cfg = FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=0.5)
     if contiguous:
-        assert build_operator_band(levels, "Sx", cfg, 100).levels == tuple(ordered)
+        table = build_operator_band(levels, "Sx", cfg, 100)
+        assert table.tobytes() == build_operator_band([0], "Sx", cfg, 100).tobytes()
     else:
         with pytest.raises(DomainError, match="^levels: must be"):
             build_operator_band(levels, "Sx", cfg, 100)
