@@ -32,7 +32,6 @@ from .kinematics import (
     SCALAR,
     SPINOR,
     FieldConfig,
-    QuantumNumbers,
     SpinKinematics,
     anomalous_frequency,
     cyclotron_frequency,

@@ -64,32 +64,6 @@ class FieldConfig:
         return replace(self, anomaly=0.0)
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
-    """Labels (n, s, l, zeta) of one stationary state, with n = l + s.
-
-    ``zeta`` is the spin quantum number (+1/-1) and stays ``None`` for
-    spin-0 states.
-    """
-
-    n: int
-    s: int
-    zeta: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise DomainError(f"n: principal quantum number must be >= 0, got {self.n}")
-        if self.s < 0:
-            raise DomainError(f"s: radial quantum number must be >= 0, got {self.s}")
-        if self.zeta not in (None, -1, 1):
-            raise DomainError(f"zeta: must be +1, -1 or None, got {self.zeta}")
-
-    @property
-    def l(self) -> int:
-        """Azimuthal quantum number l = n - s."""
-        return self.n - self.s
-
-
 def transverse_momentum(h: float, n: int, kind: str = SPINOR) -> float:
     """Transverse momentum b_perp of level n, in units of m0*c.
 

@@ -28,7 +28,11 @@ than CONVERGENCE_TOL.  A rule costs two passes of the Legendre recurrence
 (``radial_rule``): one at Tricomi's estimates of the nodes, whose Taylor
 polynomial of P_order, its derivatives taken from Legendre's equation,
 corrects them, and one at the corrected nodes that confirms them and gives
-the weights.
+the weights, or raises QuadratureAccuracyError.
+
+``semiclassical_convergence`` accepts the box where this is validated,
+max(1, s) <= n <= ORACLE_MAX_N = 1e4 and 0 <= s <= ORACLE_MAX_S = 100; from
+s ~ 150 an order of 200 + 2s no longer resolves the profiles.
 
 Order doubling cannot see what lies outside the window.  For s = 0,
 I(n, 0; rho)^2 is the Gamma(n + 1) density (mean n + 1, standard deviation
@@ -51,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, QuadratureAccuracyError
-from .kinematics import SCALAR, FieldConfig, QuantumNumbers, transverse_momentum
+from .kinematics import SCALAR, FieldConfig, transverse_momentum
 
 #: order-doubling tolerance for oracle integrals
 CONVERGENCE_TOL = 1e-8
@@ -61,6 +65,9 @@ PAD_SCALE = 9.0
 PAD_OFFSET = 40.0
 #: Legendre order at s = 0; each unit of the radial number adds two nodes
 BASE_ORDER = 200
+#: largest level and radial number of a convergence scan (module docstring)
+ORACLE_MAX_N = 10_000
+ORACLE_MAX_S = 100
 #: the profile recurrence moves a mantissa past this into the exponent
 _RESCALE_ABOVE = 1e150
 _LN2 = math.log(2.0)
@@ -71,9 +78,6 @@ _STIRLING_FROM = 100
 #: of P_order at every order to 2000
 _TAYLOR_TERMS = 5
 _TAYLOR_STEPS = 3
-#: Newton steps on the recurrence allowed to confirm the Gauss-Legendre
-#: nodes; one confirms them at every order to 2000
-_NEWTON_STEPS = 10
 
 
 def default_order(s: int) -> int:
@@ -127,8 +131,8 @@ def radial_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     (1 - (n - 1) / (8 n^3)) cos(pi (4k - 1) / (4n + 2)), corrects them by
     the Taylor polynomial of P_order (``_taylor_roots``); the second
     confirms that no Newton step on P_order is left above 1e-15 and gives
-    the weights 2 / ((1 - x^2) P'(x)^2) at the nodes.  Should a step be
-    left, Newton's method runs on until one is not.  The negative nodes are
+    the weights 2 / ((1 - x^2) P'(x)^2) at the nodes, or raises
+    QuadratureAccuracyError where a step is left.  The negative nodes are
     the mirror images.
     """
     if order < 1:
@@ -139,14 +143,9 @@ def radial_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     if n % 2:
         x[-1] = 0.0  # P_n is odd: 0 is a root, and Newton keeps it
     x = _taylor_roots(n, x)
-    for _ in range(_NEWTON_STEPS):
-        p, dp = _legendre(n, x)
-        step = p / dp
-        if np.max(np.abs(step)) <= 1e-15:
-            break
-        x = x - step
-    else:
-        raise QuadratureAccuracyError(f"Gauss-Legendre nodes of order {n} did not converge")
+    p, dp = _legendre(n, x)
+    if not np.max(np.abs(p / dp)) <= 1e-15:
+        raise QuadratureAccuracyError(f"Gauss-Legendre nodes of order {n}: a Newton step above 1e-15 is left")
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     nodes = np.concatenate([-x, x[::-1][n % 2:]])
     weights = np.concatenate([w, w[::-1][n % 2:]])
@@ -285,14 +284,16 @@ def _radial_integral(func, window: tuple[float, float], order: int) -> float:
 
 
 def momentum_element_quadrature(
-    bra: QuantumNumbers,
-    ket: QuantumNumbers,
+    n_bra: int,
+    n_ket: int,
+    s: int,
     component: str,
     cfg: FieldConfig,
     order: int | None = None,
 ) -> complex:
-    """Exact kinetic-momentum matrix element between two spin-0 Landau
-    states, by analytic angular reduction and radial quadrature.
+    """Exact kinetic-momentum matrix element between the spin-0 Landau
+    states (n_bra, s) and (n_ket, s), by analytic angular reduction and
+    radial quadrature.
 
     The angular integral enforces the selection rule Delta l = +/-1 for the
     x and y components and Delta l = 0 for z; at fixed radial number, this
@@ -303,21 +304,20 @@ def momentum_element_quadrature(
     """
     if component not in ("x", "y", "z"):
         raise DomainError(f"component: must be 'x', 'y' or 'z', got {component!r}")
-    if bra.s != ket.s:
-        raise DomainError(f"s: bra and ket radial numbers must match, got {bra.s} != {ket.s}")
+    if not 0 <= s <= min(n_bra, n_ket):
+        raise DomainError(f"s: need 0 <= s <= min(n_bra, n_ket) = {min(n_bra, n_ket)}, got {s}")
     if cfg.h <= 0:
         raise DomainError(f"h: momentum oracle needs h > 0, got {cfg.h}")
-    dn = bra.n - ket.n
-    s = ket.s
+    dn = n_bra - n_ket
     if order is None:
         order = default_order(s)
-    window = radial_window((bra.n, s), (ket.n, s))
+    window = radial_window((n_bra, s), (n_ket, s))
 
     if component == "z":
         if dn != 0:
             return 0j
         overlap = _radial_integral(
-            lambda x, w: float(np.dot(w, laguerre_I(ket.n, s, x) ** 2)), window, order
+            lambda x, w: float(np.dot(w, laguerre_I(n_ket, s, x) ** 2)), window, order
         )
         return complex(cfg.b_z * overlap)
 
@@ -325,7 +325,7 @@ def momentum_element_quadrature(
         return 0j
     radial = _radial_integral(
         lambda x, w: float(
-            np.dot(w, laguerre_I(bra.n, s, x) * _ladder_image(ket.n, s, x, dn) / np.sqrt(x))
+            np.dot(w, laguerre_I(n_bra, s, x) * _ladder_image(n_ket, s, x, dn) / np.sqrt(x))
         ),
         window,
         order,
@@ -338,38 +338,50 @@ def momentum_element_quadrature(
 
 
 def semiclassical_convergence(
-    s: int, h: float, n_list: list[int], b_z: float = 0.0
+    radial_s: int, h: float, n_list: list[int], b_z: float = 0.0
 ) -> list[tuple[int, float, float, float]]:
     """Deviation of the exact matrix elements from their frozen closed
-    forms, per level.
+    forms, per level of ``n_list``, at the radial number ``radial_s``.
 
     For each n, the oracle computes the exact transverse element connecting
     levels n and n+1 and compares its magnitude with b_perp(n)/2, the
     closed-form value frozen at the lower level; that deviation decays as
     O(1/n).  The x element is integrated once: the y element differs from
-    it by a factor -i, so err_y equals err_x bit for bit.  The longitudinal element is diagonal and already exact, so its
-    defect |quad - b_z| sits at quadrature precision.  Returns rows
-    (n, err_x, err_y, err_z).
+    it by a factor -i, and dividing by 2j is exact, so err_y equals err_x
+    bit for bit.  The longitudinal element is diagonal and already exact,
+    so its defect |quad - b_z| sits at quadrature precision.  Returns rows
+    (n, err_x, err_y, err_z); DomainError outside the validated box.
     """
+    if any(n > ORACLE_MAX_N for n in n_list):
+        raise DomainError(
+            f"n_list: quadrature oracle is limited to n <= {ORACLE_MAX_N}, got {max(n_list)}: "
+            "its windowed rules are validated up to there"
+        )
+    if not 0 <= radial_s <= ORACLE_MAX_S:
+        raise DomainError(
+            f"radial_s: quadrature oracle needs 0 <= s <= {ORACLE_MAX_S}, got {radial_s}: "
+            "past that an order of 200 + 2s no longer resolves the profiles"
+        )
+    if any(n < max(radial_s, 1) for n in n_list):
+        raise DomainError(
+            f"n_list: levels must be >= max(1, radial_s) = {max(radial_s, 1)}, got {min(n_list)}"
+        )
     cfg = FieldConfig(h=h, anomaly=0.0, b_z=b_z)
     rows = []
     for n in n_list:
-        if n < 1:
-            raise DomainError(f"n: convergence scan needs n >= 1, got {n}")
-        bra = QuantumNumbers(n=n + 1, s=s)
-        ket = QuantumNumbers(n=n, s=s)
         closed = 0.5 * transverse_momentum(h, n, SCALAR)
-        # the y element is the x element times -i, and dividing by 2j is
-        # exact, so both components have the same magnitude bit for bit
-        exact = abs(momentum_element_quadrature(bra, ket, "x", cfg))
+        exact = abs(momentum_element_quadrature(n + 1, n, radial_s, "x", cfg))
         err = abs(exact - closed) / closed
-        diag = momentum_element_quadrature(QuantumNumbers(n, s), QuantumNumbers(n, s), "z", cfg)
-        rows.append((n, err, err, abs(complex(diag) - b_z)))
+        diag = momentum_element_quadrature(n, n, radial_s, "z", cfg)
+        rows.append((n, err, err, abs(diag - b_z)))
     return rows
 
 
 def fit_decay_exponent(ns, errors) -> float:
-    """Least-squares slope of log(error) against log(n)."""
+    """Least-squares slope of log(error) against log(n); DomainError unless
+    ``ns`` holds at least two distinct levels."""
+    if len(set(ns)) < 2:
+        raise DomainError(f"n_list: the decay fit needs at least two distinct levels, got {list(ns)}")
     x = np.log(np.asarray(ns, dtype=float))
     y = np.log(np.asarray(errors, dtype=float))
     slope, _ = np.polyfit(x, y, 1)

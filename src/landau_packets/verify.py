@@ -212,9 +212,10 @@ def check_invariants(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
             ) from None
         return float(np.max(t.res_sp)), kin.energy
 
-    # the first decade of anomalies from max(anomaly, 1e-3) up whose half
-    # run reads HALVING_ROUNDOFF units u * E^2 or more
-    base_anomaly = max(cfg.anomaly, 1e-3)
+    # the first decade of anomalies from max(1e-3, min(anomaly, 2e-4 / h)),
+    # where the law is still linear, up whose half run reads
+    # HALVING_ROUNDOFF units u * E^2 or more
+    base_anomaly = max(1e-3, min(cfg.anomaly, 2e-4 / cfg.h))
     while True:
         r_half, energy = max_res_sp(0.5 * base_anomaly)
         if r_half >= HALVING_ROUNDOFF * _U * energy**2:
@@ -257,6 +258,8 @@ def check_bmt_match(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
     # one anomalous period; without an anomaly the spin does not precess
     # relative to the orbit, and the drift check's horizon stands in
     t_max = 2.0 * math.pi / ref.kin.omega_a if ref.kin.omega_a else _drift_horizon(ref)
+    # one anomalous period grows as 1/anomaly: reject one past the step cap first
+    classical.step_counts(np.array([0.0, t_max]), classical.state_step(ref.init, cfg.h), "anomaly")
     times = evolution.sample_times(ref.kin.omega, samples=128, t_max=t_max)
     bmt = classical.bmt_integrate(ref.init, cfg.h, record_times=times, check_drift=False)
     closed = evolution.closed_form_trajectory(ref.kin, None, times)
@@ -291,7 +294,10 @@ def check_rk4_order(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
 
 def check_bmt_drift(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
     ref = classical.classical_reference(cfg, n, epsilon)
-    traj = classical.bmt_integrate(ref.init, cfg.h, t_max=_drift_horizon(ref), check_drift=False)
+    t_max, dt = _drift_horizon(ref), classical.state_step(ref.init, cfg.h)
+    # the step resolves the spin coupling, whose rate grows with n and the anomaly
+    classical.step_counts(np.array([0.0, t_max]), dt, "n, anomaly")
+    traj = classical.bmt_integrate(ref.init, cfg.h, t_max=t_max, dt=dt, check_drift=False)
     worst = max(float(np.max(traj.res_sp)), float(np.max(traj.res_ss)))
     gamma_drift = float(np.max(np.abs(traj.p0 - traj.p0[0])))
     tol = 1e-8

@@ -8,6 +8,7 @@ the window [128, 512] for the step-halving ratio of the order-8 integrator."""
 import time
 
 import numpy as np
+import pytest
 
 from landau_packets.evolution import UNIFORM_GAP, closed_form_momentum, evolve_packet, sample_times
 from landau_packets.kinematics import FieldConfig, SpinKinematics
@@ -24,6 +25,7 @@ from landau_packets.verify import (
     check_orthonormality,
     check_rk4_order,
     check_structure_sums,
+    run_all_checks,
 )
 
 CFG = FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=0.5)
@@ -150,3 +152,44 @@ def test_criterion_8_determinism():
     result = check_determinism(CLASSICAL_CFG, 100, +1)
     report("8 determinism", result.passed, f"{result.name}: trajectory CSV byte-identical across reruns")
     assert result.passed
+
+
+def _xfail(reason: str) -> pytest.MarkDecorator:
+    return pytest.mark.xfail(strict=True, reason=reason)
+
+
+#: ``verify``'s verdict over configurations (h, anomaly, b_z, n, epsilon) at
+#: the edges of its range; each known failure is a strict xfail that names
+#: the check it fails, so a fix shows as XPASS
+VERDICTS = [
+    pytest.param(0.1, 1.16141e-3, 0.5, 100, 1, id="default"),
+    # the anomaly-halving pair of four-vector-invariants in the linear regime
+    pytest.param(0.1, 5.0, 0.0, 1, -1, id="halving-h0.1-anomaly5-n1"),
+    pytest.param(2.0, 5.0, 0.0, 100, -1, id="halving-h2-anomaly5"),
+    pytest.param(10.0, 5.0, 0.0, 100, -1, id="halving-h10-anomaly5"),
+    pytest.param(10.0, 5.0, 100.0, 100, 1, id="halving-h10-anomaly5-bz100"),
+    pytest.param(0.5, 1.0, 0.0, 1, -1, id="halving-h0.5-anomaly1-n1"),
+    pytest.param(0.1, 1.16141e-3, 0.5, 300_000, 1, id="n300000",
+                 marks=_xfail("four-vector-invariants: 1.02e-10 against an absolute 1e-10")),
+    pytest.param(0.1, 5.0, 0.5, 100_000, 1, id="n100000-anomaly5",
+                 marks=_xfail("engine-closed-form: 5.36e-10 against 1e-10")),
+    pytest.param(0.1, 0.0, 0.5, 100_000, 1, id="n100000-anomaly0",
+                 marks=_xfail("bmt-invariant-drift: 4.99e-8 against an absolute 1e-8")),
+    pytest.param(0.1, 1.16141e-3, 1000.0, 100, 1, id="bz1000",
+                 marks=_xfail("four-vector-invariants: 2.33e-10, about u * E^2")),
+    pytest.param(0.1, 1.16141e-3, 3000.0, 100, 1, id="bz3000",
+                 marks=_xfail("four-vector-invariants 5.6e-9 and bmt-invariant-drift 4.3e-8")),
+    pytest.param(0.1, 1.16141e-3, 40000.0, 100, 1, id="bz40000",
+                 marks=_xfail("engine-closed-form, factor-law and determinism trip the absolute "
+                              "Hermitian gate; four-vector-invariants and both order-8 checks fail")),
+    pytest.param(1e-8, 5.0, 100.0, 1, -1, id="h1e-8-bz100-n1-minus",
+                 marks=_xfail("four-vector-invariants: the halving climb reaches anomaly 5e7, ratio 1.71")),
+    pytest.param(1e-8, 5.0, 100.0, 1, 1, id="h1e-8-bz100-n1-plus",
+                 marks=_xfail("four-vector-invariants: the halving climb reaches anomaly 5e7, ratio 2.22")),
+]
+
+
+@pytest.mark.parametrize("h, anomaly, b_z, n, epsilon", VERDICTS)
+def test_verify_verdict(h, anomaly, b_z, n, epsilon):
+    report = run_all_checks(FieldConfig(h=h, anomaly=anomaly, b_z=b_z), n, epsilon)
+    assert [check.name for check in report.checks if not check.passed] == []

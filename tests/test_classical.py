@@ -380,6 +380,18 @@ class TestIntegratorSweep:
         result = verify.check_bmt_drift(FieldConfig(h=0.1, anomaly=anomaly, b_z=0.5), n, 1)
         assert result.passed, result.residual
 
+    def test_drift_span_past_the_step_cap_names_n_and_anomaly(self):
+        # the step resolves the spin coupling, whose rate grows with n and
+        # the anomaly: ten cyclotron periods here take 1.1e7 steps, and the
+        # check rejects them before integrating
+        with pytest.raises(DomainError, match="^n, anomaly: "):
+            verify.check_bmt_drift(FieldConfig(h=0.1, anomaly=5.0, b_z=0.5), 10**8, 1)
+
+    def test_overflowing_anomalous_period_names_the_anomaly(self):
+        # the anomalous rate 2e-315 has a period past the largest double
+        with pytest.raises(DomainError, match="^anomaly: reaching t = inf"):
+            verify.check_bmt_match(FieldConfig(h=1e-300, anomaly=1e-15, b_z=0.5), 100, 1)
+
     def test_paper_scale_match_keeps_its_roundoff(self):
         # 5.4e-11 is the scheme's own error here (a long-double run of the
         # same steps reads it); a momentum step map off by 1e-15 relative,

@@ -283,6 +283,16 @@ class TestVerifyCommand:
             assert "imaginary residue" in check["details"]["error"]
         assert "verification FAILED" in capsys.readouterr().out
 
+    def test_anomalous_period_past_the_step_cap_names_the_anomaly(self, tmp_path, capsys):
+        # bmt-closed-form-match integrates one anomalous period, which grows
+        # as 1/anomaly: at 1e-7 it takes 5e7 order-8 steps
+        out = tmp_path / "out"
+        code = main(["verify", "--anomaly", "1e-7", "--output-dir", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: anomaly:") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_failing_run_writes_nothing(self, tmp_path, capsys):
         # h = 0 leaves the reference without transverse momentum
         out = tmp_path / "out"

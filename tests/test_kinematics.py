@@ -8,7 +8,6 @@ from landau_packets.kinematics import (
     SCALAR,
     SPINOR,
     FieldConfig,
-    QuantumNumbers,
     SpinKinematics,
     anomalous_frequency,
     cyclotron_frequency,
@@ -258,20 +257,6 @@ class TestSpinKinematics:
         kin = SpinKinematics.from_field(FieldConfig(h=0.07), 40, kind=SCALAR)
         with pytest.raises(DomainError, match="^kappa: a spin-0 reference"):
             getattr(kin, name)
-
-
-class TestQuantumNumbers:
-    def test_azimuthal(self):
-        qn = QuantumNumbers(n=7, s=2)
-        assert qn.l == 5
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            QuantumNumbers(n=-1, s=0)
-        with pytest.raises(DomainError):
-            QuantumNumbers(n=1, s=-2)
-        with pytest.raises(DomainError):
-            QuantumNumbers(n=1, s=0, zeta=2)
 
 
 class TestFieldConfig:

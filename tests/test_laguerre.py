@@ -6,7 +6,7 @@ import pytest
 
 from landau_packets import laguerre
 from landau_packets.errors import DomainError, QuadratureAccuracyError
-from landau_packets.kinematics import SCALAR, FieldConfig, QuantumNumbers, transverse_momentum
+from landau_packets.kinematics import SCALAR, FieldConfig, transverse_momentum
 from landau_packets.laguerre import (
     fit_decay_exponent,
     laguerre_I,
@@ -197,16 +197,12 @@ class TestRadialRule:
         radial_rule.__wrapped__(order)
         assert 0 < len(calls) <= 2
 
-    def test_newton_on_the_recurrence_takes_over_from_the_taylor_step(self, monkeypatch):
-        # without the Taylor correction the confirming pass runs Newton's
-        # method from Tricomi's estimates; the nodes agree to 1 ulp of 1,
-        # and the weights to the 1.2e-11 that moves an end weight of order
-        # 400 (delta_x / (1 - x) with 1 - x = 1.8e-5)
-        nodes, weights = radial_rule.__wrapped__(400)
+    def test_unconfirmed_nodes_raise(self, monkeypatch):
+        # without the Taylor correction Tricomi's estimates are left as they
+        # are, and the confirming pass finds Newton steps above 1e-15
         monkeypatch.setattr(laguerre, "_TAYLOR_STEPS", 0)
-        newton_nodes, newton_weights = radial_rule.__wrapped__(400)
-        assert np.max(np.abs(newton_nodes - nodes)) <= 2.3e-16
-        np.testing.assert_allclose(newton_weights, weights, rtol=2e-11, atol=0)
+        with pytest.raises(QuadratureAccuracyError, match="order 400"):
+            radial_rule.__wrapped__(400)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 7, 200, 201, 400, 801])
     def test_rule_is_symmetric_and_ascending(self, order):
@@ -230,9 +226,7 @@ class TestRadialRule:
         with pytest.raises(DomainError):
             orthonormality_defect(0, 0, 0, 0, order=0)
         with pytest.raises(DomainError):
-            momentum_element_quadrature(
-                QuantumNumbers(5, 0), QuantumNumbers(5, 0), "z", FieldConfig(h=0.1), order=-1
-            )
+            momentum_element_quadrature(5, 5, 0, "z", FieldConfig(h=0.1), order=-1)
 
     def test_window_covers_classical_supports(self):
         pad = 9.0 * math.sqrt(10**4 + 2) + 40.0
@@ -249,16 +243,10 @@ class TestWindowTruncation:
     CFG = FieldConfig(h=0.1, anomaly=0.0, b_z=0.5)
 
     def _oracle_values(self, n):
-        ket = QuantumNumbers(n, 0)
-        values = [
-            momentum_element_quadrature(QuantumNumbers(n + 1, 0), ket, c, self.CFG) for c in "xy"
-        ]
-        values.append(momentum_element_quadrature(ket, ket, "z", self.CFG))
+        values = [momentum_element_quadrature(n + 1, n, 0, c, self.CFG) for c in "xy"]
+        values.append(momentum_element_quadrature(n, n, 0, "z", self.CFG))
         if n > 0:
-            values += [
-                momentum_element_quadrature(QuantumNumbers(n - 1, 0), ket, c, self.CFG)
-                for c in "xy"
-            ]
+            values += [momentum_element_quadrature(n - 1, n, 0, c, self.CFG) for c in "xy"]
         values.append(orthonormality_defect(n, n, 0, 0))
         return np.array(values)
 
@@ -275,29 +263,20 @@ class TestMomentumOracle:
     CFG = FieldConfig(h=0.125, anomaly=0.0, b_z=0.7)
 
     def test_diagonal_z(self):
-        value = momentum_element_quadrature(
-            QuantumNumbers(5, 2), QuantumNumbers(5, 2), "z", self.CFG
-        )
+        value = momentum_element_quadrature(5, 5, 2, "z", self.CFG)
         assert value.imag == 0.0
         assert value.real == pytest.approx(0.7, rel=1e-12)
 
     def test_z_independent_of_order(self):
-        lo = momentum_element_quadrature(
-            QuantumNumbers(5, 2), QuantumNumbers(5, 2), "z", self.CFG, order=32
-        )
-        hi = momentum_element_quadrature(
-            QuantumNumbers(5, 2), QuantumNumbers(5, 2), "z", self.CFG, order=128
-        )
+        lo = momentum_element_quadrature(5, 5, 2, "z", self.CFG, order=32)
+        hi = momentum_element_quadrature(5, 5, 2, "z", self.CFG, order=128)
         assert abs(lo - hi) < 1e-13
 
     def test_selection_rules(self):
         for dn in (0, 2, -2, 3):
-            bra = QuantumNumbers(5 + dn, 2)
-            value = momentum_element_quadrature(bra, QuantumNumbers(5, 2), "x", self.CFG)
+            value = momentum_element_quadrature(5 + dn, 5, 2, "x", self.CFG)
             assert abs(value) <= 1e-10
-        off_z = momentum_element_quadrature(
-            QuantumNumbers(7, 2), QuantumNumbers(5, 2), "z", self.CFG
-        )
+        off_z = momentum_element_quadrature(7, 5, 2, "z", self.CFG)
         assert off_z == 0j
 
     @pytest.mark.parametrize("n,s", [(1, 0), (5, 2), (40, 1)])
@@ -306,59 +285,43 @@ class TestMomentumOracle:
         # sqrt(h*(n+1)) raising and sqrt(h*n) lowering, with the same
         # phase pattern as the closed forms
         h = self.CFG.h
-        up_x = momentum_element_quadrature(
-            QuantumNumbers(n + 1, s), QuantumNumbers(n, s), "x", self.CFG
-        )
-        up_y = momentum_element_quadrature(
-            QuantumNumbers(n + 1, s), QuantumNumbers(n, s), "y", self.CFG
-        )
+        up_x = momentum_element_quadrature(n + 1, n, s, "x", self.CFG)
+        up_y = momentum_element_quadrature(n + 1, n, s, "y", self.CFG)
         assert up_x == pytest.approx(1j * math.sqrt(h * (n + 1)), rel=1e-10)
         assert up_y == pytest.approx(math.sqrt(h * (n + 1)), rel=1e-10)
-        down_x = momentum_element_quadrature(
-            QuantumNumbers(n - 1, s), QuantumNumbers(n, s), "x", self.CFG
-        )
-        down_y = momentum_element_quadrature(
-            QuantumNumbers(n - 1, s), QuantumNumbers(n, s), "y", self.CFG
-        )
+        down_x = momentum_element_quadrature(n - 1, n, s, "x", self.CFG)
+        down_y = momentum_element_quadrature(n - 1, n, s, "y", self.CFG)
         assert down_x == pytest.approx(-1j * math.sqrt(h * n), rel=1e-10)
         assert down_y == pytest.approx(math.sqrt(h * n), rel=1e-10)
 
     def test_hermitian_pairing(self):
-        up = momentum_element_quadrature(
-            QuantumNumbers(6, 2), QuantumNumbers(5, 2), "x", self.CFG
-        )
-        down = momentum_element_quadrature(
-            QuantumNumbers(5, 2), QuantumNumbers(6, 2), "x", self.CFG
-        )
+        up = momentum_element_quadrature(6, 5, 2, "x", self.CFG)
+        down = momentum_element_quadrature(5, 6, 2, "x", self.CFG)
         assert up == pytest.approx(down.conjugate(), rel=1e-12)
 
     def test_first_transition_magnitude(self):
         # closed form frozen at the lower level underestimates by O(1/n)
         cfg = FieldConfig(h=0.125, anomaly=0.0, b_z=0.0)
-        value = momentum_element_quadrature(
-            QuantumNumbers(2, 0), QuantumNumbers(1, 0), "y", cfg
-        )
+        value = momentum_element_quadrature(2, 1, 0, "y", cfg)
         closed = 0.5 * transverse_momentum(cfg.h, 1, SCALAR)
         assert abs(value) == pytest.approx(0.5, rel=1e-10)
         assert abs(abs(value) - closed) / closed < 0.2
 
-    def test_mismatched_radial_numbers(self):
-        with pytest.raises(DomainError):
-            momentum_element_quadrature(
-                QuantumNumbers(6, 1), QuantumNumbers(5, 2), "x", self.CFG
-            )
+    @pytest.mark.parametrize(
+        "n_bra, n_ket, s", [(-1, 0, 0), (0, -1, 0), (6, 5, -1), (6, 5, 6), (1, 2, 2)]
+    )
+    def test_radial_number_outside_both_states_rejected(self, n_bra, n_ket, s):
+        # 0 <= s <= min(n_bra, n_ket), checked before the window takes sqrt(n)
+        with pytest.raises(DomainError, match="^s: "):
+            momentum_element_quadrature(n_bra, n_ket, s, "x", self.CFG)
 
     def test_needs_field(self):
         with pytest.raises(DomainError):
-            momentum_element_quadrature(
-                QuantumNumbers(6, 2), QuantumNumbers(5, 2), "x", FieldConfig(h=0.0)
-            )
+            momentum_element_quadrature(6, 5, 2, "x", FieldConfig(h=0.0))
 
     def test_underresolved_quadrature_detected(self):
         with pytest.raises(QuadratureAccuracyError):
-            momentum_element_quadrature(
-                QuantumNumbers(41, 0), QuantumNumbers(40, 0), "y", self.CFG, order=6
-            )
+            momentum_element_quadrature(41, 40, 0, "y", self.CFG, order=6)
 
 
 class TestSemiclassicalConvergence:
@@ -392,6 +355,24 @@ class TestSemiclassicalConvergence:
             rows = semiclassical_convergence(0, h, ns)
             exps.append(fit_decay_exponent(ns, [r[2] for r in rows]))
         assert exps[0] == pytest.approx(exps[1], abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "radial_s, n_list, prefix",
+        [(0, [10, 10**4 + 1], "n_list"), (101, [200, 400], "radial_s"), (-1, [10, 20], "radial_s"),
+         (20, [10, 40], "n_list"), (0, [0, 10], "n_list")],
+    )
+    def test_scan_outside_the_box_rejected(self, radial_s, n_list, prefix):
+        with pytest.raises(DomainError, match=f"^{prefix}: "):
+            semiclassical_convergence(radial_s, 0.1, n_list)
+
+    def test_box_edges_accepted(self):
+        rows = semiclassical_convergence(100, 0.1, [100, 10**4])
+        assert [row[0] for row in rows] == [100, 10**4]
+
+    @pytest.mark.parametrize("ns", [[], [40], [40, 40]])
+    def test_fit_needs_two_distinct_levels(self, ns):
+        with pytest.raises(DomainError, match="^n_list: the decay fit needs at least two"):
+            fit_decay_exponent(ns, [0.01] * len(ns))
 
     def test_exponent_radial_independent(self):
         ns = [10, 20, 40, 80]

@@ -242,7 +242,6 @@ class TestQuadratureOracleAgreement:
     """Frozen closed-form elements against the exact quadrature values."""
 
     def test_phases_match_and_deviation_shrinks(self):
-        from landau_packets.kinematics import QuantumNumbers
         from landau_packets.laguerre import momentum_element_quadrature
 
         cfg = FieldConfig(h=0.05, anomaly=0.0, b_z=0.3)
@@ -251,9 +250,7 @@ class TestQuadratureOracleAgreement:
             for component in ("x", "y"):
                 # the element between levels n + 1 and n, offset +1
                 closed = build_operator_band([n, n + 1], f"P{component}", cfg, n, kind=SCALAR)[2, 0, 0]
-                exact = momentum_element_quadrature(
-                    QuantumNumbers(n + 1, 0), QuantumNumbers(n, 0), component, cfg
-                )
+                exact = momentum_element_quadrature(n + 1, n, 0, component, cfg)
                 # identical phase: the ratio is real and close to one
                 ratio = exact / closed
                 assert abs(ratio.imag) < 1e-12
@@ -268,12 +265,10 @@ class TestQuadratureOracleAgreement:
     def test_y_magnitude_is_x_magnitude(self, s, dn):
         # the y element is the x element times -i (dn = +1) or +i (dn = -1),
         # so the convergence scan reports one error for both
-        from landau_packets.kinematics import QuantumNumbers
         from landau_packets.laguerre import momentum_element_quadrature
 
         cfg = FieldConfig(h=0.05, anomaly=0.0, b_z=0.3)
-        bra, ket = QuantumNumbers(30 + dn, s), QuantumNumbers(30, s)
-        x = momentum_element_quadrature(bra, ket, "x", cfg)
-        y = momentum_element_quadrature(bra, ket, "y", cfg)
+        x = momentum_element_quadrature(30 + dn, 30, s, "x", cfg)
+        y = momentum_element_quadrature(30 + dn, 30, s, "y", cfg)
         assert x != 0 and abs(y) == abs(x)
         assert y == (-1j * dn) * x
