@@ -14,18 +14,21 @@ with d(tau) = dt/gamma and K the dimensionless field tensor whose only
 nonzero components are K^{12} = -K^{21} = 2h for a negative charge in a
 field of strength h along +z.  A magnetic field does no work, so gamma is
 conserved; orthogonality S.u and the spacelike norm of S are conserved by
-the equation and drift only through integrator error, which is monitored.
+the equation and drift only through integrator error, which each run's
+residuals record: the ``trajectory`` command aborts past its drift limit,
+and ``verify`` checks the drift against its own tolerance.
 
 The scheme is the order-8 Dormand-Prince tableau (the 12-stage DOP853 of
 Hairer, Norsett & Wanner, Solving Ordinary Differential Equations I,
-Sec. II.10, used at a fixed step).  Its default step resolves one period of
-the fastest of the cyclotron rotation, the anomalous precession and the
-anomalous coupling frequency of ``spin_coupling_omega`` with
-STEPS_PER_PERIOD = 32 points; the coupling frequency takes over above level
-2 * 10^3 at the physical anomaly and h = 0.1, and without it the invariant
-drift at level 10^4 reads 5.1e-7 instead of 1.1e-9.  Over one anomalous
-period (about 135 cyclotron periods at the physical anomaly) its error
-against the closed form is 7e-10 at the default ``verify`` configuration.
+Sec. II.10, used at a fixed step).  The reference's step
+(``ClassicalReference.step``) resolves one period of the fastest of the
+cyclotron rotation, the anomalous precession and the anomalous coupling
+frequency of ``spin_coupling_omega`` with STEPS_PER_PERIOD = 32 points;
+the coupling frequency takes over above level 2 * 10^3 at the physical
+anomaly and h = 0.1, and without it the invariant drift at level 10^4
+reads 5.1e-7 instead of 1.1e-9.  Over one anomalous period (about 135
+cyclotron periods at the physical anomaly) its error against the closed
+form is 7e-10 at the default ``verify`` configuration.
 
 The scheme uses that both equations are linear, the momentum
 equation in (u1, u2) and the spin equation in S once u is given, and that
@@ -65,7 +68,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .doubledouble import _dd_mul_add, _two_prod
-from .errors import DomainError, IntegrationAccuracyError
+from .errors import DomainError
 from .evolution import closed_form_momentum, closed_form_spin
 from .kinematics import FieldConfig, SpinKinematics
 from .trajectory import Trajectory
@@ -73,13 +76,10 @@ from .trajectory import Trajectory
 #: default resolution, by the order-8 scheme, of one period of the faster rotation
 STEPS_PER_PERIOD = 32
 
-#: invariant drift beyond this aborts the run
-DRIFT_LIMIT = 1e-6
-
 #: most order-8 steps one run may take: 9 times the 1.1e6 steps of the
 #: largest validated run (``verify`` at level 10^6 and anomaly 5).  At the
-#: cap a run takes about 12 s and, with a grid, memory by the sample; recording
-#: every step (``t_max`` without a grid) holds 64 bytes a step, 0.64 GB
+#: cap a run takes about 12 s and memory by the sample; recording every step
+#: (``step_grid``) holds 64 bytes a step, 0.64 GB
 MAX_STEPS = 10**7
 
 #: the order-8 Dormand-Prince tableau (DOP853, Hairer, Norsett & Wanner):
@@ -172,18 +172,20 @@ def spin_coupling_omega(h_field: float, gamma: float, b_perp: float, g_factor: f
 class ClassicalReference:
     """Classical motion matching the full-contrast packet at one level: the
     anomaly-free kinematics, turning at the lab-time cyclotron and
-    anomalous frequencies, and the initial state, whose g-factor is
-    2(1 + anomaly)."""
+    anomalous frequencies, the initial state, whose g-factor is
+    2(1 + anomaly), and the order-8 step that resolves its rates."""
 
     kin: SpinKinematics
     init: ClassicalState
+    step: float
 
 
 def classical_reference(cfg: FieldConfig, n: int, epsilon: int = 1) -> ClassicalReference:
     """The classical reference of the packet centered on level n: the
     kinematics of level n at anomaly 0 (B^2 = b^2 + b_z^2 exactly, so the
     four-spin invariants close identically), turning at ``cyclotron_omega``
-    and ``anomalous_omega`` instead of the level gaps."""
+    and ``anomalous_omega`` instead of the level gaps.  Its ``step`` is
+    ``default_step`` at the anomalous precession and coupling frequencies."""
     kin = SpinKinematics.from_field(cfg.without_anomaly(), n, epsilon)
     g = 2.0 * (1.0 + cfg.anomaly)
     p = closed_form_momentum(kin, None, 0.0)
@@ -194,8 +196,11 @@ def classical_reference(cfg: FieldConfig, n: int, epsilon: int = 1) -> Classical
         g_factor=g,
     )
     omega_a = anomalous_omega(cfg.h, kin.energy, kin.b, g)
+    coupling = spin_coupling_omega(cfg.h, kin.energy, kin.b_perp, g)
     return ClassicalReference(
-        kin=replace(kin, omega=cyclotron_omega(cfg.h, kin.energy), omega_a=omega_a), init=init
+        kin=replace(kin, omega=cyclotron_omega(cfg.h, kin.energy), omega_a=omega_a),
+        init=init,
+        step=default_step(cfg.h, kin.energy, omega_a, coupling),
     )
 
 
@@ -335,19 +340,12 @@ def default_step(h_field: float, gamma: float, *rates: float) -> float:
     return 2.0 * math.pi / (max((omega, *map(abs, rates))) * STEPS_PER_PERIOD)
 
 
-def state_step(init: ClassicalState, h_field: float) -> float:
-    """The default step of ``bmt_integrate`` from ``init``: ``default_step``
-    at its anomalous precession and coupling frequencies."""
-    gamma, g = init.u[0], init.g_factor
-    b = math.sqrt(1.0 + init.u[1] ** 2 + init.u[2] ** 2)  # sqrt(1 + b_perp^2)
-    coupling = spin_coupling_omega(h_field, gamma, math.hypot(init.u[1], init.u[2]), g)
-    return default_step(h_field, gamma, anomalous_omega(h_field, gamma, b, g), coupling)
-
-
 def step_counts(record_times: np.ndarray, dt: float, source: str = "record_times") -> np.ndarray:
     """The number of steps of at most ``dt`` between consecutive samples;
-    DomainError naming ``source``, the grid's origin, above MAX_STEPS in all."""
-    counts = np.maximum(np.ceil(np.diff(record_times) / dt - 1e-12), 1.0)
+    DomainError naming ``source``, the grid's origin, above MAX_STEPS in
+    all, a span whose count overflows or is NaN included."""
+    with np.errstate(over="ignore"):
+        counts = np.maximum(np.ceil(np.diff(record_times) / dt - 1e-12), 1.0)
     total = float(np.sum(counts))
     if not total <= MAX_STEPS:
         raise DomainError(
@@ -357,54 +355,35 @@ def step_counts(record_times: np.ndarray, dt: float, source: str = "record_times
     return counts.astype(np.intp)
 
 
-def bmt_integrate(
-    init: ClassicalState,
-    h_field: float,
-    t_max: float | None = None,
-    dt: float | None = None,
-    record_times: np.ndarray | None = None,
-    check_drift: bool = True,
-) -> Trajectory:
-    """Integrate the spin precession and collect a trajectory.
+def step_grid(t_max: float, dt: float, source: str) -> np.ndarray:
+    """The record grid of every step of an even split of [0, t_max] into
+    steps of at most ``dt``.  The span is checked against MAX_STEPS by
+    ``step_counts`` before the grid is allocated; DomainError naming
+    ``source``, the knob that set the span, past the cap or for a span that
+    is not positive."""
+    step_counts(np.array([0.0, t_max]), dt, source)
+    if not t_max > 0:
+        raise DomainError(f"{source}: need a span t_max > 0, got {t_max}")
+    steps = max(1, math.ceil(t_max / dt))
+    return t_max * np.arange(steps + 1) / steps
 
-    Either ``record_times`` gives the sample grid (starting at 0) and the
-    integrator lands on each sample exactly with substeps no longer than
-    ``dt``, or ``t_max`` is split into uniform steps of at most ``dt`` and
-    every step is recorded.  The default ``dt`` is ``state_step(init,
-    h_field)``.  A run of more than MAX_STEPS steps raises DomainError
-    before anything is allocated.  Invariant drift beyond DRIFT_LIMIT
-    raises IntegrationAccuracyError unless ``check_drift`` is false.
+
+def bmt_integrate(init: ClassicalState, h_field: float, record_times: np.ndarray, dt: float) -> Trajectory:
+    """Integrate the spin precession from ``init`` and record its states on
+    ``record_times``, a grid starting at 0.  The integrator lands on each
+    sample exactly, splitting each span between samples evenly into the
+    ``step_counts`` steps of at most ``dt``.  A run of more than MAX_STEPS
+    steps raises DomainError before anything is allocated.  The invariant
+    drift is left to the caller, in the trajectory's residuals.
     """
-    if dt is None:
-        dt = state_step(init, h_field)
-    elif not (math.isfinite(dt) and dt > 0):
+    if not (math.isfinite(dt) and dt > 0):
         raise DomainError(f"dt: must be finite and > 0, got {dt}")
-    if record_times is None:
-        if t_max is None or not (math.isfinite(t_max) and t_max > 0):
-            raise DomainError(f"t_max: must be finite and > 0, got {t_max}")
-        if not t_max / dt <= MAX_STEPS:
-            raise DomainError(f"t_max: {t_max} takes {t_max / dt:.3g} steps of {dt:.3g}, more than {MAX_STEPS}")
-        steps = max(1, math.ceil(t_max / dt))
-        record_times = t_max * np.arange(steps + 1) / steps
-    else:
-        record_times = np.asarray(record_times, dtype=float)
-        if record_times.ndim != 1 or record_times.size == 0:
-            raise DomainError("record_times: need a non-empty 1-D grid")
-        if not np.all(np.isfinite(record_times)):
-            raise DomainError("record_times: every time must be finite")
-        if record_times[0] != 0.0:
-            raise DomainError("record_times: grid must start at t = 0")
-
-    counts = step_counts(record_times, dt)
-    arr = _dop853_samples(init, 2.0 * h_field, record_times, counts)
-    traj = Trajectory(times=record_times, p=arr[:, 1:4], s=arr[:, 4:8], p0=arr[:, 0])
-    if check_drift:
-        worst = max(float(np.max(traj.res_sp)), float(np.max(traj.res_ss)))
-        if worst > DRIFT_LIMIT:
-            # the step is fixed by the state and the drift grows with the
-            # span, so the span is what a caller can shorten
-            raise IntegrationAccuracyError(
-                f"invariant drift {worst:.3e} exceeds {DRIFT_LIMIT} over the span t = 0 to "
-                f"{record_times[-1]:.6g} in {int(np.sum(counts))} steps; use a shorter t_max"
-            )
-    return traj
+    record_times = np.asarray(record_times, dtype=float)
+    if record_times.ndim != 1 or record_times.size == 0:
+        raise DomainError("record_times: need a non-empty 1-D grid")
+    if not np.all(np.isfinite(record_times)):
+        raise DomainError("record_times: every time must be finite")
+    if record_times[0] != 0.0:
+        raise DomainError("record_times: grid must start at t = 0")
+    arr = _dop853_samples(init, 2.0 * h_field, record_times, step_counts(record_times, dt))
+    return Trajectory(times=record_times, p=arr[:, 1:4], s=arr[:, 4:8], p0=arr[:, 0])

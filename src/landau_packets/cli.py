@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, classical, evolution, laguerre, packets, verify
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, IntegrationAccuracyError
 from .kinematics import (
     DEFAULT_ANOMALY,
     FieldConfig,
@@ -45,6 +45,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_ACCURACY = 4
+
+#: invariant drift of the classical run beyond this aborts ``trajectory``
+DRIFT_LIMIT = 1e-6
 
 
 @dataclass
@@ -87,16 +90,27 @@ class RunConfig:
                 f"h, anomaly, n: the level energies at n={self.n} and n+1 overflow "
                 f"at h={self.h}, anomaly={self.anomaly}"
             )
-        if level_gap and self.h > 0 and cyclotron_frequency(self.field, self.n, self.epsilon)[0] <= 0:
+        if not (level_gap and self.h > 0):
+            return
+        gap = cyclotron_frequency(self.field, self.n, self.epsilon)[0]
+        if gap < 0:
+            # the epsilon = -1 levels fall while b(n) + b(n+1) < 2 anomaly h,
+            # whatever b_z
+            raise DomainError(
+                f"anomaly, h, n: the levels fall from n={self.n} to n+1 (gap {gap:.3g}) at "
+                f"anomaly={self.anomaly}, h={self.h}, epsilon={self.epsilon}; "
+                "a smaller anomaly or h, or a larger n, makes them rise"
+            )
+        if gap == 0:
             # without any b_z, h alone is the cause when even the gap between
             # levels 1 and 2 rounds to zero, and n alone when the gap at n does
             at_rest = FieldConfig(h=self.h, anomaly=self.anomaly)
-            if cyclotron_frequency(at_rest, 1, self.epsilon)[0] <= 0:
+            if cyclotron_frequency(at_rest, 1, self.epsilon)[0] == 0:
                 raise DomainError(
                     f"h: the gap between levels rounds to zero at h={self.h} "
                     "even between levels 1 and 2 at b_z=0"
                 )
-            cause = "n" if cyclotron_frequency(at_rest, self.n, self.epsilon)[0] <= 0 else "b_z"
+            cause = "n" if cyclotron_frequency(at_rest, self.n, self.epsilon)[0] == 0 else "b_z"
             raise DomainError(
                 f"{cause}: the gap between levels n={self.n} and n+1 rounds to zero at b_z={self.b_z}"
             )
@@ -198,13 +212,21 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     packet = packets.build_spinor_packet(cfg.n, cfg.levels, field, cfg.epsilon)
     kin = SpinKinematics.from_field(field, cfg.n, cfg.epsilon)
     times = evolution.sample_times(kin.omega, samples=cfg.samples, t_max=cfg.t_max)
-    init = classical.classical_reference(field, cfg.n, cfg.epsilon).init
+    ref = classical.classical_reference(field, cfg.n, cfg.epsilon)
     # a t_max beyond the integrator's step cap is rejected before anything is written
-    classical.step_counts(times, classical.state_step(init, cfg.h), "t_max")
+    steps = int(np.sum(classical.step_counts(times, ref.step, "t_max")))
 
     engine = evolution.evolve_packet(packet, field, times, mode=cfg.mode)
     closed = evolution.closed_form_trajectory(kin, cfg.levels, times)
-    bmt = classical.bmt_integrate(init, cfg.h, record_times=times)
+    bmt = classical.bmt_integrate(ref.init, cfg.h, times, ref.step)
+    drift = max(float(np.max(bmt.res_sp)), float(np.max(bmt.res_ss)))
+    if drift > DRIFT_LIMIT:
+        # the step is fixed by the reference and the drift grows with the
+        # span, so the span is what the user can shorten
+        raise IntegrationAccuracyError(
+            f"invariant drift {drift:.3e} exceeds {DRIFT_LIMIT} over the span t = 0 to "
+            f"{times[-1]:.6g} in {steps} steps; use a shorter t_max"
+        )
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     engine.to_csv(os.path.join(cfg.output_dir, "trajectory.csv"))

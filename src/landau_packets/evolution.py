@@ -273,8 +273,11 @@ def expectation_series(
     residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
     # written so that a NaN residue fails too
     if not residue <= HERMITIAN_IMAG_TOL:
+        energy = _level_energy(cfg, packet.kind, packet.n, packet.epsilon)
         raise AccuracyError(
-            f"imaginary residue {residue:.3e} of Hermitian expectation exceeds {HERMITIAN_IMAG_TOL}"
+            f"imaginary residue {residue:.3e} of Hermitian expectation exceeds {HERMITIAN_IMAG_TOL} "
+            f"at reference energy E = {energy:.6g}; the residue grows with E^2 = 1 + b_z^2 + 4hn, "
+            "so a smaller b_z, h or n lowers it"
         )
     return values.real
 

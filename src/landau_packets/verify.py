@@ -259,9 +259,9 @@ def check_bmt_match(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
     # relative to the orbit, and the drift check's horizon stands in
     t_max = 2.0 * math.pi / ref.kin.omega_a if ref.kin.omega_a else _drift_horizon(ref)
     # one anomalous period grows as 1/anomaly: reject one past the step cap first
-    classical.step_counts(np.array([0.0, t_max]), classical.state_step(ref.init, cfg.h), "anomaly")
+    classical.step_counts(np.array([0.0, t_max]), ref.step, "anomaly")
     times = evolution.sample_times(ref.kin.omega, samples=128, t_max=t_max)
-    bmt = classical.bmt_integrate(ref.init, cfg.h, record_times=times, check_drift=False)
+    bmt = classical.bmt_integrate(ref.init, cfg.h, times, ref.step)
     closed = evolution.closed_form_trajectory(ref.kin, None, times)
     worst = max(compare_trajectories(bmt, closed).values())
     tol = 1e-6
@@ -274,15 +274,15 @@ def check_rk4_order(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
     function keeps the name of the RK4 check it replaced because the
     benchmark's tracer keys its per-check spans on that name."""
     ref = classical.classical_reference(cfg, n, epsilon)
-    # 8 and 16 steps per period of the fastest rate, whatever the default
-    # resolution, uniform over two cyclotron periods: a record grid would
-    # cap each step at its spacing
-    coarse = classical.state_step(ref.init, cfg.h) * classical.STEPS_PER_PERIOD / 8.0
+    # 8 and 16 steps per period of the fastest rate, whatever the
+    # reference's resolution, uniform over two cyclotron periods: a record
+    # grid would cap each step at its spacing; the rates grow with n and
+    # the anomaly
+    coarse = ref.step * classical.STEPS_PER_PERIOD / 8.0
     dev = []
     for dt in (coarse, 0.5 * coarse):
-        traj = classical.bmt_integrate(
-            ref.init, cfg.h, t_max=4.0 * math.pi / ref.kin.omega, dt=dt, check_drift=False
-        )
+        grid = classical.step_grid(4.0 * math.pi / ref.kin.omega, dt, "n, anomaly")
+        traj = classical.bmt_integrate(ref.init, cfg.h, grid, dt)
         closed = evolution.closed_form_trajectory(ref.kin, None, traj.times)
         dev.append(max(compare_trajectories(traj, closed).values()))
     ratio = dev[0] / dev[1] if dev[1] > 0 else math.inf
@@ -294,10 +294,9 @@ def check_rk4_order(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
 
 def check_bmt_drift(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
     ref = classical.classical_reference(cfg, n, epsilon)
-    t_max, dt = _drift_horizon(ref), classical.state_step(ref.init, cfg.h)
     # the step resolves the spin coupling, whose rate grows with n and the anomaly
-    classical.step_counts(np.array([0.0, t_max]), dt, "n, anomaly")
-    traj = classical.bmt_integrate(ref.init, cfg.h, t_max=t_max, dt=dt, check_drift=False)
+    grid = classical.step_grid(_drift_horizon(ref), ref.step, "n, anomaly")
+    traj = classical.bmt_integrate(ref.init, cfg.h, grid, ref.step)
     worst = max(float(np.max(traj.res_sp)), float(np.max(traj.res_ss)))
     gamma_drift = float(np.max(np.abs(traj.p0 - traj.p0[0])))
     tol = 1e-8

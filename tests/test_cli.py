@@ -122,6 +122,16 @@ class TestTrajectoryCommand:
         assert "over the span t = 0 to 1.96875e+06 in " in err and "use a shorter t_max" in err
         assert not out.exists()
 
+    def test_hermitian_gate_names_b_z(self, tmp_path, capsys):
+        # the engine's imaginary residue grows with E^2: 1.2e-12 at b_z = 4e4
+        out = tmp_path / "out"
+        code = main(["trajectory", "--b-z", "4e4", "--output-dir", str(out)])
+        assert code == EXIT_ACCURACY
+        err = capsys.readouterr().err
+        assert err.startswith("numerical accuracy error: imaginary residue") and err.count("\n") == 1
+        assert "reference energy E = 40000" in err and "a smaller b_z, h or n lowers it" in err
+        assert not out.exists()
+
 
 class TestConvergeCommand:
     def test_factor_table(self, tmp_path):
@@ -281,6 +291,7 @@ class TestVerifyCommand:
         assert set(failed) == {"engine-closed-form", "factor-law", "determinism"}
         for check in failed.values():
             assert "imaginary residue" in check["details"]["error"]
+            assert "a smaller b_z, h or n lowers it" in check["details"]["error"]
         assert "verification FAILED" in capsys.readouterr().out
 
     def test_anomalous_period_past_the_step_cap_names_the_anomaly(self, tmp_path, capsys):
@@ -291,6 +302,16 @@ class TestVerifyCommand:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error: anomaly:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_order_check_past_the_step_cap_names_n_and_anomaly(self, tmp_path, capsys):
+        # integrator-order takes 16 steps per period of the anomalous
+        # coupling, whose rate grows with n and the anomaly: 1e8 steps here
+        out = tmp_path / "out"
+        code = main(["verify", "--anomaly", "1e5", "--n", "10000", "--output-dir", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: n, anomaly: reaching t = ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_failing_run_writes_nothing(self, tmp_path, capsys):
@@ -393,12 +414,23 @@ class TestOracleCommand:
         assert not out.exists()
 
 
+def _run_traced(probe: str, cwd: Path) -> subprocess.CompletedProcess:
+    """Run ``probe`` in a child interpreter that imports the package and the
+    benchmark's ``layers`` from this checkout."""
+    root = Path(__file__).resolve().parents[1]
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "benchmarks")]),
+    }
+    env.pop("SEMICLASSICAL_OUTPUT_DIR", None)
+    return subprocess.run([sys.executable, "-c", probe], env=env, cwd=cwd, capture_output=True, text=True)
+
+
 class TestTracedRun:
     def test_benchmark_tracer_finds_every_name(self, tmp_path):
         # the benchmark's tracer patches package names from outside and only
         # warns when one is gone; a tiny call of every command must leave
         # nothing untraced
-        root = Path(__file__).resolve().parents[1]
         probe = (
             "import sys\n"
             "from layers import Tracer\n"
@@ -416,16 +448,31 @@ class TestTracedRun:
             "print(codes, tracer.missing)\n"
             "sys.exit(int(any(codes) or bool(tracer.missing)))\n"
         )
-        env = {
-            **os.environ,
-            "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "benchmarks")]),
-        }
-        env.pop("SEMICLASSICAL_OUTPUT_DIR", None)
-        result = subprocess.run(
-            [sys.executable, "-c", probe], env=env, cwd=tmp_path, capture_output=True, text=True
-        )
+        result = _run_traced(probe, tmp_path)
         assert result.returncode == 0, result.stdout + result.stderr
         assert result.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0] []"
+
+    def test_step_counter_matches_the_steps_taken(self, tmp_path):
+        # the tracer counts the steps from bmt_integrate's grid and dt; at
+        # anomaly 5 the step resolves the anomalous rates, 32 times the
+        # cyclotron rate, so a step derived from the orbit alone reads low
+        probe = (
+            "from layers import Tracer\n"
+            "from landau_packets import FieldConfig, classical, cli, evolution\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "code = cli.main(['trajectory', '--anomaly', '5', '--samples', '16', '--t-max', '30',\n"
+            "                 '--output-dir', 'out'])\n"
+            "ref = classical.classical_reference(FieldConfig(h=0.1, anomaly=5.0, b_z=0.5), 100)\n"
+            "times = evolution.sample_times(ref.kin.omega, samples=16, t_max=30.0)\n"
+            "taken = int(classical.step_counts(times, ref.step).sum())\n"
+            "print(code, tracer.totals()['classical.rk4_steps'], taken, tracer.missing)\n"
+        )
+        result = _run_traced(probe, tmp_path)
+        assert result.returncode == 0, result.stdout + result.stderr
+        code, counted, taken, missing = result.stdout.strip().splitlines()[-1].split(" ", 3)
+        assert (code, missing) == ("0", "[]")
+        assert int(counted) == int(taken) > 16
 
 
 class TestStartup:
@@ -507,6 +554,33 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: b_z:") and err.count("\n") == 1
         assert "n=100" in err
+
+    @pytest.mark.parametrize("n", ["1", "5"])
+    def test_falling_levels_name_anomaly_h_and_n(self, tmp_path, capsys, n):
+        # on the epsilon = -1 branch the levels fall while b(n) + b(n+1)
+        # < 2 anomaly h: the gap reads -1.12 at n = 1 and -0.59 at n = 5
+        out = tmp_path / "out"
+        flags = ["--h", "2", "--anomaly", "5", "--epsilon", "-1", "--b-z", "0.5", "--n", n]
+        for command in ("trajectory", "verify"):
+            code = main([command, *flags, "--output-dir", str(out)])
+            assert code == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith(f"configuration error: anomaly, h, n: the levels fall from n={n} to n+1")
+            assert err.count("\n") == 1
+            assert not out.exists()
+
+    def test_rising_levels_run(self, tmp_path):
+        # the same branch rises from n = 12 on
+        flags = ["--h", "2", "--anomaly", "5", "--epsilon", "-1", "--b-z", "0.5", "--n", "20"]
+        assert main(["trajectory", *flags, "--samples", "16", "--output-dir", str(tmp_path)]) == EXIT_OK
+
+    def test_vanishing_gap_above_falling_levels_names_b_z(self, tmp_path, capsys):
+        # the gap at n = 20 rounds to zero at b_z = 1e12; the falling gap
+        # between levels 1 and 2 is not a gap that rounds to zero, so h is
+        # not the cause
+        flags = ["--h", "2", "--anomaly", "5", "--epsilon", "-1", "--b-z", "1e12", "--n", "20"]
+        assert main(["trajectory", *flags, "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: b_z: the gap between levels n=20")
 
     @pytest.mark.parametrize("h", ["1e-300", "1e-17"])
     def test_vanishing_level_gap_names_h(self, tmp_path, capsys, h):

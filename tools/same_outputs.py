@@ -3,15 +3,18 @@
     python tools/same_outputs.py PARENT_CHECKOUT
 
 The calls are the CLI calls of both benchmark workloads at seeds 1, 7 and
-13, read from ``benchmarks/run.make_workload``, and the default
-``trajectory``, ``converge``, ``verify`` and ``oracle``.  Each call runs in a
-fresh interpreter against the ``src`` directory of PARENT_CHECKOUT and of
-this checkout, once with one BLAS thread and once with two, writing into
-``out`` under its own temporary directory, so both sides print and record
-the same output path.  The exit code, stdout, stderr and every output file
-are compared byte for byte; in ``manifest.json`` the wall-clock
-``timestamp`` is set aside.  Every difference is listed, and the exit code
-is 1 if there is any, else 0.
+13, read from ``benchmarks/run.make_workload``, the default ``trajectory``,
+``converge``, ``verify`` and ``oracle``, and six edge calls: the drift gate
+of ``trajectory`` (exit 4), the step caps of ``trajectory`` and ``verify``
+(exit 2), a failing ``verify`` (exit 3), and ``verify`` and a coarse-grid
+``trajectory`` where the anomalous rates set the order-8 step.  Each call
+runs in a fresh interpreter against the ``src`` directory of
+PARENT_CHECKOUT and of this checkout, once with one BLAS thread and once
+with two, writing into ``out`` under its own temporary directory, so both
+sides print and record the same output path.  The exit code, stdout,
+stderr and every output file are compared byte for byte; in
+``manifest.json`` the wall-clock ``timestamp`` is set aside.  Every
+difference is listed, and the exit code is 1 if there is any, else 0.
 """
 
 from __future__ import annotations
@@ -28,6 +31,14 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 7, 13)
 THREADS = ("1", "2")
 DEFAULT_CALLS = (["trajectory"], ["converge"], ["verify"], ["oracle"])
+EDGE_CALLS = (
+    ["trajectory", "--anomaly", "0", "--n", "100000", "--t-max", "2e6", "--samples", "64"],
+    ["trajectory", "--t-max", "1e12"],
+    ["verify", "--anomaly", "1e-7"],
+    ["verify", "--n", "100000", "--anomaly", "0"],
+    ["verify", "--anomaly", "5"],
+    ["trajectory", "--anomaly", "5", "--samples", "16", "--t-max", "30"],
+)
 
 
 def cli_calls() -> list[tuple[str, list[str]]]:
@@ -41,6 +52,7 @@ def cli_calls() -> list[tuple[str, list[str]]]:
             for argv in run.make_workload(name, seed).calls:
                 calls.append((f"{name} seed {seed} {argv[0]}", argv))
     calls += [(f"default {argv[0]}", argv) for argv in DEFAULT_CALLS]
+    calls += [(f"edge {' '.join(argv)}", argv) for argv in EDGE_CALLS]
     return calls
 
 
