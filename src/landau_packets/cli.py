@@ -219,7 +219,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     engine = evolution.evolve_packet(packet, field, times, mode=cfg.mode)
     closed = evolution.closed_form_trajectory(kin, cfg.levels, times)
     bmt = classical.bmt_integrate(ref.init, cfg.h, times, ref.step)
-    drift = max(float(np.max(bmt.res_sp)), float(np.max(bmt.res_ss)))
+    drift = bmt.invariant_residual
     if drift > DRIFT_LIMIT:
         # the step is fixed by the reference and the drift grows with the
         # span, so the span is what the user can shorten
@@ -234,7 +234,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     bmt.to_csv(os.path.join(cfg.output_dir, "classical.csv"))
     _json_dump(_manifest(cfg, packet, kin), os.path.join(cfg.output_dir, "manifest.json"))
 
-    factor = float(np.max(np.abs(engine.p[:, 0]))) / kin.b_perp
+    factor = engine.amplitude_factor(kin.b_perp)
     comparison = {
         "momentum_amplitude_factor": factor,
         "engine_vs_closed_form": compare_trajectories(engine, closed),
@@ -261,7 +261,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     for levels in n_list:
         packet = packets.build_spinor_packet(cfg.n, levels, field, cfg.epsilon)
         traj = evolution.evolve_packet(packet, field, times, mode=cfg.mode)
-        factor = float(np.max(np.abs(traj.p[:, 0]))) / kin.b_perp
+        factor = traj.amplitude_factor(kin.b_perp)
         gap = float(np.max(np.abs(traj.p[:, :2] - reference[:, :2])))
         rows.append((levels, factor, abs(factor - packets.contrast_factor(levels)), gap))
 

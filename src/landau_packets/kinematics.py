@@ -120,7 +120,7 @@ def spin_mixing_ratio(cfg: FieldConfig, n: int, epsilon: int) -> float:
         )
     b = math.sqrt(1.0 + b_perp**2)
     big_b = energy_spinor(cfg, n, epsilon)
-    return (cfg.b_z + epsilon * b * math.hypot(b_perp, cfg.b_z)) / (big_b * b_perp)
+    return (cfg.b_z + b * helicity_eigenvalue(b_perp, cfg.b_z, epsilon)) / (big_b * b_perp)
 
 
 def polarization_constants(kappa: float) -> tuple[float, float]:

@@ -12,9 +12,7 @@ depends on the level and a band over any contiguous window is one complex
 table of shape (3, S, S): level offset d = m_bra - m_ket in {-1, 0, +1},
 spin of the bra, spin of the ket; S = 1 for spin-0 and S = 2 for
 spin-1/2.  The element between two states of the window is
-table[m_bra - m_ket + 1, spin_bra, spin_ket].  The table also carries its
-window and kind, so that ``entries`` can list its nonzero elements by state
-for inspection; the engine reads only the array.
+table[m_bra - m_ket + 1, spin_bra, spin_ket].
 """
 
 from __future__ import annotations
@@ -77,33 +75,6 @@ def block_table(observable: str, kind: str, kin: SpinKinematics) -> np.ndarray:
     return table
 
 
-class BandTable(np.ndarray):
-    """Block table of one observable over a contiguous level window: a
-    plain (3, S, S) array that also records its sorted ``levels`` and its
-    ``kind``, which views and copies keep."""
-
-    def __array_finalize__(self, obj) -> None:
-        self.levels = getattr(obj, "levels", ())
-        self.kind = getattr(obj, "kind", SPINOR)
-
-    @property
-    def entries(self) -> dict[tuple[int, int, int, int], complex]:
-        """Nonzero elements keyed by (m_bra, zeta_bra, m_ket, zeta_ket)."""
-        zetas = spin_labels(self.kind)
-        out: dict[tuple[int, int, int, int], complex] = {}
-        for m_ket in self.levels:
-            for i, d in enumerate(OFFSETS):
-                m_bra = m_ket + d
-                if not self.levels[0] <= m_bra <= self.levels[-1]:
-                    continue
-                for k, zeta_ket in enumerate(zetas):
-                    for j, zeta_bra in enumerate(zetas):
-                        value = complex(self[i, j, k])
-                        if value != 0j:
-                            out[(m_bra, zeta_bra, m_ket, zeta_ket)] = value
-        return out
-
-
 def hermiticity_defect(table: np.ndarray) -> float:
     """Largest deviation of a block element from the conjugate of its
     mirror, the element at the opposite offset with the spins swapped."""
@@ -118,7 +89,7 @@ def build_operator_band(
     reference_n: int,
     kind: str = SPINOR,
     zeta_ref: int = 1,
-) -> BandTable:
+) -> np.ndarray:
     """Read-only block table of one observable over a contiguous set of
     integer levels, in any order, with the kinematic factors frozen at the
     reference state (``reference_n``, ``zeta_ref``)."""
@@ -129,12 +100,10 @@ def build_operator_band(
     # without a repeat: (1, 2, 2, 4) has the span but not the distinct levels
     if levels[-1] - levels[0] != len(levels) - 1 or len(set(levels)) != len(levels):
         raise DomainError(f"levels: must be contiguous, got {levels}")
-    if observable not in OBSERVABLES:
-        raise DomainError(f"observable: must be one of {OBSERVABLES}, got {observable!r}")
     if kind == SCALAR and observable in SPIN_OBSERVABLES:
         raise DomainError(f"observable: {observable} is undefined for spin-0 states")
-    # from_field rejects a kind other than SCALAR and SPINOR
-    table = block_table(observable, kind, SpinKinematics.from_field(cfg, reference_n, zeta_ref, kind)).view(BandTable)
-    table.levels, table.kind = levels, kind
+    # from_field rejects a kind other than SCALAR and SPINOR, block_table an
+    # unknown observable
+    table = block_table(observable, kind, SpinKinematics.from_field(cfg, reference_n, zeta_ref, kind))
     table.setflags(write=False)
     return table

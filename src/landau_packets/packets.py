@@ -52,14 +52,6 @@ class PacketSpec:
         amplitudes.setflags(write=False)
         object.__setattr__(self, "amplitudes", amplitudes)
 
-    @property
-    def level_count(self) -> int:
-        return len(self.levels)
-
-    @property
-    def is_spinor(self) -> bool:
-        return self.kind == SPINOR
-
     def as_json_dict(self) -> dict:
         """Serializable form for run manifests, amplitudes sorted by
         (zeta, m)."""
@@ -172,7 +164,7 @@ def structure_sums(packet: PacketSpec) -> StructureSums:
     packets only populate the same-spin adjacent sum.
     """
     sums = pair_sums(packet.amplitudes[None])[0]
-    if not packet.is_spinor:
+    if packet.kind != SPINOR:
         return StructureSums(complex(sums[DOWN, 0, 0]), 0j, 0j, 0j)
     minus, plus = 0, 1  # spin indices of zeta = -1 and zeta = +1
     return StructureSums(

@@ -322,6 +322,18 @@ class Trajectory:
         object.__setattr__(self, "res_sp", np.abs(sp))
         object.__setattr__(self, "res_ss", np.abs(ss - 1.0))
 
+    @property
+    def invariant_residual(self) -> float:
+        """Largest residual of either four-spin invariant over the samples."""
+        if self.res_sp is None:
+            raise DomainError("trajectory: invariant residuals need spin components and the energy")
+        return max(float(np.max(self.res_sp)), float(np.max(self.res_ss)))
+
+    def amplitude_factor(self, b_perp: float) -> float:
+        """Largest |Px| over the samples in units of the transverse momentum
+        b_perp: the packet's momentum amplitude factor."""
+        return float(np.max(np.abs(self.p[:, 0]))) / b_perp
+
     def four_momentum(self) -> np.ndarray:
         """Stack (p0, p) into shape (T, 4)."""
         if self.p0 is None:

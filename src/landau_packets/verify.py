@@ -106,7 +106,7 @@ def check_packet_normalization(
         packet = packets.build_spinor_packet(n, levels, cfg, epsilon)
         if perturb:
             # scale element k of the (zeta, m)-sorted amplitudes, spin-major
-            spin, row = divmod(int(rng.integers(packet.amplitudes.size)), packet.level_count)
+            spin, row = divmod(int(rng.integers(packet.amplitudes.size)), len(packet.levels))
             amplitudes = packet.amplitudes.copy()
             amplitudes[row, spin] *= 1.5
             packet = replace(packet, amplitudes=amplitudes)
@@ -185,7 +185,7 @@ def check_factor_law(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
     for levels in _fitting_levels(FACTOR_LAW_LEVELS, n):
         packet = packets.build_spinor_packet(n, levels, cfg, epsilon)
         traj = evolution.evolve_packet(packet, cfg, times, mode=evolution.UNIFORM_GAP)
-        factor = float(np.max(np.abs(traj.p[:, 0]))) / kin.b_perp
+        factor = traj.amplitude_factor(kin.b_perp)
         rows[levels] = factor
         worst = max(worst, abs(factor - packets.contrast_factor(levels)))
     tol = 1e-10
@@ -195,7 +195,7 @@ def check_factor_law(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
 def check_invariants(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
     ref = classical.classical_reference(cfg, n, epsilon)
     traj = evolution.closed_form_trajectory(ref.kin, None, evolution.sample_times(ref.kin.omega))
-    worst = max(float(np.max(traj.res_sp)), float(np.max(traj.res_ss)))
+    worst = traj.invariant_residual
     tol = 1e-10
 
     # the orthogonality residual of the frozen kinematics scales linearly
@@ -297,7 +297,7 @@ def check_bmt_drift(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
     # the step resolves the spin coupling, whose rate grows with n and the anomaly
     grid = classical.step_grid(_drift_horizon(ref), ref.step, "n, anomaly")
     traj = classical.bmt_integrate(ref.init, cfg.h, grid, ref.step)
-    worst = max(float(np.max(traj.res_sp)), float(np.max(traj.res_ss)))
+    worst = traj.invariant_residual
     gamma_drift = float(np.max(np.abs(traj.p0 - traj.p0[0])))
     tol = 1e-8
     return CheckResult(

@@ -1,6 +1,7 @@
 """The CSV writer of ``Trajectory``: its bytes equal format(v, ".17g") for
 every double, and its array path, not the per-value fallback, writes the
-values of real tables."""
+values of real tables.  Also the figures a trajectory reports of itself:
+its momentum amplitude factor and its largest invariant residual."""
 
 import math
 import struct
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landau_packets import FieldConfig, cli, trajectory
+from landau_packets.errors import DomainError
 from landau_packets.classical import classical_reference
 from landau_packets.trajectory import CSV_BLOCK_ROWS, CSV_HEADER, Trajectory, _csv_block
 
@@ -138,3 +140,36 @@ def test_horizon_tables_use_the_array_path(tmp_path, fallback_calls):
         assert text == CSV_HEADER.encode() + b"\n" + per_value_text(table)
         values += table.size
     assert len(fallback_calls) <= values // 10**4
+
+
+# three samples whose residuals are exact in binary: res_sp = |S0 p0 - S.P|
+# reads (0, 0, 0.5), res_ss = ||S|^2 - S0^2 - 1| reads (0, 1.25, 0.0625)
+HAND_MADE = dict(
+    times=np.array([0.0, 1.0, 2.0]),
+    p=np.array([[0.5, 0.0, 0.0], [-1.5, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+    s=np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.5], [0.25, 1.0, 0.0, 0.0]]),
+    p0=np.array([1.0, 1.0, 2.0]),
+)
+
+
+class TestTrajectorySummaries:
+    def test_amplitude_factor_is_the_largest_px_over_b_perp(self):
+        traj = Trajectory(**HAND_MADE)
+        assert traj.amplitude_factor(0.5) == 3.0
+        assert Trajectory(times=traj.times, p=traj.p).amplitude_factor(1.5) == 1.0
+
+    def test_invariant_residual_is_the_larger_of_both_residuals(self):
+        traj = Trajectory(**HAND_MADE)
+        np.testing.assert_array_equal(traj.res_sp, [0.0, 0.0, 0.5])
+        np.testing.assert_array_equal(traj.res_ss, [0.0, 1.25, 0.0625])
+        assert traj.invariant_residual == 1.25
+        # a momentum along the spin raises res_sp above res_ss
+        p = HAND_MADE["p"].copy()
+        p[2, 0] = 4.0
+        assert Trajectory(**{**HAND_MADE, "p": p}).invariant_residual == 3.5
+
+    @pytest.mark.parametrize("missing", ["s", "p0"])
+    def test_invariant_residual_needs_spin_and_energy(self, missing):
+        traj = Trajectory(**{**HAND_MADE, missing: None})
+        with pytest.raises(DomainError, match="^trajectory: invariant residuals need spin components and the energy$"):
+            traj.invariant_residual
