@@ -12,7 +12,9 @@ depends on the level and a band over any contiguous window is one complex
 table of shape (3, S, S): level offset d = m_bra - m_ket in {-1, 0, +1},
 spin of the bra, spin of the ket; S = 1 for spin-0 and S = 2 for
 spin-1/2.  The element between two states of the window is
-table[m_bra - m_ket + 1, spin_bra, spin_ket].
+table[m_bra - m_ket + 1, spin_bra, spin_ket].  The table built for a window
+also records its levels, so that ``entries`` can list its nonzero elements
+by state for inspection; the engine reads only the array.
 """
 
 from __future__ import annotations
@@ -75,6 +77,30 @@ def block_table(observable: str, kind: str, kin: SpinKinematics) -> np.ndarray:
     return table
 
 
+class BandTable(np.ndarray):
+    """Block table of one observable, a plain (3, S, S) array that also
+    records the sorted ``levels`` of the window it was built for.  Views
+    and results of arithmetic record no window."""
+
+    levels: tuple[int, ...] = ()
+
+    @property
+    def entries(self) -> dict[tuple[int, int, int, int], complex]:
+        """Nonzero elements keyed by (m_bra, zeta_bra, m_ket, zeta_ket)."""
+        zetas = spin_labels(SCALAR if self.shape[-1] == 1 else SPINOR)
+        out: dict[tuple[int, int, int, int], complex] = {}
+        for m_ket in self.levels:
+            for i, d in enumerate(OFFSETS):
+                if m_ket + d not in self.levels:
+                    continue
+                for k, zeta_ket in enumerate(zetas):
+                    for j, zeta_bra in enumerate(zetas):
+                        value = complex(self[i, j, k])
+                        if value != 0j:
+                            out[(m_ket + d, zeta_bra, m_ket, zeta_ket)] = value
+        return out
+
+
 def hermiticity_defect(table: np.ndarray) -> float:
     """Largest deviation of a block element from the conjugate of its
     mirror, the element at the opposite offset with the spins swapped."""
@@ -89,7 +115,7 @@ def build_operator_band(
     reference_n: int,
     kind: str = SPINOR,
     zeta_ref: int = 1,
-) -> np.ndarray:
+) -> BandTable:
     """Read-only block table of one observable over a contiguous set of
     integer levels, in any order, with the kinematic factors frozen at the
     reference state (``reference_n``, ``zeta_ref``)."""
@@ -104,6 +130,7 @@ def build_operator_band(
         raise DomainError(f"observable: {observable} is undefined for spin-0 states")
     # from_field rejects a kind other than SCALAR and SPINOR, block_table an
     # unknown observable
-    table = block_table(observable, kind, SpinKinematics.from_field(cfg, reference_n, zeta_ref, kind))
+    table = block_table(observable, kind, SpinKinematics.from_field(cfg, reference_n, zeta_ref, kind)).view(BandTable)
+    table.levels = levels
     table.setflags(write=False)
     return table

@@ -145,6 +145,16 @@ class TestOperatorBands:
             table = build_operator_band(range(8, 15), name, cfg, 11, kind=kind)
             assert window_count(table, 7) == count, name
 
+    @pytest.mark.parametrize("kind", [SCALAR, SPINOR])
+    def test_entries_list_the_table_by_state(self, kind):
+        zetas = spin_labels(kind)
+        for name in OBSERVABLES if kind == SPINOR else MOMENTUM_OBSERVABLES:
+            table = build_operator_band([9, 7, 8], name, CFG, 8, kind=kind)
+            entries = table.entries
+            assert len(entries) == window_count(table, 3), name
+            for (m_bra, zeta_bra, m_ket, zeta_ket), value in entries.items():
+                assert value == table[m_bra - m_ket + 1, zetas.index(zeta_bra), zetas.index(zeta_ket)]
+
     def test_every_band_is_hermitian_and_banded(self):
         for name in OBSERVABLES:
             table = build_operator_band(range(5, 10), name, CFG, 7)
@@ -196,8 +206,9 @@ class TestOperatorBands:
     def test_one_read_only_table_per_band(self):
         spinor = build_operator_band(range(5, 10), "Sx", CFG, 7)
         scalar = build_operator_band(range(5, 10), "Px", CFG, 7, kind=SCALAR)
-        assert type(spinor) is np.ndarray and spinor.shape == (3, 2, 2)
-        assert type(scalar) is np.ndarray and scalar.shape == (3, 1, 1)
+        assert spinor.shape == (3, 2, 2) and spinor.levels == (5, 6, 7, 8, 9)
+        assert scalar.shape == (3, 1, 1) and scalar.levels == (5, 6, 7, 8, 9)
+        assert spinor[::-1].levels == () and spinor.entries
         for table in (spinor, scalar):
             with pytest.raises(ValueError):
                 table[0, 0, 0] = 1.0
