@@ -56,8 +56,9 @@ The maps depend on the momentum's length rho only through the spin
 equation, and rho moves only by roundoff and by the scheme's amplitude
 error (1.9e-15 per step at 32 steps per period), so each step takes the
 map at rho plus its first-order change in rho^2.  Two scalar loops then
-apply the maps in order: the momentum's, and the spin's, turned to each
-step's momentum direction.  u0 and u3 stay fixed.
+apply the maps in order: the momentum's, and the transverse spin's, turned
+to each step's momentum direction; s0 and s3 follow as running sums of
+their rows.  u0 and u3 stay fixed.
 """
 
 from __future__ import annotations
@@ -204,15 +205,6 @@ def classical_reference(cfg: FieldConfig, n: int, epsilon: int = 1) -> Classical
     )
 
 
-def _dd_combination(coefficients, terms):
-    """sum_i c_i x_i for doubles c_i and pairs x_i, as a pair."""
-    hi, lo = 0.0, 0.0
-    for coefficient, (th, tl) in zip(coefficients, terms):
-        if coefficient:
-            hi, lo = _dd_mul_add(coefficient, 0.0, th, tl, hi, lo)
-    return hi, lo
-
-
 def _quarter_turn(x: np.ndarray) -> np.ndarray:
     """(x1, x2) -> (-x2, x1) along the first axis."""
     return np.stack([-x[1], x[0]])
@@ -231,12 +223,18 @@ def _frame_steps(lengths: np.ndarray, rho: np.ndarray, k: float, inv: float, g: 
     a = half_g - 1.0
     omega = _two_prod(k, inv)
     hk = _two_prod(half_g, k)
+    # the stage matrix, its last row the weights b, read at each call
+    weights = np.zeros((13, 12))
+    for i, row in enumerate((*_DOP853_A, _DOP853_B)):
+        weights[i, : len(row)] = row
     # rows: the momentum over rho, then (s1, s2) x (along, across)
     start = np.zeros((6, lengths.size))
     start[0], start[2], start[5] = 1.0, 1.0, 1.0
-    rates, qs = [], []
-    for row in _DOP853_A:
-        yh, yl = _dd_mul_add(lengths, 0.0, *_dd_combination(row, rates), start, 0.0)
+    # sum_j weights[i, j] * rate_j of each row i over the stages j taken so
+    # far; a rate holds the six rows of start, then q of each spin
+    sum_h, sum_l = np.zeros((2, 13, 8, lengths.size))
+    for stage in range(12):
+        yh, yl = _dd_mul_add(lengths, 0.0, sum_h[stage, :6], sum_l[stage, :6], start, 0.0)
         uh, ul = _dd_mul_add(rho, 0.0, yh[:2], yl[:2], 0.0, 0.0)
         sh, sl = yh[2:].reshape(2, 2, -1), yl[2:].reshape(2, 2, -1)
         # q = k (s1 u2 - s2 u1); ds/dt = ((g/2) k J s + a q u) / gamma, du/dt = k J u / gamma
@@ -248,11 +246,14 @@ def _frame_steps(lengths: np.ndarray, rho: np.ndarray, k: float, inv: float, g: 
         dh, dl = _dd_mul_add(*hk, _quarter_turn(sh), _quarter_turn(sl), dh, dl)
         dh, dl = _dd_mul_add(inv, 0.0, dh, dl, 0.0, 0.0)
         mh, ml = _dd_mul_add(*omega, _quarter_turn(yh[:2]), _quarter_turn(yl[:2]), 0.0, 0.0)
-        rates.append((np.concatenate([mh, dh.reshape(4, -1)]), np.concatenate([ml, dl.reshape(4, -1)])))
-        qs.append((qh, ql))
-    dh, dl = _dd_mul_add(lengths, 0.0, *_dd_combination(_DOP853_B, rates), 0.0, 0.0)
-    dq = _dd_mul_add(lengths, 0.0, *_dd_combination(_DOP853_B, qs), 0.0, 0.0)
-    return (dh[:2], dl[:2]), (dh[2:].reshape(2, 2, -1), dl[2:].reshape(2, 2, -1)), dq
+        rows = np.flatnonzero(weights[:, stage])
+        sum_h[rows], sum_l[rows] = _dd_mul_add(
+            weights[rows, stage, None, None], 0.0,
+            np.concatenate([mh, dh.reshape(4, -1), qh]), np.concatenate([ml, dl.reshape(4, -1), ql]),
+            sum_h[rows], sum_l[rows],
+        )
+    dh, dl = _dd_mul_add(lengths, 0.0, sum_h[12], sum_l[12], 0.0, 0.0)
+    return (dh[:2], dl[:2]), (dh[2:6].reshape(2, 2, -1), dl[2:6].reshape(2, 2, -1)), (dh[6:], dl[6:])
 
 
 def _dop853_samples(init: ClassicalState, k: float, record_times: np.ndarray, substeps: np.ndarray) -> np.ndarray:
@@ -305,29 +306,29 @@ def _dop853_samples(init: ClassicalState, k: float, record_times: np.ndarray, su
         shift = (radius - rho) * (radius + rho)
         along, across = e * (spin[:, ix] + shift * spin_slope[:, ix])
         q_along, q_across = q[:, ix] + shift * q_slope[:, ix]
-        sigmas, s0s, s3s = [sigma], [s0], [s3]
-        for ce, ds_a, ds_c, dq_a, dq_c in zip(
-            e.conj().tolist(), along.tolist(), across.tolist(), q_along.tolist(), q_across.tolist()
-        ):
+        sigmas = [sigma]
+        for ce, ds_a, ds_c in zip(e.conj().tolist(), along.tolist(), across.tolist()):
             w = ce * sigma
             p, r = w.real, w.imag
             sigma = sigma + (p * ds_a + r * ds_c)
-            dq = p * dq_a + r * dq_c
-            s0 = s0 + a * dq
-            s3 = s3 + a3 * dq
             sigmas.append(sigma)
-            s0s.append(s0)
-            s3s.append(s3)
+        sigmas = np.array(sigmas)
+        # p + i r = conj(e) sigma before each step, formed as Python forms it
+        sr, si = sigmas.real[:-1], sigmas.imag[:-1]
+        p, r = e.real * sr + e.imag * si, e.real * si - e.imag * sr
+        dq = p * q_along + r * q_across
+        s0s = np.cumsum(np.concatenate([[s0], a * dq]))
+        s3s = np.cumsum(np.concatenate([[s3], a3 * dq]))
+        s0, s3 = s0s[-1], s3s[-1]
         first, last = np.searchsorted(ends, (begin, begin + ix.size), side="right")
         at = ends[first:last] - begin
         rows = slice(first + 1, last + 1)
         out[rows, 1] = zs.real[at]
         out[rows, 2] = zs.imag[at]
-        sigmas = np.array(sigmas)
-        out[rows, 4] = np.array(s0s)[at]
+        out[rows, 4] = s0s[at]
         out[rows, 5] = sigmas.real[at]
         out[rows, 6] = sigmas.imag[at]
-        out[rows, 7] = np.array(s3s)[at]
+        out[rows, 7] = s3s[at]
     return out
 
 

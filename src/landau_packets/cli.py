@@ -12,14 +12,19 @@ Subcommands:
                  momentum matrix elements
 
 Configuration comes from flags, optionally merged over a flat key=value
-file (flags win).  The environment variable SEMICLASSICAL_OUTPUT_DIR sets
-the default output directory.  Exit codes: 0 success, 2 configuration
-error, 3 verification failure, 4 numerical-accuracy failure.
+file (flags win).  Every command takes the physical configuration; only
+``trajectory`` and ``converge`` take the time grid and energy model, only
+``trajectory`` the level count and only ``verify`` the seed.  The file may
+set every key for every command.  The environment variable
+SEMICLASSICAL_OUTPUT_DIR sets the default output directory.  Exit codes:
+0 success, 2 configuration error (an argument argparse rejects included,
+in one line), 3 verification failure, 4 numerical-accuracy failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -81,6 +86,8 @@ class RunConfig:
             raise DomainError(f"samples: must be >= 2, got {self.samples}")
         if self.t_max is not None and not (math.isfinite(self.t_max) and self.t_max > 0):
             raise DomainError(f"t_max: must be finite and > 0, got {self.t_max}")
+        if self.seed < 0:
+            raise DomainError(f"seed: must be >= 0, got {self.seed}")
         try:
             energies = [energy_spinor(self.field, m, z) for m in (self.n, self.n + 1) for z in (-1, 1)]
         except OverflowError:
@@ -318,23 +325,37 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_shared(parser: argparse.ArgumentParser) -> None:
+    """The physical configuration every command reads."""
     parser.add_argument("--config", help="flat key=value configuration file")
     parser.add_argument("--h", type=float, help="dimensionless field strength")
     parser.add_argument("--anomaly", type=float, help="anomalous-moment ratio")
     parser.add_argument("--b-z", dest="b_z", type=float, help="longitudinal momentum")
     parser.add_argument("--n", type=int, help="reference level")
-    parser.add_argument("--levels", type=int, help="number of levels in the packet")
     parser.add_argument("--epsilon", type=int, choices=(-1, 1), help="helicity sign")
-    parser.add_argument("--mode", choices=(evolution.UNIFORM_GAP, evolution.EXACT), help="energy model")
-    parser.add_argument("--t-max", dest="t_max", type=float, help="time span (default two cyclotron periods)")
-    parser.add_argument("--samples", type=int, help="number of time samples")
-    parser.add_argument("--seed", type=int, help="seed for perturbation experiments")
     parser.add_argument("--output-dir", dest="output_dir", help="output directory")
 
 
+def _add_time_grid(parser: argparse.ArgumentParser) -> None:
+    """The energy model and time grid of the commands that evolve a packet."""
+    parser.add_argument("--mode", choices=(evolution.UNIFORM_GAP, evolution.EXACT), help="energy model")
+    parser.add_argument("--t-max", dest="t_max", type=float, help="time span (default two cyclotron periods)")
+    parser.add_argument("--samples", type=int, help="number of time samples")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections raise DomainError, so that
+    ``main`` reports them as every other configuration error."""
+
+    def error(self, message: str):
+        raise DomainError(message)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built once per process.  Each command takes
+    the shared flags and only the run-shape flags it reads."""
+    parser = _Parser(
         prog="landau-packets",
         description="Cyclotron motion and spin precession from Landau-level wave packets.",
     )
@@ -342,38 +363,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_traj = sub.add_parser("trajectory", help="run one configuration and write CSVs")
-    _add_common(p_traj)
-    p_traj.set_defaults(func=cmd_trajectory)
+    _add_shared(p_traj)
+    p_traj.add_argument("--levels", type=int, help="number of levels in the packet")
+    _add_time_grid(p_traj)
 
     p_conv = sub.add_parser("converge", help="sweep the level count")
-    _add_common(p_conv)
-    p_conv.add_argument("--n-list", dest="n_list", type=_int_list, default=[3, 10, 100],
+    _add_shared(p_conv)
+    _add_time_grid(p_conv)
+    p_conv.add_argument("--n-list", dest="n_list", type=_int_list, default=(3, 10, 100),
                         help="comma-separated level counts")
-    p_conv.set_defaults(func=cmd_converge)
 
     p_verify = sub.add_parser("verify", help="run the self-verification suite")
-    _add_common(p_verify)
+    _add_shared(p_verify)
     p_verify.add_argument("--perturb", action="store_true",
                           help="corrupt one amplitude to demonstrate failure detection")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.add_argument("--seed", type=int, help="seed of the amplitude --perturb corrupts")
 
     p_oracle = sub.add_parser("oracle", help="quadrature convergence of exact matrix elements")
-    _add_common(p_oracle)
-    p_oracle.add_argument("--n-list", dest="n_list", type=_int_list, default=[10, 20, 40, 80],
+    _add_shared(p_oracle)
+    p_oracle.add_argument("--n-list", dest="n_list", type=_int_list, default=(10, 20, 40, 80),
                           help="comma-separated levels to scan")
     p_oracle.add_argument("--radial-s", dest="radial_s", type=int, default=0,
                           help="radial quantum number of the scanned states")
-    p_oracle.set_defaults(func=cmd_oracle)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        # looked up by name at each call, so that a wrapped cmd_* is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except DomainError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        # a newline in an argument or a path would break the one-line message
+        print(f"configuration error: {exc}".replace("\n", "\\n"), file=sys.stderr)
         return EXIT_CONFIG
     except AccuracyError as exc:
         print(f"numerical accuracy error: {exc}", file=sys.stderr)

@@ -43,6 +43,8 @@ class PacketSpec:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.kind not in (SCALAR, SPINOR):
+            raise DomainError(f"kind: must be 'scalar' or 'spinor', got {self.kind!r}")
         amplitudes = np.array(self.amplitudes, dtype=complex)
         shape = (len(self.levels), len(spin_labels(self.kind)))
         if amplitudes.shape != shape:

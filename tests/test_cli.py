@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -475,6 +476,23 @@ class TestTracedRun:
         assert int(counted) == int(taken) > 16
 
 
+    def test_parser_built_before_the_tracer_runs_the_traced_command(self, tmp_path):
+        # the benchmark's child builds the parser before it installs the
+        # tracer; main still has to run the wrapped cmd_* the tracer left
+        probe = (
+            "from layers import Tracer\n"
+            "from landau_packets import cli\n"
+            "cli.build_parser()\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "code = cli.main(['oracle', '--n-list', '10,20', '--output-dir', 'out'])\n"
+            "print(code, cli.build_parser() is cli.build_parser(), 'cli.oracle' in tracer.totals())\n"
+        )
+        result = _run_traced(probe, tmp_path)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stdout.strip().splitlines()[-1] == "0 True True"
+
+
 class TestStartup:
     def test_cli_import_loads_no_scipy(self):
         # the package needs numpy only; scipy would add to every call's start-up
@@ -500,6 +518,76 @@ class TestStartup:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         assert result.stdout.split()[-3:] == ["0", "False", "False"]
+
+
+#: the flags every command takes, and those each takes besides
+SHARED_FLAGS = {"--config", "--h", "--anomaly", "--b-z", "--n", "--epsilon", "--output-dir"}
+OWN_FLAGS = {
+    "trajectory": {"--levels", "--mode", "--t-max", "--samples"},
+    "converge": {"--mode", "--t-max", "--samples", "--n-list"},
+    "verify": {"--perturb", "--seed"},
+    "oracle": {"--n-list", "--radial-s"},
+}
+#: a value each run-shape flag would parse to, were it taken
+SHAPE_VALUES = {"--levels": "5", "--mode": "exact", "--t-max": "10", "--samples": "64", "--seed": "3"}
+
+
+class TestArgumentParsing:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            *[([command, flag, SHAPE_VALUES[flag]], f"unrecognized arguments: {flag} {SHAPE_VALUES[flag]}")
+              for command in OWN_FLAGS for flag in sorted(SHAPE_VALUES.keys() - OWN_FLAGS[command])],
+            *[([command, "--n", "abc"], "argument --n: invalid int value: 'abc'") for command in OWN_FLAGS],
+            *[([command, "--epsilon", "2"], "argument --epsilon: invalid choice: 2") for command in OWN_FLAGS],
+            ([], "the following arguments are required: command"),
+            (["verify", "--bogus\nx"], "unrecognized arguments: --bogus\\nx"),
+            (["oracle", "--config", "absent\n.cfg"], "config: cannot read absent\\n.cfg"),
+        ],
+    )
+    def test_rejected_in_one_line(self, tmp_path, monkeypatch, capsys, argv, message):
+        # argparse's rejections take the path of every configuration error
+        monkeypatch.chdir(tmp_path)
+        code = main([*argv, "--output-dir", "out"] if argv else [])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: {message}")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", OWN_FLAGS)
+    def test_help_lists_the_flags_read(self, capsys, command):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--help"])
+        assert exited.value.code == 0
+        listed = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE))
+        assert listed == SHARED_FLAGS | OWN_FLAGS[command]
+
+    def test_version_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--version"])
+        assert exited.value.code == 0
+        assert capsys.readouterr().out == f"landau-packets {landau_packets.__version__}\n"
+
+    @pytest.mark.parametrize("command", OWN_FLAGS)
+    def test_config_file_sets_every_key_for_every_command(self, tmp_path, command):
+        # a command ignores the keys it does not read, and verify.json echoes them
+        config = tmp_path / "run.cfg"
+        config.write_text("levels = 5\nmode = exact\nt_max = 10\nsamples = 64\nseed = 3\n")
+        out = tmp_path / "out"
+        levels = ["--n-list", "10,20"] if "--n-list" in OWN_FLAGS[command] else []
+        assert main([command, "--config", str(config), *levels, "--output-dir", str(out)]) == EXIT_OK
+        if command == "verify":
+            echoed = json.loads((out / "verify.json").read_text())["config"]
+            assert echoed | {"levels": 5, "mode": "exact", "t_max": 10.0, "samples": 64, "seed": 3} == echoed
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        # numpy's generator takes no negative seed; validate rejects it first
+        out = tmp_path / "out"
+        code = main(["verify", "--perturb", "--seed", "-1", "--output-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "configuration error: seed: must be >= 0, got -1\n"
+        assert not out.exists()
 
 
 class TestConfigHandling:

@@ -199,6 +199,13 @@ class TestAmplitudeArray:
         with pytest.raises(DomainError):
             PacketSpec(kind="spinor", n=10, levels=(9, 10, 11), epsilon=1, amplitudes=np.ones((3, 1)))
 
+    @pytest.mark.parametrize("kind", ["vector", "Spinor", ""])
+    def test_unknown_kind_rejected(self, kind):
+        # every kind but "scalar" would otherwise pass as two spins, and the
+        # structure sums take the spin-0 branch
+        with pytest.raises(DomainError, match=f"^kind: must be 'scalar' or 'spinor', got {kind!r}$"):
+            PacketSpec(kind=kind, n=5, levels=(4, 5, 6), epsilon=1, amplitudes=np.full((3, 2), 1 / math.sqrt(6)))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_amplitudes_must_be_finite(self, bad):
         packet = build_spinor_packet(100, 3, CFG)

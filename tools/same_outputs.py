@@ -4,11 +4,13 @@
 
 The calls are the CLI calls of both benchmark workloads at seeds 1, 7 and
 13, read from ``benchmarks/run.make_workload``, the default ``trajectory``,
-``converge``, ``verify`` and ``oracle``, and seven edge calls: the drift gate
+``converge``, ``verify`` and ``oracle``, and eight edge calls: the drift gate
 of ``trajectory`` (exit 4), the step caps of ``trajectory`` and ``verify``
 (exit 2), a failing ``verify`` (exit 3), ``verify`` and a coarse-grid
-``trajectory`` where the anomalous rates set the order-8 step, and an
-exact-mode ``converge`` whose packets span two level chunks.  Each call
+``trajectory`` where the anomalous rates set the order-8 step, a
+``trajectory`` at level 10^5 and anomaly 5, where the order-8 maps change
+most with the momentum's length, and an exact-mode ``converge`` whose
+packets span two level chunks.  Each call
 runs in a fresh interpreter against the ``src`` directory of
 PARENT_CHECKOUT and of this checkout, once with one BLAS thread and once
 with two, writing into ``out`` under its own temporary directory, so both
@@ -39,6 +41,7 @@ EDGE_CALLS = (
     ["verify", "--n", "100000", "--anomaly", "0"],
     ["verify", "--anomaly", "5"],
     ["trajectory", "--anomaly", "5", "--samples", "16", "--t-max", "30"],
+    ["trajectory", "--n", "100000", "--anomaly", "5", "--samples", "64", "--t-max", "5000"],
     ["converge", "--mode", "exact", "--n", "3000", "--n-list", "2000,2001"],
 )
 
