@@ -29,7 +29,6 @@ import json
 import math
 import os
 import sys
-import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -186,7 +185,6 @@ def _manifest(cfg: RunConfig, packet: packets.PacketSpec, kin: SpinKinematics) -
     return {
         "tool": "landau-packets",
         "version": __version__,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config": asdict(cfg),
         "derived": {
             "b_perp": kin.b_perp,
@@ -201,6 +199,7 @@ def _manifest(cfg: RunConfig, packet: packets.PacketSpec, kin: SpinKinematics) -
             "omega_a_closed": omega_a_closed,
             "levels_window": [packet.levels[0], packet.levels[-1]],
             "contrast_factor": packets.contrast_factor(cfg.levels),
+            "normalization_defect": packets.normalization_defect(packet),
             "sums": {
                 "adjacent_same_spin": sums.adjacent_same_spin.real,
                 "adjacent_spin_flip": sums.adjacent_spin_flip.real,
@@ -208,7 +207,6 @@ def _manifest(cfg: RunConfig, packet: packets.PacketSpec, kin: SpinKinematics) -
                 "population_imbalance": sums.population_imbalance.real,
             },
         },
-        "packet": packet.as_json_dict(),
     }
 
 

@@ -16,6 +16,7 @@ same-level sums reproduce the polarization constants.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,10 @@ class PacketSpec:
     holds level ``levels[i]``, the columns the spins of ``spin_labels``.
     ``n`` is the reference level the window is centered on and at which
     frozen kinematics are evaluated; the helicity sign ``epsilon`` is also
-    the spin of the reference state.
+    the spin of the reference state.  The constructor rejects a window that
+    does not ascend in steps of one or that starts below the kind's lowest
+    level (0 for spin-0, 1 for spin-1/2): the pair sums pair row i with row
+    i + 1 as the levels m and m + 1.
     """
 
     kind: str
@@ -45,6 +49,9 @@ class PacketSpec:
     def __post_init__(self) -> None:
         if self.kind not in (SCALAR, SPINOR):
             raise DomainError(f"kind: must be 'scalar' or 'spinor', got {self.kind!r}")
+        if self.epsilon not in (-1, 1):
+            raise DomainError(f"epsilon: must be +1 or -1, got {self.epsilon}")
+        _check_window(self.kind, self.levels)
         amplitudes = np.array(self.amplitudes, dtype=complex)
         shape = (len(self.levels), len(spin_labels(self.kind)))
         if amplitudes.shape != shape:
@@ -53,21 +60,6 @@ class PacketSpec:
             raise DomainError("amplitudes: must be finite")
         amplitudes.setflags(write=False)
         object.__setattr__(self, "amplitudes", amplitudes)
-
-    def as_json_dict(self) -> dict:
-        """Serializable form for run manifests, amplitudes sorted by
-        (zeta, m)."""
-        return {
-            "kind": self.kind,
-            "reference_level": self.n,
-            "levels": list(self.levels),
-            "epsilon": self.epsilon,
-            "amplitudes": [
-                {"zeta": zeta, "m": m, "re": float(value.real), "im": float(value.imag)}
-                for zeta, column in zip(spin_labels(self.kind), self.amplitudes.T)
-                for m, value in zip(self.levels, column)
-            ],
-        }
 
 
 @dataclass(frozen=True)
@@ -87,6 +79,25 @@ class StructureSums:
     adjacent_spin_flip: complex
     diagonal_spin_flip: complex
     population_imbalance: complex
+
+
+def _check_window(kind: str, levels: tuple[int, ...]) -> None:
+    if not levels:
+        raise DomainError("levels: need at least one level, got 0")
+    first, last = levels[0], levels[-1]
+    # element by element, so a 10^4-level window costs no second tuple of ints
+    if not all(map(operator.eq, levels, range(first, first + len(levels)))):
+        raise DomainError(
+            f"levels: must ascend in steps of 1, got {first}..{last} over {len(levels)} levels"
+        )
+    _check_lowest_level(kind, first, last)
+
+
+def _check_lowest_level(kind: str, first: int, last: int) -> None:
+    if kind == SPINOR and first < 1:
+        raise DomainError(f"levels: window {first}..{last} reaches below the first spin-1/2 level")
+    if first < 0:
+        raise DomainError(f"levels: window {first}..{last} reaches below the ground level")
 
 
 def _level_window(n: int, count: int) -> range:
@@ -110,10 +121,6 @@ def build_scalar_packet(n: int, levels: int) -> PacketSpec:
     (``dataclasses.replace``); ``PacketSpec`` checks their shape.
     """
     window = _level_window(n, levels)
-    if window[0] < 0:
-        raise DomainError(
-            f"levels: window {window[0]}..{window[-1]} reaches below the ground level"
-        )
     amplitudes = np.full((levels, 1), 1.0 / math.sqrt(levels))
     return PacketSpec(kind=SCALAR, n=n, levels=tuple(window), epsilon=1, amplitudes=amplitudes)
 
@@ -128,10 +135,8 @@ def build_spinor_packet(n: int, levels: int, cfg: FieldConfig, epsilon: int = 1)
     amplitudes.
     """
     window = _level_window(n, levels)
-    if not spinor_window_fits(n, levels):
-        raise DomainError(
-            f"levels: window {window[0]}..{window[-1]} reaches below the first spin-1/2 level"
-        )
+    # a window below level 1 is reported before a ratio that is undefined at h = 0
+    _check_lowest_level(SPINOR, window[0], window[-1])
     kappa = spin_mixing_ratio(cfg, n, epsilon)
     down = 1.0 / math.sqrt(levels * (kappa * kappa + 1.0))
     amplitudes = np.tile([down, kappa * down], (levels, 1))

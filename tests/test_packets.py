@@ -51,7 +51,7 @@ class TestScalarPackets:
         assert packet.levels == (9, 10, 11, 12)
 
     def test_window_below_ground_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^levels: window -1\.\.3 reaches below the ground level$"):
             build_scalar_packet(1, 5)
 
     def test_normalized(self):
@@ -84,8 +84,12 @@ class TestSpinorPackets:
             assert prob == pytest.approx(0.2, rel=1e-14)
 
     def test_window_below_first_level_rejected(self):
-        with pytest.raises(DomainError):
+        message = r"^levels: window 0\.\.4 reaches below the first spin-1/2 level$"
+        with pytest.raises(DomainError, match=message):
             build_spinor_packet(2, 5, CFG, +1)
+        # reported before the mixing ratio that h = 0 leaves undefined
+        with pytest.raises(DomainError, match=message):
+            build_spinor_packet(2, 5, FieldConfig(h=0.0, anomaly=0.0, b_z=0.5), +1)
 
     def test_propagates_singular_configuration(self):
         with pytest.raises(SingularConfigurationError):
@@ -216,12 +220,39 @@ class TestAmplitudeArray:
         with pytest.raises(DomainError, match="^amplitudes: must be finite$"):
             replace(packet, amplitudes=amplitudes)
 
-    def test_json_amplitudes_sorted_by_spin_then_level(self):
-        packet = build_spinor_packet(10, 3, CFG, -1)
-        entries = packet.as_json_dict()["amplitudes"]
-        assert [(e["zeta"], e["m"]) for e in entries] == sorted(
-            (zeta, m) for zeta in (-1, 1) for m in (9, 10, 11)
-        )
-        amp = amplitude_of(packet)
-        assert all(complex(e["re"], e["im"]) == amp(e["zeta"], e["m"]) for e in entries)
-        assert all(type(e["re"]) is float and type(e["im"]) is float for e in entries)
+
+class TestWindow:
+    """The constructor's checks of the window and the helicity sign."""
+
+    @pytest.mark.parametrize(
+        "levels",
+        [(101, 100, 99), (99, 101, 103), (99, 100, 100)],
+        ids=["descending", "gapped", "repeated"],
+    )
+    def test_window_must_ascend_in_steps_of_one(self, levels):
+        packet = build_spinor_packet(100, 3, CFG)
+        with pytest.raises(DomainError, match="^levels: must ascend in steps of 1, got "):
+            replace(packet, levels=levels)
+
+    def test_spinor_window_below_first_level_rejected(self):
+        packet = build_spinor_packet(100, 3, CFG)
+        with pytest.raises(DomainError, match=r"^levels: window -1\.\.1 reaches below the first spin-1/2 level$"):
+            replace(packet, levels=(-1, 0, 1))
+        with pytest.raises(DomainError, match="first spin-1/2 level"):
+            replace(packet, levels=(0, 1, 2))
+
+    def test_scalar_window_below_ground_rejected(self):
+        packet = build_scalar_packet(10, 3)
+        assert replace(packet, levels=(0, 1, 2)).levels == (0, 1, 2)
+        with pytest.raises(DomainError, match=r"^levels: window -1\.\.1 reaches below the ground level$"):
+            replace(packet, levels=(-1, 0, 1))
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(DomainError, match="^levels: need at least one level"):
+            PacketSpec(kind="scalar", n=10, levels=(), epsilon=1, amplitudes=np.zeros((0, 1)))
+
+    @pytest.mark.parametrize("epsilon", [0, 2, -2])
+    def test_epsilon_must_be_a_sign(self, epsilon):
+        packet = build_spinor_packet(100, 3, CFG)
+        with pytest.raises(DomainError, match=f"^epsilon: must be \\+1 or -1, got {epsilon}$"):
+            replace(packet, epsilon=epsilon)

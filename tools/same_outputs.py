@@ -4,26 +4,25 @@
 
 The calls are the CLI calls of both benchmark workloads at seeds 1, 7 and
 13, read from ``benchmarks/run.make_workload``, the default ``trajectory``,
-``converge``, ``verify`` and ``oracle``, and eight edge calls: the drift gate
+``converge``, ``verify`` and ``oracle``, and nine edge calls: the drift gate
 of ``trajectory`` (exit 4), the step caps of ``trajectory`` and ``verify``
 (exit 2), a failing ``verify`` (exit 3), ``verify`` and a coarse-grid
 ``trajectory`` where the anomalous rates set the order-8 step, a
 ``trajectory`` at level 10^5 and anomaly 5, where the order-8 maps change
-most with the momentum's length, and an exact-mode ``converge`` whose
-packets span two level chunks.  Each call
-runs in a fresh interpreter against the ``src`` directory of
+most with the momentum's length, an exact-mode ``converge`` whose packets
+span two level chunks, and the paper-scale exact-mode ``trajectory``:
+10^4 levels at level 10^5 over one anomalous period on 8 192 samples.
+Each call runs in a fresh interpreter against the ``src`` directory of
 PARENT_CHECKOUT and of this checkout, once with one BLAS thread and once
 with two, writing into ``out`` under its own temporary directory, so both
 sides print and record the same output path.  The exit code, stdout,
-stderr and every output file are compared byte for byte; in
-``manifest.json`` the wall-clock ``timestamp`` is set aside.  Every
+stderr and every output file are compared byte for byte.  Every
 difference is listed, and the exit code is 1 if there is any, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import subprocess
 import sys
@@ -43,6 +42,7 @@ EDGE_CALLS = (
     ["trajectory", "--anomaly", "5", "--samples", "16", "--t-max", "30"],
     ["trajectory", "--n", "100000", "--anomaly", "5", "--samples", "64", "--t-max", "5000"],
     ["converge", "--mode", "exact", "--n", "3000", "--n-list", "2000,2001"],
+    ["trajectory", "--mode", "exact", "--n", "100000", "--levels", "10000", "--samples", "8192", "--t-max", "27101"],
 )
 
 
@@ -73,10 +73,6 @@ def run_call(src: Path, argv: list[str], threads: str) -> dict[str, bytes]:
         )
         out = Path(work, "out")
         files = {path.name: path.read_bytes() for path in out.iterdir()} if out.exists() else {}
-    if "manifest.json" in files:
-        manifest = json.loads(files["manifest.json"])
-        manifest.pop("timestamp", None)
-        files["manifest.json"] = json.dumps(manifest, sort_keys=True).encode()
     return {
         "exit code": str(result.returncode).encode(),
         "stdout": result.stdout,
