@@ -15,8 +15,10 @@ Configuration comes from flags, optionally merged over a flat key=value
 file (flags win).  Every command takes the physical configuration; only
 ``trajectory`` and ``converge`` take the time grid and energy model, only
 ``trajectory`` the level count and only ``verify`` the seed.  The file may
-set every key for every command.  The environment variable
-SEMICLASSICAL_OUTPUT_DIR sets the default output directory.  Exit codes:
+set every key for every command; it is read as UTF-8.  The environment
+variable SEMICLASSICAL_OUTPUT_DIR sets the default output directory; an
+empty one, or one a non-directory blocks, is rejected before any work, and
+an OSError while writing is reported as a configuration error.  Exit codes:
 0 success, 2 configuration error (an argument argparse rejects included,
 in one line), 3 verification failure, 4 numerical-accuracy failure.
 """
@@ -24,6 +26,7 @@ in one line), 3 verification failure, 4 numerical-accuracy failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -136,10 +139,12 @@ _KEY_TYPES = {
 
 def _parse_config_file(path: str) -> dict:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise DomainError(f"config: cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"config: cannot read {path}: not UTF-8 text at byte {exc.start}") from exc
     values: dict = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -168,7 +173,33 @@ def _merge_config(args: argparse.Namespace, level_gap: bool = True) -> RunConfig
             values[key] = getattr(args, key)
     cfg = RunConfig(**values)
     cfg.validate(level_gap)
+    _check_output_dir(cfg.output_dir)
     return cfg
+
+
+def _check_output_dir(path: str) -> None:
+    """Reject, before any work and without creating anything, an output
+    directory that is empty or that a non-directory blocks: the path itself
+    or the nearest of its ancestors that exists."""
+    if not path or "\0" in path:
+        raise DomainError(f"output_dir: must be a nonempty path without a NUL character, got {path!r}")
+    blocker = os.path.abspath(path)
+    while not os.path.exists(blocker) and os.path.dirname(blocker) != blocker:
+        blocker = os.path.dirname(blocker)
+    if not os.path.isdir(blocker):
+        raise DomainError(f"output_dir: cannot create {path}: {blocker} is not a directory")
+
+
+@contextlib.contextmanager
+def _writing(cfg: RunConfig):
+    """Create the output directory and report an OSError of the writes
+    inside this block as a configuration error of ``output_dir``."""
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+        yield
+    except OSError as exc:
+        path = exc.filename or cfg.output_dir
+        raise DomainError(f"output_dir: cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _json_dump(payload: dict, path: str) -> None:
@@ -177,8 +208,8 @@ def _json_dump(payload: dict, path: str) -> None:
         handle.write("\n")
 
 
-def _manifest(cfg: RunConfig, packet: packets.PacketSpec, kin: SpinKinematics) -> dict:
-    field = cfg.field
+def _manifest(cfg: RunConfig, packet: packets.PacketSpec) -> dict:
+    field, kin = cfg.field, packet.reference
     omega_exact, omega_asym = cyclotron_frequency(field, cfg.n, cfg.epsilon)
     omega_a_exact, omega_a_closed = anomalous_frequency(field, cfg.n)
     sums = packets.structure_sums(packet)
@@ -215,14 +246,13 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     field = cfg.field
 
     packet = packets.build_spinor_packet(cfg.n, cfg.levels, field, cfg.epsilon)
-    kin = SpinKinematics.from_field(field, cfg.n, cfg.epsilon)
-    times = evolution.sample_times(kin.omega, samples=cfg.samples, t_max=cfg.t_max)
+    times = evolution.sample_times(packet.reference.omega, samples=cfg.samples, t_max=cfg.t_max)
     ref = classical.classical_reference(field, cfg.n, cfg.epsilon)
     # a t_max beyond the integrator's step cap is rejected before anything is written
     steps = int(np.sum(classical.step_counts(times, ref.step, "t_max")))
 
-    engine = evolution.evolve_packet(packet, field, times, mode=cfg.mode)
-    closed = evolution.closed_form_trajectory(kin, cfg.levels, times)
+    engine = evolution.evolve_packet(packet, times, mode=cfg.mode)
+    closed = evolution.closed_form_trajectory(packet.reference, cfg.levels, times)
     bmt = classical.bmt_integrate(ref.init, cfg.h, times, ref.step)
     drift = bmt.invariant_residual
     if drift > DRIFT_LIMIT:
@@ -233,20 +263,19 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
             f"{times[-1]:.6g} in {steps} steps; use a shorter t_max"
         )
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    engine.to_csv(os.path.join(cfg.output_dir, "trajectory.csv"))
-    closed.to_csv(os.path.join(cfg.output_dir, "closed_form.csv"))
-    bmt.to_csv(os.path.join(cfg.output_dir, "classical.csv"))
-    _json_dump(_manifest(cfg, packet, kin), os.path.join(cfg.output_dir, "manifest.json"))
-
-    factor = engine.amplitude_factor(kin.b_perp)
+    factor = engine.amplitude_factor(packet.reference.b_perp)
     comparison = {
         "momentum_amplitude_factor": factor,
         "engine_vs_closed_form": compare_trajectories(engine, closed),
         "engine_vs_classical": compare_trajectories(engine, bmt),
         "closed_form_vs_classical": compare_trajectories(closed, bmt),
     }
-    _json_dump(comparison, os.path.join(cfg.output_dir, "comparison.json"))
+    with _writing(cfg):
+        engine.to_csv(os.path.join(cfg.output_dir, "trajectory.csv"))
+        closed.to_csv(os.path.join(cfg.output_dir, "closed_form.csv"))
+        bmt.to_csv(os.path.join(cfg.output_dir, "classical.csv"))
+        _json_dump(_manifest(cfg, packet), os.path.join(cfg.output_dir, "manifest.json"))
+        _json_dump(comparison, os.path.join(cfg.output_dir, "comparison.json"))
     print(f"levels={cfg.levels} momentum amplitude factor {factor:.12f}")
     print(f"wrote trajectory.csv, closed_form.csv, classical.csv, manifest.json, comparison.json")
     return EXIT_OK
@@ -265,14 +294,14 @@ def cmd_converge(args: argparse.Namespace) -> int:
     rows = []
     for levels in n_list:
         packet = packets.build_spinor_packet(cfg.n, levels, field, cfg.epsilon)
-        traj = evolution.evolve_packet(packet, field, times, mode=cfg.mode)
+        traj = evolution.evolve_packet(packet, times, mode=cfg.mode)
         factor = traj.amplitude_factor(kin.b_perp)
         gap = float(np.max(np.abs(traj.p[:, :2] - reference[:, :2])))
         rows.append((levels, factor, abs(factor - packets.contrast_factor(levels)), gap))
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, "converge.csv")
-    write_table(path, "levels,factor,factor_defect,classical_gap", rows)
+    with _writing(cfg):
+        write_table(path, "levels,factor,factor_defect,classical_gap", rows)
     for levels, factor, defect, gap in rows:
         print(f"levels={levels:6d} factor={factor:.12f} defect={defect:.3e} gap={gap:.6e}")
     print(f"wrote {path}")
@@ -286,8 +315,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     payload = report.as_dict()
     payload["config"] = asdict(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    _json_dump(payload, os.path.join(cfg.output_dir, "verify.json"))
+    with _writing(cfg):
+        _json_dump(payload, os.path.join(cfg.output_dir, "verify.json"))
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         extra = "" if check.residual is None else f" residual={check.residual:.3e}"
@@ -306,9 +335,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     # err_y equals err_x bit for bit, so one fit gives both exponents
     exponent = laguerre.fit_decay_exponent(args.n_list, [r[1] for r in rows])
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, "oracle.csv")
-    write_table(path, "n,rel_err_x,rel_err_y,err_z", rows)
+    with _writing(cfg):
+        write_table(path, "n,rel_err_x,rel_err_y,err_z", rows)
     for n, ex, ey, ez in rows:
         print(f"n={n:4d} rel_err_x={ex:.6e} rel_err_y={ey:.6e} err_z={ez:.3e}")
     print(f"decay exponent x: {exponent:.4f}  y: {exponent:.4f}")

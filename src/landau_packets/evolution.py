@@ -2,12 +2,13 @@
 with the block tables of the observables, the closed-form trajectories it
 reproduces and the polarization tensor.
 
-Everything here derives from the packet, the engine's only input besides
-the field: its reference state (n, epsilon) fixes one frozen
-``SpinKinematics``, which the block tables of the bands, the phase
-energies of ``relative_energies`` and the energy p0 all read;
-``expectation_series`` builds every band of the packet's kind over the
-packet's own level window, so no band can come from another window; and a
+Everything here derives from the packet, the engine's only input: it
+carries its field, and its reference state (n, epsilon), the center of its
+window, fixes one frozen ``SpinKinematics`` (``PacketSpec.reference``),
+which the block tables of the bands, the phase energies of
+``relative_energies`` and the energy p0 all read; ``expectation_series``
+builds every band of the packet's kind over the packet's own level window
+in its own field, so no band can come from another window or field; and a
 ``Trajectory`` derives its invariant residuals from its own samples.  The
 engine evolves every basis state of the packet's amplitude array with its
 own phase, psi(t) = a * exp(-i*dE*t), and contracts the pair sums of
@@ -120,11 +121,11 @@ def _level_energy(cfg: FieldConfig, kind: str, m: int, zeta: int) -> float:
     return energy_scalar(cfg, m) if kind == SCALAR else energy_spinor(cfg, m, zeta)
 
 
-def relative_energies(packet: PacketSpec, cfg: FieldConfig, mode: str = UNIFORM_GAP) -> np.ndarray:
+def relative_energies(packet: PacketSpec, mode: str = UNIFORM_GAP) -> np.ndarray:
     """Phase energies of the packet's basis states less the energy of its
     reference state (n, epsilon), shape (levels, S) like the amplitudes.
 
-    Both modes read the reference's ``SpinKinematics``: in uniform-gap
+    Both modes read the packet's ``reference``: in uniform-gap
     mode every adjacent-level gap is its ``omega`` and every spin splitting
     its ``omega_a`` (zero for spin-0), which keeps the phases exactly
     periodic; in exact mode each state carries its true level energy, less
@@ -132,13 +133,12 @@ def relative_energies(packet: PacketSpec, cfg: FieldConfig, mode: str = UNIFORM_
     """
     if mode not in (UNIFORM_GAP, EXACT):
         raise DomainError(f"mode: must be '{UNIFORM_GAP}' or '{EXACT}', got {mode!r}")
-    kind, n, zeta_ref = packet.kind, packet.n, packet.epsilon
+    kind, cfg, kin = packet.kind, packet.field, packet.reference
     zetas = spin_labels(kind)
-    kin = SpinKinematics.from_field(cfg, n, zeta_ref, kind)
     if mode == EXACT:
         return np.array([[_level_energy(cfg, kind, m, z) - kin.energy for z in zetas] for m in packet.levels])
-    offsets = np.asarray(packet.levels)[:, None] - n
-    return offsets * kin.omega + 0.5 * (np.array(zetas) - zeta_ref) * kin.omega_a
+    offsets = np.asarray(packet.levels)[:, None] - packet.n
+    return offsets * kin.omega + 0.5 * (np.array(zetas) - packet.epsilon) * kin.omega_a
 
 
 def _phases(energies: np.ndarray, times: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -204,19 +204,17 @@ def _factored_pair_sums(anchors: np.ndarray, steps: np.ndarray, owned: int) -> n
     return sums
 
 
-def expectation_series(
-    packet: PacketSpec, cfg: FieldConfig, energies: np.ndarray, times: np.ndarray
-) -> np.ndarray:
+def expectation_series(packet: PacketSpec, energies: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Real expectation values <psi(t)|V|psi(t)> of every observable of the
     packet's kind on a time grid, shape (T, observables) in the order of
     OBSERVABLES (MOMENTUM_OBSERVABLES for spin-0), with ``energies`` the
     phase energies of ``relative_energies``.
 
-    The bands are built over the packet's own level window, frozen at its
-    reference state (n, epsilon).  The pair sums of psi(t) are factored
-    over anchors and steps (see the module docstring), LEVEL_CHUNK levels
-    and one block of anchors at a time, and contracted with every block
-    table in one product.  The imaginary residue of the Hermitian sums is
+    The bands are built over the packet's own level window in its own
+    field, frozen at its reference state (n, epsilon).  The pair sums of
+    psi(t) are factored over anchors and steps (see the module docstring),
+    LEVEL_CHUNK levels and one block of anchors at a time, and contracted
+    with every block table in one product.  The imaginary residue of the Hermitian sums is
     checked against HERMITIAN_IMAG_TOL and discarded.
     """
     if np.shape(energies) != packet.amplitudes.shape:
@@ -228,7 +226,7 @@ def expectation_series(
         raise DomainError("times: must be finite")
     names = MOMENTUM_OBSERVABLES if packet.kind == SCALAR else OBSERVABLES
     bands = (
-        build_operator_band(packet.levels, name, cfg, packet.n, kind=packet.kind, zeta_ref=packet.epsilon)
+        build_operator_band(packet.levels, name, packet.field, packet.n, kind=packet.kind, zeta_ref=packet.epsilon)
         for name in names
     )
     coefficients = np.stack([band.reshape(-1) for band in bands], axis=1)
@@ -273,11 +271,10 @@ def expectation_series(
     residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
     # written so that a NaN residue fails too
     if not residue <= HERMITIAN_IMAG_TOL:
-        energy = _level_energy(cfg, packet.kind, packet.n, packet.epsilon)
         raise AccuracyError(
             f"imaginary residue {residue:.3e} of Hermitian expectation exceeds {HERMITIAN_IMAG_TOL} "
-            f"at reference energy E = {energy:.6g}; the residue grows with E^2 = 1 + b_z^2 + 4hn, "
-            "so a smaller b_z, h or n lowers it"
+            f"at reference energy E = {packet.reference.energy:.6g}; the residue grows with "
+            "E^2 = 1 + b_z^2 + 4hn, so a smaller b_z, h or n lowers it"
         )
     return values.real
 
@@ -285,9 +282,12 @@ def expectation_series(
 def sample_times(omega: float, samples: int = 256, t_max: float | None = None) -> np.ndarray:
     """Uniform time grid over [0, t_max), default two cyclotron periods.
 
-    The endpoint is excluded, so with the default 256 samples the grid hits
-    the quarter period exactly; the transverse-momentum extremum is then a
-    grid point.
+    The endpoint is excluded, so on the default span the grid hits the
+    quarter period exactly when ``samples`` is a multiple of 8, as the
+    default 256 is; the transverse-momentum extremum is then a grid point,
+    and ``Trajectory.amplitude_factor`` reads the factor exactly.  Other
+    counts miss it: 250 samples read the factor 5.3e-5 low at 3 levels, and
+    4 samples read 0.
     """
     if samples < 2:
         raise DomainError(f"samples: must be >= 2, got {samples}")
@@ -368,9 +368,7 @@ def polarization_series(s: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.einsum("mnab,...a,...b->...mn", _EPS, s_low, p_low)
 
 
-def evolve_packet(
-    packet: PacketSpec, cfg: FieldConfig, times: np.ndarray, mode: str = UNIFORM_GAP
-) -> Trajectory:
+def evolve_packet(packet: PacketSpec, times: np.ndarray, mode: str = UNIFORM_GAP) -> Trajectory:
     """Run the generic engine over a time grid and collect a trajectory.
 
     The energy component of the four-momentum is the packet-averaged level
@@ -378,12 +376,11 @@ def evolve_packet(
     independent.
     """
     times = np.asarray(times, dtype=float)
-    energies = relative_energies(packet, cfg, mode)
-    values = expectation_series(packet, cfg, energies, times)
+    energies = relative_energies(packet, mode)
+    values = expectation_series(packet, energies, times)
     p = values[:, : len(MOMENTUM_OBSERVABLES)]
     weights = np.abs(packet.amplitudes) ** 2
-    reference = SpinKinematics.from_field(cfg, packet.n, packet.epsilon, packet.kind).energy
-    p0 = np.full(times.size, reference + float(np.sum(weights * energies)))
+    p0 = np.full(times.size, packet.reference.energy + float(np.sum(weights * energies)))
     s = None if packet.kind == SCALAR else values[:, len(MOMENTUM_OBSERVABLES) :]
     return Trajectory(times=times, p=p, s=s, p0=p0)
 

@@ -1,20 +1,27 @@
 """Wave packets over neighboring Landau levels and their bilinear
 amplitude sums.
 
-A packet spreads unit probability uniformly over a contiguous window of
-levels centered on a reference level n, and holds its amplitudes as one
-array of shape (levels, S), the spins ordered as in the block tables of the
-bands.  Spin-1/2 packets additionally fix the ratio of the two spin
-amplitudes at every level to the mixing ratio kappa of the reference level,
-which is what ties the packet to a definite longitudinal polarization.  The
-bilinear sums of the amplitudes are what the time-dependent expectation
-values contract against; for the uniform equal-phase construction the
-adjacent-level sums carry the semiclassical contrast factor (N-1)/N and the
-same-level sums reproduce the polarization constants.
+A packet is a superposition of the states of a contiguous window of levels
+in one field: it holds the field, the window, the helicity sign epsilon of
+its reference state and its amplitudes, one array of shape (levels, S) with
+the spins ordered as in the block tables of the bands.  Everything else is
+derived: the kind from the number of spin columns, the reference level n as
+the window's center, and the frozen ``SpinKinematics`` of the reference
+state (n, epsilon) in the packet's field, which is all the engine reads
+besides the amplitudes.  The builders spread unit probability uniformly
+over the window; spin-1/2 packets additionally fix the ratio of the two
+spin amplitudes at every level to the mixing ratio kappa of the reference
+level, which is what ties the packet to a definite longitudinal
+polarization.  The bilinear sums of the amplitudes are what the
+time-dependent expectation values contract against; for the uniform
+equal-phase construction the adjacent-level sums carry the semiclassical
+contrast factor (N-1)/N and the same-level sums reproduce the polarization
+constants.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -22,44 +29,59 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kinematics import SCALAR, SPINOR, FieldConfig, spin_mixing_ratio
-from .operators import DOWN, SAME, spin_labels
+from .kinematics import SCALAR, SPINOR, FieldConfig, SpinKinematics, spin_mixing_ratio
+from .operators import DOWN, SAME
 
 
 @dataclass(frozen=True)
 class PacketSpec:
-    """A normalized superposition over a contiguous window of levels.
+    """A superposition over a contiguous window of levels in one field.
 
     ``amplitudes`` is a read-only complex array of shape (levels, S): row i
     holds level ``levels[i]``, the columns the spins of ``spin_labels``.
-    ``n`` is the reference level the window is centered on and at which
-    frozen kinematics are evaluated; the helicity sign ``epsilon`` is also
-    the spin of the reference state.  The constructor rejects a window that
-    does not ascend in steps of one or that starts below the kind's lowest
-    level (0 for spin-0, 1 for spin-1/2): the pair sums pair row i with row
-    i + 1 as the levels m and m + 1.
+    One column makes a spin-0 packet, two a spin-1/2 packet (``kind``); the
+    helicity sign ``epsilon`` is the spin of the reference state, whose
+    level ``n`` is the window's center, and ``reference`` holds that
+    state's frozen kinematics in ``field``.  The constructor rejects another
+    column count, a window that does not ascend in steps of one or that
+    starts below the kind's lowest level (0 for spin-0, 1 for spin-1/2):
+    the pair sums pair row i with row i + 1 as the levels m and m + 1.
     """
 
-    kind: str
-    n: int
+    field: FieldConfig
     levels: tuple[int, ...]
     epsilon: int
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.kind not in (SCALAR, SPINOR):
-            raise DomainError(f"kind: must be 'scalar' or 'spinor', got {self.kind!r}")
         if self.epsilon not in (-1, 1):
             raise DomainError(f"epsilon: must be +1 or -1, got {self.epsilon}")
-        _check_window(self.kind, self.levels)
         amplitudes = np.array(self.amplitudes, dtype=complex)
-        shape = (len(self.levels), len(spin_labels(self.kind)))
-        if amplitudes.shape != shape:
-            raise DomainError(f"amplitudes: expected shape {shape}, got {amplitudes.shape}")
+        rows = len(self.levels)
+        if amplitudes.shape not in ((rows, 1), (rows, 2)):
+            raise DomainError(f"amplitudes: expected shape ({rows}, 1) or ({rows}, 2), got {amplitudes.shape}")
         if not np.all(np.isfinite(amplitudes)):
             raise DomainError("amplitudes: must be finite")
         amplitudes.setflags(write=False)
         object.__setattr__(self, "amplitudes", amplitudes)
+        _check_window(self.kind, self.levels)
+
+    @property
+    def kind(self) -> str:
+        """SCALAR for one spin column, SPINOR for two."""
+        return SCALAR if self.amplitudes.shape[1] == 1 else SPINOR
+
+    @property
+    def n(self) -> int:
+        """The reference level, the center of the window; an even window
+        has one level more above it than below."""
+        return self.levels[(len(self.levels) - 1) // 2]
+
+    @functools.cached_property
+    def reference(self) -> SpinKinematics:
+        """The frozen kinematics of the reference state (n, epsilon) in the
+        packet's field, computed once."""
+        return SpinKinematics.from_field(self.field, self.n, self.epsilon, self.kind)
 
 
 @dataclass(frozen=True)
@@ -113,21 +135,21 @@ def spinor_window_fits(n: int, count: int) -> bool:
     return _level_window(n, count)[0] >= 1
 
 
-def build_scalar_packet(n: int, levels: int) -> PacketSpec:
+def build_scalar_packet(n: int, levels: int, cfg: FieldConfig) -> PacketSpec:
     """Uniform equal-phase packet of spin-0 states on ``levels`` levels
-    centered on n.
+    centered on n, in the field ``cfg``.
 
     A packet with other phases is this one with its amplitudes replaced
     (``dataclasses.replace``); ``PacketSpec`` checks their shape.
     """
     window = _level_window(n, levels)
     amplitudes = np.full((levels, 1), 1.0 / math.sqrt(levels))
-    return PacketSpec(kind=SCALAR, n=n, levels=tuple(window), epsilon=1, amplitudes=amplitudes)
+    return PacketSpec(field=cfg, levels=tuple(window), epsilon=1, amplitudes=amplitudes)
 
 
 def build_spinor_packet(n: int, levels: int, cfg: FieldConfig, epsilon: int = 1) -> PacketSpec:
     """Uniform equal-phase packet of spin-1/2 states with helicity sign
-    ``epsilon``.
+    ``epsilon`` on ``levels`` levels centered on n, in the field ``cfg``.
 
     Every level carries the same spin amplitude ratio kappa, so the packet
     normalization splits as 1/N per level regardless of kappa.  As for
@@ -140,7 +162,7 @@ def build_spinor_packet(n: int, levels: int, cfg: FieldConfig, epsilon: int = 1)
     kappa = spin_mixing_ratio(cfg, n, epsilon)
     down = 1.0 / math.sqrt(levels * (kappa * kappa + 1.0))
     amplitudes = np.tile([down, kappa * down], (levels, 1))
-    return PacketSpec(kind=SPINOR, n=n, levels=tuple(window), epsilon=epsilon, amplitudes=amplitudes)
+    return PacketSpec(field=cfg, levels=tuple(window), epsilon=epsilon, amplitudes=amplitudes)
 
 
 def normalization_defect(packet: PacketSpec) -> float:

@@ -331,7 +331,12 @@ class Trajectory:
 
     def amplitude_factor(self, b_perp: float) -> float:
         """Largest |Px| over the samples in units of the transverse momentum
-        b_perp: the packet's momentum amplitude factor."""
+        b_perp: the packet's momentum amplitude factor.
+
+        It is exact only when a sample falls on an extremum of Px, as the
+        quarter period does on the default two-period span of
+        ``sample_times`` when the sample count is a multiple of 8; on other
+        grids it reads low."""
         return float(np.max(np.abs(self.p[:, 0]))) / b_perp
 
     def four_momentum(self) -> np.ndarray:

@@ -169,7 +169,7 @@ def check_engine_closed_form(cfg: FieldConfig, n: int, epsilon: int) -> CheckRes
     times = evolution.sample_times(kin.omega)
     for levels in _fitting_levels(ENGINE_LEVELS, n):
         packet = packets.build_spinor_packet(n, levels, cfg, epsilon)
-        traj = evolution.evolve_packet(packet, cfg, times, mode=evolution.UNIFORM_GAP)
+        traj = evolution.evolve_packet(packet, times, mode=evolution.UNIFORM_GAP)
         closed = evolution.closed_form_trajectory(kin, levels, times)
         worst = max(worst, *compare_trajectories(traj, closed).values())
     tol = 1e-10
@@ -184,7 +184,7 @@ def check_factor_law(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
     times = evolution.sample_times(kin.omega)
     for levels in _fitting_levels(FACTOR_LAW_LEVELS, n):
         packet = packets.build_spinor_packet(n, levels, cfg, epsilon)
-        traj = evolution.evolve_packet(packet, cfg, times, mode=evolution.UNIFORM_GAP)
+        traj = evolution.evolve_packet(packet, times, mode=evolution.UNIFORM_GAP)
         factor = traj.amplitude_factor(kin.b_perp)
         rows[levels] = factor
         worst = max(worst, abs(factor - packets.contrast_factor(levels)))
@@ -335,7 +335,7 @@ def check_determinism(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
     times = evolution.sample_times(SpinKinematics.from_field(cfg, n, epsilon).omega)
 
     def render() -> bytes:
-        traj = evolution.evolve_packet(packet, cfg, times, mode=evolution.UNIFORM_GAP)
+        traj = evolution.evolve_packet(packet, times, mode=evolution.UNIFORM_GAP)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "trajectory.csv")
             traj.to_csv(path)

@@ -92,7 +92,7 @@ def test_criterion_3_classical_limit():
     kin_q = SpinKinematics.from_field(CFG, n_ref, +1)
     grid = sample_times(kin_q.omega)
     packet = build_spinor_packet(n_ref, levels, CFG, +1)
-    traj = evolve_packet(packet, CFG, grid, mode=UNIFORM_GAP)
+    traj = evolve_packet(packet, grid, mode=UNIFORM_GAP)
     circle = closed_form_momentum(kin_q, None, grid)
     gap = float(np.max(np.abs(traj.p[:, :2] - circle[:, :2])))
     expected = kin_q.b_perp / levels

@@ -413,7 +413,7 @@ class TestQuantumClassicalGap:
         packet = build_spinor_packet(1200, levels, cfg, +1)
         kin = SpinKinematics.from_field(cfg, 1200, +1)
         times = sample_times(kin.omega)
-        traj = evolve_packet(packet, cfg, times)
+        traj = evolve_packet(packet, times)
         classical = closed_form_momentum(kin, None, times)
         gap = np.max(np.abs(traj.p[:, :2] - classical[:, :2]))
         assert gap == pytest.approx(kin.b_perp / levels, rel=1e-10)
@@ -428,7 +428,7 @@ class TestQuantumClassicalGap:
         kin = SpinKinematics.from_field(cfg, n_ref, +1)
         times = sample_times(kin.omega)
         circle = closed_form_momentum(kin, None, times)
-        series = expectation_series(packet, cfg, relative_energies(packet, cfg), times)[:, :2]
+        series = expectation_series(packet, relative_energies(packet), times)[:, :2]
         gap = float(np.max(np.abs(series - circle[:, :2])))
         assert gap / kin.b_perp == pytest.approx(1e-4, rel=1e-9)
 

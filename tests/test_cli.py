@@ -156,6 +156,28 @@ class TestConvergeCommand:
         b_perp = 2 * math.sqrt(0.1 * 1200)
         assert gaps[-1] == pytest.approx(b_perp / 100, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            8,
+            64,
+            1024,
+            # the grid misses the quarter period, where |Px| peaks: the
+            # sampled factor reads 5.3e-5 low at 3 levels, 7.8e-5 at 100
+            pytest.param(250, marks=pytest.mark.xfail(strict=True, reason="quarter period off the grid")),
+        ],
+    )
+    def test_factor_read_on_the_default_span(self, tmp_path, samples):
+        # the factor is max|Px| / b_perp over the samples; on the default
+        # two-period span the grid holds the quarter period when the sample
+        # count is a multiple of 8
+        code = main(["converge", "--n-list", "3,100", "--samples", str(samples), "--output-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        _, rows = read_csv(tmp_path / "converge.csv")
+        assert rows[:, 0].tolist() == [3, 100]
+        tolerance = 1e-10 if samples == 250 else 1e-12
+        assert np.all(rows[:, 2] <= tolerance), rows[:, 2]
+
     def test_empty_level_list_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["converge", *FAST, "--n-list", ",", "--output-dir", str(out)])
@@ -629,6 +651,74 @@ class TestConfigHandling:
         assert err.startswith("configuration error: ") and err.count("\n") == 1
         assert "absent.cfg" in err
 
+    def test_non_utf8_file_rejected(self, tmp_path, capsys):
+        config = tmp_path / "latin1.cfg"
+        config.write_bytes("h = 0.1  # \u00e9\n".encode("latin-1"))
+        out = tmp_path / "out"
+        code = main(["trajectory", "--config", str(config), "--output-dir", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"configuration error: config: cannot read {config}: not UTF-8 text at byte 11\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["trajectory", "converge", "verify", "oracle"])
+    def test_empty_output_dir_rejected(self, tmp_path, monkeypatch, capsys, command):
+        # rejected before any work, and nothing is created
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--output-dir="]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: output_dir: must be a nonempty path without a NUL character, got ''\n"
+        )
+        assert os.listdir(tmp_path) == []
+
+    def test_output_dir_with_a_nul_character_rejected(self, tmp_path, monkeypatch, capsys):
+        # a configuration file can hold what argv cannot
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "nul.cfg").write_text("output_dir = a\0b\n")
+        assert main(["oracle", "--config", "nul.cfg"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: output_dir: must be a nonempty path without a NUL character, got 'a\\x00b'\n"
+        )
+        assert os.listdir(tmp_path) == ["nul.cfg"]
+
+    def test_empty_output_dir_from_the_environment_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SEMICLASSICAL_OUTPUT_DIR", "")
+        assert main(["verify"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: output_dir: must be a nonempty path")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["trajectory", "converge", "verify", "oracle"])
+    def test_output_dir_that_is_a_file_rejected(self, tmp_path, capsys, command):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        code = main([command, "--output-dir", str(blocker)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: output_dir: cannot create {blocker}: {blocker} is not a directory\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == ["taken"]
+
+    @pytest.mark.parametrize("command", ["trajectory", "converge", "verify", "oracle"])
+    def test_output_dir_through_a_file_rejected(self, tmp_path, capsys, command):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "sub" / "out"
+        code = main([command, "--output-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: output_dir: cannot create {out}: {blocker} is not a directory\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == ["taken"]
+
+    def test_write_failure_names_the_file(self, tmp_path, capsys):
+        # an OSError while writing is one line naming the file it could not write
+        (tmp_path / "converge.csv").mkdir()
+        code = main(["converge", *FAST, "--n-list", "3", "--samples", "8", "--output-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"configuration error: output_dir: cannot write {tmp_path / 'converge.csv'}: Is a directory\n"
+
     def test_overflowing_b_z_rejected(self, tmp_path, capsys):
         code = main(["trajectory", *FAST, "--b-z", "1e200", "--output-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
@@ -761,7 +851,7 @@ class TestConfigHandling:
         cfg = FieldConfig(h=0.1, anomaly=0.02, b_z=0.5)
         packet = build_spinor_packet(100, 3, cfg, +1)
         times = sample_times(cyclotron_frequency(cfg, 100, 1)[0], samples=32)
-        traj = evolve_packet(packet, cfg, times)
+        traj = evolve_packet(packet, times)
         path = tmp_path / "round_trip.csv"
         traj.to_csv(path)
         _, rows = read_csv(path)

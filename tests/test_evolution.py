@@ -63,7 +63,7 @@ def with_phases(packet, phases):
 
 def engine_setup(cfg, n, levels, epsilon, mode=UNIFORM_GAP):
     packet = build_spinor_packet(n, levels, cfg, epsilon)
-    energies = relative_energies(packet, cfg, mode)
+    energies = relative_energies(packet, mode)
     times = sample_times(cyclotron_frequency(cfg, n, epsilon)[0])
     return packet, energies, times
 
@@ -73,7 +73,7 @@ class TestEnergyModel:
         omega = cyclotron_frequency(CFG, N_REF, 1)[0]
         omega_a = anomalous_frequency(CFG, N_REF)[0]
         packet = build_spinor_packet(N_REF, 3, CFG, +1)  # levels 99, 100, 101
-        energies = relative_energies(packet, CFG, UNIFORM_GAP)  # spins ordered (-1, +1)
+        energies = relative_energies(packet, UNIFORM_GAP)  # spins ordered (-1, +1)
         assert energies[1, 1] == 0.0
         assert energies[2, 1] == omega
         assert energies[0, 1] == -omega
@@ -82,7 +82,7 @@ class TestEnergyModel:
 
     def test_exact_mode_gaps_vary(self):
         packet = build_spinor_packet(N_REF, 4, CFG, +1)  # levels 99 to 102
-        energies = relative_energies(packet, CFG, EXACT)
+        energies = relative_energies(packet, EXACT)
         assert energies[1, 1] == 0.0
         gap_low = energies[1, 1] - energies[0, 1]
         gap_high = energies[3, 1] - energies[2, 1]
@@ -95,15 +95,15 @@ class TestEnergyModel:
         packet, energies, _ = engine_setup(cfg, N_REF, 5, +1)
         period = 2 * math.pi / cyclotron_frequency(cfg, N_REF, 1)[0]
         probes = np.array([0.0, 0.3 * period, 0.8 * period])
-        first = expectation_series(packet, cfg, energies, probes)
-        second = expectation_series(packet, cfg, energies, probes + period)
+        first = expectation_series(packet, energies, probes)
+        second = expectation_series(packet, energies, probes + period)
         for name in ("Px", "Py", "Sx", "Sz"):
             column = OBSERVABLES.index(name)
             np.testing.assert_allclose(second[:, column], first[:, column], atol=1e-12)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(DomainError):
-            relative_energies(build_spinor_packet(N_REF, 3, CFG, +1), CFG, "frozen")
+            relative_energies(build_spinor_packet(N_REF, 3, CFG, +1), "frozen")
 
 
 class TestGenericExpectation:
@@ -111,18 +111,18 @@ class TestGenericExpectation:
         packet, energies, _ = engine_setup(CFG, N_REF, 3, +1)
         # the imaginary residue must stay below 1e-15, not just the default gate
         monkeypatch.setattr(evolution, "HERMITIAN_IMAG_TOL", 1e-15)
-        value = expectation_series(packet, CFG, energies, [0.0])[0, OBSERVABLES.index("Pz")]
+        value = expectation_series(packet, energies, [0.0])[0, OBSERVABLES.index("Pz")]
         assert value == pytest.approx(CFG.b_z, rel=1e-14)
 
     def test_px_at_zero(self):
         packet, energies, _ = engine_setup(CFG, N_REF, 3, +1)
-        assert abs(expectation_series(packet, CFG, energies, [0.0])[0, OBSERVABLES.index("Px")]) < 1e-14
+        assert abs(expectation_series(packet, energies, [0.0])[0, OBSERVABLES.index("Px")]) < 1e-14
 
     def test_scalar_py_half_period(self):
-        packet = build_scalar_packet(10, 3)
-        energies = relative_energies(packet, CFG)
+        packet = build_scalar_packet(10, 3, CFG)
+        energies = relative_energies(packet)
         half_period = math.pi / cyclotron_frequency(CFG, 10, kind=SCALAR)[0]
-        value = expectation_series(packet, CFG, energies, [half_period])[0, OBSERVABLES.index("Py")]
+        value = expectation_series(packet, energies, [half_period])[0, OBSERVABLES.index("Py")]
         expected = -(2.0 / 3.0) * transverse_momentum(CFG.h, 10, SCALAR)
         assert value == pytest.approx(expected, rel=1e-12)
 
@@ -131,10 +131,10 @@ class TestGenericExpectation:
         packet, _, _ = engine_setup(CFG, N_REF, 3, +1)
         _, other, _ = engine_setup(CFG, N_REF, 5, +1)
         with pytest.raises(DomainError, match="energies"):
-            expectation_series(packet, CFG, other, [0.0])
-        scalar = build_scalar_packet(N_REF, 3)
+            expectation_series(packet, other, [0.0])
+        scalar = build_scalar_packet(N_REF, 3, CFG)
         with pytest.raises(DomainError, match="energies"):
-            expectation_series(packet, CFG, relative_energies(scalar, CFG), [0.0])
+            expectation_series(packet, relative_energies(scalar), [0.0])
 
     def test_evolve_packet_computes_energies_once(self, monkeypatch):
         calls = []
@@ -145,7 +145,7 @@ class TestGenericExpectation:
 
         monkeypatch.setattr(evolution, "relative_energies", counted)
         packet, _, times = engine_setup(CFG, N_REF, 3, +1)
-        evolve_packet(packet, CFG, times, mode=EXACT)
+        evolve_packet(packet, times, mode=EXACT)
         assert len(calls) == 1
 
     def test_hermitian_residue_gate(self, monkeypatch):
@@ -162,7 +162,7 @@ class TestGenericExpectation:
         monkeypatch.setattr(evolution, "build_operator_band", broken)
         packet, energies, times = engine_setup(CFG, N_REF, 3, +1)
         with pytest.raises(AccuracyError):
-            expectation_series(packet, CFG, energies, times)
+            expectation_series(packet, energies, times)
 
     def test_hermitian_residue_gate_fails_a_nan_residue(self):
         # NaN > tol is false, so the gate is written as not residue <= tol;
@@ -172,7 +172,7 @@ class TestGenericExpectation:
         packet, energies, times = engine_setup(CFG, N_REF, 3, +1)
         object.__setattr__(packet, "amplitudes", np.full(packet.amplitudes.shape, complex(np.nan)))
         with pytest.raises(AccuracyError, match="imaginary residue nan"):
-            expectation_series(packet, CFG, energies, times)
+            expectation_series(packet, energies, times)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_times_rejected(self, bad):
@@ -180,7 +180,7 @@ class TestGenericExpectation:
         times = times.copy()
         times[5] = bad
         with pytest.raises(DomainError, match="^times: must be finite$"):
-            expectation_series(packet, CFG, energies, times)
+            expectation_series(packet, energies, times)
 
     def test_one_state_evaluation_per_time_block(self, monkeypatch):
         # every observable is contracted with the same pair sums: one
@@ -202,26 +202,26 @@ class TestGenericExpectation:
 
         # 1024 samples at stride 32: 32 anchors over 5 levels are two
         # blocks against a 32-row step table
-        evolve_packet(packet, CFG, sample_times(omega, samples=1024))
+        evolve_packet(packet, sample_times(omega, samples=1024))
         assert calls == [((2, block, 5), (2, 32, 5), 5)] * 2
 
         # 1100 samples at stride 32: 35 anchors, the third block padded
         calls.clear()
-        evolve_packet(packet, CFG, sample_times(omega, samples=1100))
+        evolve_packet(packet, sample_times(omega, samples=1100))
         assert calls == [((2, block, 5), (2, 32, 5), 5)] * 3
 
         stride = evolution.MIN_ANCHOR_STRIDE
         calls.clear()
         times = sample_times(omega, samples=40)
         times[20] += 0.25 * times[1]  # the second of three anchors leaves the table
-        evolve_packet(packet, CFG, times)
+        evolve_packet(packet, times)
         assert calls == [((2, block, 5), (2, stride, 5), 5), ((2, 1, 5), (2, stride, 5), 5)]
 
         # chunks of two levels own levels (0, 1), (2, 3) and (4,), and read
         # one level more where there is one: the same passes once per chunk
         calls.clear()
         monkeypatch.setattr(evolution, "LEVEL_CHUNK", 2)
-        evolve_packet(packet, CFG, times)
+        evolve_packet(packet, times)
         runs = [(3, 2), (3, 2), (1, 1)]
         assert calls == [
             call
@@ -250,10 +250,10 @@ class TestGenericExpectation:
         phases = evolution._phases
         monkeypatch.setattr(evolution, "_phases", counted)
         packet = build_spinor_packet(100, 100, CFG, +1)
-        energies = relative_energies(packet, CFG, EXACT)
+        energies = relative_energies(packet, EXACT)
         period = 2 * math.pi / classical_reference(CFG, 100, +1).kin.omega_a
         times = sample_times(cyclotron_frequency(CFG, 100, 1)[0], samples=8192, t_max=period)
-        expectation_series(packet, CFG, energies, times)
+        expectation_series(packet, energies, times)
         assert sum(rows) <= 8192 // 64 + 64
 
     def test_anchor_sums_do_not_depend_on_their_block(self):
@@ -307,10 +307,10 @@ print("ok")
         packet, energies, _ = engine_setup(CFG, N_REF, 5, +1)
         times = sample_times(cyclotron_frequency(CFG, N_REF, 1)[0], samples=1024)
         jittered = times + 0.25 * times[1] * np.sin(np.arange(times.size))
-        whole = [expectation_series(packet, CFG, energies, grid) for grid in (times, jittered)]
+        whole = [expectation_series(packet, energies, grid) for grid in (times, jittered)]
         monkeypatch.setattr(evolution, "TIME_BLOCK", 7)
         for grid, values in zip((times, jittered), whole):
-            np.testing.assert_allclose(expectation_series(packet, CFG, energies, grid), values, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(expectation_series(packet, energies, grid), values, rtol=0, atol=1e-15)
 
     def test_level_chunks_do_not_change_values(self, monkeypatch):
         # 50 levels in chunks of 7 against one chunk, in both energy models,
@@ -319,16 +319,16 @@ print("ok")
         _, _, times = engine_setup(CFG, N_REF, 50, +1)
         jittered = times + 0.25 * times[1] * np.sin(np.arange(times.size))
         cases = [
-            (packet, relative_energies(packet, CFG, mode), grid)
-            for packet in (build_spinor_packet(N_REF, 50, CFG, +1), build_scalar_packet(N_REF, 50))
+            (packet, relative_energies(packet, mode), grid)
+            for packet in (build_spinor_packet(N_REF, 50, CFG, +1), build_scalar_packet(N_REF, 50, CFG))
             for mode in (UNIFORM_GAP, EXACT)
             for grid in (times, jittered)
         ]
-        whole = [expectation_series(packet, CFG, energies, grid) for packet, energies, grid in cases]
+        whole = [expectation_series(packet, energies, grid) for packet, energies, grid in cases]
         monkeypatch.setattr(evolution, "LEVEL_CHUNK", 7)
         for (packet, energies, grid), values in zip(cases, whole):
             np.testing.assert_allclose(
-                expectation_series(packet, CFG, energies, grid), values, rtol=0, atol=2e-14
+                expectation_series(packet, energies, grid), values, rtol=0, atol=2e-14
             )
 
     def test_memory_does_not_grow_with_the_levels(self):
@@ -337,7 +337,7 @@ print("ok")
         packet, energies, times = engine_setup(CFG, 10**5, 32768, +1)
         tracemalloc.start()
         try:
-            expectation_series(packet, CFG, energies, times)
+            expectation_series(packet, energies, times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -377,7 +377,7 @@ class TestPhaseAccuracy:
         # 1.9e-13 measured; exponentials of every dE*t in double precision
         # read 1.4e-12 here
         packet, energies, times = engine_setup(CFG, 10000, 10000, +1)
-        values = expectation_series(packet, CFG, energies, times)
+        values = expectation_series(packet, energies, times)
         reference = reference_series(packet, CFG, energies, times)
         assert np.max(np.abs(values - reference)) < 1e-12
 
@@ -386,7 +386,7 @@ class TestPhaseAccuracy:
         packet, energies, _ = engine_setup(CFG, 10000, 10000, +1)
         times = sample_times(cyclotron_frequency(CFG, 10000, 1)[0], samples=1024)
         assert evolution.anchor_stride(times.size) == 32
-        values = expectation_series(packet, CFG, energies, times)
+        values = expectation_series(packet, energies, times)
         reference = reference_series(packet, CFG, energies, times)
         assert np.max(np.abs(values - reference)) < 1e-12
 
@@ -394,7 +394,7 @@ class TestPhaseAccuracy:
         # the default grid cut to 250 samples: the last anchor steps 10
         # samples through the first rows of the table; 1.9e-13 measured
         packet, energies, times = engine_setup(CFG, 10000, 10000, +1)
-        values = expectation_series(packet, CFG, energies, times[:250])
+        values = expectation_series(packet, energies, times[:250])
         reference = reference_series(packet, CFG, energies, times[:250])
         assert np.max(np.abs(values - reference)) < 1e-12
 
@@ -404,7 +404,7 @@ class TestPhaseAccuracy:
         packet, energies, times = engine_setup(CFG, 10000, 10000, +1)
         rng = np.random.default_rng(3)
         times = np.abs(times + 0.4 * times[1] * rng.uniform(-1.0, 1.0, times.size))
-        values = expectation_series(packet, CFG, energies, times)
+        values = expectation_series(packet, energies, times)
         reference = reference_series(packet, CFG, energies, times)
         assert np.max(np.abs(values - reference)) < 5e-12
 
@@ -413,7 +413,7 @@ class TestPhaseAccuracy:
         # level; 2.2e-13 measured
         levels = 2 * evolution.LEVEL_CHUNK + 1
         packet, energies, times = engine_setup(CFG, 10000, levels, +1)
-        values = expectation_series(packet, CFG, energies, times)
+        values = expectation_series(packet, energies, times)
         reference = reference_series(packet, CFG, energies, times)
         assert np.max(np.abs(values - reference)) < 1e-12
 
@@ -423,10 +423,10 @@ class TestPhaseAccuracy:
         # 2.0e-12 measured
         cfg = FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=0.5)
         packet = build_spinor_packet(100, 100, cfg, +1)
-        energies = relative_energies(packet, cfg, EXACT)
+        energies = relative_energies(packet, EXACT)
         period = 2 * math.pi / classical_reference(cfg, 100, +1).kin.omega_a
         times = sample_times(cyclotron_frequency(cfg, 100, 1)[0], samples=8192, t_max=period)
-        values = expectation_series(packet, cfg, energies, times)
+        values = expectation_series(packet, energies, times)
         rows = np.r_[np.arange(0, 8192, 37), 8191]
         reference = reference_series(packet, cfg, energies, times[rows])
         assert np.max(np.abs(values[rows] - reference)) < 1e-11
@@ -437,7 +437,7 @@ class TestEngineMatchesClosedForms:
     @pytest.mark.parametrize("levels", [1, 2, 3, 5, 9])
     def test_uniform_gap_equivalence(self, cfg, n, epsilon, levels):
         packet, energies, times = engine_setup(cfg, n, levels, epsilon)
-        traj = evolve_packet(packet, cfg, times)
+        traj = evolve_packet(packet, times)
         kin = SpinKinematics.from_field(cfg, n, epsilon)
         p_ref = closed_form_momentum(kin, levels, times)
         s_ref = closed_form_spin(kin, levels, times)
@@ -448,13 +448,13 @@ class TestEngineMatchesClosedForms:
         kin = SpinKinematics.from_field(CFG, N_REF, +1)
         for levels in (1, 2, 3, 5, 9):
             packet, energies, times = engine_setup(CFG, N_REF, levels, +1)
-            traj = evolve_packet(packet, CFG, times)
+            traj = evolve_packet(packet, times)
             factor = np.max(np.abs(traj.p[:, 0])) / kin.b_perp
             assert abs(factor - contrast_factor(levels)) < 1e-10
 
     def test_transverse_magnitude_constant(self):
         packet, energies, times = engine_setup(CFG, N_REF, 5, +1)
-        traj = evolve_packet(packet, CFG, times)
+        traj = evolve_packet(packet, times)
         p_perp = np.hypot(traj.p[:, 0], traj.p[:, 1])
         assert np.max(p_perp) - np.min(p_perp) < 1e-12
         assert np.max(traj.p[:, 2]) - np.min(traj.p[:, 2]) < 1e-14
@@ -576,11 +576,11 @@ class TestExactMode:
         # entry with the phase exp(i*(E_bra - E_ket)*t) of absolute energies
         rng = np.random.default_rng(7)
         packet = with_phases(build_spinor_packet(N_REF, 5, CFG, +1), rng.uniform(0, 2 * math.pi, size=5))
-        energies = relative_energies(packet, CFG, EXACT)
+        energies = relative_energies(packet, EXACT)
         times = sample_times(cyclotron_frequency(CFG, N_REF, 1)[0], samples=16)
         zetas = spin_labels(SPINOR)
         states = list(product(range(len(packet.levels)), range(len(zetas))))
-        actual = expectation_series(packet, CFG, energies, times)
+        actual = expectation_series(packet, energies, times)
         for column, name in enumerate(OBSERVABLES):
             table = build_operator_band(packet.levels, name, CFG, N_REF)
             expected = np.zeros(times.size, dtype=complex)
@@ -608,7 +608,7 @@ class TestExactMode:
         e2 = energy[3] - 2 * energy[2] + energy[1]
         e3 = energy[4] - 3 * energy[3] + 3 * energy[2] - energy[1]
         times = 4 * math.pi / abs(e2) * np.arange(2001) / 2000
-        traj = evolve_packet(build_scalar_packet(n, levels), CFG, times, mode=EXACT)
+        traj = evolve_packet(build_scalar_packet(n, levels, CFG), times, mode=EXACT)
         contrast = np.hypot(traj.p[:, 0], traj.p[:, 1]) / transverse_momentum(CFG.h, n, SCALAR)
 
         half_phase = 0.5 * e2 * times
@@ -629,15 +629,15 @@ class TestExactMode:
         devs = {}
         for n in (100, 1000, 10000):
             packet, energies, times = engine_setup(CFG, n, 5, +1)
-            uniform = evolve_packet(packet, CFG, times, mode=UNIFORM_GAP)
-            exact = evolve_packet(packet, CFG, times, mode=EXACT)
+            uniform = evolve_packet(packet, times, mode=UNIFORM_GAP)
+            exact = evolve_packet(packet, times, mode=EXACT)
             devs[n] = np.max(np.abs(uniform.p - exact.p))
         assert devs[100] > devs[1000] > devs[10000]
 
     def test_dephasing_grows_with_time(self):
         packet, energies, times = engine_setup(CFG, 100, 5, +1)
-        uniform = evolve_packet(packet, CFG, times, mode=UNIFORM_GAP)
-        exact = evolve_packet(packet, CFG, times, mode=EXACT)
+        uniform = evolve_packet(packet, times, mode=UNIFORM_GAP)
+        exact = evolve_packet(packet, times, mode=EXACT)
         half = times.size // 2
         first = np.max(np.abs(uniform.p[:half] - exact.p[:half]))
         second = np.max(np.abs(uniform.p[half:] - exact.p[half:]))

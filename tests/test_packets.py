@@ -1,11 +1,11 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
 from landau_packets.errors import DomainError, SingularConfigurationError
-from landau_packets.kinematics import FieldConfig, spin_mixing_ratio
+from landau_packets.kinematics import SCALAR, SPINOR, FieldConfig, SpinKinematics, spin_mixing_ratio
 from landau_packets.operators import spin_labels
 from landau_packets.packets import (
     PacketSpec,
@@ -32,31 +32,31 @@ def amplitude_of(packet):
 
 class TestScalarPackets:
     def test_three_level_adjacent_sum(self):
-        packet = build_scalar_packet(10, 3)
+        packet = build_scalar_packet(10, 3, CFG)
         assert packet.levels == (9, 10, 11)
         sums = structure_sums(packet)
         assert sums.adjacent_same_spin.real == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert sums.adjacent_same_spin.imag == 0.0
 
     def test_single_level(self):
-        packet = build_scalar_packet(10, 1)
+        packet = build_scalar_packet(10, 1, CFG)
         assert structure_sums(packet).adjacent_same_spin == 0j
 
     def test_five_level(self):
-        packet = build_scalar_packet(100, 5)
+        packet = build_scalar_packet(100, 5, CFG)
         assert structure_sums(packet).adjacent_same_spin.real == pytest.approx(0.8, abs=1e-14)
 
     def test_even_window_sits_above(self):
-        packet = build_scalar_packet(10, 4)
+        packet = build_scalar_packet(10, 4, CFG)
         assert packet.levels == (9, 10, 11, 12)
 
     def test_window_below_ground_rejected(self):
         with pytest.raises(DomainError, match=r"^levels: window -1\.\.3 reaches below the ground level$"):
-            build_scalar_packet(1, 5)
+            build_scalar_packet(1, 5, CFG)
 
     def test_normalized(self):
         for levels in (1, 2, 3, 7, 64):
-            assert normalization_defect(build_scalar_packet(100, levels)) < 1e-14
+            assert normalization_defect(build_scalar_packet(100, levels, CFG)) < 1e-14
 
 
 class TestSpinorPackets:
@@ -149,7 +149,7 @@ class TestStructureSums:
             sums.population_imbalance,
         )
         np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-15)
-        scalar = with_phases(build_scalar_packet(10, 4), rng.uniform(0, 2 * math.pi, size=4))
+        scalar = with_phases(build_scalar_packet(10, 4, CFG), rng.uniform(0, 2 * math.pi, size=4))
         scalar_amp = amplitude_of(scalar)
         expected_scalar = sum(
             scalar_amp(0, m).conjugate() * scalar_amp(0, m + 1) for m in scalar.levels[:-1]
@@ -175,10 +175,9 @@ class TestStructureSums:
 
 class TestNormalizationDefect:
     def test_scaled_amplitudes(self):
-        packet = build_scalar_packet(10, 3)
+        packet = build_scalar_packet(10, 3, CFG)
         scaled = PacketSpec(
-            kind=packet.kind,
-            n=packet.n,
+            field=packet.field,
             levels=packet.levels,
             epsilon=packet.epsilon,
             amplitudes=2.0 * packet.amplitudes,
@@ -186,29 +185,33 @@ class TestNormalizationDefect:
         assert normalization_defect(scaled) == pytest.approx(3.0, abs=1e-14)
 
     def test_empty(self):
-        empty = PacketSpec(kind="scalar", n=10, levels=(10,), epsilon=1, amplitudes=np.zeros((1, 1)))
+        empty = PacketSpec(field=CFG, levels=(10,), epsilon=1, amplitudes=np.zeros((1, 1)))
         assert normalization_defect(empty) == 1.0
 
 
 class TestAmplitudeArray:
     def test_read_only_copy(self):
         source = np.full((3, 2), 1 / math.sqrt(6), dtype=complex)
-        packet = PacketSpec(kind="spinor", n=10, levels=(9, 10, 11), epsilon=1, amplitudes=source)
+        packet = PacketSpec(field=CFG, levels=(9, 10, 11), epsilon=1, amplitudes=source)
         source[0, 0] = 0.0
         assert packet.amplitudes[0, 0] == 1 / math.sqrt(6)
         with pytest.raises(ValueError):
             packet.amplitudes[0, 0] = 0.0
 
     def test_shape_must_match_levels_and_spins(self):
-        with pytest.raises(DomainError):
-            PacketSpec(kind="spinor", n=10, levels=(9, 10, 11), epsilon=1, amplitudes=np.ones((3, 1)))
+        with pytest.raises(DomainError, match=r"^amplitudes: expected shape \(3, 1\) or \(3, 2\), got \(2, 2\)$"):
+            PacketSpec(field=CFG, levels=(9, 10, 11), epsilon=1, amplitudes=np.ones((2, 2)))
 
-    @pytest.mark.parametrize("kind", ["vector", "Spinor", ""])
-    def test_unknown_kind_rejected(self, kind):
-        # every kind but "scalar" would otherwise pass as two spins, and the
-        # structure sums take the spin-0 branch
-        with pytest.raises(DomainError, match=f"^kind: must be 'scalar' or 'spinor', got {kind!r}$"):
-            PacketSpec(kind=kind, n=5, levels=(4, 5, 6), epsilon=1, amplitudes=np.full((3, 2), 1 / math.sqrt(6)))
+    @pytest.mark.parametrize("columns", [0, 3])
+    def test_spin_columns_must_be_one_or_two(self, columns):
+        # one column is a spin-0 packet and two a spin-1/2 packet; no other
+        # count names a kind
+        with pytest.raises(DomainError, match=rf"^amplitudes: expected shape \(3, 1\) or \(3, 2\), got \(3, {columns}\)$"):
+            PacketSpec(field=CFG, levels=(4, 5, 6), epsilon=1, amplitudes=np.ones((3, columns)))
+
+    def test_kind_from_the_spin_columns(self):
+        assert PacketSpec(field=CFG, levels=(4, 5, 6), epsilon=1, amplitudes=np.ones((3, 1))).kind == SCALAR
+        assert PacketSpec(field=CFG, levels=(4, 5, 6), epsilon=1, amplitudes=np.ones((3, 2))).kind == SPINOR
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_amplitudes_must_be_finite(self, bad):
@@ -242,17 +245,49 @@ class TestWindow:
             replace(packet, levels=(0, 1, 2))
 
     def test_scalar_window_below_ground_rejected(self):
-        packet = build_scalar_packet(10, 3)
+        packet = build_scalar_packet(10, 3, CFG)
         assert replace(packet, levels=(0, 1, 2)).levels == (0, 1, 2)
         with pytest.raises(DomainError, match=r"^levels: window -1\.\.1 reaches below the ground level$"):
             replace(packet, levels=(-1, 0, 1))
 
     def test_empty_window_rejected(self):
         with pytest.raises(DomainError, match="^levels: need at least one level"):
-            PacketSpec(kind="scalar", n=10, levels=(), epsilon=1, amplitudes=np.zeros((0, 1)))
+            PacketSpec(field=CFG, levels=(), epsilon=1, amplitudes=np.zeros((0, 1)))
 
     @pytest.mark.parametrize("epsilon", [0, 2, -2])
     def test_epsilon_must_be_a_sign(self, epsilon):
         packet = build_spinor_packet(100, 3, CFG)
         with pytest.raises(DomainError, match=f"^epsilon: must be \\+1 or -1, got {epsilon}$"):
             replace(packet, epsilon=epsilon)
+
+
+class TestDerivedReference:
+    """The packet's field, window and amplitudes fix its reference state."""
+
+    def test_fields_are_the_field_the_window_the_sign_and_the_amplitudes(self):
+        assert [f.name for f in fields(PacketSpec)] == ["field", "levels", "epsilon", "amplitudes"]
+
+    @pytest.mark.parametrize("name", ["n", "kind"])
+    def test_derived_values_cannot_be_set(self, name):
+        packet = build_spinor_packet(100, 3, CFG)
+        with pytest.raises(TypeError):
+            replace(packet, **{name: 5})
+        with pytest.raises(FrozenInstanceError):
+            setattr(packet, name, 5)
+
+    @pytest.mark.parametrize("levels,center", [(1, 100), (2, 100), (3, 100), (4, 100), (5, 100)])
+    def test_reference_level_is_the_window_center(self, levels, center):
+        # an even window has the extra level above its center
+        assert build_spinor_packet(100, levels, CFG).n == center
+        assert build_scalar_packet(100, levels, CFG).n == center
+        shifted = replace(build_spinor_packet(100, levels, CFG), levels=tuple(range(200, 200 + levels)))
+        assert shifted.n == 200 + (levels - 1) // 2
+
+    def test_reference_follows_the_field(self):
+        # a packet moved to another field evolves at that field's rates
+        packet = build_spinor_packet(100, 3, CFG, -1)
+        moved = replace(packet, field=replace(CFG, b_z=0.6))
+        assert packet.reference == SpinKinematics.from_field(CFG, 100, -1)
+        assert moved.reference == SpinKinematics.from_field(replace(CFG, b_z=0.6), 100, -1)
+        with pytest.raises(FrozenInstanceError):
+            packet.reference = moved.reference

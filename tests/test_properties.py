@@ -7,6 +7,8 @@ length.  ``derandomize=True`` fixes the examples, so every run checks the
 same configurations.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,8 @@ from landau_packets.evolution import (
     sample_times,
 )
 from landau_packets.kinematics import (
+    SCALAR,
+    SPINOR,
     FieldConfig,
     SpinKinematics,
     cyclotron_frequency,
@@ -34,6 +38,7 @@ from landau_packets.kinematics import (
 )
 from landau_packets.operators import OBSERVABLES, OFFSETS, build_operator_band, hermiticity_defect
 from landau_packets.packets import (
+    build_scalar_packet,
     build_spinor_packet,
     contrast_factor,
     normalization_defect,
@@ -66,11 +71,29 @@ def test_bands_packet_and_engine(config):
 
     kin = SpinKinematics.from_field(cfg, n, epsilon)
     times = sample_times(kin.omega, samples=64)
-    traj = evolve_packet(packet, cfg, times, mode=UNIFORM_GAP)
+    traj = evolve_packet(packet, times, mode=UNIFORM_GAP)
     p_ref = closed_form_momentum(kin, levels, times)
     s_ref = closed_form_spin(kin, levels, times)
     assert np.max(np.abs(traj.p - p_ref)) < 1e-10
     assert np.max(np.abs(traj.s - s_ref)) < 1e-10
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(configurations, st.sampled_from((SCALAR, SPINOR)))
+def test_packet_derives_its_reference(config, kind):
+    # a builder's packet carries the builder's field and derives the
+    # builder's reference level and kind, and the frozen kinematics of that
+    # reference state; a spin-0 packet has epsilon = +1
+    h, b_z, anomaly, epsilon, n, levels = config
+    cfg = FieldConfig(h=h, anomaly=anomaly, b_z=b_z)
+    if kind == SCALAR:
+        packet, epsilon = build_scalar_packet(n, levels, cfg), 1
+    else:
+        packet = build_spinor_packet(n, levels, cfg, epsilon)
+    assert (packet.field, packet.n, packet.kind, packet.epsilon) == (cfg, n, kind, epsilon)
+    expected = SpinKinematics.from_field(cfg, n, epsilon, kind)
+    for name in (f.name for f in fields(SpinKinematics)):
+        assert getattr(packet.reference, name) == getattr(expected, name), name
 
 
 # uniform grids, grids with every sample jittered by up to half a spacing
@@ -103,7 +126,7 @@ def test_expectation_series_on_any_grid(config, grid, mode):
     h, b_z, anomaly, epsilon, n, levels = config
     cfg = FieldConfig(h=h, anomaly=anomaly, b_z=b_z)
     packet = build_spinor_packet(n, levels, cfg, epsilon)
-    energies = relative_energies(packet, cfg, mode)
+    energies = relative_energies(packet, mode)
     times = grid_times(*grid, cyclotron_frequency(cfg, n, epsilon)[0])
     coefficients = np.stack(
         [build_operator_band(packet.levels, name, cfg, n, zeta_ref=epsilon).reshape(-1) for name in OBSERVABLES],
@@ -113,7 +136,7 @@ def test_expectation_series_on_any_grid(config, grid, mode):
         (pair_sums((packet.amplitudes * np.exp(-1j * energies * t))[None]).reshape(-1) @ coefficients).real
         for t in times
     ])
-    values = expectation_series(packet, cfg, energies, times)
+    values = expectation_series(packet, energies, times)
     assert values.shape == direct.shape
     assert np.max(np.abs(values - direct)) <= 1e-12
 
