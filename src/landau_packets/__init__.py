@@ -38,6 +38,7 @@ from .kinematics import (
     energy_scalar,
     energy_spinor,
     helicity_eigenvalue,
+    level_energy,
     polarization_constants,
     spin_mixing_ratio,
     transverse_momentum,

@@ -19,8 +19,10 @@ set every key for every command; it is read as UTF-8.  The environment
 variable SEMICLASSICAL_OUTPUT_DIR sets the default output directory; an
 empty one, or one a non-directory blocks, is rejected before any work, and
 an OSError while writing is reported as a configuration error.  Exit codes:
-0 success, 2 configuration error (an argument argparse rejects included,
-in one line), 3 verification failure, 4 numerical-accuracy failure.
+0 success, 1 stdout closed before the command finished printing (no
+traceback; the files written so far stay), 2 configuration error (an
+argument argparse rejects included, in one line), 3 verification failure,
+4 numerical-accuracy failure.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .kinematics import (
 from .trajectory import compare_trajectories, write_table
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_ACCURACY = 4
@@ -246,6 +249,13 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     field = cfg.field
 
     packet = packets.build_spinor_packet(cfg.n, cfg.levels, field, cfg.epsilon)
+    # every sample interval takes at least one step, so past the cap the
+    # count of samples alone is at fault; checked before the grid is built
+    if cfg.samples - 1 > classical.MAX_STEPS:
+        raise DomainError(
+            f"samples: {cfg.samples} samples take at least {cfg.samples - 1} steps of the "
+            f"classical integrator, more than {classical.MAX_STEPS}"
+        )
     times = evolution.sample_times(packet.reference.omega, samples=cfg.samples, t_max=cfg.t_max)
     ref = classical.classical_reference(field, cfg.n, cfg.epsilon)
     # a t_max beyond the integrator's step cap is rejected before anything is written
@@ -419,7 +429,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         # looked up by name at each call, so that a wrapped cmd_* is the one run
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        # a closed stdout shows here at the latest, not at the interpreter's exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python's SIGPIPE idiom: stdout goes to devnull, so that the flush
+        # at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except DomainError as exc:
         # a newline in an argument or a path would break the one-line message
         print(f"configuration error: {exc}".replace("\n", "\\n"), file=sys.stderr)

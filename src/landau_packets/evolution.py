@@ -74,13 +74,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .kinematics import (
-    SCALAR,
-    FieldConfig,
-    SpinKinematics,
-    energy_scalar,
-    energy_spinor,
-)
+from .kinematics import SCALAR, SpinKinematics, level_energy
 from .operators import (
     DOWN,
     MOMENTUM_OBSERVABLES,
@@ -117,10 +111,6 @@ MIN_ANCHOR_STRIDE = 16
 _OFFSET_ULPS = 4
 
 
-def _level_energy(cfg: FieldConfig, kind: str, m: int, zeta: int) -> float:
-    return energy_scalar(cfg, m) if kind == SCALAR else energy_spinor(cfg, m, zeta)
-
-
 def relative_energies(packet: PacketSpec, mode: str = UNIFORM_GAP) -> np.ndarray:
     """Phase energies of the packet's basis states less the energy of its
     reference state (n, epsilon), shape (levels, S) like the amplitudes.
@@ -133,11 +123,12 @@ def relative_energies(packet: PacketSpec, mode: str = UNIFORM_GAP) -> np.ndarray
     """
     if mode not in (UNIFORM_GAP, EXACT):
         raise DomainError(f"mode: must be '{UNIFORM_GAP}' or '{EXACT}', got {mode!r}")
-    kind, cfg, kin = packet.kind, packet.field, packet.reference
+    kind, cfg, kin, levels = packet.kind, packet.field, packet.reference, packet.levels
     zetas = spin_labels(kind)
     if mode == EXACT:
-        return np.array([[_level_energy(cfg, kind, m, z) - kin.energy for z in zetas] for m in packet.levels])
-    offsets = np.asarray(packet.levels)[:, None] - packet.n
+        return np.array([[level_energy(cfg, m, z, kind) - kin.energy for z in zetas] for m in levels])
+    # np.arange, not np.asarray: numpy reads a range element by element
+    offsets = np.arange(levels.start, levels.stop)[:, None] - packet.n
     return offsets * kin.omega + 0.5 * (np.array(zetas) - packet.epsilon) * kin.omega_a
 
 

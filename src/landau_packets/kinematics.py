@@ -96,6 +96,16 @@ def energy_spinor(cfg: FieldConfig, n: int, zeta: int) -> float:
     return math.sqrt(cfg.b_z**2 + (b + zeta * cfg.anomaly * cfg.h) ** 2)
 
 
+def level_energy(cfg: FieldConfig, n: int, zeta: int, kind: str) -> float:
+    """Level energy of state (n, zeta) of a spin-0 or spin-1/2 particle;
+    zeta is not read for spin-0."""
+    if kind == SCALAR:
+        return energy_scalar(cfg, n)
+    if kind == SPINOR:
+        return energy_spinor(cfg, n, zeta)
+    raise DomainError(f"kind: must be 'scalar' or 'spinor', got {kind!r}")
+
+
 def helicity_eigenvalue(b_perp: float, b_z: float, epsilon: int) -> float:
     """Eigenvalue of the longitudinal-polarization operator at t = 0."""
     if epsilon not in (-1, 1):
@@ -148,16 +158,10 @@ def cyclotron_frequency(
         ``omega_asymptotic`` is the relativistic cyclotron value 2*h/B(n),
         which the gap approaches as O(1/n).
     """
-    if kind == SCALAR:
-        b_n = energy_scalar(cfg, n)
-        exact = energy_scalar(cfg, n + 1) - b_n
-    elif kind == SPINOR:
-        if n < 1:
-            raise DomainError(f"n: spin-1/2 levels need n >= 1, got {n}")
-        b_n = energy_spinor(cfg, n, zeta)
-        exact = energy_spinor(cfg, n + 1, zeta) - b_n
-    else:
-        raise DomainError(f"kind: must be 'scalar' or 'spinor', got {kind!r}")
+    if kind == SPINOR and n < 1:
+        raise DomainError(f"n: spin-1/2 levels need n >= 1, got {n}")
+    b_n = level_energy(cfg, n, zeta, kind)
+    exact = level_energy(cfg, n + 1, zeta, kind) - b_n
     return exact, 2.0 * cfg.h / b_n
 
 
@@ -237,7 +241,7 @@ class SpinKinematics:
         return cls(
             b_perp=transverse_momentum(cfg.h, n, kind),
             b_z=cfg.b_z,
-            energy=energy_spinor(cfg, n, epsilon) if spinor else energy_scalar(cfg, n),
+            energy=level_energy(cfg, n, epsilon, kind),
             mixing=spin_mixing_ratio(cfg, n, epsilon) if spinor else None,
             omega=cyclotron_frequency(cfg, n, epsilon, kind)[0],
             omega_a=anomalous_frequency(cfg, n)[0] if spinor else 0.0,

@@ -12,9 +12,11 @@ depends on the level and a band over any contiguous window is one complex
 table of shape (3, S, S): level offset d = m_bra - m_ket in {-1, 0, +1},
 spin of the bra, spin of the ket; S = 1 for spin-0 and S = 2 for
 spin-1/2.  The element between two states of the window is
-table[m_bra - m_ket + 1, spin_bra, spin_ket].  The table built for a window
-also records its levels, so that ``entries`` can list its nonzero elements
-by state for inspection; the engine reads only the array.
+table[m_bra - m_ket + 1, spin_bra, spin_ket].  A window of levels is a
+``range`` of step 1 in the packet and its bands alike, with one rule,
+``check_window``.  The table built for a window records that range, so that
+``entries`` can list its nonzero elements by state; the engine reads only
+the array.
 """
 
 from __future__ import annotations
@@ -40,6 +42,15 @@ DOWN, SAME, UP = range(3)
 def spin_labels(kind: str) -> tuple[int, ...]:
     """Spin labels along the spin axes of a block table."""
     return (NO_SPIN,) if kind == SCALAR else (-1, 1)
+
+
+def check_window(levels: range) -> None:
+    """Reject anything but a nonempty ``range`` of step 1, the one form of a
+    window of levels; the check takes the same time at any length."""
+    if not (isinstance(levels, range) and levels.step == 1 and levels):
+        # a sequence is named by its type: it may hold 10^4 levels
+        shown = repr(levels) if isinstance(levels, range) else type(levels).__name__
+        raise DomainError(f"levels: must be a nonempty range of step 1, got {shown}")
 
 
 def block_table(observable: str, kind: str, kin: SpinKinematics) -> np.ndarray:
@@ -79,10 +90,10 @@ def block_table(observable: str, kind: str, kin: SpinKinematics) -> np.ndarray:
 
 class BandTable(np.ndarray):
     """Block table of one observable, a plain (3, S, S) array that also
-    records the sorted ``levels`` of the window it was built for.  Views
-    and results of arithmetic record no window."""
+    records the ``levels`` range of the window it was built for.  Views and
+    results of arithmetic record the empty window."""
 
-    levels: tuple[int, ...] = ()
+    levels: range = range(0)
 
     @property
     def entries(self) -> dict[tuple[int, int, int, int], complex]:
@@ -109,23 +120,17 @@ def hermiticity_defect(table: np.ndarray) -> float:
 
 
 def build_operator_band(
-    levels,
+    levels: range,
     observable: str,
     cfg: FieldConfig,
     reference_n: int,
     kind: str = SPINOR,
     zeta_ref: int = 1,
 ) -> BandTable:
-    """Read-only block table of one observable over a contiguous set of
-    integer levels, in any order, with the kinematic factors frozen at the
+    """Read-only block table of one observable over the window ``levels``,
+    a nonempty range of step 1, with the kinematic factors frozen at the
     reference state (``reference_n``, ``zeta_ref``)."""
-    levels = tuple(sorted(levels))
-    if not levels:
-        raise DomainError("levels: must be nonempty")
-    # sorted levels are contiguous when they span one less than their count
-    # without a repeat: (1, 2, 2, 4) has the span but not the distinct levels
-    if levels[-1] - levels[0] != len(levels) - 1 or len(set(levels)) != len(levels):
-        raise DomainError(f"levels: must be contiguous, got {levels}")
+    check_window(levels)
     if kind == SCALAR and observable in SPIN_OBSERVABLES:
         raise DomainError(f"observable: {observable} is undefined for spin-0 states")
     # from_field rejects a kind other than SCALAR and SPINOR, block_table an

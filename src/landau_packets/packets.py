@@ -2,35 +2,34 @@
 amplitude sums.
 
 A packet is a superposition of the states of a contiguous window of levels
-in one field: it holds the field, the window, the helicity sign epsilon of
-its reference state and its amplitudes, one array of shape (levels, S) with
-the spins ordered as in the block tables of the bands.  Everything else is
-derived: the kind from the number of spin columns, the reference level n as
-the window's center, and the frozen ``SpinKinematics`` of the reference
-state (n, epsilon) in the packet's field, which is all the engine reads
-besides the amplitudes.  The builders spread unit probability uniformly
-over the window; spin-1/2 packets additionally fix the ratio of the two
-spin amplitudes at every level to the mixing ratio kappa of the reference
-level, which is what ties the packet to a definite longitudinal
-polarization.  The bilinear sums of the amplitudes are what the
-time-dependent expectation values contract against; for the uniform
-equal-phase construction the adjacent-level sums carry the semiclassical
-contrast factor (N-1)/N and the same-level sums reproduce the polarization
-constants.
+in one field: it holds the field, the window as a ``range`` of step 1, the
+helicity sign epsilon of its reference state and its amplitudes, one array
+of shape (levels, S) with the spins ordered as in the block tables of the
+bands.  Everything else is derived: the kind from the number of spin
+columns, the reference level n as the window's center, and the frozen
+``SpinKinematics`` of the reference state (n, epsilon) in the packet's
+field, which is all the engine reads besides the amplitudes.  The builders
+spread unit probability uniformly over the window; spin-1/2 packets
+additionally fix the ratio of the two spin amplitudes at every level to the
+mixing ratio kappa of the reference level, which is what ties the packet to
+a definite longitudinal polarization.  The bilinear sums of the amplitudes
+are what the time-dependent expectation values contract against; for the
+uniform equal-phase construction the adjacent-level sums carry the
+semiclassical contrast factor (N-1)/N and the same-level sums reproduce the
+polarization constants.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .kinematics import SCALAR, SPINOR, FieldConfig, SpinKinematics, spin_mixing_ratio
-from .operators import DOWN, SAME
+from .operators import DOWN, SAME, check_window
 
 
 @dataclass(frozen=True)
@@ -43,19 +42,20 @@ class PacketSpec:
     helicity sign ``epsilon`` is the spin of the reference state, whose
     level ``n`` is the window's center, and ``reference`` holds that
     state's frozen kinematics in ``field``.  The constructor rejects another
-    column count, a window that does not ascend in steps of one or that
-    starts below the kind's lowest level (0 for spin-0, 1 for spin-1/2):
-    the pair sums pair row i with row i + 1 as the levels m and m + 1.
+    column count, a window that ``check_window`` rejects (the pair sums pair
+    row i with row i + 1 as the levels m and m + 1) or that starts below the
+    kind's lowest level (0 for spin-0, 1 for spin-1/2).
     """
 
     field: FieldConfig
-    levels: tuple[int, ...]
+    levels: range
     epsilon: int
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
         if self.epsilon not in (-1, 1):
             raise DomainError(f"epsilon: must be +1 or -1, got {self.epsilon}")
+        check_window(self.levels)
         amplitudes = np.array(self.amplitudes, dtype=complex)
         rows = len(self.levels)
         if amplitudes.shape not in ((rows, 1), (rows, 2)):
@@ -64,7 +64,7 @@ class PacketSpec:
             raise DomainError("amplitudes: must be finite")
         amplitudes.setflags(write=False)
         object.__setattr__(self, "amplitudes", amplitudes)
-        _check_window(self.kind, self.levels)
+        _check_lowest_level(self.kind, self.levels)
 
     @property
     def kind(self) -> str:
@@ -103,19 +103,8 @@ class StructureSums:
     population_imbalance: complex
 
 
-def _check_window(kind: str, levels: tuple[int, ...]) -> None:
-    if not levels:
-        raise DomainError("levels: need at least one level, got 0")
+def _check_lowest_level(kind: str, levels: range) -> None:
     first, last = levels[0], levels[-1]
-    # element by element, so a 10^4-level window costs no second tuple of ints
-    if not all(map(operator.eq, levels, range(first, first + len(levels)))):
-        raise DomainError(
-            f"levels: must ascend in steps of 1, got {first}..{last} over {len(levels)} levels"
-        )
-    _check_lowest_level(kind, first, last)
-
-
-def _check_lowest_level(kind: str, first: int, last: int) -> None:
     if kind == SPINOR and first < 1:
         raise DomainError(f"levels: window {first}..{last} reaches below the first spin-1/2 level")
     if first < 0:
@@ -144,7 +133,7 @@ def build_scalar_packet(n: int, levels: int, cfg: FieldConfig) -> PacketSpec:
     """
     window = _level_window(n, levels)
     amplitudes = np.full((levels, 1), 1.0 / math.sqrt(levels))
-    return PacketSpec(field=cfg, levels=tuple(window), epsilon=1, amplitudes=amplitudes)
+    return PacketSpec(field=cfg, levels=window, epsilon=1, amplitudes=amplitudes)
 
 
 def build_spinor_packet(n: int, levels: int, cfg: FieldConfig, epsilon: int = 1) -> PacketSpec:
@@ -158,11 +147,11 @@ def build_spinor_packet(n: int, levels: int, cfg: FieldConfig, epsilon: int = 1)
     """
     window = _level_window(n, levels)
     # a window below level 1 is reported before a ratio that is undefined at h = 0
-    _check_lowest_level(SPINOR, window[0], window[-1])
+    _check_lowest_level(SPINOR, window)
     kappa = spin_mixing_ratio(cfg, n, epsilon)
     down = 1.0 / math.sqrt(levels * (kappa * kappa + 1.0))
     amplitudes = np.tile([down, kappa * down], (levels, 1))
-    return PacketSpec(field=cfg, levels=tuple(window), epsilon=epsilon, amplitudes=amplitudes)
+    return PacketSpec(field=cfg, levels=window, epsilon=epsilon, amplitudes=amplitudes)
 
 
 def normalization_defect(packet: PacketSpec) -> float:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import landau_packets
 from landau_packets import FieldConfig, classical, evolution, laguerre, verify
-from landau_packets.cli import EXIT_ACCURACY, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
+from landau_packets.cli import EXIT_ACCURACY, EXIT_CLOSED_STDOUT, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
 from landau_packets.errors import QuadratureAccuracyError
 
 FAST = ["--h", "0.1", "--anomaly", "0.02", "--b-z", "0.5", "--n", "100"]
@@ -109,6 +110,26 @@ class TestTrajectoryCommand:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: t_max:") and err.count("\n") == 1
         assert f"more than {classical.MAX_STEPS}" in err
+        assert not out.exists()
+
+    def test_samples_past_the_step_cap_name_samples(self, tmp_path, capsys):
+        # every sample interval takes at least one step, so 10^7 + 2 samples
+        # pass classical.MAX_STEPS whatever t_max is; the count is rejected
+        # before the 80 MB grid is built
+        out = tmp_path / "out"
+        samples = classical.MAX_STEPS + 2
+        tracemalloc.start()
+        try:
+            code = main(["trajectory", *FAST, "--samples", str(samples), "--output-dir", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: samples: {samples} samples take at least {samples - 1} steps "
+            f"of the classical integrator, more than {classical.MAX_STEPS}\n"
+        )
+        assert peak < 2**20
         assert not out.exists()
 
     def test_drift_failure_names_the_span(self, tmp_path, capsys):
@@ -513,6 +534,33 @@ class TestTracedRun:
         result = _run_traced(probe, tmp_path)
         assert result.returncode == 0, result.stdout + result.stderr
         assert result.stdout.strip().splitlines()[-1] == "0 True True"
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv", [["converge", "--n-list", "3,100", "--samples", "8"], ["verify"]], ids=["converge", "verify"]
+    )
+    def test_exits_one_without_a_traceback(self, tmp_path, argv, buffered):
+        # the reader of stdout is gone before the command prints: an
+        # unbuffered print raises at once, a buffered one at the flush
+        src = str(Path(landau_packets.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("SEMICLASSICAL_OUTPUT_DIR", None)
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        child = subprocess.Popen(
+            [sys.executable, "-m", "landau_packets.cli", *argv, "--output-dir", "out"],
+            cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait() == EXIT_CLOSED_STDOUT
+        assert err == b""
+        # the outputs are written before the first print, and they stay
+        assert os.listdir(tmp_path / "out") == [f"{argv[0]}.csv" if argv[0] == "converge" else "verify.json"]
 
 
 class TestStartup:

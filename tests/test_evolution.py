@@ -148,6 +148,22 @@ class TestGenericExpectation:
         evolve_packet(packet, times, mode=EXACT)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("build", [build_scalar_packet, build_spinor_packet])
+    def test_bands_record_the_packet_window(self, monkeypatch, build):
+        # every band the engine builds is over the packet's own range
+        bands = []
+
+        def recorded(*args, **kwargs):
+            bands.append(build_operator_band(*args, **kwargs))
+            return bands[-1]
+
+        monkeypatch.setattr(evolution, "build_operator_band", recorded)
+        packet = build(N_REF, 5, CFG)
+        evolve_packet(packet, sample_times(packet.reference.omega, 16))
+        assert len(bands) == (3 if packet.kind == SCALAR else 7)
+        assert isinstance(packet.levels, range)
+        assert all(band.levels is packet.levels for band in bands)
+
     def test_hermitian_residue_gate(self, monkeypatch):
         from landau_packets.errors import AccuracyError
 

@@ -14,6 +14,7 @@ from landau_packets.kinematics import (
     energy_scalar,
     energy_spinor,
     helicity_eigenvalue,
+    level_energy,
     polarization_constants,
     spin_mixing_ratio,
     transverse_momentum,
@@ -81,6 +82,35 @@ class TestEnergies:
         cfg = FieldConfig(h=0.05, anomaly=0.0, b_z=0.3)
         energies = [energy_scalar(cfg, n) for n in range(10)]
         assert all(b > a for a, b in zip(energies, energies[1:]))
+
+
+class TestLevelEnergy:
+    """The one kind branch of the level energies."""
+
+    CFG = FieldConfig(h=0.1, anomaly=0.02, b_z=0.5)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 10**4])
+    def test_the_bits_of_the_kind_energy(self, n):
+        assert level_energy(self.CFG, n, 1, SCALAR) == energy_scalar(self.CFG, n)
+        assert level_energy(self.CFG, n, -1, SCALAR) == energy_scalar(self.CFG, n)
+        for zeta in (-1, 1):
+            assert level_energy(self.CFG, n, zeta, SPINOR) == energy_spinor(self.CFG, n, zeta)
+
+    def test_rates_read_the_kind_energy(self):
+        # the gap and the reference energy are differences and values of level_energy
+        for kind in (SCALAR, SPINOR):
+            exact, _ = cyclotron_frequency(self.CFG, 7, -1, kind)
+            assert exact == level_energy(self.CFG, 8, -1, kind) - level_energy(self.CFG, 7, -1, kind)
+            assert SpinKinematics.from_field(self.CFG, 7, -1, kind).energy == level_energy(self.CFG, 7, -1, kind)
+
+    def test_unknown_kind_rejected(self):
+        message = "^kind: must be 'scalar' or 'spinor', got 'vector'$"
+        with pytest.raises(DomainError, match=message):
+            level_energy(self.CFG, 7, 1, "vector")
+        with pytest.raises(DomainError, match=message):
+            cyclotron_frequency(self.CFG, 7, 1, "vector")
+        with pytest.raises(DomainError, match=message):
+            SpinKinematics.from_field(self.CFG, 7, 1, "vector")
 
 
 class TestHelicityEigenvalue:

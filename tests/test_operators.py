@@ -121,11 +121,11 @@ def window_count(table, level_count):
 class TestOperatorBands:
     def test_single_level_px_empty(self):
         # one level holds only the offset-0 block, which Px leaves empty
-        table = build_operator_band([7], "Px", CFG, 7)
+        table = build_operator_band(range(7, 8), "Px", CFG, 7)
         assert window_count(table, 1) == 0
 
     def test_pz_structure_count(self):
-        table = build_operator_band([6, 7, 8], "Pz", CFG, 7)
+        table = build_operator_band(range(6, 9), "Pz", CFG, 7)
         assert window_count(table, 3) == 6  # 2 spins x 3 levels, diagonal
         np.testing.assert_array_equal(table[1], np.diag([0.7, 0.7]))
         assert not np.any(table[[0, 2]])
@@ -149,7 +149,7 @@ class TestOperatorBands:
     def test_entries_list_the_table_by_state(self, kind):
         zetas = spin_labels(kind)
         for name in OBSERVABLES if kind == SPINOR else MOMENTUM_OBSERVABLES:
-            table = build_operator_band([9, 7, 8], name, CFG, 8, kind=kind)
+            table = build_operator_band(range(7, 10), name, CFG, 8, kind=kind)
             entries = table.entries
             assert len(entries) == window_count(table, 3), name
             for (m_bra, zeta_bra, m_ket, zeta_ket), value in entries.items():
@@ -173,42 +173,42 @@ class TestOperatorBands:
             assert not np.any(table[:, [0, 1], [0, 1]])
 
     def test_scalar_band(self):
-        table = build_operator_band([6, 7, 8], "Py", CFG, 7, kind=SCALAR)
+        table = build_operator_band(range(6, 9), "Py", CFG, 7, kind=SCALAR)
         assert table.shape == (len(OFFSETS), 1, 1)
         with pytest.raises(DomainError):
-            build_operator_band([6, 7, 8], "Sx", CFG, 7, kind=SCALAR)
+            build_operator_band(range(6, 9), "Sx", CFG, 7, kind=SCALAR)
 
     def test_unknown_observable_rejected(self):
         with pytest.raises(DomainError, match=r"^observable: must be one of \('Px', .*\), got 'Q'$"):
-            build_operator_band([6, 7, 8], "Q", CFG, 7)
+            build_operator_band(range(6, 9), "Q", CFG, 7)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError, match="^kind: must be 'scalar' or 'spinor', got 'vector'$"):
-            build_operator_band([6, 7, 8], "Px", CFG, 7, kind="vector")
+            build_operator_band(range(6, 9), "Px", CFG, 7, kind="vector")
 
     def test_non_contiguous_rejected(self):
-        with pytest.raises(DomainError):
-            build_operator_band([4, 6, 7], "Px", CFG, 6)
-        with pytest.raises(DomainError):
-            build_operator_band([], "Px", CFG, 6)
-        # the span of (1, 2, 2, 4) is one less than its count
-        with pytest.raises(DomainError, match=r"^levels: must be contiguous, got \(1, 2, 2, 4\)$"):
-            build_operator_band([4, 2, 1, 2], "Px", CFG, 2)
+        with pytest.raises(DomainError, match=r"^levels: must be a nonempty range of step 1, got range\(4, 8, 2\)$"):
+            build_operator_band(range(4, 8, 2), "Px", CFG, 6)
+        with pytest.raises(DomainError, match=r"^levels: must be a nonempty range of step 1, got range\(6, 6\)$"):
+            build_operator_band(range(6, 6), "Px", CFG, 6)
+        # a sequence is no window, even one of contiguous levels
+        with pytest.raises(DomainError, match="^levels: must be a nonempty range of step 1, got list$"):
+            build_operator_band([1, 2, 3], "Px", CFG, 2)
 
     def test_frozen_mode_uses_reference_level(self):
         # the element between (7, +1) and (6, +1), offset +1
-        table = build_operator_band([6, 7], "Py", CFG, 7)
+        table = build_operator_band(range(6, 8), "Py", CFG, 7)
         expected = 0.5 * 2.0 * math.sqrt(CFG.h * 7)
         assert table[2, 1, 1] == pytest.approx(expected, rel=1e-14)
-        table_low_ref = build_operator_band([6, 7], "Py", CFG, 6)
+        table_low_ref = build_operator_band(range(6, 8), "Py", CFG, 6)
         assert table_low_ref[2, 1, 1] == pytest.approx(0.5 * 2.0 * math.sqrt(CFG.h * 6), rel=1e-14)
 
     def test_one_read_only_table_per_band(self):
         spinor = build_operator_band(range(5, 10), "Sx", CFG, 7)
         scalar = build_operator_band(range(5, 10), "Px", CFG, 7, kind=SCALAR)
-        assert spinor.shape == (3, 2, 2) and spinor.levels == (5, 6, 7, 8, 9)
-        assert scalar.shape == (3, 1, 1) and scalar.levels == (5, 6, 7, 8, 9)
-        assert spinor[::-1].levels == () and spinor.entries
+        assert spinor.shape == (3, 2, 2) and spinor.levels == range(5, 10)
+        assert scalar.shape == (3, 1, 1) and scalar.levels == range(5, 10)
+        assert spinor[::-1].levels == range(0) and spinor.entries
         for table in (spinor, scalar):
             with pytest.raises(ValueError):
                 table[0, 0, 0] = 1.0
@@ -233,15 +233,15 @@ class TestOperatorBands:
         # a band's table is block_table of the one frozen reference, bit for bit
         kin = SpinKinematics.from_field(CFG, 7, zeta_ref, kind)
         for name in MOMENTUM_OBSERVABLES if kind == SCALAR else OBSERVABLES:
-            table = build_operator_band([6, 7, 8], name, CFG, 7, kind=kind, zeta_ref=zeta_ref)
+            table = build_operator_band(range(6, 9), name, CFG, 7, kind=kind, zeta_ref=zeta_ref)
             assert table.tobytes() == block_table(name, kind, kin).tobytes()
 
     @pytest.mark.parametrize("cfg,reference_n", [(replace(CFG, h=0.0), 7), (CFG, 0)])
     def test_spinor_band_without_transverse_momentum_rejected(self, cfg, reference_n):
         # b_perp = 0 leaves the spin mixing ratio of the reference undefined
         with pytest.raises(SingularConfigurationError):
-            build_operator_band([0, 1, 2], "Px", cfg, reference_n)
-        build_operator_band([0, 1, 2], "Px", cfg, reference_n, kind=SCALAR)
+            build_operator_band(range(3), "Px", cfg, reference_n)
+        build_operator_band(range(3), "Px", cfg, reference_n, kind=SCALAR)
 
 
 class TestQuadratureOracleAgreement:
@@ -255,7 +255,7 @@ class TestQuadratureOracleAgreement:
         for n in (20, 80):
             for component in ("x", "y"):
                 # the element between levels n + 1 and n, offset +1
-                closed = build_operator_band([n, n + 1], f"P{component}", cfg, n, kind=SCALAR)[2, 0, 0]
+                closed = build_operator_band(range(n, n + 2), f"P{component}", cfg, n, kind=SCALAR)[2, 0, 0]
                 exact = momentum_element_quadrature(n + 1, n, 0, component, cfg)
                 # identical phase: the ratio is real and close to one
                 ratio = exact / closed

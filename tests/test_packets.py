@@ -6,7 +6,7 @@ import pytest
 
 from landau_packets.errors import DomainError, SingularConfigurationError
 from landau_packets.kinematics import SCALAR, SPINOR, FieldConfig, SpinKinematics, spin_mixing_ratio
-from landau_packets.operators import spin_labels
+from landau_packets.operators import build_operator_band, spin_labels
 from landau_packets.packets import (
     PacketSpec,
     build_scalar_packet,
@@ -33,7 +33,7 @@ def amplitude_of(packet):
 class TestScalarPackets:
     def test_three_level_adjacent_sum(self):
         packet = build_scalar_packet(10, 3, CFG)
-        assert packet.levels == (9, 10, 11)
+        assert packet.levels == range(9, 12)
         sums = structure_sums(packet)
         assert sums.adjacent_same_spin.real == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert sums.adjacent_same_spin.imag == 0.0
@@ -48,7 +48,7 @@ class TestScalarPackets:
 
     def test_even_window_sits_above(self):
         packet = build_scalar_packet(10, 4, CFG)
-        assert packet.levels == (9, 10, 11, 12)
+        assert packet.levels == range(9, 13)
 
     def test_window_below_ground_rejected(self):
         with pytest.raises(DomainError, match=r"^levels: window -1\.\.3 reaches below the ground level$"):
@@ -185,14 +185,14 @@ class TestNormalizationDefect:
         assert normalization_defect(scaled) == pytest.approx(3.0, abs=1e-14)
 
     def test_empty(self):
-        empty = PacketSpec(field=CFG, levels=(10,), epsilon=1, amplitudes=np.zeros((1, 1)))
+        empty = PacketSpec(field=CFG, levels=range(10, 11), epsilon=1, amplitudes=np.zeros((1, 1)))
         assert normalization_defect(empty) == 1.0
 
 
 class TestAmplitudeArray:
     def test_read_only_copy(self):
         source = np.full((3, 2), 1 / math.sqrt(6), dtype=complex)
-        packet = PacketSpec(field=CFG, levels=(9, 10, 11), epsilon=1, amplitudes=source)
+        packet = PacketSpec(field=CFG, levels=range(9, 12), epsilon=1, amplitudes=source)
         source[0, 0] = 0.0
         assert packet.amplitudes[0, 0] == 1 / math.sqrt(6)
         with pytest.raises(ValueError):
@@ -200,18 +200,18 @@ class TestAmplitudeArray:
 
     def test_shape_must_match_levels_and_spins(self):
         with pytest.raises(DomainError, match=r"^amplitudes: expected shape \(3, 1\) or \(3, 2\), got \(2, 2\)$"):
-            PacketSpec(field=CFG, levels=(9, 10, 11), epsilon=1, amplitudes=np.ones((2, 2)))
+            PacketSpec(field=CFG, levels=range(9, 12), epsilon=1, amplitudes=np.ones((2, 2)))
 
     @pytest.mark.parametrize("columns", [0, 3])
     def test_spin_columns_must_be_one_or_two(self, columns):
         # one column is a spin-0 packet and two a spin-1/2 packet; no other
         # count names a kind
         with pytest.raises(DomainError, match=rf"^amplitudes: expected shape \(3, 1\) or \(3, 2\), got \(3, {columns}\)$"):
-            PacketSpec(field=CFG, levels=(4, 5, 6), epsilon=1, amplitudes=np.ones((3, columns)))
+            PacketSpec(field=CFG, levels=range(4, 7), epsilon=1, amplitudes=np.ones((3, columns)))
 
     def test_kind_from_the_spin_columns(self):
-        assert PacketSpec(field=CFG, levels=(4, 5, 6), epsilon=1, amplitudes=np.ones((3, 1))).kind == SCALAR
-        assert PacketSpec(field=CFG, levels=(4, 5, 6), epsilon=1, amplitudes=np.ones((3, 2))).kind == SPINOR
+        assert PacketSpec(field=CFG, levels=range(4, 7), epsilon=1, amplitudes=np.ones((3, 1))).kind == SCALAR
+        assert PacketSpec(field=CFG, levels=range(4, 7), epsilon=1, amplitudes=np.ones((3, 2))).kind == SPINOR
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_amplitudes_must_be_finite(self, bad):
@@ -228,31 +228,45 @@ class TestWindow:
     """The constructor's checks of the window and the helicity sign."""
 
     @pytest.mark.parametrize(
-        "levels",
-        [(101, 100, 99), (99, 101, 103), (99, 100, 100)],
-        ids=["descending", "gapped", "repeated"],
+        "levels,shown",
+        [
+            ((99, 100, 101), "tuple"),
+            ([99, 100, 101], "list"),
+            ((99, 100, 100), "tuple"),
+            (range(99, 104, 2), "range(99, 104, 2)"),
+            (range(101, 98, -1), "range(101, 98, -1)"),
+            (range(100, 100), "range(100, 100)"),
+        ],
+        ids=["tuple", "list", "repeated", "gapped", "descending", "empty"],
     )
-    def test_window_must_ascend_in_steps_of_one(self, levels):
+    def test_window_must_ascend_in_steps_of_one(self, levels, shown):
+        # the packet and a band reject a non-window by the one rule, in the same words
+        message = f"levels: must be a nonempty range of step 1, got {shown}"
         packet = build_spinor_packet(100, 3, CFG)
-        with pytest.raises(DomainError, match="^levels: must ascend in steps of 1, got "):
+        with pytest.raises(DomainError) as from_packet:
             replace(packet, levels=levels)
+        with pytest.raises(DomainError) as from_band:
+            build_operator_band(levels, "Px", CFG, 100)
+        assert str(from_packet.value) == str(from_band.value) == message
 
     def test_spinor_window_below_first_level_rejected(self):
         packet = build_spinor_packet(100, 3, CFG)
         with pytest.raises(DomainError, match=r"^levels: window -1\.\.1 reaches below the first spin-1/2 level$"):
-            replace(packet, levels=(-1, 0, 1))
+            replace(packet, levels=range(-1, 2))
         with pytest.raises(DomainError, match="first spin-1/2 level"):
-            replace(packet, levels=(0, 1, 2))
+            replace(packet, levels=range(3))
 
     def test_scalar_window_below_ground_rejected(self):
         packet = build_scalar_packet(10, 3, CFG)
-        assert replace(packet, levels=(0, 1, 2)).levels == (0, 1, 2)
+        assert replace(packet, levels=range(3)).levels == range(3)
         with pytest.raises(DomainError, match=r"^levels: window -1\.\.1 reaches below the ground level$"):
-            replace(packet, levels=(-1, 0, 1))
+            replace(packet, levels=range(-1, 2))
 
     def test_empty_window_rejected(self):
-        with pytest.raises(DomainError, match="^levels: need at least one level"):
-            PacketSpec(field=CFG, levels=(), epsilon=1, amplitudes=np.zeros((0, 1)))
+        with pytest.raises(DomainError, match=r"^levels: must be a nonempty range of step 1, got range\(10, 10\)$"):
+            PacketSpec(field=CFG, levels=range(10, 10), epsilon=1, amplitudes=np.zeros((0, 1)))
+        with pytest.raises(DomainError, match="^levels: need at least one level, got 0$"):
+            build_scalar_packet(10, 0, CFG)
 
     @pytest.mark.parametrize("epsilon", [0, 2, -2])
     def test_epsilon_must_be_a_sign(self, epsilon):
@@ -280,7 +294,7 @@ class TestDerivedReference:
         # an even window has the extra level above its center
         assert build_spinor_packet(100, levels, CFG).n == center
         assert build_scalar_packet(100, levels, CFG).n == center
-        shifted = replace(build_spinor_packet(100, levels, CFG), levels=tuple(range(200, 200 + levels)))
+        shifted = replace(build_spinor_packet(100, levels, CFG), levels=range(200, 200 + levels))
         assert shifted.n == 200 + (levels - 1) // 2
 
     def test_reference_follows_the_field(self):

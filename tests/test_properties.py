@@ -176,17 +176,26 @@ def test_four_vector_invariants(config):
     assert np.max(np.abs(np.einsum("tmn,tn->tm", tensors, evolution.lower_index(p4.T).T))) <= tol
 
 
+windows = st.builds(
+    range,
+    st.integers(min_value=-5, max_value=12),  # start
+    st.integers(min_value=-5, max_value=12),  # stop
+    st.sampled_from((1, 1, 1, 2, 3, -1, -2)),  # step
+)
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(st.lists(st.integers(min_value=-5, max_value=12), max_size=8))
-def test_band_window_check(levels):
-    # accepted exactly when the sorted levels step by one, in any order,
-    # with the table the window does not change
-    ordered = sorted(levels)
-    contiguous = bool(ordered) and all(b - a == 1 for a, b in zip(ordered, ordered[1:]))
+@given(windows, st.sampled_from((range, tuple, list)))
+def test_band_window_check(window, form):
+    # accepted exactly as a nonempty range of step 1, which records itself;
+    # the same levels as a tuple or a list are no window, and the table
+    # does not depend on the window
+    levels = window if form is range else form(window)
     cfg = FieldConfig(h=0.1, anomaly=1.16141e-3, b_z=0.5)
-    if contiguous:
+    if form is range and window.step == 1 and window:
         table = build_operator_band(levels, "Sx", cfg, 100)
-        assert table.tobytes() == build_operator_band([0], "Sx", cfg, 100).tobytes()
+        assert table.levels is levels
+        assert table.tobytes() == build_operator_band(range(1), "Sx", cfg, 100).tobytes()
     else:
-        with pytest.raises(DomainError, match="^levels: must be"):
+        with pytest.raises(DomainError, match="^levels: must be a nonempty range of step 1, got "):
             build_operator_band(levels, "Sx", cfg, 100)
