@@ -33,14 +33,9 @@ from .kinematics import (
     SPINOR,
     FieldConfig,
     SpinKinematics,
-    anomalous_frequency,
-    cyclotron_frequency,
     energy_scalar,
     energy_spinor,
-    helicity_eigenvalue,
     level_energy,
-    polarization_constants,
-    spin_mixing_ratio,
     transverse_momentum,
 )
 from .laguerre import (

@@ -2,7 +2,9 @@
 anomaly-free kinematics, turning at the lab-time cyclotron and anomalous
 frequencies, and its initial state) and a fixed-step integrator for
 covariant spin precession in a constant magnetic field along z.  The closed-form classical motion is the
-unit-contrast limit of the closed forms in ``evolution``.
+unit-contrast limit of the closed forms in ``evolution``.  The lab-time
+rates ``cyclotron_omega`` and ``anomalous_omega`` are the one home of the
+closed forms that a reference's level gap and zeta-splitting approach.
 
 The integrator advances the pair (u, S) of four-vectors in lab time,
 u = (gamma, b_vec) the dimensionless four-momentum and S the four-spin,
@@ -149,9 +151,12 @@ def cyclotron_omega(h_field: float, gamma: float) -> float:
     return 2.0 * h_field / gamma
 
 
-def anomalous_omega(h_field: float, gamma: float, b: float, g_factor: float) -> float:
-    """Lab-time anomalous precession frequency (g/2 - 1) * 2h * b / gamma."""
-    return (0.5 * g_factor - 1.0) * 2.0 * h_field * b / gamma
+def anomalous_omega(h_field: float, gamma: float, b: float, anomaly: float) -> float:
+    """Lab-time anomalous precession frequency anomaly * 2h * b / gamma, the
+    anomaly being the ratio g/2 - 1.  At gamma = sqrt(b_z^2 + b^2) it is the
+    closed form that a level's zeta-splitting approaches to relative
+    O((anomaly*h)^2)."""
+    return anomaly * 2.0 * h_field * b / gamma
 
 
 def spin_coupling_omega(h_field: float, gamma: float, b_perp: float, g_factor: float) -> float:
@@ -187,7 +192,7 @@ def classical_reference(cfg: FieldConfig, n: int, epsilon: int = 1) -> Classical
     four-spin invariants close identically), turning at ``cyclotron_omega``
     and ``anomalous_omega`` instead of the level gaps.  Its ``step`` is
     ``default_step`` at the anomalous precession and coupling frequencies."""
-    kin = SpinKinematics.from_field(cfg.without_anomaly(), n, epsilon)
+    kin = SpinKinematics.from_field(replace(cfg, anomaly=0.0), n, epsilon)
     g = 2.0 * (1.0 + cfg.anomaly)
     p = closed_form_momentum(kin, None, 0.0)
     s = closed_form_spin(kin, None, 0.0)
@@ -196,7 +201,7 @@ def classical_reference(cfg: FieldConfig, n: int, epsilon: int = 1) -> Classical
         s=(float(s[0]), float(s[1]), float(s[2]), float(s[3])),
         g_factor=g,
     )
-    omega_a = anomalous_omega(cfg.h, kin.energy, kin.b, g)
+    omega_a = anomalous_omega(cfg.h, kin.energy, kin.b, 0.5 * g - 1.0)
     coupling = spin_coupling_omega(cfg.h, kin.energy, kin.b_perp, g)
     return ClassicalReference(
         kin=replace(kin, omega=cyclotron_omega(cfg.h, kin.energy), omega_a=omega_a),

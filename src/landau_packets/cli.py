@@ -40,14 +40,7 @@ import numpy as np
 
 from . import __version__, classical, evolution, laguerre, packets, verify
 from .errors import AccuracyError, DomainError, IntegrationAccuracyError
-from .kinematics import (
-    DEFAULT_ANOMALY,
-    FieldConfig,
-    SpinKinematics,
-    anomalous_frequency,
-    cyclotron_frequency,
-    energy_spinor,
-)
+from .kinematics import DEFAULT_ANOMALY, FieldConfig, SpinKinematics, energy_spinor
 from .trajectory import compare_trajectories, write_table
 
 EXIT_OK = 0
@@ -104,7 +97,7 @@ class RunConfig:
             )
         if not (level_gap and self.h > 0):
             return
-        gap = cyclotron_frequency(self.field, self.n, self.epsilon)[0]
+        gap = SpinKinematics.from_field(self.field, self.n, self.epsilon).omega
         if gap < 0:
             # the epsilon = -1 levels fall while b(n) + b(n+1) < 2 anomaly h,
             # whatever b_z
@@ -117,12 +110,12 @@ class RunConfig:
             # without any b_z, h alone is the cause when even the gap between
             # levels 1 and 2 rounds to zero, and n alone when the gap at n does
             at_rest = FieldConfig(h=self.h, anomaly=self.anomaly)
-            if cyclotron_frequency(at_rest, 1, self.epsilon)[0] == 0:
+            if SpinKinematics.from_field(at_rest, 1, self.epsilon).omega == 0:
                 raise DomainError(
                     f"h: the gap between levels rounds to zero at h={self.h} "
                     "even between levels 1 and 2 at b_z=0"
                 )
-            cause = "n" if cyclotron_frequency(at_rest, self.n, self.epsilon)[0] == 0 else "b_z"
+            cause = "n" if SpinKinematics.from_field(at_rest, self.n, self.epsilon).omega == 0 else "b_z"
             raise DomainError(
                 f"{cause}: the gap between levels n={self.n} and n+1 rounds to zero at b_z={self.b_z}"
             )
@@ -212,9 +205,7 @@ def _json_dump(payload: dict, path: str) -> None:
 
 
 def _manifest(cfg: RunConfig, packet: packets.PacketSpec) -> dict:
-    field, kin = cfg.field, packet.reference
-    omega_exact, omega_asym = cyclotron_frequency(field, cfg.n, cfg.epsilon)
-    omega_a_exact, omega_a_closed = anomalous_frequency(field, cfg.n)
+    kin = packet.reference
     sums = packets.structure_sums(packet)
     return {
         "tool": "landau-packets",
@@ -227,10 +218,10 @@ def _manifest(cfg: RunConfig, packet: packets.PacketSpec) -> dict:
             "kappa": kin.kappa,
             "zeta_perp": kin.zeta_perp,
             "zeta_z": kin.zeta_z,
-            "omega_exact": omega_exact,
-            "omega_asymptotic": omega_asym,
-            "omega_a_exact": omega_a_exact,
-            "omega_a_closed": omega_a_closed,
+            "omega_exact": kin.omega,
+            "omega_asymptotic": classical.cyclotron_omega(cfg.h, kin.energy),
+            "omega_a_exact": kin.omega_a,
+            "omega_a_closed": classical.anomalous_omega(cfg.h, math.hypot(kin.b_z, kin.b), kin.b, cfg.anomaly),
             "levels_window": [packet.levels[0], packet.levels[-1]],
             "contrast_factor": packets.contrast_factor(cfg.levels),
             "normalization_defect": packets.normalization_defect(packet),

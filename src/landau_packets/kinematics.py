@@ -13,13 +13,16 @@ Conventions:
 - spin-1/2 level energy  B = sqrt(b_z^2 + (b + zeta*anomaly*h)^2);
 - the cyclotron frequency is defined operationally as the gap between
   adjacent levels, the anomalous frequency as the zeta-splitting of one
-  level; both come with their large-n / small-anomaly closed forms.
+  level.  ``SpinKinematics.from_field`` is the one place that computes
+  them and the spin mixing ratio kappa of a reference level; their
+  large-n / small-anomaly closed forms are the classical lab-time rates of
+  ``classical.cyclotron_omega`` and ``classical.anomalous_omega``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError, SingularConfigurationError
 
@@ -59,9 +62,6 @@ class FieldConfig:
             raise DomainError(f"h: field strength must be >= 0, got {self.h}")
         if self.anomaly < 0:
             raise DomainError(f"anomaly: must be >= 0, got {self.anomaly}")
-
-    def without_anomaly(self) -> "FieldConfig":
-        return replace(self, anomaly=0.0)
 
 
 def transverse_momentum(h: float, n: int, kind: str = SPINOR) -> float:
@@ -106,85 +106,6 @@ def level_energy(cfg: FieldConfig, n: int, zeta: int, kind: str) -> float:
     raise DomainError(f"kind: must be 'scalar' or 'spinor', got {kind!r}")
 
 
-def helicity_eigenvalue(b_perp: float, b_z: float, epsilon: int) -> float:
-    """Eigenvalue of the longitudinal-polarization operator at t = 0."""
-    if epsilon not in (-1, 1):
-        raise DomainError(f"epsilon: must be +1 or -1, got {epsilon}")
-    return epsilon * math.hypot(b_perp, b_z)
-
-
-def spin_mixing_ratio(cfg: FieldConfig, n: int, epsilon: int) -> float:
-    """Ratio kappa = A(+1)/A(-1) of the two spin amplitudes of a
-    longitudinally polarized level.
-
-    The level energy in the denominator is that of the zeta = epsilon
-    branch.  Raises SingularConfigurationError for purely longitudinal
-    motion (b_perp = 0), where the ratio is undefined.
-    """
-    if epsilon not in (-1, 1):
-        raise DomainError(f"epsilon: must be +1 or -1, got {epsilon}")
-    b_perp = transverse_momentum(cfg.h, n, SPINOR)
-    if b_perp == 0.0:
-        raise SingularConfigurationError(
-            "b_perp = 0 (h = 0 or n = 0): spin mixing ratio is undefined"
-        )
-    b = math.sqrt(1.0 + b_perp**2)
-    big_b = energy_spinor(cfg, n, epsilon)
-    return (cfg.b_z + b * helicity_eigenvalue(b_perp, cfg.b_z, epsilon)) / (big_b * b_perp)
-
-
-def polarization_constants(kappa: float) -> tuple[float, float]:
-    """Transverse and longitudinal polarization constants (zeta_perp, zeta_z).
-
-    zeta_perp = 2*kappa/(kappa^2 + 1); zeta_z carries the sign of
-    kappa^2 - 1 so that zeta_z equals the population imbalance of the two
-    spin components, and zeta_perp^2 + zeta_z^2 = 1 identically.
-    """
-    if not math.isfinite(kappa):
-        raise DomainError(f"kappa: must be finite, got {kappa}")
-    denom = kappa * kappa + 1.0
-    return 2.0 * kappa / denom, (kappa * kappa - 1.0) / denom
-
-
-def cyclotron_frequency(
-    cfg: FieldConfig, n: int, zeta: int = 1, kind: str = SPINOR
-) -> tuple[float, float]:
-    """Orbital rotation frequency, in units of m0*c^2/hbar.
-
-    Returns
-    -------
-    (omega_exact, omega_asymptotic)
-        ``omega_exact`` is the energy gap between levels n+1 and n;
-        ``omega_asymptotic`` is the relativistic cyclotron value 2*h/B(n),
-        which the gap approaches as O(1/n).
-    """
-    if kind == SPINOR and n < 1:
-        raise DomainError(f"n: spin-1/2 levels need n >= 1, got {n}")
-    b_n = level_energy(cfg, n, zeta, kind)
-    exact = level_energy(cfg, n + 1, zeta, kind) - b_n
-    return exact, 2.0 * cfg.h / b_n
-
-
-def anomalous_frequency(cfg: FieldConfig, n: int) -> tuple[float, float]:
-    """Zeta-splitting of level n, in units of m0*c^2/hbar.
-
-    Returns
-    -------
-    (omega_a_exact, omega_a_closed)
-        ``omega_a_exact`` is the energy difference between the zeta = +1 and
-        zeta = -1 branches; ``omega_a_closed`` is the closed form
-        2*anomaly*h*b/sqrt(b_z^2 + b^2), accurate to relative
-        O((anomaly*h)^2).
-    """
-    if n < 1:
-        raise DomainError(f"n: spin-1/2 levels need n >= 1, got {n}")
-    exact = energy_spinor(cfg, n, +1) - energy_spinor(cfg, n, -1)
-    b_perp = transverse_momentum(cfg.h, n, SPINOR)
-    b = math.sqrt(1.0 + b_perp**2)
-    closed = 2.0 * cfg.anomaly * cfg.h * b / math.hypot(cfg.b_z, b)
-    return exact, closed
-
-
 @dataclass(frozen=True)
 class SpinKinematics:
     """Frozen kinematic snapshot of the reference level of a packet, with
@@ -196,7 +117,8 @@ class SpinKinematics:
     ``omega`` and the spin precesses relative to it at ``omega_a``.
     ``from_field`` sets these to the exact level gaps;
     ``classical.classical_reference`` sets the classical lab-time rates.
-    ``mixing`` is the spin mixing ratio kappa, None for a spin-0 reference.
+    ``mixing`` is the spin mixing ratio kappa, None for a spin-0 reference;
+    the constructor rejects a non-finite one.
     """
 
     b_perp: float
@@ -205,6 +127,10 @@ class SpinKinematics:
     mixing: float | None
     omega: float
     omega_a: float
+
+    def __post_init__(self) -> None:
+        if self.mixing is not None and not math.isfinite(self.mixing):
+            raise DomainError(f"kappa: must be finite, got {self.mixing}")
 
     @property
     def b(self) -> float:
@@ -221,28 +147,53 @@ class SpinKinematics:
     @property
     def zeta_perp(self) -> float:
         """Transverse polarization constant 2*kappa/(kappa^2 + 1)."""
-        return polarization_constants(self.kappa)[0]
+        kappa = self.kappa
+        return 2.0 * kappa / (kappa * kappa + 1.0)
 
     @property
     def zeta_z(self) -> float:
-        """Longitudinal polarization constant (kappa^2 - 1)/(kappa^2 + 1)."""
-        return polarization_constants(self.kappa)[1]
+        """Longitudinal polarization constant (kappa^2 - 1)/(kappa^2 + 1).
+
+        It carries the sign of kappa^2 - 1, so that it equals the population
+        imbalance of the two spin components, and zeta_perp^2 + zeta_z^2 = 1
+        identically."""
+        kappa = self.kappa
+        return (kappa * kappa - 1.0) / (kappa * kappa + 1.0)
 
     @classmethod
     def from_field(
         cls, cfg: FieldConfig, n: int, epsilon: int = 1, kind: str = SPINOR
     ) -> "SpinKinematics":
         """The snapshot at level n, branch zeta = epsilon, turning at the gap
-        to level n + 1 and the zeta-splitting of level n; a spin-0 reference
-        has omega_a = 0, no mixing ratio and no epsilon.
-        SingularConfigurationError at a spin-1/2 b_perp = 0 (h = 0 or
-        n = 0), where the mixing ratio is undefined."""
-        spinor = kind == SPINOR
+        omega = E(n + 1) - E(n) and, for spin-1/2, the zeta-splitting
+        omega_a = B(n, +1) - B(n, -1) of level n, with the mixing ratio
+
+            kappa = (b_z + b * epsilon * |(b_perp, b_z)|) / (B(n, epsilon) * b_perp),
+
+        the ratio A(+1)/A(-1) of the two spin amplitudes of a longitudinally
+        polarized level.  This is the one place that computes a reference's
+        gap, splitting and kappa; their large-n and small-anomaly limits are
+        the lab-time rates of ``classical.cyclotron_omega`` and
+        ``classical.anomalous_omega``.  A spin-0 reference has omega_a = 0,
+        no mixing ratio and no epsilon.  SingularConfigurationError at a
+        spin-1/2 b_perp = 0 (h = 0 or n = 0), where kappa is undefined."""
+        b_perp = transverse_momentum(cfg.h, n, kind)
+        if kind == SPINOR and epsilon not in (-1, 1):
+            raise DomainError(f"epsilon: must be +1 or -1, got {epsilon}")
+        energy = level_energy(cfg, n, epsilon, kind)
+        omega = level_energy(cfg, n + 1, epsilon, kind) - energy
+        if kind != SPINOR:
+            return cls(b_perp=b_perp, b_z=cfg.b_z, energy=energy, mixing=None, omega=omega, omega_a=0.0)
+        if b_perp == 0.0:
+            raise SingularConfigurationError(
+                "b_perp = 0 (h = 0 or n = 0): spin mixing ratio is undefined"
+            )
+        b = math.sqrt(1.0 + b_perp**2)
         return cls(
-            b_perp=transverse_momentum(cfg.h, n, kind),
+            b_perp=b_perp,
             b_z=cfg.b_z,
-            energy=level_energy(cfg, n, epsilon, kind),
-            mixing=spin_mixing_ratio(cfg, n, epsilon) if spinor else None,
-            omega=cyclotron_frequency(cfg, n, epsilon, kind)[0],
-            omega_a=anomalous_frequency(cfg, n)[0] if spinor else 0.0,
+            energy=energy,
+            mixing=(cfg.b_z + b * (epsilon * math.hypot(b_perp, cfg.b_z))) / (energy * b_perp),
+            omega=omega,
+            omega_a=energy_spinor(cfg, n, +1) - energy_spinor(cfg, n, -1),
         )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kinematics import SCALAR, SPINOR, FieldConfig, SpinKinematics, spin_mixing_ratio
+from .kinematics import SCALAR, SPINOR, FieldConfig, SpinKinematics
 from .operators import DOWN, SAME, check_window
 
 
@@ -148,7 +148,7 @@ def build_spinor_packet(n: int, levels: int, cfg: FieldConfig, epsilon: int = 1)
     window = _level_window(n, levels)
     # a window below level 1 is reported before a ratio that is undefined at h = 0
     _check_lowest_level(SPINOR, window)
-    kappa = spin_mixing_ratio(cfg, n, epsilon)
+    kappa = SpinKinematics.from_field(cfg, n, epsilon).kappa
     down = 1.0 / math.sqrt(levels * (kappa * kappa + 1.0))
     amplitudes = np.tile([down, kappa * down], (levels, 1))
     return PacketSpec(field=cfg, levels=window, epsilon=epsilon, amplitudes=amplitudes)

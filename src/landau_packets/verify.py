@@ -22,7 +22,7 @@ import numpy as np
 
 from . import classical, evolution, laguerre, operators, packets
 from .errors import AccuracyError, DomainError
-from .kinematics import FieldConfig, SpinKinematics, spin_mixing_ratio
+from .kinematics import FieldConfig, SpinKinematics
 from .trajectory import compare_trajectories
 
 FACTOR_LAW_LEVELS = (1, 2, 3, 5, 10, 100, 1000)
@@ -129,7 +129,7 @@ def check_band_hermiticity(cfg: FieldConfig, n: int, epsilon: int) -> CheckResul
 
 
 def check_structure_sums(cfg: FieldConfig, n: int, epsilon: int) -> CheckResult:
-    kappa = spin_mixing_ratio(cfg, n, epsilon)
+    kappa = SpinKinematics.from_field(cfg, n, epsilon).kappa
     worst = 0.0
     for levels in _fitting_levels(FACTOR_LAW_LEVELS, n):
         packet = packets.build_spinor_packet(n, levels, cfg, epsilon)

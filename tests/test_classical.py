@@ -76,7 +76,7 @@ class TestInitialConditions:
     def test_turns_at_the_lab_time_rates(self):
         kin, g = REF.kin, REF.init.g_factor
         assert kin.omega == cyclotron_omega(CFG.h, kin.energy)
-        assert kin.omega_a == anomalous_omega(CFG.h, kin.energy, kin.b, g)
+        assert kin.omega_a == anomalous_omega(CFG.h, kin.energy, kin.b, 0.5 * g - 1.0)
 
 
 class TestBmtIntegration:

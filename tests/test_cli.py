@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import landau_packets
-from landau_packets import FieldConfig, classical, evolution, laguerre, verify
+from landau_packets import FieldConfig, SpinKinematics, classical, energy_spinor, evolution, laguerre, verify
 from landau_packets.cli import EXIT_ACCURACY, EXIT_CLOSED_STDOUT, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
 from landau_packets.errors import QuadratureAccuracyError
 
@@ -71,6 +71,24 @@ class TestTrajectoryCommand:
         assert derived["levels_window"] == [98, 102]
         assert derived["normalization_defect"] <= 1e-14
         assert manifest.keys() == {"config", "derived", "tool", "version"}
+
+    def test_manifest_rates_are_the_reference_and_the_closed_forms(self, tmp_path):
+        # the gaps are the reference's rates, the asymptotic values the
+        # classical lab-time rates at its energy and at sqrt(b_z^2 + b^2),
+        # all four bit for bit
+        main(["trajectory", *FAST, "--levels", "5", "--output-dir", str(tmp_path)])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        config, derived = manifest["config"], manifest["derived"]
+        cfg = FieldConfig(h=config["h"], anomaly=config["anomaly"], b_z=config["b_z"])
+        n, epsilon = config["n"], config["epsilon"]
+        kin = SpinKinematics.from_field(cfg, n, epsilon)
+        gamma = math.hypot(kin.b_z, kin.b)
+        assert derived["omega_exact"] == kin.omega == energy_spinor(cfg, n + 1, epsilon) - energy_spinor(cfg, n, epsilon)
+        assert derived["omega_a_exact"] == kin.omega_a == energy_spinor(cfg, n, 1) - energy_spinor(cfg, n, -1)
+        assert derived["omega_asymptotic"] == classical.cyclotron_omega(cfg.h, kin.energy) == 2.0 * cfg.h / kin.energy
+        assert derived["omega_a_closed"] == classical.anomalous_omega(cfg.h, gamma, kin.b, cfg.anomaly)
+        assert derived["omega_a_closed"] == 2.0 * cfg.anomaly * cfg.h * kin.b / gamma
+        assert 0.0 not in (kin.omega, kin.omega_a) and kin.energy != gamma
 
     def test_determinism_byte_identical(self, tmp_path):
         # a rerun into the same directory rewrites every file, the manifest included, byte for byte
@@ -893,12 +911,12 @@ class TestConfigHandling:
     def test_csv_round_trip_precision(self, tmp_path):
         # 17 significant digits reproduce the in-memory doubles exactly
         from landau_packets.evolution import sample_times, evolve_packet
-        from landau_packets.kinematics import FieldConfig, cyclotron_frequency
+        from landau_packets.kinematics import FieldConfig
         from landau_packets.packets import build_spinor_packet
 
         cfg = FieldConfig(h=0.1, anomaly=0.02, b_z=0.5)
         packet = build_spinor_packet(100, 3, cfg, +1)
-        times = sample_times(cyclotron_frequency(cfg, 100, 1)[0], samples=32)
+        times = sample_times(packet.reference.omega, samples=32)
         traj = evolve_packet(packet, times)
         path = tmp_path / "round_trip.csv"
         traj.to_csv(path)

@@ -31,8 +31,6 @@ from landau_packets.kinematics import (
     SPINOR,
     FieldConfig,
     SpinKinematics,
-    anomalous_frequency,
-    cyclotron_frequency,
     energy_scalar,
     energy_spinor,
     transverse_momentum,
@@ -64,14 +62,14 @@ def with_phases(packet, phases):
 def engine_setup(cfg, n, levels, epsilon, mode=UNIFORM_GAP):
     packet = build_spinor_packet(n, levels, cfg, epsilon)
     energies = relative_energies(packet, mode)
-    times = sample_times(cyclotron_frequency(cfg, n, epsilon)[0])
+    times = sample_times(SpinKinematics.from_field(cfg, n, epsilon).omega)
     return packet, energies, times
 
 
 class TestEnergyModel:
     def test_uniform_gap_phases_are_pure_multiples(self):
-        omega = cyclotron_frequency(CFG, N_REF, 1)[0]
-        omega_a = anomalous_frequency(CFG, N_REF)[0]
+        kin = SpinKinematics.from_field(CFG, N_REF, 1)
+        omega, omega_a = kin.omega, kin.omega_a
         packet = build_spinor_packet(N_REF, 3, CFG, +1)  # levels 99, 100, 101
         energies = relative_energies(packet, UNIFORM_GAP)  # spins ordered (-1, +1)
         assert energies[1, 1] == 0.0
@@ -93,7 +91,7 @@ class TestEnergyModel:
         # cyclotron period, to rounding
         cfg = FieldConfig(h=0.1, anomaly=0.0, b_z=0.5)
         packet, energies, _ = engine_setup(cfg, N_REF, 5, +1)
-        period = 2 * math.pi / cyclotron_frequency(cfg, N_REF, 1)[0]
+        period = 2 * math.pi / SpinKinematics.from_field(cfg, N_REF, 1).omega
         probes = np.array([0.0, 0.3 * period, 0.8 * period])
         first = expectation_series(packet, energies, probes)
         second = expectation_series(packet, energies, probes + period)
@@ -121,7 +119,7 @@ class TestGenericExpectation:
     def test_scalar_py_half_period(self):
         packet = build_scalar_packet(10, 3, CFG)
         energies = relative_energies(packet)
-        half_period = math.pi / cyclotron_frequency(CFG, 10, kind=SCALAR)[0]
+        half_period = math.pi / SpinKinematics.from_field(CFG, 10, kind=SCALAR).omega
         value = expectation_series(packet, energies, [half_period])[0, OBSERVABLES.index("Py")]
         expected = -(2.0 / 3.0) * transverse_momentum(CFG.h, 10, SCALAR)
         assert value == pytest.approx(expected, rel=1e-12)
@@ -213,7 +211,7 @@ class TestGenericExpectation:
         factored = evolution._factored_pair_sums
         monkeypatch.setattr(evolution, "_factored_pair_sums", counted)
         packet, _, _ = engine_setup(CFG, N_REF, 5, +1)
-        omega = cyclotron_frequency(CFG, N_REF, 1)[0]
+        omega = SpinKinematics.from_field(CFG, N_REF, 1).omega
         block = evolution.TIME_BLOCK
 
         # 1024 samples at stride 32: 32 anchors over 5 levels are two
@@ -268,7 +266,7 @@ class TestGenericExpectation:
         packet = build_spinor_packet(100, 100, CFG, +1)
         energies = relative_energies(packet, EXACT)
         period = 2 * math.pi / classical_reference(CFG, 100, +1).kin.omega_a
-        times = sample_times(cyclotron_frequency(CFG, 100, 1)[0], samples=8192, t_max=period)
+        times = sample_times(SpinKinematics.from_field(CFG, 100, 1).omega, samples=8192, t_max=period)
         expectation_series(packet, energies, times)
         assert sum(rows) <= 8192 // 64 + 64
 
@@ -321,7 +319,7 @@ print("ok")
     def test_time_blocks_do_not_change_values(self, monkeypatch):
         # blocks of 7 anchors move the values by roundoff only
         packet, energies, _ = engine_setup(CFG, N_REF, 5, +1)
-        times = sample_times(cyclotron_frequency(CFG, N_REF, 1)[0], samples=1024)
+        times = sample_times(SpinKinematics.from_field(CFG, N_REF, 1).omega, samples=1024)
         jittered = times + 0.25 * times[1] * np.sin(np.arange(times.size))
         whole = [expectation_series(packet, energies, grid) for grid in (times, jittered)]
         monkeypatch.setattr(evolution, "TIME_BLOCK", 7)
@@ -400,7 +398,7 @@ class TestPhaseAccuracy:
     def test_ten_thousand_levels_at_stride_32(self):
         # 1024 samples take 32 anchors of 32 steps; 2.2e-13 measured
         packet, energies, _ = engine_setup(CFG, 10000, 10000, +1)
-        times = sample_times(cyclotron_frequency(CFG, 10000, 1)[0], samples=1024)
+        times = sample_times(SpinKinematics.from_field(CFG, 10000, 1).omega, samples=1024)
         assert evolution.anchor_stride(times.size) == 32
         values = expectation_series(packet, energies, times)
         reference = reference_series(packet, CFG, energies, times)
@@ -441,7 +439,7 @@ class TestPhaseAccuracy:
         packet = build_spinor_packet(100, 100, cfg, +1)
         energies = relative_energies(packet, EXACT)
         period = 2 * math.pi / classical_reference(cfg, 100, +1).kin.omega_a
-        times = sample_times(cyclotron_frequency(cfg, 100, 1)[0], samples=8192, t_max=period)
+        times = sample_times(SpinKinematics.from_field(cfg, 100, 1).omega, samples=8192, t_max=period)
         values = expectation_series(packet, energies, times)
         rows = np.r_[np.arange(0, 8192, 37), 8191]
         reference = reference_series(packet, cfg, energies, times[rows])
@@ -507,7 +505,7 @@ class TestClosedForms:
     def test_full_contrast_norm_closes(self):
         cfg = FieldConfig(h=0.1, anomaly=0.05, b_z=0.5)
         omega = 0.03
-        kin = replace(SpinKinematics.from_field(cfg.without_anomaly(), N_REF, +1), omega=omega, omega_a=0.004)
+        kin = replace(SpinKinematics.from_field(replace(cfg, anomaly=0.0), N_REF, +1), omega=omega, omega_a=0.004)
         for t in (0.0, math.pi / (4 * omega), math.pi / omega):
             s = closed_form_spin(kin, None, t)
             p = closed_form_momentum(kin, None, t)
@@ -593,7 +591,7 @@ class TestExactMode:
         rng = np.random.default_rng(7)
         packet = with_phases(build_spinor_packet(N_REF, 5, CFG, +1), rng.uniform(0, 2 * math.pi, size=5))
         energies = relative_energies(packet, EXACT)
-        times = sample_times(cyclotron_frequency(CFG, N_REF, 1)[0], samples=16)
+        times = sample_times(SpinKinematics.from_field(CFG, N_REF, 1).omega, samples=16)
         zetas = spin_labels(SPINOR)
         states = list(product(range(len(packet.levels)), range(len(zetas))))
         actual = expectation_series(packet, energies, times)

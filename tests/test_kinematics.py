@@ -1,25 +1,38 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from landau_packets.classical import anomalous_omega, cyclotron_omega
 from landau_packets.errors import DomainError, SingularConfigurationError
 from landau_packets.kinematics import (
     SCALAR,
     SPINOR,
     FieldConfig,
     SpinKinematics,
-    anomalous_frequency,
-    cyclotron_frequency,
     energy_scalar,
     energy_spinor,
-    helicity_eigenvalue,
     level_energy,
-    polarization_constants,
-    spin_mixing_ratio,
     transverse_momentum,
 )
 from landau_packets.laguerre import fit_decay_exponent
+
+
+def closed_rates(cfg: FieldConfig, n: int, kind: str = SPINOR) -> tuple[SpinKinematics, float, float]:
+    """The reference at level n (epsilon = +1) and the classical closed
+    forms of its two rates at its energy and at sqrt(b_z^2 + b^2)."""
+    kin = SpinKinematics.from_field(cfg, n, kind=kind)
+    return (
+        kin,
+        cyclotron_omega(cfg.h, kin.energy),
+        anomalous_omega(cfg.h, math.hypot(kin.b_z, kin.b), kin.b, cfg.anomaly),
+    )
+
+
+def polarization(kappa: float) -> SpinKinematics:
+    """A spin-1/2 reference carrying the mixing ratio kappa."""
+    return SpinKinematics(b_perp=1.0, b_z=0.0, energy=1.0, mixing=kappa, omega=1.0, omega_a=0.0)
 
 
 class TestTransverseMomentum:
@@ -99,37 +112,24 @@ class TestLevelEnergy:
     def test_rates_read_the_kind_energy(self):
         # the gap and the reference energy are differences and values of level_energy
         for kind in (SCALAR, SPINOR):
-            exact, _ = cyclotron_frequency(self.CFG, 7, -1, kind)
-            assert exact == level_energy(self.CFG, 8, -1, kind) - level_energy(self.CFG, 7, -1, kind)
-            assert SpinKinematics.from_field(self.CFG, 7, -1, kind).energy == level_energy(self.CFG, 7, -1, kind)
+            kin = SpinKinematics.from_field(self.CFG, 7, -1, kind)
+            assert kin.omega == level_energy(self.CFG, 8, -1, kind) - level_energy(self.CFG, 7, -1, kind)
+            assert kin.energy == level_energy(self.CFG, 7, -1, kind)
 
     def test_unknown_kind_rejected(self):
         message = "^kind: must be 'scalar' or 'spinor', got 'vector'$"
         with pytest.raises(DomainError, match=message):
             level_energy(self.CFG, 7, 1, "vector")
         with pytest.raises(DomainError, match=message):
-            cyclotron_frequency(self.CFG, 7, 1, "vector")
-        with pytest.raises(DomainError, match=message):
             SpinKinematics.from_field(self.CFG, 7, 1, "vector")
-
-
-class TestHelicityEigenvalue:
-    def test_zero(self):
-        assert helicity_eigenvalue(0.0, 0.0, +1) == 0.0
-
-    def test_pythagorean(self):
-        assert helicity_eigenvalue(3.0, 4.0, -1) == -5.0
-
-    def test_transverse_only(self):
-        assert helicity_eigenvalue(1.7, 0.0, +1) == pytest.approx(1.7, abs=1e-15)
 
 
 class TestSpinMixingRatio:
     def test_symmetric_transverse_case(self):
         # b_z = 0, no anomaly: B = b, so kappa = epsilon
         cfg = FieldConfig(h=0.3, anomaly=0.0, b_z=0.0)
-        assert spin_mixing_ratio(cfg, 4, +1) == pytest.approx(1.0, abs=1e-14)
-        assert spin_mixing_ratio(cfg, 4, -1) == pytest.approx(-1.0, abs=1e-14)
+        assert SpinKinematics.from_field(cfg, 4, +1).kappa == pytest.approx(1.0, abs=1e-14)
+        assert SpinKinematics.from_field(cfg, 4, -1).kappa == pytest.approx(-1.0, abs=1e-14)
 
     def test_two_by_two_eigenproblem_oracle(self):
         # the mixing ratio is the eigenvector ratio of the 2x2 block of the
@@ -145,20 +145,18 @@ class TestSpinMixingRatio:
         eigvals, eigvecs = np.linalg.eigh(matrix)
         branch = int(np.argmax(eigvals)) if epsilon == 1 else int(np.argmin(eigvals))
         ratio = eigvecs[0, branch] / eigvecs[1, branch]
-        kappa = spin_mixing_ratio(cfg, n, epsilon)
+        kappa = SpinKinematics.from_field(cfg, n, epsilon).kappa
         assert kappa == pytest.approx(ratio, rel=1e-12)
         # frozen value computed from the oracle: kappa = sqrt(3)
         assert kappa == pytest.approx(1.7320508075688772, rel=1e-12)
-        # the eigenvalue is the helicity eigenvalue
-        assert eigvals[branch] == pytest.approx(
-            helicity_eigenvalue(b_perp, cfg.b_z, epsilon), rel=1e-12
-        )
+        # the eigenvalue is the helicity eigenvalue epsilon * |(b_perp, b_z)|
+        assert eigvals[branch] == pytest.approx(epsilon * math.hypot(b_perp, cfg.b_z), rel=1e-12)
 
     def test_singular_configuration(self):
         with pytest.raises(SingularConfigurationError):
-            spin_mixing_ratio(FieldConfig(h=0.0, anomaly=0.0, b_z=0.5), 3, +1)
+            SpinKinematics.from_field(FieldConfig(h=0.0, anomaly=0.0, b_z=0.5), 3, +1)
         with pytest.raises(SingularConfigurationError):
-            spin_mixing_ratio(FieldConfig(h=0.3, anomaly=0.0, b_z=0.5), 0, +1)
+            SpinKinematics.from_field(FieldConfig(h=0.3, anomaly=0.0, b_z=0.5), 0, +1)
 
 
 class TestPolarizationConstants:
@@ -167,31 +165,42 @@ class TestPolarizationConstants:
         [(1.0, (1.0, 0.0)), (0.0, (0.0, -1.0)), (3.0, (0.6, 0.8))],
     )
     def test_exact_values(self, kappa, expected):
-        zp, zz = polarization_constants(kappa)
-        assert zp == pytest.approx(expected[0], abs=1e-15)
-        assert zz == pytest.approx(expected[1], abs=1e-15)
+        kin = polarization(kappa)
+        assert kin.zeta_perp == pytest.approx(expected[0], abs=1e-15)
+        assert kin.zeta_z == pytest.approx(expected[1], abs=1e-15)
 
     def test_unit_circle(self):
         rng = np.random.default_rng(7)
         for kappa in rng.uniform(-50, 50, size=200):
-            zp, zz = polarization_constants(float(kappa))
-            assert abs(zp**2 + zz**2 - 1.0) < 1e-15
+            kin = polarization(float(kappa))
+            assert abs(kin.zeta_perp**2 + kin.zeta_z**2 - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+    def test_non_finite_kappa_rejected(self, kappa):
+        with pytest.raises(DomainError, match="^kappa: must be finite, got"):
+            polarization(kappa)
+
+    def test_non_finite_kappa_from_the_field_rejected(self):
+        # h * n overflows: b_perp and every energy are infinite, kappa is inf/inf
+        with pytest.raises(DomainError, match="^kappa: must be finite, got nan$"):
+            SpinKinematics.from_field(FieldConfig(h=1e308), 2)
 
     def test_zeta_z_matches_population_imbalance_sign(self):
         for kappa in (-2.5, -0.3, 0.4, 5.0):
-            _, zz = polarization_constants(kappa)
-            assert zz == pytest.approx((kappa**2 - 1) / (kappa**2 + 1), abs=1e-15)
+            assert polarization(kappa).zeta_z == pytest.approx((kappa**2 - 1) / (kappa**2 + 1), abs=1e-15)
 
 
 class TestCyclotronFrequency:
     def test_zero_field(self):
         cfg = FieldConfig(h=0.0, anomaly=0.0, b_z=0.2)
-        assert cyclotron_frequency(cfg, 3, kind=SCALAR) == (0.0, 0.0)
+        kin, omega, _ = closed_rates(cfg, 3, SCALAR)
+        assert (kin.omega, omega) == (0.0, 0.0)
 
     def test_scalar_closed_forms(self):
         cfg = FieldConfig(h=0.125, anomaly=0.0, b_z=0.0)
         n = 6
-        exact, asym = cyclotron_frequency(cfg, n, kind=SCALAR)
+        kin, asym, _ = closed_rates(cfg, n, SCALAR)
+        exact = kin.omega
         expected_exact = math.sqrt(1 + 4 * cfg.h * (n + 1.5)) - math.sqrt(1 + 4 * cfg.h * (n + 0.5))
         expected_asym = 2 * cfg.h / math.sqrt(1 + 4 * cfg.h * (n + 0.5))
         assert exact == pytest.approx(expected_exact, rel=1e-15)
@@ -201,8 +210,8 @@ class TestCyclotronFrequency:
         cfg = FieldConfig(h=0.1, anomaly=0.0, b_z=0.3)
 
         def rel_gap(n):
-            exact, asym = cyclotron_frequency(cfg, n, kind=SPINOR)
-            return abs(exact - asym) / asym
+            kin, asym, _ = closed_rates(cfg, n)
+            return abs(kin.omega - asym) / asym
 
         ratio = rel_gap(100) / rel_gap(1000)
         assert 8.5 < ratio < 11.5
@@ -212,37 +221,38 @@ class TestCyclotronFrequency:
         ns = [100, 1000, 10000]
         gaps = []
         for n in ns:
-            exact, asym = cyclotron_frequency(cfg, n, kind=SPINOR)
-            gaps.append(abs(exact - asym) / asym)
+            kin, asym, _ = closed_rates(cfg, n)
+            gaps.append(abs(kin.omega - asym) / asym)
         assert fit_decay_exponent(ns, gaps) == pytest.approx(-1.0, abs=0.1)
 
     def test_spinor_needs_first_level(self):
         cfg = FieldConfig(h=0.1, anomaly=0.0, b_z=0.0)
         with pytest.raises(DomainError):
-            cyclotron_frequency(cfg, 0, kind=SPINOR)
+            SpinKinematics.from_field(cfg, 0, kind=SPINOR)
 
 
 class TestAnomalousFrequency:
     def test_no_anomaly(self):
         cfg = FieldConfig(h=0.2, anomaly=0.0, b_z=0.4)
-        assert anomalous_frequency(cfg, 5) == (0.0, 0.0)
+        kin, _, omega_a = closed_rates(cfg, 5)
+        assert (kin.omega_a, omega_a) == (0.0, 0.0)
 
     def test_transverse_reduction(self):
         cfg = FieldConfig(h=0.2, anomaly=0.01, b_z=0.0)
-        _, closed = anomalous_frequency(cfg, 5)
+        _, _, closed = closed_rates(cfg, 5)
         assert closed == pytest.approx(2 * cfg.anomaly * cfg.h, rel=1e-15)
 
     def test_high_level_agreement(self):
         cfg = FieldConfig(h=1e-3, anomaly=0.00116, b_z=0.5)
-        exact, closed = anomalous_frequency(cfg, 10**6)
-        assert abs(exact - closed) / closed < 1e-4
+        kin, _, closed = closed_rates(cfg, 10**6)
+        assert abs(kin.omega_a - closed) / closed < 1e-4
 
     def test_defect_vanishes_quadratically(self):
         # halving the anomaly quarters the relative closed-form defect
         def rel_defect(anomaly):
             cfg = FieldConfig(h=0.01, anomaly=anomaly, b_z=1.0)
-            exact, closed = anomalous_frequency(cfg, 100)
-            return abs(exact - closed) / closed
+            kin, _, closed = closed_rates(cfg, 100)
+            return abs(kin.omega_a - closed) / closed
 
         ratio = rel_defect(0.2) / rel_defect(0.1)
         assert ratio == pytest.approx(4.0, rel=0.05)
@@ -258,16 +268,14 @@ class TestSpinKinematics:
 
     def test_anomaly_free_energy(self):
         cfg = FieldConfig(h=0.07, anomaly=0.1, b_z=0.9)
-        kin = SpinKinematics.from_field(cfg.without_anomaly(), 40, +1)
+        kin = SpinKinematics.from_field(replace(cfg, anomaly=0.0), 40, +1)
         assert kin.energy == pytest.approx(math.hypot(kin.b, kin.b_z), rel=1e-15)
 
     def test_rates_are_the_level_gaps(self):
         cfg = FieldConfig(h=0.07, anomaly=0.002, b_z=0.9)
         for epsilon in (-1, 1):
             kin = SpinKinematics.from_field(cfg, 40, epsilon)
-            assert kin.omega == cyclotron_frequency(cfg, 40, epsilon)[0]
             assert kin.omega == energy_spinor(cfg, 41, epsilon) - energy_spinor(cfg, 40, epsilon)
-            assert kin.omega_a == anomalous_frequency(cfg, 40)[0]
             assert kin.omega_a == energy_spinor(cfg, 40, 1) - energy_spinor(cfg, 40, -1)
 
     @pytest.mark.parametrize("epsilon", [-1, 1])

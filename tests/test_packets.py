@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from landau_packets.errors import DomainError, SingularConfigurationError
-from landau_packets.kinematics import SCALAR, SPINOR, FieldConfig, SpinKinematics, spin_mixing_ratio
+from landau_packets.kinematics import SCALAR, SPINOR, FieldConfig, SpinKinematics
 from landau_packets.operators import build_operator_band, spin_labels
 from landau_packets.packets import (
     PacketSpec,
@@ -68,7 +68,7 @@ class TestSpinorPackets:
 
     def test_mixing_ratio_between_components(self):
         packet = build_spinor_packet(50, 5, CFG, +1)
-        kappa = spin_mixing_ratio(CFG, 50, +1)
+        kappa = SpinKinematics.from_field(CFG, 50, +1).kappa
         for minus, plus in packet.amplitudes:
             assert plus == pytest.approx(kappa * minus, rel=1e-14)
 
@@ -107,7 +107,7 @@ class TestStructureSums:
     def test_diagonal_sums_level_independent(self, levels):
         packet = build_spinor_packet(1200, levels, CFG, +1)
         sums = structure_sums(packet)
-        kappa = spin_mixing_ratio(CFG, 1200, +1)
+        kappa = SpinKinematics.from_field(CFG, 1200, +1).kappa
         assert abs(sums.diagonal_spin_flip - kappa / (kappa**2 + 1)) < 1e-12
         assert abs(sums.population_imbalance - (kappa**2 - 1) / (kappa**2 + 1)) < 1e-12
 
@@ -115,7 +115,7 @@ class TestStructureSums:
         # the constructed sum follows kappa/(kappa^2+1), not kappa/(kappa+1)
         packet = build_spinor_packet(100, 3, CFG, +1)
         sums = structure_sums(packet)
-        kappa = spin_mixing_ratio(CFG, 100, +1)
+        kappa = SpinKinematics.from_field(CFG, 100, +1).kappa
         f = contrast_factor(3)
         assert abs(sums.adjacent_spin_flip - f * kappa / (kappa**2 + 1)) < 1e-14
         linear_variant = f * kappa / (kappa + 1)

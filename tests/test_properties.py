@@ -7,6 +7,7 @@ length.  ``derandomize=True`` fixes the examples, so every run checks the
 same configurations.
 """
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -33,8 +34,8 @@ from landau_packets.kinematics import (
     SPINOR,
     FieldConfig,
     SpinKinematics,
-    cyclotron_frequency,
-    spin_mixing_ratio,
+    energy_scalar,
+    energy_spinor,
 )
 from landau_packets.operators import OBSERVABLES, OFFSETS, build_operator_band, hermiticity_defect
 from landau_packets.packets import (
@@ -127,7 +128,7 @@ def test_expectation_series_on_any_grid(config, grid, mode):
     cfg = FieldConfig(h=h, anomaly=anomaly, b_z=b_z)
     packet = build_spinor_packet(n, levels, cfg, epsilon)
     energies = relative_energies(packet, mode)
-    times = grid_times(*grid, cyclotron_frequency(cfg, n, epsilon)[0])
+    times = grid_times(*grid, packet.reference.omega)
     coefficients = np.stack(
         [build_operator_band(packet.levels, name, cfg, n, zeta_ref=epsilon).reshape(-1) for name in OBSERVABLES],
         axis=1,
@@ -143,12 +144,35 @@ def test_expectation_series_on_any_grid(config, grid, mode):
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(configurations)
+def test_reference_carries_the_bits_of_the_rate_formulas(config):
+    # from_field's gap, splitting, kappa and polarization constants are the
+    # formulas they were once computed by, operation for operation
+    h, b_z, anomaly, epsilon, n, _ = config
+    cfg = FieldConfig(h=h, anomaly=anomaly, b_z=b_z)
+    kin = SpinKinematics.from_field(cfg, n, epsilon)
+    b_perp = 2.0 * math.sqrt(h * n)
+    b = math.sqrt(1.0 + b_perp**2)
+    big_b = energy_spinor(cfg, n, epsilon)
+    helicity = epsilon * math.hypot(b_perp, b_z)
+    kappa = (b_z + b * helicity) / (big_b * b_perp)
+    denom = kappa * kappa + 1.0
+    assert (kin.b_perp, kin.b, kin.energy) == (b_perp, b, big_b)
+    assert kin.omega == energy_spinor(cfg, n + 1, epsilon) - big_b
+    assert kin.omega_a == energy_spinor(cfg, n, +1) - energy_spinor(cfg, n, -1)
+    assert kin.kappa == kappa
+    assert (kin.zeta_perp, kin.zeta_z) == (2.0 * kappa / denom, (kappa * kappa - 1.0) / denom)
+    scalar = SpinKinematics.from_field(cfg, n, kind=SCALAR)
+    assert scalar.omega == energy_scalar(cfg, n + 1) - energy_scalar(cfg, n)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(configurations)
 def test_structure_sums(config):
     # the bilinear sums of the closed forms: (N-1)/N, kappa/(kappa^2+1),
     # (kappa^2-1)/(kappa^2+1) and their product, as verify's criterion
     h, b_z, anomaly, epsilon, n, levels = config
     cfg = FieldConfig(h=h, anomaly=anomaly, b_z=b_z)
-    kappa = spin_mixing_ratio(cfg, n, epsilon)
+    kappa = SpinKinematics.from_field(cfg, n, epsilon).kappa
     f = contrast_factor(levels)
     sums = structure_sums(build_spinor_packet(n, levels, cfg, epsilon))
     assert abs(sums.adjacent_same_spin - f) <= 1e-12
