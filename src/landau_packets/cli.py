@@ -51,6 +51,10 @@ EXIT_ACCURACY = 4
 
 #: invariant drift of the classical run beyond this aborts ``trajectory``
 DRIFT_LIMIT = 1e-6
+#: the most time samples any command takes: every sample interval costs the
+#: classical integrator at least one step, and the count is checked before
+#: any grid is built
+MAX_SAMPLES = classical.MAX_STEPS + 1
 
 
 @dataclass
@@ -82,6 +86,11 @@ class RunConfig:
             raise DomainError(f"mode: must be 'uniform-gap' or 'exact', got {self.mode!r}")
         if self.samples < 2:
             raise DomainError(f"samples: must be >= 2, got {self.samples}")
+        if self.samples > MAX_SAMPLES:
+            raise DomainError(
+                f"samples: must be <= {MAX_SAMPLES}, one more than the classical integrator's "
+                f"step cap {classical.MAX_STEPS}, got {self.samples}"
+            )
         if self.t_max is not None and not (math.isfinite(self.t_max) and self.t_max > 0):
             raise DomainError(f"t_max: must be finite and > 0, got {self.t_max}")
         if self.seed < 0:
@@ -240,13 +249,6 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     field = cfg.field
 
     packet = packets.build_spinor_packet(cfg.n, cfg.levels, field, cfg.epsilon)
-    # every sample interval takes at least one step, so past the cap the
-    # count of samples alone is at fault; checked before the grid is built
-    if cfg.samples - 1 > classical.MAX_STEPS:
-        raise DomainError(
-            f"samples: {cfg.samples} samples take at least {cfg.samples - 1} steps of the "
-            f"classical integrator, more than {classical.MAX_STEPS}"
-        )
     times = evolution.sample_times(packet.reference.omega, samples=cfg.samples, t_max=cfg.t_max)
     ref = classical.classical_reference(field, cfg.n, cfg.epsilon)
     # a t_max beyond the integrator's step cap is rejected before anything is written

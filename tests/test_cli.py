@@ -25,6 +25,26 @@ def read_csv(path):
     return header, np.atleast_2d(rows)
 
 
+def assert_samples_past_the_bound_rejected(command, tmp_path, capsys):
+    """``command`` with one sample more than cli.MAX_SAMPLES exits 2 with
+    one line naming ``samples``, allocates under 1 MiB and creates nothing."""
+    out = tmp_path / "out"
+    samples = classical.MAX_STEPS + 2
+    tracemalloc.start()
+    try:
+        code = main([command, *FAST, "--samples", str(samples), "--output-dir", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"configuration error: samples: must be <= {samples - 1}, one more than the classical "
+        f"integrator's step cap {classical.MAX_STEPS}, got {samples}\n"
+    )
+    assert peak < 2**20
+    assert not out.exists()
+
+
 class TestTrajectoryCommand:
     def test_writes_all_artifacts(self, tmp_path, capsys):
         code = main(["trajectory", *FAST, "--levels", "3", "--output-dir", str(tmp_path)])
@@ -134,21 +154,7 @@ class TestTrajectoryCommand:
         # every sample interval takes at least one step, so 10^7 + 2 samples
         # pass classical.MAX_STEPS whatever t_max is; the count is rejected
         # before the 80 MB grid is built
-        out = tmp_path / "out"
-        samples = classical.MAX_STEPS + 2
-        tracemalloc.start()
-        try:
-            code = main(["trajectory", *FAST, "--samples", str(samples), "--output-dir", str(out)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            f"configuration error: samples: {samples} samples take at least {samples - 1} steps "
-            f"of the classical integrator, more than {classical.MAX_STEPS}\n"
-        )
-        assert peak < 2**20
-        assert not out.exists()
+        assert_samples_past_the_bound_rejected("trajectory", tmp_path, capsys)
 
     def test_drift_failure_names_the_span(self, tmp_path, capsys):
         # about 320 cyclotron periods at anomaly 0 drift past DRIFT_LIMIT;
@@ -216,6 +222,11 @@ class TestConvergeCommand:
         assert rows[:, 0].tolist() == [3, 100]
         tolerance = 1e-10 if samples == 250 else 1e-12
         assert np.all(rows[:, 2] <= tolerance), rows[:, 2]
+
+    def test_samples_past_the_bound_rejected(self, tmp_path, capsys):
+        # converge runs no integrator but takes the same bound: 10^7 + 2
+        # samples would ask the engine for gigabytes
+        assert_samples_past_the_bound_rejected("converge", tmp_path, capsys)
 
     def test_empty_level_list_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -4,10 +4,10 @@
 
 The calls are the CLI calls of both benchmark workloads at seeds 1, 7 and
 13, read from ``benchmarks/run.make_workload``, the default ``trajectory``,
-``converge``, ``verify`` and ``oracle``, and ten edge calls: the drift gate
+``converge``, ``verify`` and ``oracle``, and eleven edge calls: the drift gate
 of ``trajectory`` (exit 4), the step caps of ``trajectory`` and ``verify``
-(exit 2), a ``trajectory`` whose sample count alone passes the step cap
-(exit 2), a failing ``verify`` (exit 3), ``verify`` and a coarse-grid
+(exit 2), a ``trajectory`` and a ``converge`` whose sample count alone
+passes the bound (exit 2), a failing ``verify`` (exit 3), ``verify`` and a coarse-grid
 ``trajectory`` where the anomalous rates set the order-8 step, a
 ``trajectory`` at level 10^5 and anomaly 5, where the order-8 maps change
 most with the momentum's length, an exact-mode ``converge`` whose packets
@@ -38,6 +38,7 @@ EDGE_CALLS = (
     ["trajectory", "--anomaly", "0", "--n", "100000", "--t-max", "2e6", "--samples", "64"],
     ["trajectory", "--t-max", "1e12"],
     ["trajectory", "--samples", "10000002"],
+    ["converge", "--samples", "10000002"],
     ["verify", "--anomaly", "1e-7"],
     ["verify", "--n", "100000", "--anomaly", "0"],
     ["verify", "--anomaly", "5"],
