@@ -273,12 +273,8 @@ def expectation_series(packet: PacketSpec, energies: np.ndarray, times: np.ndarr
 def sample_times(omega: float, samples: int = 256, t_max: float | None = None) -> np.ndarray:
     """Uniform time grid over [0, t_max), default two cyclotron periods.
 
-    The endpoint is excluded, so on the default span the grid hits the
-    quarter period exactly when ``samples`` is a multiple of 8, as the
-    default 256 is; the transverse-momentum extremum is then a grid point,
-    and ``Trajectory.amplitude_factor`` reads the factor exactly.  Other
-    counts miss it: 250 samples read the factor 5.3e-5 low at 3 levels, and
-    4 samples read 0.
+    The endpoint is excluded, so every grid holds t = 0, where
+    ``Trajectory.amplitude_factor`` reads the factor, whatever the count.
     """
     if samples < 2:
         raise DomainError(f"samples: must be >= 2, got {samples}")

@@ -330,14 +330,14 @@ class Trajectory:
         return max(float(np.max(self.res_sp)), float(np.max(self.res_ss)))
 
     def amplitude_factor(self, b_perp: float) -> float:
-        """Largest |Px| over the samples in units of the transverse momentum
-        b_perp: the packet's momentum amplitude factor.
+        """Largest transverse momentum |(Px, Py)| over the samples in units
+        of b_perp: the packet's momentum amplitude factor.
 
-        It is exact only when a sample falls on an extremum of Px, as the
-        quarter period does on the default two-period span of
-        ``sample_times`` when the sample count is a multiple of 8; on other
-        grids it reads low."""
-        return float(np.max(np.abs(self.p[:, 0]))) / b_perp
+        For a packet of real amplitudes, as the builders make, |P_perp| is
+        largest at t = 0, where the phases of all levels align, and constant
+        in uniform-gap mode; every grid of ``sample_times`` starts at 0, so
+        the factor does not depend on the grid."""
+        return float(np.max(np.hypot(self.p[:, 0], self.p[:, 1]))) / b_perp
 
     def four_momentum(self) -> np.ndarray:
         """Stack (p0, p) into shape (T, 4)."""

@@ -201,27 +201,17 @@ class TestConvergeCommand:
         b_perp = 2 * math.sqrt(0.1 * 1200)
         assert gaps[-1] == pytest.approx(b_perp / 100, rel=1e-10)
 
-    @pytest.mark.parametrize(
-        "samples",
-        [
-            8,
-            64,
-            1024,
-            # the grid misses the quarter period, where |Px| peaks: the
-            # sampled factor reads 5.3e-5 low at 3 levels, 7.8e-5 at 100
-            pytest.param(250, marks=pytest.mark.xfail(strict=True, reason="quarter period off the grid")),
-        ],
-    )
+    # 250 samples miss the quarter period, where |Px| peaks, and every one
+    # of 4 samples sits on a zero of Px
+    @pytest.mark.parametrize("samples", [4, 8, 64, 250, 1024])
     def test_factor_read_on_the_default_span(self, tmp_path, samples):
-        # the factor is max|Px| / b_perp over the samples; on the default
-        # two-period span the grid holds the quarter period when the sample
-        # count is a multiple of 8
+        # the factor is max|(Px, Py)| / b_perp over the samples, which
+        # t = 0 on every grid holds
         code = main(["converge", "--n-list", "3,100", "--samples", str(samples), "--output-dir", str(tmp_path)])
         assert code == EXIT_OK
         _, rows = read_csv(tmp_path / "converge.csv")
         assert rows[:, 0].tolist() == [3, 100]
-        tolerance = 1e-10 if samples == 250 else 1e-12
-        assert np.all(rows[:, 2] <= tolerance), rows[:, 2]
+        assert np.all(rows[:, 2] <= 1e-12), rows[:, 2]
 
     def test_samples_past_the_bound_rejected(self, tmp_path, capsys):
         # converge runs no integrator but takes the same bound: 10^7 + 2

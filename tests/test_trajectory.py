@@ -158,6 +158,11 @@ class TestTrajectorySummaries:
         assert traj.amplitude_factor(0.5) == 3.0
         assert Trajectory(times=traj.times, p=traj.p).amplitude_factor(1.5) == 1.0
 
+    def test_amplitude_factor_reads_the_transverse_length(self):
+        # |(Px, Py)| peaks at the second sample, |Px| at the third and Pz is not read
+        p = np.array([[0.5, 0.0, 9.0], [0.6, 0.8, 0.0], [0.9, 0.0, 0.0]])
+        assert Trajectory(times=HAND_MADE["times"], p=p).amplitude_factor(0.5) == 2.0
+
     def test_invariant_residual_is_the_larger_of_both_residuals(self):
         traj = Trajectory(**HAND_MADE)
         np.testing.assert_array_equal(traj.res_sp, [0.0, 0.0, 0.5])

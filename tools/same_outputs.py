@@ -4,15 +4,16 @@
 
 The calls are the CLI calls of both benchmark workloads at seeds 1, 7 and
 13, read from ``benchmarks/run.make_workload``, the default ``trajectory``,
-``converge``, ``verify`` and ``oracle``, and eleven edge calls: the drift gate
-of ``trajectory`` (exit 4), the step caps of ``trajectory`` and ``verify``
-(exit 2), a ``trajectory`` and a ``converge`` whose sample count alone
-passes the bound (exit 2), a failing ``verify`` (exit 3), ``verify`` and a coarse-grid
-``trajectory`` where the anomalous rates set the order-8 step, a
-``trajectory`` at level 10^5 and anomaly 5, where the order-8 maps change
-most with the momentum's length, an exact-mode ``converge`` whose packets
-span two level chunks, and the paper-scale exact-mode ``trajectory``:
-10^4 levels at level 10^5 over one anomalous period on 8 192 samples.
+``converge``, ``verify`` and ``oracle``, and twelve edge calls: the drift
+gate of ``trajectory`` (exit 4), the step caps of ``trajectory`` and
+``verify`` (exit 2), a ``trajectory`` and a ``converge`` whose sample count
+alone passes the bound (exit 2), a failing ``verify`` (exit 3), ``verify``
+and a coarse-grid ``trajectory`` where the anomalous rates set the order-8
+step, a ``trajectory`` at level 10^5 and anomaly 5, where the order-8 maps
+change most with the momentum's length, an exact-mode ``converge`` whose
+packets span two level chunks, a ``converge`` on 4 samples, each on a zero
+of Px, and the paper-scale exact-mode ``trajectory``: 10^4 levels at level
+10^5 over one anomalous period on 8 192 samples.
 Each call runs in a fresh interpreter against the ``src`` directory of
 PARENT_CHECKOUT and of this checkout, once with one BLAS thread and once
 with two, writing into ``out`` under its own temporary directory, so both
@@ -45,6 +46,7 @@ EDGE_CALLS = (
     ["trajectory", "--anomaly", "5", "--samples", "16", "--t-max", "30"],
     ["trajectory", "--n", "100000", "--anomaly", "5", "--samples", "64", "--t-max", "5000"],
     ["converge", "--mode", "exact", "--n", "3000", "--n-list", "2000,2001"],
+    ["converge", "--n-list", "3", "--samples", "4"],
     ["trajectory", "--mode", "exact", "--n", "100000", "--levels", "10000", "--samples", "8192", "--t-max", "27101"],
 )
 
