@@ -270,9 +270,15 @@ class TestWindow:
 
     @pytest.mark.parametrize("epsilon", [0, 2, -2])
     def test_epsilon_must_be_a_sign(self, epsilon):
+        # the constructor, the builder and the reference name epsilon alike
         packet = build_spinor_packet(100, 3, CFG)
-        with pytest.raises(DomainError, match=f"^epsilon: must be \\+1 or -1, got {epsilon}$"):
+        message = f"^epsilon: must be \\+1 or -1, got {epsilon}$"
+        with pytest.raises(DomainError, match=message):
             replace(packet, epsilon=epsilon)
+        with pytest.raises(DomainError, match=message):
+            build_spinor_packet(100, 3, CFG, epsilon)
+        with pytest.raises(DomainError, match=message):
+            SpinKinematics.from_field(CFG, 100, epsilon)
 
 
 class TestDerivedReference:
