@@ -12,10 +12,11 @@ Subcommands:
                  momentum matrix elements
 
 Configuration comes from flags, optionally merged over a flat key=value
-file (flags win).  Every command takes the physical configuration; only
-``trajectory`` and ``converge`` take the time grid and energy model, only
-``trajectory`` the level count and only ``verify`` the seed.  The file may
-set every key for every command; it is read as UTF-8.  The environment
+file (flags win), read as UTF-8.  ``READS`` lists the keys each command
+reads and checks: the physical ones for all, the time grid and energy model
+for ``trajectory`` and ``converge``, the level count for ``trajectory``, the
+seed for ``verify``.  The file may set any key; a command ignores those it
+does not read, but not an unknown key or a mistyped value.  The environment
 variable SEMICLASSICAL_OUTPUT_DIR sets the default output directory; an
 empty one, or one a non-directory blocks, is rejected before any work, and
 an OSError while writing is reported as a configuration error.  Exit codes:
@@ -71,29 +72,29 @@ class RunConfig:
     seed: int = 0
     output_dir: str = "."
 
-    def validate(self, level_gap: bool = True) -> None:
-        """Reject a configuration no command can run; with ``level_gap``
-        false, skip the check that levels n and n+1 lie a positive gap apart,
-        which only the commands that evolve phases at n need."""
+    def validate(self, command: str) -> None:
+        """Reject a configuration ``command`` cannot run: check the keys it
+        reads, and the gap from level n to n+1 if it is in EVOLVES_AT_N."""
+        reads = READS[command]
         FieldConfig(h=self.h, anomaly=self.anomaly, b_z=self.b_z)  # checks h, anomaly
         if self.n < 1:
             raise DomainError(f"n: must be >= 1, got {self.n}")
-        if self.levels < 1:
+        if "levels" in reads and self.levels < 1:
             raise DomainError(f"levels: must be >= 1, got {self.levels}")
         if self.epsilon not in (-1, 1):
             raise DomainError(f"epsilon: must be +1 or -1, got {self.epsilon}")
-        if self.mode not in (evolution.UNIFORM_GAP, evolution.EXACT):
+        if "mode" in reads and self.mode not in (evolution.UNIFORM_GAP, evolution.EXACT):
             raise DomainError(f"mode: must be 'uniform-gap' or 'exact', got {self.mode!r}")
-        if self.samples < 2:
+        if "samples" in reads and self.samples < 2:
             raise DomainError(f"samples: must be >= 2, got {self.samples}")
-        if self.samples > MAX_SAMPLES:
+        if "samples" in reads and self.samples > MAX_SAMPLES:
             raise DomainError(
                 f"samples: must be <= {MAX_SAMPLES}, one more than the classical integrator's "
                 f"step cap {classical.MAX_STEPS}, got {self.samples}"
             )
-        if self.t_max is not None and not (math.isfinite(self.t_max) and self.t_max > 0):
+        if "t_max" in reads and self.t_max is not None and not (math.isfinite(self.t_max) and self.t_max > 0):
             raise DomainError(f"t_max: must be finite and > 0, got {self.t_max}")
-        if self.seed < 0:
+        if "seed" in reads and self.seed < 0:
             raise DomainError(f"seed: must be >= 0, got {self.seed}")
         try:
             energies = [energy_spinor(self.field, m, z) for m in (self.n, self.n + 1) for z in (-1, 1)]
@@ -104,7 +105,7 @@ class RunConfig:
                 f"h, anomaly, n: the level energies at n={self.n} and n+1 overflow "
                 f"at h={self.h}, anomaly={self.anomaly}"
             )
-        if not (level_gap and self.h > 0):
+        if not (command in EVOLVES_AT_N and self.h > 0):
             return
         gap = SpinKinematics.from_field(self.field, self.n, self.epsilon).omega
         if gap < 0:
@@ -134,12 +135,32 @@ class RunConfig:
         return FieldConfig(h=self.h, anomaly=self.anomaly, b_z=self.b_z)
 
 
-#: value type of every key a configuration file may set
-_KEY_TYPES = {
-    **dict.fromkeys(("n", "levels", "epsilon", "samples", "seed"), int),
-    **dict.fromkeys(("h", "anomaly", "b_z", "t_max"), float),
-    **dict.fromkeys(("mode", "output_dir"), str),
+#: the type and argparse options of every key a configuration file may set
+_KEYS = {
+    "h": dict(type=float, help="dimensionless field strength"),
+    "anomaly": dict(type=float, help="anomalous-moment ratio"),
+    "b_z": dict(type=float, help="longitudinal momentum"),
+    "n": dict(type=int, help="reference level"),
+    "epsilon": dict(type=int, choices=(-1, 1), help="helicity sign"),
+    "output_dir": dict(type=str, help="output directory"),
+    "levels": dict(type=int, help="number of levels in the packet"),
+    "mode": dict(type=str, choices=(evolution.UNIFORM_GAP, evolution.EXACT), help="energy model"),
+    "t_max": dict(type=float, help="time span (default two cyclotron periods)"),
+    "samples": dict(type=int, help="number of time samples"),
+    "seed": dict(type=int, help="seed of the amplitude --perturb corrupts"),
 }
+_SHARED = ("h", "anomaly", "b_z", "n", "epsilon", "output_dir")
+_TIME_GRID = ("mode", "t_max", "samples")
+#: the keys each command reads, takes as flags and validates; oracle uses only
+#: h and b_z of _SHARED but takes all of it, as callers pass it the others' flags
+READS = {
+    "trajectory": (*_SHARED, "levels", *_TIME_GRID),
+    "converge": (*_SHARED, *_TIME_GRID),
+    "verify": (*_SHARED, "seed"),
+    "oracle": _SHARED,
+}
+#: the commands that evolve phases at level n, so need a positive gap to n+1
+EVOLVES_AT_N = frozenset(("trajectory", "converge", "verify"))
 
 
 def _parse_config_file(path: str) -> dict:
@@ -158,26 +179,27 @@ def _parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise DomainError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KEY_TYPES:
+        if key not in _KEYS:
             raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
+        kind = _KEYS[key]["type"]
         try:
-            values[key] = _KEY_TYPES[key](value)
+            values[key] = kind(value)
         except ValueError as exc:
-            raise DomainError(f"{path}:{lineno}: {key}: expected {_KEY_TYPES[key].__name__}, got {value!r}") from exc
+            raise DomainError(f"{path}:{lineno}: {key}: expected {kind.__name__}, got {value!r}") from exc
     return values
 
 
-def _merge_config(args: argparse.Namespace, level_gap: bool = True) -> RunConfig:
-    """Flags over the configuration file over the defaults, validated with
-    or without the ``level_gap`` check; the output directory defaults to
+def _merge_config(args: argparse.Namespace) -> RunConfig:
+    """Flags over the configuration file over the defaults, validated for
+    ``args.command``; the output directory defaults to
     SEMICLASSICAL_OUTPUT_DIR when that is set."""
     values = _parse_config_file(args.config) if args.config else {}
     values.setdefault("output_dir", os.environ.get("SEMICLASSICAL_OUTPUT_DIR", RunConfig.output_dir))
-    for key in _KEY_TYPES:
-        if getattr(args, key, None) is not None:
+    for key in READS[args.command]:
+        if getattr(args, key) is not None:
             values[key] = getattr(args, key)
     cfg = RunConfig(**values)
-    cfg.validate(level_gap)
+    cfg.validate(args.command)
     _check_output_dir(cfg.output_dir)
     return cfg
 
@@ -333,7 +355,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, level_gap=False)
+    cfg = _merge_config(args)
     rows = laguerre.semiclassical_convergence(args.radial_s, cfg.h, args.n_list, b_z=cfg.b_z)
     # err_y equals err_x bit for bit, so one fit gives both exponents
     exponent = laguerre.fit_decay_exponent(args.n_list, [r[1] for r in rows])
@@ -355,24 +377,6 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _add_shared(parser: argparse.ArgumentParser) -> None:
-    """The physical configuration every command reads."""
-    parser.add_argument("--config", help="flat key=value configuration file")
-    parser.add_argument("--h", type=float, help="dimensionless field strength")
-    parser.add_argument("--anomaly", type=float, help="anomalous-moment ratio")
-    parser.add_argument("--b-z", dest="b_z", type=float, help="longitudinal momentum")
-    parser.add_argument("--n", type=int, help="reference level")
-    parser.add_argument("--epsilon", type=int, choices=(-1, 1), help="helicity sign")
-    parser.add_argument("--output-dir", dest="output_dir", help="output directory")
-
-
-def _add_time_grid(parser: argparse.ArgumentParser) -> None:
-    """The energy model and time grid of the commands that evolve a packet."""
-    parser.add_argument("--mode", choices=(evolution.UNIFORM_GAP, evolution.EXACT), help="energy model")
-    parser.add_argument("--t-max", dest="t_max", type=float, help="time span (default two cyclotron periods)")
-    parser.add_argument("--samples", type=int, help="number of time samples")
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose rejections raise DomainError, so that
     ``main`` reports them as every other configuration error."""
@@ -383,8 +387,8 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process.  Each command takes
-    the shared flags and only the run-shape flags it reads."""
+    """The command-line parser, built once per process: each command takes
+    --config, a flag per key it reads (READS) and flags that are no keys."""
     parser = _Parser(
         prog="landau-packets",
         description="Cyclotron motion and spin precession from Landau-level wave packets.",
@@ -392,29 +396,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_traj = sub.add_parser("trajectory", help="run one configuration and write CSVs")
-    _add_shared(p_traj)
-    p_traj.add_argument("--levels", type=int, help="number of levels in the packet")
-    _add_time_grid(p_traj)
-
-    p_conv = sub.add_parser("converge", help="sweep the level count")
-    _add_shared(p_conv)
-    _add_time_grid(p_conv)
-    p_conv.add_argument("--n-list", dest="n_list", type=_int_list, default=(3, 10, 100),
-                        help="comma-separated level counts")
-
-    p_verify = sub.add_parser("verify", help="run the self-verification suite")
-    _add_shared(p_verify)
-    p_verify.add_argument("--perturb", action="store_true",
-                          help="corrupt one amplitude to demonstrate failure detection")
-    p_verify.add_argument("--seed", type=int, help="seed of the amplitude --perturb corrupts")
-
-    p_oracle = sub.add_parser("oracle", help="quadrature convergence of exact matrix elements")
-    _add_shared(p_oracle)
-    p_oracle.add_argument("--n-list", dest="n_list", type=_int_list, default=(10, 20, 40, 80),
-                          help="comma-separated levels to scan")
-    p_oracle.add_argument("--radial-s", dest="radial_s", type=int, default=0,
-                          help="radial quantum number of the scanned states")
+    parsers = {}
+    for command, summary in (
+        ("trajectory", "run one configuration and write CSVs"),
+        ("converge", "sweep the level count"),
+        ("verify", "run the self-verification suite"),
+        ("oracle", "quadrature convergence of exact matrix elements"),
+    ):
+        parsers[command] = sub.add_parser(command, help=summary)
+        parsers[command].add_argument("--config", help="flat key=value configuration file")
+        for key in READS[command]:
+            parsers[command].add_argument("--" + key.replace("_", "-"), dest=key, **_KEYS[key])
+    parsers["converge"].add_argument("--n-list", dest="n_list", type=_int_list, default=(3, 10, 100),
+                                     help="comma-separated level counts")
+    parsers["verify"].add_argument("--perturb", action="store_true",
+                                   help="corrupt one amplitude to demonstrate failure detection")
+    parsers["oracle"].add_argument("--n-list", dest="n_list", type=_int_list, default=(10, 20, 40, 80),
+                                   help="comma-separated levels to scan")
+    parsers["oracle"].add_argument("--radial-s", dest="radial_s", type=int, default=0,
+                                   help="radial quantum number of the scanned states")
     return parser
 
 

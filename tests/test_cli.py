@@ -619,6 +619,22 @@ OWN_FLAGS = {
 }
 #: a value each run-shape flag would parse to, were it taken
 SHAPE_VALUES = {"--levels": "5", "--mode": "exact", "--t-max": "10", "--samples": "64", "--seed": "3"}
+#: a valid value of each run-shape key of a configuration file
+FILE_VALUES = {"levels": 5, "mode": "exact", "t_max": 10.0, "samples": 64, "seed": 3}
+#: (command, file line, message): one invalid key the command reads
+FILE_REJECTED = [
+    *[(command, "n = 0", "n: must be >= 1, got 0") for command in OWN_FLAGS],
+    *[(command, "epsilon = 2", "epsilon: must be +1 or -1, got 2") for command in OWN_FLAGS],
+    ("trajectory", "levels = 0", "levels: must be >= 1, got 0"),
+    *[(command, line, message) for command in ("trajectory", "converge") for line, message in (
+        ("mode = fast", "mode: must be 'uniform-gap' or 'exact', got 'fast'"),
+        ("t_max = -1", "t_max: must be finite and > 0, got -1.0"),
+        ("samples = 1", "samples: must be >= 2, got 1"),
+        ("samples = 20000000", f"samples: must be <= {classical.MAX_STEPS + 1}, one more than the classical "
+                               f"integrator's step cap {classical.MAX_STEPS}, got 20000000"),
+    )],
+    ("verify", "seed = -4", "seed: must be >= 0, got -4"),
+]
 
 
 class TestArgumentParsing:
@@ -660,15 +676,31 @@ class TestArgumentParsing:
 
     @pytest.mark.parametrize("command", OWN_FLAGS)
     def test_config_file_sets_every_key_for_every_command(self, tmp_path, command):
-        # a command ignores the keys it does not read, and verify.json echoes them
+        # a command ignores the keys it does not read, even values it would
+        # reject, and verify.json echoes them
+        for samples in (1, 20000000):
+            unread = {"levels": 0, "mode": "fast", "t_max": -1.0, "samples": samples, "seed": -1}
+            keys = {key: value if f"--{key.replace('_', '-')}" in OWN_FLAGS[command] else unread[key]
+                    for key, value in FILE_VALUES.items()}
+            config = tmp_path / "run.cfg"
+            config.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
+            out = tmp_path / f"out{samples}"
+            levels = ["--n-list", "10,20"] if "--n-list" in OWN_FLAGS[command] else []
+            assert main([command, "--config", str(config), *levels, "--output-dir", str(out)]) == EXIT_OK
+            if command == "verify":
+                echoed = json.loads((out / "verify.json").read_text())["config"]
+                assert echoed | keys == echoed
+
+    @pytest.mark.parametrize("command,line,message", FILE_REJECTED, ids=[f"{c}-{l}" for c, l, _ in FILE_REJECTED])
+    def test_config_file_key_the_command_reads_rejected(self, tmp_path, capsys, command, line, message):
+        # one invalid key the command reads: one line, and nothing written
         config = tmp_path / "run.cfg"
-        config.write_text("levels = 5\nmode = exact\nt_max = 10\nsamples = 64\nseed = 3\n")
+        config.write_text(f"{line}\n")
         out = tmp_path / "out"
         levels = ["--n-list", "10,20"] if "--n-list" in OWN_FLAGS[command] else []
-        assert main([command, "--config", str(config), *levels, "--output-dir", str(out)]) == EXIT_OK
-        if command == "verify":
-            echoed = json.loads((out / "verify.json").read_text())["config"]
-            assert echoed | {"levels": 5, "mode": "exact", "t_max": 10.0, "samples": 64, "seed": 3} == echoed
+        assert main([command, "--config", str(config), *levels, "--output-dir", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         # numpy's generator takes no negative seed; validate rejects it first

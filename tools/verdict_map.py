@@ -15,7 +15,7 @@ Each axis spans its range in steps of about a decade or less, and the
 grid contains every configuration of
 ``tests/test_acceptance.py::test_verify_verdict``.  Each configuration
 runs ``verify.run_all_checks`` as ``verify`` does, after the same
-``RunConfig.validate``.  A configuration that ``validate`` or a check's own
+``RunConfig.validate("verify")``.  A configuration that ``validate`` or a check's own
 input guard rejects (``DomainError``) is skipped, and its row records the
 reason.  Every other configuration writes one row per check:
 
@@ -77,7 +77,7 @@ def verdict_rows(config: tuple[float, float, float, int, int]) -> list[dict[str,
     }
     run = RunConfig(h=h, anomaly=anomaly, b_z=b_z, n=n, epsilon=epsilon)
     try:
-        run.validate()
+        run.validate("verify")
         report = verify.run_all_checks(run.field, n, epsilon)
     except DomainError as exc:
         return [{**fields, "reason": str(exc)}]
