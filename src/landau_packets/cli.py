@@ -56,6 +56,10 @@ DRIFT_LIMIT = 1e-6
 #: classical integrator at least one step, and the count is checked before
 #: any grid is built
 MAX_SAMPLES = classical.MAX_STEPS + 1
+#: the most levels in one packet, 100 times the paper's 10^4: building and
+#: evolving a packet holds about 80 bytes and takes about 3 us per level, and
+#: the count is checked before any packet is built
+MAX_LEVELS = 10**6
 
 
 @dataclass
@@ -81,6 +85,8 @@ class RunConfig:
             raise DomainError(f"n: must be >= 1, got {self.n}")
         if "levels" in reads and self.levels < 1:
             raise DomainError(f"levels: must be >= 1, got {self.levels}")
+        if "levels" in reads and self.levels > MAX_LEVELS:
+            raise DomainError(f"levels: must be <= {MAX_LEVELS}, got {self.levels}")
         if self.epsilon not in (-1, 1):
             raise DomainError(f"epsilon: must be +1 or -1, got {self.epsilon}")
         if "mode" in reads and self.mode not in (evolution.UNIFORM_GAP, evolution.EXACT):
@@ -311,6 +317,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
     n_list = args.n_list
     if not n_list:
         raise DomainError("n_list: need at least one level count")
+    if max(n_list) > MAX_LEVELS:
+        raise DomainError(f"n_list: each level count must be <= {MAX_LEVELS}, got {max(n_list)}")
     field = cfg.field
 
     kin = SpinKinematics.from_field(field, cfg.n, cfg.epsilon)

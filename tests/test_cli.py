@@ -12,7 +12,9 @@ import pytest
 
 import landau_packets
 from landau_packets import FieldConfig, SpinKinematics, classical, energy_spinor, evolution, laguerre, verify
-from landau_packets.cli import EXIT_ACCURACY, EXIT_CLOSED_STDOUT, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
+from landau_packets.cli import (
+    EXIT_ACCURACY, EXIT_CLOSED_STDOUT, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, MAX_LEVELS, RunConfig, main,
+)
 from landau_packets.errors import QuadratureAccuracyError
 
 FAST = ["--h", "0.1", "--anomaly", "0.02", "--b-z", "0.5", "--n", "100"]
@@ -25,24 +27,31 @@ def read_csv(path):
     return header, np.atleast_2d(rows)
 
 
-def assert_samples_past_the_bound_rejected(command, tmp_path, capsys):
-    """``command`` with one sample more than cli.MAX_SAMPLES exits 2 with
-    one line naming ``samples``, allocates under 1 MiB and creates nothing."""
+def assert_rejected_before_allocating(argv, message, tmp_path, capsys):
+    """``argv`` exits 2 with the one line ``message``, allocates under
+    1 MiB and creates nothing."""
     out = tmp_path / "out"
-    samples = classical.MAX_STEPS + 2
     tracemalloc.start()
     try:
-        code = main([command, *FAST, "--samples", str(samples), "--output-dir", str(out)])
+        code = main([*argv, "--output-dir", str(out)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        f"configuration error: samples: must be <= {samples - 1}, one more than the classical "
-        f"integrator's step cap {classical.MAX_STEPS}, got {samples}\n"
-    )
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert peak < 2**20
     assert not out.exists()
+
+
+def assert_samples_past_the_bound_rejected(command, tmp_path, capsys):
+    """``command`` with one sample more than cli.MAX_SAMPLES is rejected
+    before allocating."""
+    samples = classical.MAX_STEPS + 2
+    message = (
+        f"samples: must be <= {samples - 1}, one more than the classical "
+        f"integrator's step cap {classical.MAX_STEPS}, got {samples}"
+    )
+    assert_rejected_before_allocating([command, *FAST, "--samples", str(samples)], message, tmp_path, capsys)
 
 
 class TestTrajectoryCommand:
@@ -156,6 +165,14 @@ class TestTrajectoryCommand:
         # before the 80 MB grid is built
         assert_samples_past_the_bound_rejected("trajectory", tmp_path, capsys)
 
+    def test_levels_past_the_bound_rejected(self, tmp_path, capsys):
+        # a packet of MAX_LEVELS levels holds about 80 MB; one more level is
+        # rejected before any packet is built
+        assert RunConfig(n=MAX_LEVELS, levels=MAX_LEVELS).validate("trajectory") is None
+        levels = MAX_LEVELS + 1
+        argv = ["trajectory", *FAST, "--n", "100000000", "--levels", str(levels)]
+        assert_rejected_before_allocating(argv, f"levels: must be <= {MAX_LEVELS}, got {levels}", tmp_path, capsys)
+
     def test_drift_failure_names_the_span(self, tmp_path, capsys):
         # about 320 cyclotron periods at anomaly 0 drift past DRIFT_LIMIT;
         # the step is fixed by the state, so the message points at t_max
@@ -217,6 +234,13 @@ class TestConvergeCommand:
         # converge runs no integrator but takes the same bound: 10^7 + 2
         # samples would ask the engine for gigabytes
         assert_samples_past_the_bound_rejected("converge", tmp_path, capsys)
+
+    def test_level_counts_past_the_bound_rejected(self, tmp_path, capsys):
+        # 10^8 levels would ask numpy for gigabytes; the list is checked
+        # before its first packet is built
+        argv = ["converge", "--n", "100000000", "--n-list", "3,100000000", "--samples", "8"]
+        message = f"n_list: each level count must be <= {MAX_LEVELS}, got 100000000"
+        assert_rejected_before_allocating(argv, message, tmp_path, capsys)
 
     def test_empty_level_list_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"
