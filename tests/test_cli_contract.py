@@ -8,8 +8,12 @@ draw in five adds a flag it does not take or a value that argparse
 rejects.  Whatever the input, ``main`` returns an exit
 code and raises nothing; a rejected input prints one line and writes
 nothing.  No ``verify`` verdict is asserted: exit 3 is allowed, as long as
-the report is written.  ``derandomize=True`` fixes the examples, so every
-run checks the same argument lists.
+the report is written.  A second test draws configuration files over every
+key, whatever the command, with the same values: a command ignores the keys
+it does not read, and a rejection names a key it reads, a kinematics rule,
+or, for an unknown key or a mistyped value, the line of the file.
+``derandomize=True`` fixes the examples, so every run checks the same
+argument lists and files.
 """
 
 import io
@@ -132,3 +136,82 @@ def test_every_input_gets_an_exit_code(drawn):
         else:
             assert len(stderr.getvalue().splitlines()) == 1, stderr.getvalue()
             assert not os.path.exists(out)
+
+
+def key(flag):
+    return flag[2:].replace("-", "_")
+
+
+#: a drawn value of every file key; a file, unlike a flag, can hold an
+#: epsilon or a mode outside their choices
+FILE_KEYS = {
+    **{key(flag): values for flag, values in {**SHARED, **TIME_GRID}.items()},
+    "epsilon": with_bad(SHARED["--epsilon"], 0, 2),
+    "mode": with_bad(TIME_GRID["--mode"], "fast"),
+    "levels": OWN["trajectory"]["--levels"],
+    "seed": OWN["verify"]["--seed"],
+}
+#: the file keys each command reads and checks
+READS = {command: {key(flag) for flag in {*SHARED, *OWN[command]}} & FILE_KEYS.keys() for command in OUTPUTS}
+#: a file line every command rejects: an unknown key, or a value of the
+#: wrong type
+FILE_REJECTED = [
+    "levls = 3",
+    *(f"{key(flag)} = {MISTYPED[flag]}" for flag in MISTYPED
+      if key(flag) in FILE_KEYS and flag not in ("--epsilon", "--mode")),
+]
+#: the flags besides --config the file test passes: converge's counts 1 and
+#: 2, whose windows fit above every level n >= 1, and two cheap oracle levels
+ARGV = {"trajectory": [], "converge": ["--n-list=1,2"], "verify": [], "oracle": ["--n-list=10,20"]}
+#: messages of the kinematics rules, which name no key
+KINEMATICS_RULES = ("b_perp = 0",)
+
+
+@st.composite
+def configuration_files(draw):
+    """(command, file text, whether every command rejects it): every file
+    key drawn or left out, and in one draw of five a line no command takes."""
+    command = draw(st.sampled_from(tuple(OUTPUTS)))
+    lines = []
+    for name, values in FILE_KEYS.items():
+        value = draw(optional(values))
+        if value is not None:
+            lines.append(f"{name} = {value}")
+    rejected = draw(st.integers(0, 4)) == 0
+    if rejected:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(FILE_REJECTED)))
+    return command, "".join(f"{line}\n" for line in lines), rejected
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(configuration_files())
+def test_every_configuration_file_gets_an_exit_code(drawn):
+    # a command ignores the keys it does not read; a message of a rejected
+    # file names its line, any other names a key the command reads
+    command, text, rejected = drawn
+    with tempfile.TemporaryDirectory() as root:
+        config, out = os.path.join(root, "run.cfg"), os.path.join(root, "out")
+        with open(config, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, f"--config={config}", *ARGV[command], f"--output-dir={out}"])
+        message = stderr.getvalue().removeprefix("configuration error: ")
+        event(f"{command} exit {code} {'file line' if message.startswith(config) else message.split(':')[0]}")
+        if rejected:
+            assert code == EXIT_CONFIG
+            assert message.startswith(f"{config}:"), message
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VERIFY, EXIT_ACCURACY)
+        if code == EXIT_OK:
+            assert stderr.getvalue() == ""
+            assert sorted(os.listdir(out)) == sorted(OUTPUTS[command])
+        elif code == EXIT_VERIFY:
+            assert command == "verify"
+            assert os.listdir(out) == ["verify.json"]
+        else:
+            assert len(stderr.getvalue().splitlines()) == 1, stderr.getvalue()
+            assert not os.path.exists(out)
+        if code == EXIT_CONFIG and not rejected:
+            named = set(message.split(":")[0].split(", "))
+            assert named <= READS[command] or message.startswith(KINEMATICS_RULES), (command, message)
